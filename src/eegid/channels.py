@@ -10,7 +10,7 @@ published.  COMMON_56 is the intersection of the BCI2000 (10-10) montage and
 the 64-electrode Waveguard montage, with the four midline electrodes FPZ,
 FCZ, CPZ and POZ dropped to reach 56.  TEN_TWENTY_21 is the classical 10-20
 montage extended with FPZ and OZ (both available on all caps considered).
-An explicit label list in the manifest overrides either built-in.
+An explicit label list in the manifest overrides any built-in.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ TEN_TWENTY_21 = ChannelSet((
 ))
 
 POLICY_SETS = {
+    "bci2000_64": BCI2000_64,
     "common_56": COMMON_56,
     "ten_twenty_21": TEN_TWENTY_21,
 }

@@ -292,13 +292,15 @@ def _features_cached(corpus, config: ExperimentConfig, condition, workers,
     """Band-filter + featurize one condition, with optional on-disk caching.
 
     The cache key combines the caller-supplied tag (corpus hash + channel
-    policy) with band, metric, graph metric and epoch length, so classifier
+    policy) with band, metric, graph metric, epoch length, condition and the
+    filter settings (band-pass order, notch frequency and Q), so classifier
     sweeps reuse the expensive connectivity computation.
     """
     import pathlib
 
     key = (f"features-{cache_tag}-{config.band}-{config.metric}-"
-           f"{config.gb_metric or 'fc'}-{config.epoch_length_s:g}s-{condition}")
+           f"{config.gb_metric or 'fc'}-{config.epoch_length_s:g}s-{condition}-"
+           f"order{config.filter_order}-notch{config.notch_hz:g}-q{config.notch_q:g}")
     cache_file = None
     if cache_dir and cache_tag:
         cache_file = pathlib.Path(cache_dir) / f"{key}.npz"

@@ -272,6 +272,22 @@ class TestExperiment:
                                    feature_cache_dir=tmp_path, cache_tag="t1")
         assert ev.report_to_json(first) == ev.report_to_json(second)
 
+    @pytest.mark.parametrize("field, value", [
+        ("filter_order", 2), ("notch_hz", 0.0), ("notch_q", 10.0)])
+    def test_feature_cache_keyed_on_filter_settings(self, small_corpus,
+                                                    tmp_path, field, value):
+        base = ev.ExperimentConfig(metric="COR", band="gamma",
+                                   epoch_length_s=2.0)
+        changed = ev.ExperimentConfig(metric="COR", band="gamma",
+                                      epoch_length_s=2.0, **{field: value})
+        ev._features_cached(small_corpus, base, "resting", 1,
+                            cache_dir=tmp_path, cache_tag="t1")
+        x, _, _ = ev._features_cached(small_corpus, changed, "resting", 1,
+                                      cache_dir=tmp_path, cache_tag="t1")
+        assert len(list(tmp_path.glob("features-*.npz"))) == 2
+        cold, _, _ = ev._features_cached(small_corpus, changed, "resting", 1)
+        np.testing.assert_array_equal(x, cold)
+
     def test_config_name(self):
         config = ev.ExperimentConfig(metric="PLV", band="gamma")
         assert config.name() == "plv_fc_gamma_4s_resting"

@@ -7,6 +7,7 @@ from eegid.connectivity import ConnectivityMatrix
 from eegid.errors import ZeroGraph
 
 from oracles import (
+    betweenness_brandes_heap,
     betweenness_loop,
     clustering_loop,
     degree_loop,
@@ -92,6 +93,7 @@ class TestEigenvectorCentrality:
             graph.eigenvector_centrality(graph.WeightedGraph(weights=np.zeros((4, 4))))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestBetweennessCentrality:
     def test_path_graph(self):
         # chain 0-1-2-3: middle nodes lie on 2 and 2 shortest paths
@@ -123,6 +125,57 @@ class TestBetweennessCentrality:
             np.testing.assert_allclose(
                 graph.betweenness_centrality(g).scores,
                 betweenness_loop(g.weights), atol=1e-9)
+
+    def test_dense_56_matches_heap_oracle(self, rng):
+        for _ in range(5):
+            g = random_graph(rng, 56)
+            np.testing.assert_allclose(
+                graph.betweenness_centrality(g).scores,
+                betweenness_brandes_heap(g.weights), atol=1e-9)
+
+    def test_equal_weight_ties_match_heap_oracle(self, rng):
+        # unit weights on a sparse graph: many shortest paths tie exactly
+        for _ in range(20):
+            n = int(rng.integers(12, 21))
+            w = np.triu((rng.uniform(size=(n, n)) < 0.3).astype(float), k=1)
+            w = w + w.T
+            np.testing.assert_allclose(
+                graph.betweenness_centrality(graph.WeightedGraph(weights=w)).scores,
+                betweenness_brandes_heap(w), atol=1e-9)
+
+    def test_disconnected_components(self, rng):
+        # no path crosses between components, so each scores as if alone
+        a, b = random_graph(rng, 7, sparsity=0.3), random_graph(rng, 5, sparsity=0.3)
+        w = np.zeros((12, 12))
+        w[:7, :7] = a.weights
+        w[7:, 7:] = b.weights
+        bc = graph.betweenness_centrality(graph.WeightedGraph(weights=w)).scores
+        np.testing.assert_allclose(bc[:7], betweenness_loop(a.weights), atol=1e-9)
+        np.testing.assert_allclose(bc[7:], betweenness_loop(b.weights), atol=1e-9)
+
+    def test_isolated_nodes_score_zero(self):
+        bc = graph.betweenness_centrality(
+            graph.WeightedGraph(weights=np.zeros((4, 4)))).scores
+        np.testing.assert_array_equal(bc, 0.0)
+
+    def test_wide_weight_range(self, rng):
+        # distances 1/w from 1e-6 to 1e6 in one graph: two strong edges
+        # (length 2e-6 together) beat the weak direct edge (length 1e6)
+        w = np.zeros((3, 3))
+        w[0, 1] = w[1, 0] = 1e6
+        w[1, 2] = w[2, 1] = 1e6
+        w[0, 2] = w[2, 0] = 1e-6
+        bc = graph.betweenness_centrality(graph.WeightedGraph(weights=w)).scores
+        np.testing.assert_array_equal(bc, [0.0, 1.0, 0.0])
+        for _ in range(20):
+            n = int(rng.integers(12, 21))
+            w = 10.0 ** rng.uniform(-6, 6, (n, n))
+            w[rng.uniform(size=(n, n)) < 0.5] = 0.0
+            w = np.triu(w, k=1)
+            w = w + w.T
+            bc = graph.betweenness_centrality(graph.WeightedGraph(weights=w)).scores
+            assert np.all(np.isfinite(bc)) and np.all(bc >= 0.0)
+            np.testing.assert_allclose(bc, betweenness_brandes_heap(w), atol=1e-9)
 
     def test_heavier_edge_is_shorter(self):
         # distance is 1/weight: the strong direct edge 0-2 wins over 0-1-2

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eegid.channels import BCI2000_64, COMMON_56, TEN_TWENTY_21, ChannelSet
+from eegid.channels import (
+    BCI2000_64,
+    COMMON_56,
+    TEN_TWENTY_21,
+    ChannelSet,
+    resolve_policy,
+)
 from eegid.errors import (
     MalformedHeader,
     MissingChannel,
@@ -128,6 +134,21 @@ class TestSelectChannels:
         assert len(BCI2000_64) == 64
         assert len(COMMON_56) == 56
         assert len(TEN_TWENTY_21) == 21
+
+    def test_bci2000_policy(self, tmp_path):
+        policy = resolve_policy("bci2000_64")
+        assert len(policy) == 64 and len(set(policy.names)) == 64
+        # EDF header spelling of the BCI2000 montage: "Fc5.", "Cz..", "T10."
+        labels = [name.capitalize().ljust(4, ".") for name in policy.names]
+        path = tmp_path / "S001R01.edf"
+        path.write_bytes(write_edf(labels, np.zeros((64, 160), dtype=np.int16), 160.0))
+        entry = ManifestEntry(path=str(path), format="edf", subject_id="S001",
+                              dataset_id="pn", condition="resting",
+                              window_s=(0.0, 1.0))
+        manifest = DatasetManifest(entries=(entry,), target_rate_hz=128.0,
+                                   channel_policy="bci2000_64")
+        [rec] = build_corpus(manifest)
+        assert rec.channel_names == policy.names
 
     def test_64_to_56(self, rng):
         rec = make_recording(rng.standard_normal((64, 10)), names=BCI2000_64.names)
