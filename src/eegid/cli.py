@@ -42,26 +42,32 @@ def _corpus_hash(manifest_path, channel_policy=None) -> str:
     h.update(repr((manifest.target_rate_hz, manifest.channel_policy)).encode())
     for entry in manifest.entries:
         h.update(repr((entry.subject_id, entry.dataset_id, entry.condition,
-                       entry.window_s, entry.format)).encode())
+                       entry.window_s, entry.format, entry.sampling_rate_hz,
+                       entry.channel_names)).encode())
         h.update(Path(entry.path).read_bytes())
     return h.hexdigest()[:16]
 
 
 def _cached_corpus(manifest_path, cache_dir, channel_policy=None):
-    """Build (or reuse) the corpus cache; returns (corpus, hash, was_cached)."""
+    """Build (or reuse) the corpus cache; returns (corpus, hash, was_cached).
+
+    A cache file that cannot be read is rebuilt and overwritten.
+    """
     digest = _corpus_hash(manifest_path, channel_policy)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     cache_file = cache_dir / f"corpus-{digest}.pkl"
     if cache_file.exists():
-        with open(cache_file, "rb") as fh:
-            return pickle.load(fh), digest, True
+        try:
+            with open(cache_file, "rb") as fh:
+                return pickle.load(fh), digest, True
+        except evaluation.CACHE_READ_ERRORS as exc:
+            _log(f"rebuilding unreadable cache {cache_file.name}: {exc!r}")
     manifest = load_manifest(manifest_path)
     if channel_policy is not None:
         manifest = replace(manifest, channel_policy=channel_policy)
     corpus = build_corpus(manifest)
-    with open(cache_file, "wb") as fh:
-        pickle.dump(corpus, fh)
+    evaluation.write_atomic(cache_file, lambda fh: pickle.dump(corpus, fh))
     return corpus, digest, False
 
 
@@ -93,15 +99,15 @@ def cmd_features(args) -> int:
         filter_order=args.filter_order, notch_hz=args.notch_hz,
         notch_q=args.notch_q,
     )
-    epochs = evaluation.band_epochs(corpus, config, args.condition)
-    features, labels = evaluation.epoch_features(
-        epochs, args.metric, args.gb, workers=args.workers)
+    epochs, labels, provenance = evaluation.band_epochs(corpus, config, args.condition)
+    features = evaluation.epoch_features(epochs, labels, args.metric, args.gb,
+                                         workers=args.workers)
     with open(args.out, "w", encoding="utf-8") as fh:
         n_feat = features.shape[1]
         fh.write("dataset_id,subject_id,condition," +
                  ",".join(f"f{i}" for i in range(n_feat)) + "\n")
-        for epoch, row in zip(epochs, features):
-            fh.write(f"{epoch.dataset_id},{epoch.subject_id},{epoch.condition},")
+        for (dataset_id, subject_id, condition), row in zip(provenance, features):
+            fh.write(f"{dataset_id},{subject_id},{condition},")
             fh.write(",".join(repr(float(v)) for v in row))
             fh.write("\n")
     _log(f"wrote {features.shape[0]} x {n_feat} feature matrix to {args.out} "

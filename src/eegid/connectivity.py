@@ -7,52 +7,11 @@ computed from the instantaneous phase of the analytic signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dsp import BandSpec, Epoch
 from .errors import DegenerateVariance, EpochTooShort, LengthMismatch
 
 METRICS = ("COR", "PLV", "PLI")
-
-
-@dataclass(frozen=True)
-class PhaseSeries:
-    """Instantaneous phase (radians) per channel and sample."""
-
-    phases: np.ndarray  # N_ch x M, values in (-pi, pi]
-
-
-@dataclass(frozen=True)
-class ConnectivityMatrix:
-    """Symmetric pairwise edge-weight matrix for one epoch and one metric."""
-
-    metric: str
-    values: np.ndarray  # N_ch x N_ch, zero diagonal
-    band: BandSpec
-    subject_id: str = ""
-    dataset_id: str = ""
-    condition: str = ""
-    epoch_index: int = 0
-
-    @property
-    def n_channels(self):
-        return self.values.shape[0]
-
-    @property
-    def label(self):
-        return f"{self.dataset_id}/{self.subject_id}"
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray
-    feature_kind: str  # "fc_upper_triangle" | "graph_metric"
-
-    @property
-    def dimension(self):
-        return self.values.shape[0]
 
 
 def analytic_signal(x: np.ndarray) -> np.ndarray:
@@ -75,18 +34,18 @@ def analytic_signal(x: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spectrum * h, axis=-1)[..., :m]
 
 
-def analytic_phase(epoch: Epoch) -> PhaseSeries:
-    """Per-channel instantaneous phase of an epoch.
+def analytic_phase(data: np.ndarray) -> np.ndarray:
+    """Per-channel instantaneous phase (radians, in (-pi, pi]) of one epoch.
 
     Zero-valued analytic samples get phase 0 rather than NaN so a flat
     channel cannot poison a whole connectivity matrix.
     """
-    if epoch.n_samples < 8:
-        raise EpochTooShort(f"epoch of {epoch.n_samples} samples; need >= 8")
-    z = analytic_signal(epoch.data)
+    if data.shape[-1] < 8:
+        raise EpochTooShort(f"epoch of {data.shape[-1]} samples; need >= 8")
+    z = analytic_signal(data)
     phases = np.angle(z)
     phases[z == 0] = 0.0
-    return PhaseSeries(phases=phases)
+    return phases
 
 
 def _check_lengths(x, y):
@@ -135,30 +94,28 @@ def pli(phi_x, phi_y) -> float:
     return float(np.abs(np.mean(np.sign(d))))
 
 
-def connectivity_matrix(epoch: Epoch, metric: str) -> ConnectivityMatrix:
-    """All-pairs connectivity for one epoch; symmetric with zero diagonal."""
+def connectivity_matrix(data: np.ndarray, metric: str) -> np.ndarray:
+    """All-pairs connectivity of one (channels, samples) epoch.
+
+    Returns an N x N matrix, symmetric with zero diagonal.
+    """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    n = epoch.n_channels
-    mm = epoch.n_samples
+    n, mm = data.shape
     if metric == "COR":
-        centered = epoch.data - epoch.data.mean(axis=1, keepdims=True)
+        centered = data - data.mean(axis=1, keepdims=True)
         stds = np.sqrt(np.mean(centered * centered, axis=1))
         flat = np.flatnonzero(stds == 0.0)
         if flat.size:
-            raise DegenerateVariance(
-                f"constant channel(s) {flat.tolist()} in epoch "
-                f"{epoch.epoch_index} [{epoch.label}]"
-            )
+            raise DegenerateVariance(f"constant channel(s) {flat.tolist()}")
         values = (centered @ centered.T) / (mm * np.outer(stds, stds))
         values = np.clip(values, -1.0, 1.0)
     elif metric == "PLV":
-        phases = analytic_phase(epoch).phases
-        z = np.exp(1j * phases)
+        z = np.exp(1j * analytic_phase(data))
         values = np.abs(z @ z.conj().T) / mm
         values = np.minimum(values, 1.0)
     else:  # PLI
-        phases = analytic_phase(epoch).phases
+        phases = analytic_phase(data)
         values = np.zeros((n, n))
         for m in range(n - 1):
             d = wrap_phase(phases[m][None, :] - phases[m + 1:])
@@ -170,24 +127,9 @@ def connectivity_matrix(epoch: Epoch, metric: str) -> ConnectivityMatrix:
     iu = np.triu_indices(n, k=1)
     sym = np.zeros((n, n))
     sym[iu] = values[iu]
-    values = sym + sym.T
-    return ConnectivityMatrix(
-        metric=metric,
-        values=values,
-        band=epoch.band,
-        subject_id=epoch.subject_id,
-        dataset_id=epoch.dataset_id,
-        condition=epoch.condition,
-        epoch_index=epoch.epoch_index,
-    )
+    return sym + sym.T
 
 
-def upper_triangle_index_map(n: int) -> list:
-    """(m, k) channel pair for every position of the vectorized features."""
-    return [(m, k) for m in range(n) for k in range(m + 1, n)]
-
-
-def vectorize_upper(cm: ConnectivityMatrix) -> FeatureVector:
-    """Row-major strict upper triangle as a feature vector of N(N-1)/2 values."""
-    iu = np.triu_indices(cm.n_channels, k=1)
-    return FeatureVector(values=cm.values[iu].copy(), feature_kind="fc_upper_triangle")
+def vectorize_upper(values: np.ndarray) -> np.ndarray:
+    """Row-major strict upper triangle of an N x N matrix: N(N-1)/2 values."""
+    return values[np.triu_indices(values.shape[0], k=1)]

@@ -75,11 +75,6 @@ class IirFilter:
             raise ValueError("sos must have six coefficients per section")
         object.__setattr__(self, "sos", sos)
 
-    @property
-    def sections(self):
-        """(b0, b1, b2, a1, a2) tuples; a0 is always 1."""
-        return [tuple(row[[0, 1, 2, 4, 5]]) for row in self.sos]
-
     def pole_moduli(self):
         mods = []
         for _, _, _, a0, a1, a2 in self.sos:
@@ -90,12 +85,6 @@ class IirFilter:
         """Single-pass |H| at the given frequencies."""
         _, h = sps.sosfreqz(self.sos, worN=2 * np.pi * np.asarray(freqs_hz) / self.fs_hz)
         return np.abs(h)
-
-    def describe(self):
-        lines = [f"{self.kind} order={self.order} edges={self.edges_hz} fs={self.fs_hz}"]
-        for b0, b1, b2, a1, a2 in self.sections:
-            lines.append(f"  b=({b0:.12g}, {b1:.12g}, {b2:.12g}) a=(1, {a1:.12g}, {a2:.12g})")
-        return "\n".join(lines)
 
 
 def _rational_ratio(target_hz, source_hz):
@@ -200,56 +189,33 @@ def bandpass(rec: EegRecording, band: BandSpec, order=4) -> EegRecording:
     return replace(rec, data=filtfilt_matrix(filt, rec.data))
 
 
-@dataclass(frozen=True)
-class Epoch:
-    """A fixed-length non-overlapping analysis window of one recording."""
-
-    data: np.ndarray  # N_ch x M
-    sampling_rate_hz: float
-    channel_names: tuple
-    subject_id: str
-    dataset_id: str
-    condition: str
-    band: BandSpec
-    epoch_index: int
-
-    @property
-    def n_channels(self):
-        return self.data.shape[0]
-
-    @property
-    def n_samples(self):
-        return self.data.shape[1]
-
-    @property
-    def label(self):
-        return f"{self.dataset_id}/{self.subject_id}"
-
-
-def split_epochs(rec: EegRecording, epoch_length_s, band: BandSpec = BROADBAND) -> list:
-    """Cut a recording into non-overlapping epochs; remainder is dropped."""
+def epoch_samples(rec: EegRecording, epoch_length_s) -> int:
+    """Samples per epoch of epoch_length_s at the recording's rate."""
     if not epoch_length_s > 0:
         raise ValueError("epoch_length_s must be positive")
     m = int(round(epoch_length_s * rec.sampling_rate_hz))
+    if m < 1:
+        raise ValueError(
+            f"a {epoch_length_s} s epoch is shorter than one sample at "
+            f"{rec.sampling_rate_hz} Hz"
+        )
+    return m
+
+
+def split_epochs(rec: EegRecording, epoch_length_s) -> np.ndarray:
+    """Cut a recording into non-overlapping epochs; remainder is dropped.
+
+    Returns a C-contiguous (epochs, channels, samples) stack.
+    """
+    m = epoch_samples(rec, epoch_length_s)
     n_epochs = rec.n_samples // m
     if n_epochs < 1:
         raise RecordingTooShort(
             f"{rec.n_samples} samples cannot hold one {epoch_length_s} s epoch "
             f"at {rec.sampling_rate_hz} Hz"
         )
-    return [
-        Epoch(
-            data=rec.data[:, i * m:(i + 1) * m].copy(),
-            sampling_rate_hz=rec.sampling_rate_hz,
-            channel_names=rec.channel_names,
-            subject_id=rec.subject_id,
-            dataset_id=rec.dataset_id,
-            condition=rec.condition,
-            band=band,
-            epoch_index=i,
-        )
-        for i in range(n_epochs)
-    ]
+    data = rec.data[:, :n_epochs * m].reshape(rec.n_channels, n_epochs, m)
+    return np.ascontiguousarray(data.transpose(1, 0, 2))
 
 
 def preprocess(rec: EegRecording, notch_hz=50.0, notch_q=30.0, order=4) -> EegRecording:

@@ -9,12 +9,22 @@ one seed recorded in the report.
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import sys
+import tempfile
+import zipfile
 from dataclasses import dataclass, field, asdict
+from pathlib import Path
 
 import numpy as np
 
 from . import connectivity, dsp, graph, svm
-from .errors import InsufficientEpochs, MissingCondition, UnknownLabel
+from .errors import DegenerateVariance, InsufficientEpochs, MissingCondition, UnknownLabel
+
+# what reading a damaged or truncated npz or pickle cache file raises
+CACHE_READ_ERRORS = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile,
+                     pickle.UnpicklingError)
 
 GRID = tuple(
     svm.SvmHyperparams(c=c, gamma=g)
@@ -74,7 +84,7 @@ def _accuracy(truth, predictions):
     return sum(t == p for t, p in zip(truth, predictions)) / len(truth)
 
 
-def grid_search(x, labels, k2=3, grid=GRID, seed=0, budget_bytes=256 << 20):
+def grid_search(x, labels, k2=3, grid=GRID, seed=0):
     """Inner k2-fold selection of (C, gamma); ties break toward smaller values.
 
     Returns (best_params, audit) where audit maps each grid point to its mean
@@ -96,8 +106,7 @@ def grid_search(x, labels, k2=3, grid=GRID, seed=0, budget_bytes=256 << 20):
                 sorted(i for f in inner[:held] + inner[held + 1:] for i in f),
                 dtype=int,
             )
-            model = svm.train_ovr(x[train_idx], labels[train_idx], params,
-                                  budget_bytes=budget_bytes)
+            model = svm.train_ovr(x[train_idx], labels[train_idx], params)
             preds = svm.predict_batch(model, x[val_idx])
             accs.append(_accuracy(labels[val_idx].tolist(), preds))
         audit[params] = float(np.mean(accs))
@@ -151,8 +160,7 @@ def standard_error(fold_accuracies) -> float:
     return float(np.std(accs) / np.sqrt(accs.size))
 
 
-def run_nested_cv(x, labels, plan: FoldPlan, grid=GRID,
-                  budget_bytes=256 << 20) -> CvReport:
+def run_nested_cv(x, labels, plan: FoldPlan, grid=GRID) -> CvReport:
     """Outer-fold evaluation with inner grid search per fold.
 
     The standardizer and hyperparameters for each outer fold are fitted on
@@ -174,10 +182,9 @@ def run_nested_cv(x, labels, plan: FoldPlan, grid=GRID,
         )
         params, audit = grid_search(
             x[train_idx], labels[train_idx], k2=plan.k2, grid=grid,
-            seed=plan.seed + held + 1, budget_bytes=budget_bytes,
+            seed=plan.seed + held + 1,
         )
-        model = svm.train_ovr(x[train_idx], labels[train_idx], params,
-                              budget_bytes=budget_bytes)
+        model = svm.train_ovr(x[train_idx], labels[train_idx], params)
         preds = svm.predict_batch(model, x[test_idx])
         truth = labels[test_idx].tolist()
         fold_accs.append(_accuracy(truth, preds))
@@ -200,14 +207,16 @@ def run_nested_cv(x, labels, plan: FoldPlan, grid=GRID,
 # --- feature extraction ---------------------------------------------------------
 
 
-def epoch_features(epochs, metric: str, gb_metric: str = None,
-                   workers: int = 1) -> tuple:
-    """(features, labels) for a list of band-filtered epochs.
+def epoch_features(epochs: np.ndarray, labels, metric: str, gb_metric: str = None,
+                   workers: int = 1) -> np.ndarray:
+    """Feature matrix of an (epochs, channels, samples) band-filtered stack.
 
-    Features are the vectorized connectivity upper triangle, or per-node
-    graph scores when gb_metric is given.
+    Rows are the vectorized connectivity upper triangle, or per-node graph
+    scores when gb_metric is given.  `labels` name each epoch's recording in
+    error messages.
     """
-    tasks = [(e, metric, gb_metric) for e in epochs]
+    tasks = [(epochs[i], f"epoch {i} [{labels[i]}]", metric, gb_metric)
+             for i in range(epochs.shape[0])]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -215,16 +224,18 @@ def epoch_features(epochs, metric: str, gb_metric: str = None,
             rows = list(pool.map(_feature_task, tasks))
     else:
         rows = [_feature_task(t) for t in tasks]
-    labels = np.array([e.label for e in epochs])
-    return np.vstack(rows), labels
+    return np.vstack(rows)
 
 
 def _feature_task(args):
-    epoch, metric, gb_metric = args
-    cm = connectivity.connectivity_matrix(epoch, metric)
+    data, where, metric, gb_metric = args
+    try:
+        values = connectivity.connectivity_matrix(data, metric)
+    except DegenerateVariance as exc:
+        raise DegenerateVariance(f"{exc} in {where}") from None
     if gb_metric is None:
-        return connectivity.vectorize_upper(cm).values
-    return graph.node_scores(graph.from_connectivity(cm), gb_metric).scores
+        return connectivity.vectorize_upper(values)
+    return graph.node_scores(graph.from_connectivity(values, metric), gb_metric)
 
 
 # --- experiment configs and runner ------------------------------------------------
@@ -271,20 +282,50 @@ class ExperimentReport:
         return d
 
 
-def band_epochs(corpus, config: ExperimentConfig, condition: str) -> list:
-    """Preprocess + band filter + epoch every recording of one condition."""
+def band_epochs(corpus, config: ExperimentConfig, condition: str) -> tuple:
+    """Preprocess + band filter + epoch every recording of one condition.
+
+    Returns (epochs, labels, provenance): a C-contiguous (E, N, M) stack, the
+    "dataset/subject" label of each epoch, and an (E, 3) array of each
+    epoch's dataset id, subject id and condition.
+    """
     band = dsp.BANDS[config.band]
-    epochs = []
-    for rec in corpus:
-        if rec.condition != condition:
-            continue
+    recs = [rec for rec in corpus if rec.condition == condition]
+    if not recs:
+        raise MissingCondition(f"corpus has no recordings with condition {condition!r}")
+    # the corpus shares one working rate, so every epoch has m samples
+    m = dsp.epoch_samples(recs[0], config.epoch_length_s)
+    counts = [rec.n_samples // m for rec in recs]
+    epochs = np.empty((sum(counts), recs[0].n_channels, m))
+    labels, provenance = [], []
+    pos = 0
+    for rec, count in zip(recs, counts):
         rec = dsp.preprocess(rec, notch_hz=config.notch_hz, notch_q=config.notch_q,
                              order=config.filter_order)
         rec = dsp.bandpass(rec, band, config.filter_order)
-        epochs.extend(dsp.split_epochs(rec, config.epoch_length_s, band=band))
-    if not epochs:
-        raise MissingCondition(f"corpus has no recordings with condition {condition!r}")
-    return epochs
+        epochs[pos:pos + count] = dsp.split_epochs(rec, config.epoch_length_s)
+        pos += count
+        labels.extend([rec.label] * count)
+        provenance.extend([(rec.dataset_id, rec.subject_id, rec.condition)] * count)
+    return epochs, np.array(labels), np.array(provenance)
+
+
+def write_atomic(path, write):
+    """Create or replace `path` with what `write(fh)` writes to a binary file.
+
+    The bytes go to a temporary file in the same directory, which is then
+    renamed over `path`, so a reader never sees a partly written file.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _features_cached(corpus, config: ExperimentConfig, condition, workers,
@@ -294,31 +335,33 @@ def _features_cached(corpus, config: ExperimentConfig, condition, workers,
     The cache key combines the caller-supplied tag (corpus hash + channel
     policy) with band, metric, graph metric, epoch length, condition and the
     filter settings (band-pass order, notch frequency and Q), so classifier
-    sweeps reuse the expensive connectivity computation.
+    sweeps reuse the expensive connectivity computation.  A cache file that
+    cannot be read is rebuilt.
     """
-    import pathlib
-
     key = (f"features-{cache_tag}-{config.band}-{config.metric}-"
            f"{config.gb_metric or 'fc'}-{config.epoch_length_s:g}s-{condition}-"
            f"order{config.filter_order}-notch{config.notch_hz:g}-q{config.notch_q:g}")
     cache_file = None
     if cache_dir and cache_tag:
-        cache_file = pathlib.Path(cache_dir) / f"{key}.npz"
+        cache_file = Path(cache_dir) / f"{key}.npz"
         if cache_file.exists():
-            blob = np.load(cache_file, allow_pickle=False)
-            return blob["x"], blob["labels"], len(blob["labels"])
-    epochs = band_epochs(corpus, config, condition)
-    x, labels = epoch_features(epochs, config.metric, config.gb_metric,
-                               workers=workers)
+            try:
+                with np.load(cache_file, allow_pickle=False) as blob:
+                    x, labels = blob["x"], blob["labels"]
+                return x, labels, len(labels)
+            except CACHE_READ_ERRORS as exc:
+                print(f"rebuilding unreadable cache {cache_file.name}: {exc!r}",
+                      file=sys.stderr)
+    epochs, labels, _ = band_epochs(corpus, config, condition)
+    x = epoch_features(epochs, labels, config.metric, config.gb_metric,
+                       workers=workers)
     if cache_file is not None:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        np.savez(cache_file, x=x, labels=labels)
+        write_atomic(cache_file, lambda fh: np.savez(fh, x=x, labels=labels))
     return x, labels, len(epochs)
 
 
 def run_experiment(corpus, config: ExperimentConfig, workers: int = 1,
-                   budget_bytes=256 << 20, feature_cache_dir=None,
-                   cache_tag="") -> ExperimentReport:
+                   feature_cache_dir=None, cache_tag="") -> ExperimentReport:
     """Full pipeline for one experiment configuration.
 
     Matched conditions run nested CV.  Mismatched conditions train on the
@@ -330,7 +373,7 @@ def run_experiment(corpus, config: ExperimentConfig, workers: int = 1,
         feature_cache_dir, cache_tag)
     if config.train_condition == config.test_condition:
         plan = make_fold_plan(y_train, k1=config.k1, k2=config.k2, seed=config.seed)
-        cv = run_nested_cv(x_train, y_train, plan, budget_bytes=budget_bytes)
+        cv = run_nested_cv(x_train, y_train, plan)
         return ExperimentReport(
             config=config, cv=cv, n_epochs=n_train,
             n_subjects=len(cv.class_order),
@@ -345,9 +388,8 @@ def run_experiment(corpus, config: ExperimentConfig, workers: int = 1,
         raise MissingCondition(
             f"test-condition subjects absent from training data: {sorted(missing)[:5]}"
         )
-    params, audit = grid_search(x_train, y_train, k2=config.k2,
-                                seed=config.seed + 1, budget_bytes=budget_bytes)
-    model = svm.train_ovr(x_train, y_train, params, budget_bytes=budget_bytes)
+    params, audit = grid_search(x_train, y_train, k2=config.k2, seed=config.seed + 1)
+    model = svm.train_ovr(x_train, y_train, params)
     preds = svm.predict_batch(model, x_test)
     truth = y_test.tolist()
     acc = _accuracy(truth, preds)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import ConnectivityMatrix
 from .errors import NoConvergence, ZeroGraph
 
 GRAPH_METRICS = ("ND", "EC", "BC", "CC")
@@ -54,24 +53,17 @@ class WeightedGraph:
         return self.weights.shape[0]
 
 
-def from_connectivity(cm: ConnectivityMatrix) -> WeightedGraph:
+def from_connectivity(values: np.ndarray, metric: str) -> WeightedGraph:
     """Connectivity matrix as a graph; COR entries pass through abs()."""
-    w = np.abs(cm.values) if cm.metric == "COR" else cm.values
-    return WeightedGraph(weights=w)
+    return WeightedGraph(weights=np.abs(values) if metric == "COR" else values)
 
 
-@dataclass(frozen=True)
-class NodeScoreVector:
-    metric: str
-    scores: np.ndarray
-
-
-def node_degree(g: WeightedGraph) -> NodeScoreVector:
+def node_degree(g: WeightedGraph) -> np.ndarray:
     """Weighted degree: sum of incident edge weights per node."""
-    return NodeScoreVector(metric="ND", scores=g.weights.sum(axis=1))
+    return g.weights.sum(axis=1)
 
 
-def eigenvector_centrality(g: WeightedGraph) -> NodeScoreVector:
+def eigenvector_centrality(g: WeightedGraph) -> np.ndarray:
     """Dominant eigenvector of the weight matrix by power iteration.
 
     Starts from the normalized all-ones vector (deterministic tie-break on
@@ -108,10 +100,10 @@ def eigenvector_centrality(g: WeightedGraph) -> NodeScoreVector:
     # tiny negative round-off is clipped; the Perron vector is non-negative
     v = np.clip(v, 0.0, None)
     v /= np.linalg.norm(v)
-    return NodeScoreVector(metric="EC", scores=v)
+    return v
 
 
-def betweenness_centrality(g: WeightedGraph) -> NodeScoreVector:
+def betweenness_centrality(g: WeightedGraph) -> np.ndarray:
     """Brandes betweenness over shortest paths with distance 1/weight.
 
     Dense form, vectorized over all sources at once: all-pairs distances
@@ -162,10 +154,10 @@ def betweenness_centrality(g: WeightedGraph) -> NodeScoreVector:
         share *= (1.0 + delta[sources, v])[:, None]
         delta += share
     np.fill_diagonal(delta, 0.0)
-    return NodeScoreVector(metric="BC", scores=delta.sum(axis=0) / 2.0)
+    return delta.sum(axis=0) / 2.0
 
 
-def clustering_coefficient(g: WeightedGraph) -> NodeScoreVector:
+def clustering_coefficient(g: WeightedGraph) -> np.ndarray:
     """Weighted clustering via geometric-mean triangle intensities.
 
     Weights are normalized by the global maximum; the per-node sum of cube
@@ -180,9 +172,8 @@ def clustering_coefficient(g: WeightedGraph) -> NodeScoreVector:
     triangle_sum = np.diagonal(w_hat @ w_hat @ w_hat).copy()
     degrees = w.sum(axis=1)
     denom = degrees * (degrees - 1.0)
-    scores = np.where(np.abs(denom) < 1e-12, 0.0,
-                      triangle_sum / np.where(np.abs(denom) < 1e-12, 1.0, denom))
-    return NodeScoreVector(metric="CC", scores=scores)
+    return np.where(np.abs(denom) < 1e-12, 0.0,
+                    triangle_sum / np.where(np.abs(denom) < 1e-12, 1.0, denom))
 
 
 _METRIC_FUNCS = {
@@ -193,7 +184,8 @@ _METRIC_FUNCS = {
 }
 
 
-def node_scores(g: WeightedGraph, metric: str) -> NodeScoreVector:
+def node_scores(g: WeightedGraph, metric: str) -> np.ndarray:
+    """One score per node for the named graph metric."""
     try:
         func = _METRIC_FUNCS[metric]
     except KeyError:

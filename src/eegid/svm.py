@@ -2,15 +2,12 @@
 
 The binary solver is a working-set SMO: at each step the maximal
 KKT-violating pair is selected and solved analytically, until the maximal
-violation drops below tolerance or the iteration cap is hit.  Kernel rows
-are cached with LRU eviction under a configurable memory budget; when the
-full Gram matrix fits the budget it is precomputed instead.
+violation drops below tolerance or the iteration cap is hit.  The full Gram
+matrix of the training set is precomputed.
 """
 
 from __future__ import annotations
 
-import struct
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,46 +93,6 @@ def apply_standardizer(s: Standardizer, x: np.ndarray) -> np.ndarray:
     return (x - s.means) / s.stds
 
 
-# --- kernel cache -----------------------------------------------------------
-
-
-class _KernelCache:
-    """Row cache for the training Gram matrix with LRU eviction."""
-
-    def __init__(self, x: np.ndarray, gamma: float, budget_bytes: int,
-                 full: np.ndarray = None):
-        self.x = x
-        self.gamma = gamma
-        self.sq_norms = np.sum(x * x, axis=1)
-        n = x.shape[0]
-        if full is not None:
-            self.full = full
-            self.max_rows = 0
-            self.rows = None
-        elif n * n * 8 <= budget_bytes:
-            self.full = _rbf_cross(x, x, gamma)
-            self.max_rows = 0
-            self.rows = None
-        else:
-            self.full = None
-            self.max_rows = max(2, budget_bytes // (n * 8))
-            self.rows = OrderedDict()
-
-    def row(self, i: int) -> np.ndarray:
-        if self.full is not None:
-            return self.full[i]
-        if i in self.rows:
-            self.rows.move_to_end(i)
-            return self.rows[i]
-        sq = self.sq_norms + self.sq_norms[i] - 2.0 * (self.x @ self.x[i])
-        np.clip(sq, 0.0, None, out=sq)
-        r = np.exp(-self.gamma * sq)
-        self.rows[i] = r
-        if len(self.rows) > self.max_rows:
-            self.rows.popitem(last=False)
-        return r
-
-
 # --- binary SMO -------------------------------------------------------------
 
 
@@ -161,13 +118,14 @@ class BinarySvmModel:
         return k @ self.dual_coef + self.bias
 
 
-def train_binary_smo(x, y, params: SvmHyperparams, budget_bytes=256 << 20,
+def train_binary_smo(x, y, params: SvmHyperparams,
                      _kernel: np.ndarray = None) -> BinarySvmModel:
     """Solve the binary soft-margin dual by SMO.
 
     y must be -1/+1 with both classes present.  Stops at maximal KKT
     violation < 1e-3 or after 10^6 pair updates; the latter sets
-    converged=False on the returned model instead of raising.
+    converged=False on the returned model instead of raising.  `_kernel`
+    is the training Gram matrix when the caller already has it.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -180,15 +138,15 @@ def train_binary_smo(x, y, params: SvmHyperparams, budget_bytes=256 << 20,
         raise ValueError("y must be -1/+1")
 
     c = params.c
-    cache = _KernelCache(x, params.gamma, budget_bytes, full=_kernel)
+    kernel = _rbf_cross(x, x, params.gamma) if _kernel is None else _kernel
     alphas = np.zeros(n)
     f = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij
     converged = False
 
     def try_update(i, j):
         """Analytic two-variable step; returns False if the pair cannot move."""
-        k_i = cache.row(i)
-        k_j = cache.row(j)
+        k_i = kernel[i]
+        k_j = kernel[j]
         eta = k_i[i] + k_j[j] - 2.0 * k_i[j]
         e_i = f[i] - y[i]
         e_j = f[j] - y[j]
@@ -279,7 +237,7 @@ class MulticlassSvmModel:
     standardizer: Standardizer
 
 
-def train_ovr(x, labels, params: SvmHyperparams, budget_bytes=256 << 20) -> MulticlassSvmModel:
+def train_ovr(x, labels, params: SvmHyperparams) -> MulticlassSvmModel:
     """Train one binary model per class on standardized features.
 
     The Gram matrix is shared across the per-class binary problems since the
@@ -292,13 +250,11 @@ def train_ovr(x, labels, params: SvmHyperparams, budget_bytes=256 << 20) -> Mult
         raise TooFewClasses(f"need at least 2 classes, got {len(classes)}")
     standardizer = fit_standardizer(x)
     xs = apply_standardizer(standardizer, x)
-    n = xs.shape[0]
-    shared = _rbf_cross(xs, xs, params.gamma) if n * n * 8 <= budget_bytes else None
+    shared = _rbf_cross(xs, xs, params.gamma)
     models = []
     for cls in classes:
         y = np.where(labels == cls, 1.0, -1.0)
-        models.append(train_binary_smo(xs, y, params, budget_bytes=budget_bytes,
-                                       _kernel=shared))
+        models.append(train_binary_smo(xs, y, params, _kernel=shared))
     return MulticlassSvmModel(classes=classes, models=tuple(models),
                               standardizer=standardizer)
 
@@ -318,69 +274,3 @@ def predict(model: MulticlassSvmModel, x):
 def predict_batch(model: MulticlassSvmModel, x) -> list:
     values = decision_values(model, x)
     return [model.classes[int(i)] for i in np.argmax(values, axis=1)]
-
-
-# --- serialization -----------------------------------------------------------
-
-_MAGIC = b"EEGIDSVM"
-_VERSION = 1
-
-
-def _write_array(fh, arr: np.ndarray):
-    arr = np.ascontiguousarray(arr, dtype=float)
-    fh.write(struct.pack("<I", arr.ndim))
-    for s in arr.shape:
-        fh.write(struct.pack("<Q", s))
-    fh.write(arr.tobytes())
-
-
-def _read_array(fh) -> np.ndarray:
-    (ndim,) = struct.unpack("<I", fh.read(4))
-    shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    return np.frombuffer(fh.read(count * 8), dtype=float).reshape(shape).copy()
-
-
-def save_model(model: MulticlassSvmModel, path):
-    """Versioned binary container: magic, version, class table, per-class SVs."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        _write_array(fh, model.standardizer.means)
-        _write_array(fh, model.standardizer.stds)
-        fh.write(struct.pack("<I", len(model.classes)))
-        for cls, bin_model in zip(model.classes, model.models):
-            blob = str(cls).encode("utf-8")
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            fh.write(struct.pack("<ddd?", bin_model.params.c, bin_model.params.gamma,
-                                 bin_model.bias, bin_model.converged))
-            _write_array(fh, bin_model.support_vectors)
-            _write_array(fh, bin_model.dual_coef)
-
-
-def load_model(path) -> MulticlassSvmModel:
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError("not a model container (bad magic bytes)")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != _VERSION:
-            raise ValueError(f"unsupported model container version {version}")
-        means = _read_array(fh)
-        stds = _read_array(fh)
-        (n_classes,) = struct.unpack("<I", fh.read(4))
-        classes, models = [], []
-        for _ in range(n_classes):
-            (blob_len,) = struct.unpack("<I", fh.read(4))
-            classes.append(fh.read(blob_len).decode("utf-8"))
-            c, gamma, bias, converged = struct.unpack("<ddd?", fh.read(25))
-            sv = _read_array(fh)
-            coef = _read_array(fh)
-            models.append(BinarySvmModel(
-                support_vectors=sv, dual_coef=coef, bias=bias,
-                params=SvmHyperparams(c=c, gamma=gamma), converged=converged,
-            ))
-    return MulticlassSvmModel(
-        classes=tuple(classes), models=tuple(models),
-        standardizer=Standardizer(means=means, stds=stds),
-    )

@@ -67,6 +67,23 @@ class TestIngest:
         assert code == cli.EXIT_DATA
         assert "junk.edf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("sampling_rate_hz", 256.0),
+        ("channel_names", [f"X{i}" for i in range(6)]),
+    ])
+    def test_corpus_hash_covers_matrix_entry_fields(self, workspace, tmp_path,
+                                                    field, value):
+        root, manifest = workspace
+        doc = json.loads(manifest.read_text())
+        for entry in doc["entries"]:
+            entry["path"] = str(root / entry["path"])
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(doc))
+        doc["entries"][1][field] = value
+        changed = tmp_path / "changed.json"
+        changed.write_text(json.dumps(doc))
+        assert cli._corpus_hash(base) != cli._corpus_hash(changed)
+
     def test_missing_manifest(self, tmp_path, capsys):
         code = cli.main(["ingest", "--manifest", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "cache")])
@@ -169,6 +186,33 @@ class TestEvaluate:
                          "--out", str(out2)]) == cli.EXIT_OK
         for name in sorted(p.name for p in out1.iterdir()):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_damaged_caches_are_rebuilt(self, workspace, tmp_path, capsys):
+        root, manifest = workspace
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "manifest": str(manifest), "bands": ["gamma"], "metrics": ["PLV"],
+            "epoch_lengths_s": [2.0], "k1": 5, "k2": 2, "seed": 0,
+            "cache_dir": str(tmp_path / "cache"),
+        }))
+        out1 = tmp_path / "r1"
+        out2 = tmp_path / "r2"
+        assert cli.main(["evaluate", "--config", str(config),
+                         "--out", str(out1)]) == cli.EXIT_OK
+        damaged = sorted((tmp_path / "cache").glob("corpus-*.pkl"))
+        damaged += sorted((tmp_path / "cache").glob("features-*.npz"))
+        assert len(damaged) == 2
+        for path in damaged:
+            path.write_bytes(path.read_bytes()[:100])
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(config),
+                         "--out", str(out2)]) == cli.EXIT_OK
+        assert capsys.readouterr().err.count("rebuilding unreadable cache") == 2
+        for name in sorted(p.name for p in out1.iterdir()):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        # the rebuilt files are whole again, and no temporary file is left
+        assert sorted((tmp_path / "cache").iterdir()) == damaged
+        assert all(p.stat().st_size > 100 for p in damaged)
 
     def test_empty_grid_is_usage_error(self, workspace, tmp_path, capsys):
         root, manifest = workspace

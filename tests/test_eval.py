@@ -6,7 +6,14 @@ import pytest
 
 from eegid import evaluation as ev
 from eegid import svm, synth
-from eegid.errors import InsufficientEpochs, MissingCondition, UnknownLabel
+from eegid.errors import (
+    DegenerateVariance,
+    InsufficientEpochs,
+    MissingCondition,
+    UnknownLabel,
+)
+
+from conftest import make_recording
 
 
 def cluster_features(rng, n_classes, per_class, dim=4, spread=0.1):
@@ -201,21 +208,41 @@ def small_corpus():
 class TestExperiment:
     def test_epoch_features_shapes(self, small_corpus):
         config = ev.ExperimentConfig(metric="PLV", band="gamma")
-        epochs = ev.band_epochs(small_corpus, config, "resting")
-        assert len(epochs) == 4 * 7  # 30 s / 4 s = 7 per subject
-        x, labels = ev.epoch_features(epochs, "PLV")
-        assert x.shape == (28, 6 * 5 // 2)
+        epochs, labels, provenance = ev.band_epochs(small_corpus, config, "resting")
+        assert epochs.shape == (4 * 7, 6, 512)  # 30 s / 4 s = 7 per subject
+        assert epochs.flags.c_contiguous
         assert labels.shape == (28,)
-        x_gb, _ = ev.epoch_features(epochs, "PLV", "ND")
+        assert provenance.shape == (28, 3)
+        x = ev.epoch_features(epochs, labels, "PLV")
+        assert x.shape == (28, 6 * 5 // 2)
+        x_gb = ev.epoch_features(epochs, labels, "PLV", "ND")
         assert x_gb.shape == (28, 6)
+
+    def test_band_epochs_provenance(self, rng):
+        corpus = [make_recording(rng.standard_normal((2, 1024)), subject="S7",
+                                 dataset="d2", condition="task"),
+                  make_recording(rng.standard_normal((2, 512)), subject="S8",
+                                 dataset="d3", condition="task")]
+        config = ev.ExperimentConfig(metric="PLV", band="gamma")
+        epochs, labels, provenance = ev.band_epochs(corpus, config, "task")
+        assert epochs.shape == (3, 2, 512)
+        assert labels.tolist() == ["d2/S7", "d2/S7", "d3/S8"]
+        assert [tuple(p) for p in provenance.tolist()] == [
+            ("d2", "S7", "task"), ("d2", "S7", "task"), ("d3", "S8", "task")]
+
+    def test_degenerate_epoch_names_recording(self, small_corpus):
+        config = ev.ExperimentConfig(metric="COR", band="gamma")
+        epochs, labels, _ = ev.band_epochs(small_corpus, config, "resting")
+        epochs[9, 2] = 0.0
+        with pytest.raises(DegenerateVariance, match=r"\[2\] in epoch 9 \[synth/S001\]"):
+            ev.epoch_features(epochs, labels, "COR")
 
     def test_parallel_features_match_serial(self, small_corpus):
         config = ev.ExperimentConfig(metric="PLV", band="gamma")
-        epochs = ev.band_epochs(small_corpus, config, "resting")[:8]
-        serial, l1 = ev.epoch_features(epochs, "PLV", workers=1)
-        parallel, l2 = ev.epoch_features(epochs, "PLV", workers=2)
+        epochs, labels, _ = ev.band_epochs(small_corpus, config, "resting")
+        serial = ev.epoch_features(epochs[:8], labels[:8], "PLV", workers=1)
+        parallel = ev.epoch_features(epochs[:8], labels[:8], "PLV", workers=2)
         np.testing.assert_array_equal(serial, parallel)
-        np.testing.assert_array_equal(l1, l2)
 
     def test_missing_condition(self, small_corpus):
         config = ev.ExperimentConfig(metric="PLV", band="gamma")

@@ -192,17 +192,6 @@ class TestOvr:
         singles = [svm.predict(model, row) for row in x]
         assert batch == singles
 
-    def test_small_budget_row_cache_same_answer(self, rng):
-        x, labels = blobs(rng, [(0.0, 0.0), (3.0, 3.0)], per_class=10)
-        params = svm.SvmHyperparams(c=10.0, gamma=0.5)
-        big = svm.train_ovr(x, labels, params)
-        tiny = svm.train_ovr(x, labels, params, budget_bytes=1024)
-        probe = rng.standard_normal((15, 2))
-        # both runs stop at the same KKT tolerance, so their decision
-        # functions agree to that order, not to machine precision
-        np.testing.assert_allclose(svm.decision_values(tiny, probe),
-                                   svm.decision_values(big, probe), atol=5e-3)
-
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
     def test_training_accuracy_on_separated_blobs(self, seed):
@@ -210,37 +199,6 @@ class TestOvr:
         x, labels = blobs(rng, [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0)], per_class=8)
         model = svm.train_ovr(x, labels, svm.SvmHyperparams(c=10.0, gamma=0.5))
         assert svm.predict_batch(model, x) == list(labels)
-
-
-class TestSerialization:
-    def test_roundtrip(self, rng, tmp_path):
-        x, labels = blobs(rng, [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)], per_class=10)
-        model = svm.train_ovr(x, labels, svm.SvmHyperparams(c=10.0, gamma=0.5))
-        path = tmp_path / "model.bin"
-        svm.save_model(model, path)
-        loaded = svm.load_model(path)
-        assert loaded.classes == model.classes
-        probe = rng.standard_normal((25, 2))
-        np.testing.assert_array_equal(svm.decision_values(loaded, probe),
-                                      svm.decision_values(model, probe))
-        assert svm.predict_batch(loaded, probe) == svm.predict_batch(model, probe)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOTAMODEL")
-        with pytest.raises(ValueError, match="magic"):
-            svm.load_model(path)
-
-    def test_bad_version(self, rng, tmp_path):
-        x, labels = blobs(rng, [(0.0,), (4.0,)], per_class=5)
-        model = svm.train_ovr(x, labels, svm.SvmHyperparams(c=1.0, gamma=0.1))
-        path = tmp_path / "model.bin"
-        svm.save_model(model, path)
-        blob = bytearray(path.read_bytes())
-        blob[8:12] = (99).to_bytes(4, "little")
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="version"):
-            svm.load_model(path)
 
 
 def test_default_grids():
