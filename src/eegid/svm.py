@@ -1,9 +1,9 @@
 """One-vs-rest RBF-kernel SVM trained by sequential minimal optimization.
 
-The binary solver is a working-set SMO: at each step the maximal
-KKT-violating pair is selected and solved analytically, until the maximal
-violation drops below tolerance or the iteration cap is hit.  The full Gram
-matrix of the training set is precomputed.
+A training set is standardized once and its squared-distance matrix built
+once.  Each gamma then takes one full Gram matrix, and all (C, class) binary
+problems of that gamma are solved by one working-set SMO run in lockstep: each
+step moves every unfinished problem's maximal KKT-violating pair analytically.
 """
 
 from __future__ import annotations
@@ -46,15 +46,20 @@ def rbf_kernel(x, y, gamma) -> float:
     return float(np.exp(-gamma * np.dot(d, d)))
 
 
-def _rbf_cross(a: np.ndarray, b: np.ndarray, gamma) -> np.ndarray:
-    """Kernel block K[i, j] = k(a_i, b_j), vectorized."""
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances D[i, j] = ||a_i - b_j||^2, clipped at 0."""
     sq = (
         np.sum(a * a, axis=1)[:, None]
         + np.sum(b * b, axis=1)[None, :]
         - 2.0 * (a @ b.T)
     )
     np.clip(sq, 0.0, None, out=sq)
-    return np.exp(-gamma * sq)
+    return sq
+
+
+def _rbf_cross(a: np.ndarray, b: np.ndarray, gamma) -> np.ndarray:
+    """Kernel block K[i, j] = k(a_i, b_j), vectorized."""
+    return np.exp(-gamma * _sq_dist(a, b))
 
 
 # --- standardization --------------------------------------------------------
@@ -118,14 +123,12 @@ class BinarySvmModel:
         return k @ self.dual_coef + self.bias
 
 
-def train_binary_smo(x, y, params: SvmHyperparams,
-                     _kernel: np.ndarray = None) -> BinarySvmModel:
+def train_binary_smo(x, y, params: SvmHyperparams) -> BinarySvmModel:
     """Solve the binary soft-margin dual by SMO.
 
     y must be -1/+1 with both classes present.  Stops at maximal KKT
     violation < 1e-3 or after 10^6 pair updates; the latter sets
-    converged=False on the returned model instead of raising.  `_kernel`
-    is the training Gram matrix when the caller already has it.
+    converged=False on the returned model instead of raising.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -136,75 +139,119 @@ def train_binary_smo(x, y, params: SvmHyperparams,
         raise SingleClassInput("training labels contain a single class")
     if not np.all(np.abs(y) == 1):
         raise ValueError("y must be -1/+1")
+    alphas, f, converged = _smo(_rbf_cross(x, x, params.gamma), y[None, :],
+                                np.array([params.c]))
+    return _binary_model(x, y, alphas[0], f[0], params, bool(converged[0]))
 
-    c = params.c
-    kernel = _rbf_cross(x, x, params.gamma) if _kernel is None else _kernel
-    alphas = np.zeros(n)
-    f = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij
-    converged = False
 
-    def try_update(i, j):
-        """Analytic two-variable step; returns False if the pair cannot move."""
-        k_i = kernel[i]
-        k_j = kernel[j]
-        eta = k_i[i] + k_j[j] - 2.0 * k_i[j]
-        e_i = f[i] - y[i]
-        e_j = f[j] - y[j]
-        a_i, a_j = alphas[i], alphas[j]
-        if y[i] != y[j]:
-            lo, hi = max(0.0, a_j - a_i), min(c, c + a_j - a_i)
-        else:
-            lo, hi = max(0.0, a_i + a_j - c), min(c, a_i + a_j)
-        a_j_new = a_j + y[j] * (e_i - e_j) / max(eta, 1e-12)
-        a_j_new = min(max(a_j_new, lo), hi)
-        a_i_new = a_i + y[i] * y[j] * (a_j - a_j_new)
-        d_i = (a_i_new - a_i) * y[i]
-        d_j = (a_j_new - a_j) * y[j]
-        if d_i == 0.0 and d_j == 0.0:
-            return False
-        alphas[i], alphas[j] = a_i_new, a_j_new
-        f[:] = f + d_i * k_i + d_j * k_j
-        return True
+def _pair_update(kernel, y, c, alphas, f, i, j) -> np.ndarray:
+    """Analytic two-variable step on pair (i[p], j[p]) of each row p, in place.
+
+    Returns the mask of rows whose pair moved.  Each row's arithmetic is the
+    scalar step's, term by term, down to Python's max/min tie rules.
+    """
+    r = np.arange(len(i))
+    eta = kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j]
+    y_i, y_j = y[r, i], y[r, j]
+    a_i, a_j = alphas[r, i], alphas[r, j]
+    e_i, e_j = f[r, i] - y_i, f[r, j] - y_j
+    same = y_i == y_j
+    lo = np.where(same, a_i + a_j - c, a_j - a_i)
+    lo = np.where(lo > 0.0, lo, 0.0)
+    hi = np.where(same, a_i + a_j, c + a_j - a_i)
+    hi = np.where(hi < c, hi, c)
+    a_j_new = a_j + y_j * (e_i - e_j) / np.maximum(eta, 1e-12)
+    a_j_new = np.where(lo > a_j_new, lo, a_j_new)
+    a_j_new = np.where(hi < a_j_new, hi, a_j_new)
+    a_i_new = a_i + y_i * y_j * (a_j - a_j_new)
+    d_i = (a_i_new - a_i) * y_i
+    d_j = (a_j_new - a_j) * y_j
+    moved = (d_i != 0.0) | (d_j != 0.0)
+    rows = slice(None)
+    if not moved.all():
+        r, i, j, a_i_new, a_j_new, d_i, d_j = (
+            v[moved] for v in (r, i, j, a_i_new, a_j_new, d_i, d_j))
+        rows = r
+    alphas[r, i] = a_i_new
+    alphas[r, j] = a_j_new
+    # f + d_i k_i + d_j k_j, summed in that order
+    f[rows] += d_i[:, None] * kernel[i]
+    f[rows] += d_j[:, None] * kernel[j]
+    return moved
+
+
+def _corner_scan(kernel, y, c, alphas, f, up_score, low_score, top) -> bool:
+    """Move the most violating pair of one problem that can move, if any.
+
+    Takes one-row slices of the lockstep arrays and that row's scores; `top`,
+    the row's maximal pair, sits at a box corner and cannot move.
+    """
+    for ii in np.argsort(-up_score):
+        if not np.isfinite(up_score[ii]):
+            break
+        for jj in np.argsort(low_score):
+            if not np.isfinite(low_score[jj]):
+                break
+            if up_score[ii] - low_score[jj] < KKT_TOL:
+                break
+            if ii == jj or (ii, jj) == top:
+                continue
+            if _pair_update(kernel, y, c, alphas, f, np.array([ii]), np.array([jj]))[0]:
+                return True
+    return False
+
+
+def _smo(kernel, y, c):
+    """Lockstep SMO for P binary problems, rows of y (P, n), on one Gram matrix.
+
+    Each step moves every unfinished problem's maximal KKT-violating pair
+    (first index on ties), exactly as if it were solved alone.  A problem
+    stops below KKT_TOL (converged), at a fixed point or after MAX_SMO_ITER
+    steps.  Returns alphas and f = K (alphas * y), both (P, n), and converged.
+    """
+    alphas, f, converged = np.zeros(y.shape), np.zeros(y.shape), np.zeros(len(y), bool)
+    # unfinished problems, compacted; finished rows are written back
+    act, ya, ca, aa, fa = np.arange(len(y)), y, c, alphas.copy(), f.copy()
+
+    def finish(mask):
+        nonlocal act, ya, ca, aa, fa
+        alphas[act[mask]] = aa[mask]
+        f[act[mask]] = fa[mask]
+        keep = ~mask
+        act, ya, ca, aa, fa = act[keep], ya[keep], ca[keep], aa[keep], fa[keep]
 
     for _ in range(MAX_SMO_ITER):
-        # violation scores: maximize y-f over I_up, minimize over I_low
-        up = ((y > 0) & (alphas < c)) | ((y < 0) & (alphas > 0))
-        low = ((y < 0) & (alphas < c)) | ((y > 0) & (alphas > 0))
-        g = y - f
-        up_score = np.where(up, g, -np.inf)
-        low_score = np.where(low, g, np.inf)
-        i = int(np.argmax(up_score))
-        j = int(np.argmin(low_score))
-        if up_score[i] - low_score[j] < KKT_TOL:
-            converged = True
+        if not len(act):
             break
-        if try_update(i, j):
-            continue
-        # the top pair sits at a box corner and cannot move; scan for the
-        # next most violating pair that can
-        moved = False
-        for ii in np.argsort(-up_score):
-            ii = int(ii)
-            if not np.isfinite(up_score[ii]):
-                break
-            for jj in np.argsort(low_score):
-                jj = int(jj)
-                if not np.isfinite(low_score[jj]):
-                    break
-                if up_score[ii] - low_score[jj] < KKT_TOL:
-                    break
-                if ii == jj or (ii, jj) == (i, j):
-                    continue
-                if try_update(ii, jj):
-                    moved = True
-                    break
-            if moved:
-                break
-        if not moved:
-            # no violating pair can move: the solver is at a fixed point
-            # short of the tolerance
-            break
+        pos, below, above = ya > 0, aa < ca[:, None], aa > 0
+        g = ya - fa
+        up_score = np.where(np.where(pos, below, above), g, -np.inf)
+        low_score = np.where(np.where(pos, above, below), g, np.inf)
+        i = up_score.argmax(axis=1)
+        j = low_score.argmin(axis=1)
+        r = np.arange(len(act))
+        done = up_score[r, i] - low_score[r, j] < KKT_TOL
+        if done.any():
+            converged[act[done]] = True
+            i, j, up_score, low_score = (v[~done] for v in (i, j, up_score, low_score))
+            finish(done)
+        moved = _pair_update(kernel, ya, ca, aa, fa, i, j)
+        if not moved.all():
+            for p in np.flatnonzero(~moved):
+                rows = slice(p, p + 1)
+                moved[p] = _corner_scan(kernel, ya[rows], ca[rows], aa[rows], fa[rows],
+                                        up_score[p], low_score[p], (i[p], j[p]))
+            if not moved.all():
+                # no violating pair can move: a fixed point short of KKT_TOL
+                finish(~moved)
+    finish(np.ones(len(act), dtype=bool))
+    return alphas, f, converged
 
+
+def _binary_model(x, y, alphas, f, params: SvmHyperparams,
+                  converged: bool) -> BinarySvmModel:
+    """Bias and support vectors of one solved problem on training rows x."""
+    c = params.c
     free = (alphas > 1e-12) & (alphas < c - 1e-12)
     if np.any(free):
         bias = float(np.mean((y - f)[free]))
@@ -218,7 +265,7 @@ def train_binary_smo(x, y, params: SvmHyperparams,
 
     sv = alphas > 1e-12
     return BinarySvmModel(
-        support_vectors=x[sv].copy(),
+        support_vectors=x[sv],
         dual_coef=(alphas * y)[sv],
         bias=bias,
         params=params,
@@ -238,25 +285,38 @@ class MulticlassSvmModel:
 
 
 def train_ovr(x, labels, params: SvmHyperparams) -> MulticlassSvmModel:
-    """Train one binary model per class on standardized features.
+    """Train one binary model per class on standardized features."""
+    [(_, model)] = train_ovr_grid(x, labels, (params,))
+    return model
 
-    The Gram matrix is shared across the per-class binary problems since the
-    kernel only depends on gamma.
+
+def train_ovr_grid(x, labels, grid):
+    """Yield (params, one-vs-rest model) for each distinct point of a grid.
+
+    Standardizer and squared distances are computed once; each distinct
+    gamma takes one Gram matrix and one lockstep SMO over all its (C, class)
+    problems.  Points come grouped by gamma, and each point's models (which
+    hold copies of their support vectors) are built only when it is reached.
     """
-    x = np.asarray(x, dtype=float)
     labels = np.asarray(labels)
     classes = tuple(sorted(set(labels.tolist())))
     if len(classes) < 2:
         raise TooFewClasses(f"need at least 2 classes, got {len(classes)}")
     standardizer = fit_standardizer(x)
     xs = apply_standardizer(standardizer, x)
-    shared = _rbf_cross(xs, xs, params.gamma)
-    models = []
-    for cls in classes:
-        y = np.where(labels == cls, 1.0, -1.0)
-        models.append(train_binary_smo(xs, y, params, _kernel=shared))
-    return MulticlassSvmModel(classes=classes, models=tuple(models),
-                              standardizer=standardizer)
+    sq = _sq_dist(xs, xs)
+    ys = np.array([np.where(labels == cls, 1.0, -1.0) for cls in classes])
+    points = tuple(dict.fromkeys(grid))
+    for gamma in dict.fromkeys(p.gamma for p in points):
+        group = [p for p in points if p.gamma == gamma]
+        # problem rows are point-major, class-minor; each point takes the
+        # next len(classes) rows
+        solved = zip(*_smo(np.exp(-gamma * sq), np.tile(ys, (len(group), 1)),
+                           np.repeat([p.c for p in group], len(classes))))
+        for params in group:
+            binary = tuple(_binary_model(xs, y, a, f, params, bool(ok))
+                           for y, (a, f, ok) in zip(ys, solved))
+            yield params, MulticlassSvmModel(classes, binary, standardizer)
 
 
 def decision_values(model: MulticlassSvmModel, x) -> np.ndarray:

@@ -233,3 +233,91 @@ def dual_objective(x, y, alphas, gamma):
             d = x[i] - x[j]
             quad += alphas[i] * alphas[j] * y[i] * y[j] * math.exp(-gamma * float(np.dot(d, d)))
     return sum(alphas) - 0.5 * quad
+
+
+def smo_scalar(kernel, y, c, tol=1e-3, max_iter=1_000_000):
+    """Binary SMO on a precomputed Gram matrix, one pair update per step.
+
+    Maximal-violating-pair selection (first index on ties); when that pair
+    sits at a box corner, the next most violating pair that can move is
+    taken.  Returns (alphas, f, bias, converged) with f = K (alphas * y).
+    """
+    kernel = np.asarray(kernel, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    alphas = np.zeros(n)
+    f = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij
+    converged = False
+
+    def try_update(i, j):
+        """Analytic two-variable step; returns False if the pair cannot move."""
+        k_i = kernel[i]
+        k_j = kernel[j]
+        eta = k_i[i] + k_j[j] - 2.0 * k_i[j]
+        e_i = f[i] - y[i]
+        e_j = f[j] - y[j]
+        a_i, a_j = alphas[i], alphas[j]
+        if y[i] != y[j]:
+            lo, hi = max(0.0, a_j - a_i), min(c, c + a_j - a_i)
+        else:
+            lo, hi = max(0.0, a_i + a_j - c), min(c, a_i + a_j)
+        a_j_new = a_j + y[j] * (e_i - e_j) / max(eta, 1e-12)
+        a_j_new = min(max(a_j_new, lo), hi)
+        a_i_new = a_i + y[i] * y[j] * (a_j - a_j_new)
+        d_i = (a_i_new - a_i) * y[i]
+        d_j = (a_j_new - a_j) * y[j]
+        if d_i == 0.0 and d_j == 0.0:
+            return False
+        alphas[i], alphas[j] = a_i_new, a_j_new
+        f[:] = f + d_i * k_i + d_j * k_j
+        return True
+
+    for _ in range(max_iter):
+        # violation scores: maximize y-f over I_up, minimize over I_low
+        up = ((y > 0) & (alphas < c)) | ((y < 0) & (alphas > 0))
+        low = ((y < 0) & (alphas < c)) | ((y > 0) & (alphas > 0))
+        g = y - f
+        up_score = np.where(up, g, -np.inf)
+        low_score = np.where(low, g, np.inf)
+        i = int(np.argmax(up_score))
+        j = int(np.argmin(low_score))
+        if up_score[i] - low_score[j] < tol:
+            converged = True
+            break
+        if try_update(i, j):
+            continue
+        # the top pair sits at a box corner and cannot move; scan for the
+        # next most violating pair that can
+        moved = False
+        for ii in np.argsort(-up_score):
+            ii = int(ii)
+            if not np.isfinite(up_score[ii]):
+                break
+            for jj in np.argsort(low_score):
+                jj = int(jj)
+                if not np.isfinite(low_score[jj]):
+                    break
+                if up_score[ii] - low_score[jj] < tol:
+                    break
+                if ii == jj or (ii, jj) == (i, j):
+                    continue
+                if try_update(ii, jj):
+                    moved = True
+                    break
+            if moved:
+                break
+        if not moved:
+            # no violating pair can move: a fixed point short of the tolerance
+            break
+
+    free = (alphas > 1e-12) & (alphas < c - 1e-12)
+    if np.any(free):
+        bias = float(np.mean((y - f)[free]))
+    else:
+        up = ((y > 0) & (alphas < c)) | ((y < 0) & (alphas > 0))
+        low = ((y < 0) & (alphas < c)) | ((y > 0) & (alphas > 0))
+        g = y - f
+        hi = np.max(np.where(up, g, -np.inf))
+        lo = np.min(np.where(low, g, np.inf))
+        bias = float((hi + lo) / 2.0)
+    return alphas, f, bias, converged

@@ -14,6 +14,7 @@ from eegid.errors import (
 )
 
 from conftest import make_recording
+from oracles import smo_scalar
 
 
 def cluster_features(rng, n_classes, per_class, dim=4, spread=0.1):
@@ -67,7 +68,94 @@ class TestFoldPlan:
         assert p1.outer_folds != p3.outer_folds
 
 
+def train_ovr_scalar(x, labels, params):
+    """One-vs-rest training, one smo_scalar call per class and grid point."""
+    classes = tuple(sorted(set(labels.tolist())))
+    standardizer = svm.fit_standardizer(x)
+    xs = svm.apply_standardizer(standardizer, x)
+    kernel = svm._rbf_cross(xs, xs, params.gamma)
+    models = []
+    for cls in classes:
+        y = np.where(labels == cls, 1.0, -1.0)
+        alphas, _, bias, converged = smo_scalar(kernel, y, params.c)
+        sv = alphas > 1e-12
+        models.append(svm.BinarySvmModel(
+            support_vectors=xs[sv], dual_coef=(alphas * y)[sv], bias=bias,
+            params=params, converged=converged, alphas=alphas))
+    return svm.MulticlassSvmModel(classes, tuple(models), standardizer)
+
+
+def grid_search_per_point(x, labels, k2, grid, seed):
+    """The grid search as one scalar-trained model per point and fold."""
+    inner = ev._round_robin_folds(labels, k2, np.random.default_rng(seed))
+    audit = {}
+    for params in grid:
+        accs = []
+        for held in range(k2):
+            val_idx = np.array(inner[held], dtype=int)
+            train_idx = np.array(
+                sorted(i for f in inner[:held] + inner[held + 1:] for i in f), dtype=int)
+            model = train_ovr_scalar(x[train_idx], labels[train_idx], params)
+            preds = svm.predict_batch(model, x[val_idx])
+            accs.append(ev._accuracy(labels[val_idx].tolist(), preds))
+        audit[params] = float(np.mean(accs))
+    best = sorted(audit, key=lambda p: (-audit[p], p.c, p.gamma))[0]
+    return best, audit
+
+
+def grid(cs, gammas):
+    return tuple(svm.SvmHyperparams(c=c, gamma=g) for c in cs for g in gammas)
+
+
 class TestGridSearch:
+    @pytest.mark.parametrize("points", [
+        ev.GRID,
+        tuple(reversed(ev.GRID[::3])) + ev.GRID[1:4],           # unsorted
+        grid((10.0, 0.1, 1.0), (0.1, 0.1)) + grid((100.0,), (0.1, 1.0)),  # repeated gamma
+        grid((0.1, 1.0, 10.0, 100.0), (0.01,)),                  # a single gamma
+    ], ids=["default", "unsorted", "repeated-gamma", "single-gamma"])
+    def test_equals_per_point_scalar_loop(self, rng, points):
+        x, labels = cluster_features(rng, 4, 9, dim=6, spread=1.5)
+        best, audit = ev.grid_search(x, labels, k2=3, grid=points, seed=5)
+        best_ref, audit_ref = grid_search_per_point(x, labels, 3, points, seed=5)
+        assert list(audit.items()) == list(audit_ref.items())
+        assert best == best_ref
+
+    def test_grid_models_equal_single_point_models(self, rng):
+        x, labels = cluster_features(rng, 3, 8, dim=5, spread=1.0)
+        points = ev.GRID[::-1]
+        models = dict(svm.train_ovr_grid(x, labels, points))
+        assert set(models) == set(points)
+        for params in points:
+            one, many = svm.train_ovr(x, labels, params), models[params]
+            assert one.classes == many.classes
+            assert np.array_equal(one.standardizer.means, many.standardizer.means)
+            assert np.array_equal(one.standardizer.stds, many.standardizer.stds)
+            for a, b in zip(one.models, many.models, strict=True):
+                assert np.array_equal(a.alphas, b.alphas)
+                assert np.array_equal(a.support_vectors, b.support_vectors)
+                assert np.array_equal(a.dual_coef, b.dual_coef)
+                assert (a.bias, a.converged, a.params) == (b.bias, b.converged, b.params)
+
+    def test_nonconverged_models_reported(self, rng, monkeypatch, capsys):
+        x, labels = cluster_features(rng, 3, 10, spread=1.0)
+        ev.run_nested_cv(x, labels, ev.make_fold_plan(labels, k1=2, k2=2))
+        assert capsys.readouterr().err == ""
+        monkeypatch.setattr(svm, "MAX_SMO_ITER", 2)
+        ev.run_nested_cv(x, labels, ev.make_fold_plan(labels, k1=2, k2=2))
+        err = capsys.readouterr().err.splitlines()
+        # per outer fold: 2 inner folds x 16 points x 3 classes, then 3 classes
+        assert err == [
+            line
+            for fold in (0, 1)
+            for line in (
+                "warning: SMO did not converge in 96 of 96 binary SVMs (grid search)",
+                "warning: SMO did not converge in 3 of 3 binary SVMs "
+                f"(final fit, outer fold {fold})",
+            )
+        ]
+
+
     def test_audit_covers_sixteen_points(self, rng):
         x, labels = cluster_features(rng, 3, 12)
         best, audit = ev.grid_search(x, labels, k2=3, seed=0)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from eegid import svm
 from eegid.errors import DimensionMismatch, SingleClassInput, TooFewClasses, TooFewRows
 
-from oracles import dual_objective, kkt_violations
+from oracles import dual_objective, kkt_violations, smo_scalar
 
 
 def blobs(rng, centers, per_class=10, spread=0.1):
@@ -155,6 +155,108 @@ class TestBinarySmo:
         probe = rng.standard_normal((20, 2))
         np.testing.assert_allclose(again.decision(probe), base.decision(probe),
                                    atol=1e-6)
+
+
+def assert_matches_scalar(kernel, y, c):
+    """_smo on the rows of y equals smo_scalar on each row, bit for bit."""
+    alphas, f, converged = svm._smo(kernel, y, c)
+    for p in range(len(y)):
+        a_ref, f_ref, bias_ref, conv_ref = smo_scalar(kernel, y[p], c[p],
+                                                      max_iter=svm.MAX_SMO_ITER)
+        assert np.array_equal(alphas[p], a_ref), f"row {p}"
+        assert np.array_equal(f[p], f_ref), f"row {p}"
+        assert converged[p] == conv_ref, f"row {p}"
+        # the bias needs no feature rows; kernel rows stand in for them
+        params = svm.SvmHyperparams(c=float(c[p]), gamma=1.0)
+        model = svm._binary_model(kernel, y[p], alphas[p], f[p], params, converged[p])
+        assert model.bias == bias_ref, f"row {p}"
+    return converged
+
+
+def random_labels(rng, p, n):
+    y = np.where(rng.uniform(size=(p, n)) < rng.uniform(0.1, 0.9), 1.0, -1.0)
+    y[:, 0], y[:, 1] = 1.0, -1.0
+    return y
+
+
+class TestLockstepSmo:
+    def test_matches_scalar_on_random_problems(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(4, 30))
+            x = rng.standard_normal((n, int(rng.integers(1, 5))))
+            p = int(rng.integers(1, 17))
+            kernel = svm._rbf_cross(x, x, float(rng.choice([10.0, 1.0, 0.1, 0.01])))
+            c = rng.choice([0.1, 1.0, 10.0, 100.0], size=p)
+            assert_matches_scalar(kernel, random_labels(rng, p, n), c)
+
+    def test_duplicate_rows(self, rng):
+        # repeated points give pairs with eta = 0, floored at 1e-12
+        for _ in range(20):
+            x = rng.standard_normal((12, 2))
+            x[6:] = x[:6]
+            kernel = svm._rbf_cross(x, x, 1.0)
+            assert kernel[0, 0] + kernel[6, 6] - 2.0 * kernel[0, 6] == 0.0
+            p = int(rng.integers(1, 9))
+            assert_matches_scalar(kernel, random_labels(rng, p, 12),
+                                  rng.choice([0.1, 1.0, 10.0], size=p))
+
+    def _spy_scan(self, monkeypatch):
+        outcomes = []
+        scan = svm._corner_scan
+
+        def spy(*args):
+            outcomes.append(scan(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(svm, "_corner_scan", spy)
+        return outcomes
+
+    def test_box_corner_scan(self, monkeypatch):
+        # the maximal pair of this problem hits a box corner once; the scan
+        # moves the next pair, and the problem still converges
+        outcomes = self._spy_scan(monkeypatch)
+        x = np.array([[2.0, 0.0], [1.0, 0.0], [2.0, 1.0], [2.0, 2.0]])
+        y = np.array([1.0, -1.0, 1.0, -1.0])
+        kernel = svm._rbf_cross(x, x, 0.1)
+        # alone, and in lockstep with problems that take no scan
+        converged = assert_matches_scalar(kernel, y[None, :], np.array([10.0]))
+        assert outcomes == [True] and converged.all()
+        rows = np.array([y, -y, y, [1.0, 1.0, -1.0, -1.0]])
+        assert_matches_scalar(kernel, rows, np.array([10.0, 10.0, 1.0, 10.0]))
+        assert True in outcomes[1:]
+
+    def test_fixed_point_short_of_tolerance(self, monkeypatch):
+        # three copies of one point with labels +1, -1, -1: no violating
+        # pair can move, so the problem stops unconverged
+        outcomes = self._spy_scan(monkeypatch)
+        x = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 0.0],
+                      [0.0, 0.0], [0.0, 1.0]])
+        y = np.array([1.0, -1.0, -1.0, -1.0, 1.0, -1.0])
+        kernel = svm._rbf_cross(x, x, 1.0)
+        rows = np.array([y, y, -y])
+        converged = assert_matches_scalar(kernel, rows, np.array([1.0, 0.1, 1.0]))
+        assert False in outcomes
+        assert not converged[0]
+
+    def test_iteration_cap(self, rng, monkeypatch):
+        monkeypatch.setattr(svm, "MAX_SMO_ITER", 3)
+        x = rng.standard_normal((20, 3))
+        kernel = svm._rbf_cross(x, x, 0.1)
+        converged = assert_matches_scalar(kernel, random_labels(rng, 6, 20),
+                                          np.array([0.1, 1.0, 10.0] * 2))
+        assert not converged.any()
+        model = svm.train_binary_smo(x, random_labels(rng, 1, 20)[0],
+                                     svm.SvmHyperparams(c=1.0, gamma=0.1))
+        assert not model.converged
+
+    def test_binary_smo_is_the_p1_case(self, rng):
+        x = rng.standard_normal((25, 3))
+        y = random_labels(rng, 1, 25)[0]
+        params = svm.SvmHyperparams(c=10.0, gamma=0.5)
+        model = svm.train_binary_smo(x, y, params)
+        a_ref, _, bias_ref, conv_ref = smo_scalar(svm._rbf_cross(x, x, 0.5), y, 10.0)
+        assert np.array_equal(model.alphas, a_ref)
+        assert model.bias == bias_ref and model.converged == conv_ref
 
 
 class TestOvr:
