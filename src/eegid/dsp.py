@@ -1,19 +1,29 @@
-"""Resampling, notch/band-pass filtering and epoch extraction.
+"""Resampling, notch/band-pass filtering and epoch extraction, in numpy.
 
-Filter design and application are delegated to scipy.signal (polyphase
-rational resampling, Butterworth bilinear-transform designs realized as
-second-order sections, zero-phase forward-backward application with
-odd-symmetric edge padding).  The module-level contracts are verified
-against independent frequency-response oracles in the test suite.
+- Resampling is rational and polyphase: a Kaiser-windowed (beta 14) sinc
+  low-pass, with the signal extended along the line through its first and
+  last samples.  The input-to-output map repeats every `up` outputs, so it
+  is one (window x frame) matrix per ratio, applied by one matrix product
+  over strided input frames.
+- Butterworth band-passes come from the analog prototype poles, the
+  pre-warped band-pass transform and the bilinear map, paired into
+  second-order sections nearest-pole-first; the notch is the closed-form
+  second-order design (Orfanidis, Introduction to Signal Processing).
+- Zero-phase filtering runs the section cascade as one state-space system
+  over blocks of samples, forward and backward, with odd edge padding and
+  the step steady state as initial state.
+
+The test suite checks all three against scipy.signal and against
+independent frequency-response oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import (
     FrequencyOutOfRange,
@@ -27,6 +37,14 @@ from .io_ingest import EegRecording
 
 # large enough for 500 Hz -> 128 Hz (32/125), the widest ratio in scope
 _MAX_RESAMPLE_FACTOR = 256
+# resampling low-pass: 2 x 10 x max(up, down) + 1 taps, Kaiser beta 14
+_RESAMPLE_HALF_TAPS = 10
+_KAISER_BETA = 14.0
+# outputs per resampling frame, before rounding up to a multiple of `up`
+_FRAME_OUTPUTS = 64
+# samples per block of the state-space filter, and rows filtered together
+_BLOCK = 64
+_ROW_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -73,6 +91,8 @@ class IirFilter:
         sos = np.atleast_2d(np.asarray(self.sos, dtype=float))
         if sos.shape[1] != 6:
             raise ValueError("sos must have six coefficients per section")
+        if not np.all(sos[:, 3] == 1.0):
+            raise ValueError("sos sections must be normalized to a0 = 1")
         object.__setattr__(self, "sos", sos)
 
     def pole_moduli(self):
@@ -80,11 +100,6 @@ class IirFilter:
         for _, _, _, a0, a1, a2 in self.sos:
             mods.extend(abs(r) for r in np.roots([a0, a1, a2]))
         return np.array(mods)
-
-    def response(self, freqs_hz):
-        """Single-pass |H| at the given frequencies."""
-        _, h = sps.sosfreqz(self.sos, worN=2 * np.pi * np.asarray(freqs_hz) / self.fs_hz)
-        return np.abs(h)
 
 
 def _rational_ratio(target_hz, source_hz):
@@ -101,6 +116,50 @@ def _rational_ratio(target_hz, source_hz):
     return ratio.numerator, ratio.denominator
 
 
+@lru_cache(maxsize=16)
+def _polyphase_operator(up, down):
+    """Frame operator of rational resampling by up/down.
+
+    Output i is sum_j x[j] h[(i + skip) * down - pre - j * up] over the
+    low-pass taps h, with `pre` zero taps in front and `skip` leading
+    outputs dropped so that output 0 sits on input 0.  Shifting i by `up`
+    shifts j by `down`, so a frame of `frame` outputs (a multiple of `up`)
+    reads `window` inputs that start `stride` inputs after the previous
+    frame's, the first at input `first`.  Returns (matrix, first, stride),
+    matrix being (window, frame).
+    """
+    max_rate = max(up, down)
+    half = _RESAMPLE_HALF_TAPS * max_rate
+    fc = 1.0 / max_rate
+    m = np.arange(2 * half + 1, dtype=float) - half
+    taps = fc * np.sinc(fc * m) * np.kaiser(2 * half + 1, _KAISER_BETA)
+    taps = taps / taps.sum() * up
+    pre = down - half % down
+    skip = (half + pre) // down
+    frame = up * -(-_FRAME_OUTPUTS // up)
+    first = -((pre + 2 * half - skip * down) // up)
+    last = ((frame - 1 + skip) * down - pre) // up
+    window = last - first + 1
+    lag = ((np.arange(frame) + skip) * down - pre
+           - (first + np.arange(window))[:, None] * up)
+    inside = (lag >= 0) & (lag <= 2 * half)
+    matrix = np.where(inside, taps[np.clip(lag, 0, 2 * half)], 0.0)
+    matrix.setflags(write=False)  # shared by every caller through the cache
+    return matrix, first, frame * down // up
+
+
+def _line_extended(x, start, stop):
+    """x[:, start:stop], reading outside the signal along the straight line
+    through its first and last samples."""
+    n = x.shape[1]
+    slope = (x[:, -1:] - x[:, :1]) / (n - 1)
+    left = np.arange(start, min(stop, 0))
+    right = np.arange(max(start, n), stop) - (n - 1)
+    return np.concatenate((x[:, :1] + left * slope,
+                           x[:, max(start, 0):min(stop, n)],
+                           x[:, -1:] + right * slope), axis=1)
+
+
 def resample(rec: EegRecording, target_hz) -> EegRecording:
     """Polyphase rational resampling of every channel to target_hz."""
     if not target_hz > 0:
@@ -108,11 +167,19 @@ def resample(rec: EegRecording, target_hz) -> EegRecording:
     p, q = _rational_ratio(target_hz, rec.sampling_rate_hz)
     if p == q:
         return replace(rec, sampling_rate_hz=float(target_hz))
+    if rec.n_samples < 2:
+        raise SignalTooShort(
+            "resampling needs two samples to extend the signal along a line"
+        )
     # linear boundary extension avoids edge transients on non-zero-mean data;
     # the high-beta Kaiser window keeps passband ripple below 1e-6
-    out = sps.resample_poly(rec.data, p, q, axis=1, padtype="line",
-                            window=("kaiser", 14.0))
+    matrix, first, stride = _polyphase_operator(p, q)
+    window, frame = matrix.shape
     n_out = (rec.n_samples * p) // q
+    n_frames = max(1, -(-n_out // frame))
+    x = _line_extended(rec.data, first, first + (n_frames - 1) * stride + window)
+    frames = np.lib.stride_tricks.sliding_window_view(x, window, axis=1)[:, ::stride]
+    out = (frames.reshape(-1, window) @ matrix).reshape(len(x), -1)
     return replace(rec, sampling_rate_hz=float(target_hz), data=out[:, :n_out])
 
 
@@ -122,8 +189,11 @@ def design_notch(f0_hz, q, fs_hz) -> IirFilter:
         raise FrequencyOutOfRange(
             f"notch frequency {f0_hz} Hz outside (0, {fs_hz / 2}) at fs={fs_hz}"
         )
-    b, a = sps.iirnotch(f0_hz, q, fs=fs_hz)
-    return IirFilter(sos=sps.tf2sos(b, a), kind="notch", order=2,
+    w0 = 2 * f0_hz / fs_hz * np.pi
+    gain = 1.0 / (1.0 + np.tan(w0 / q / 2))
+    sos = [[gain, -2 * gain * np.cos(w0), gain,
+            1.0, -2 * gain * np.cos(w0), 2 * gain - 1.0]]
+    return IirFilter(sos=sos, kind="notch", order=2,
                      edges_hz=(f0_hz, f0_hz), fs_hz=fs_hz)
 
 
@@ -131,6 +201,44 @@ def notch(rec: EegRecording, f0_hz, q=30.0) -> EegRecording:
     """Zero-phase notch filtering of every channel."""
     filt = design_notch(f0_hz, q, rec.sampling_rate_hz)
     return replace(rec, data=filtfilt_matrix(filt, rec.data))
+
+
+def _butterworth_bandpass_sos(order, low_hz, high_hz, fs_hz):
+    """Second-order sections of a digital Butterworth band-pass.
+
+    Analog prototype poles, pre-warped low-pass to band-pass transform and
+    bilinear map at fs = 2.  The band-pass has `order` zeros at z = 1 and
+    `order` at z = -1.  Sections pair poles with zeros nearest-first: the
+    pole pair nearest the unit circle, with its two nearest zeros, is the
+    last section, the next nearest the one before, and the overall gain
+    goes into section 0 (scipy.signal.zpk2sos's "nearest" pairing, so that
+    the cascade rounds the same way).
+    """
+    warped = 4.0 * np.tan(np.pi * (np.array([low_hz, high_hz]) / (fs_hz / 2)) / 2)
+    width = warped[1] - warped[0]
+    center = np.sqrt(warped[0] * warped[1])
+    analog = -np.exp(1j * np.pi * np.arange(-order + 1, order, 2) / (2 * order))
+    lowpass = analog * width / 2
+    shift = np.sqrt(lowpass**2 - center**2)
+    poles = np.concatenate((lowpass + shift, lowpass - shift))
+    gain = width**order * np.real(4.0**order / np.prod(4.0 - poles))
+    poles = (4.0 + poles) / (4.0 - poles)
+    # one pole per conjugate pair, ordered by real part, then |imaginary|
+    poles = poles[poles.imag > 0]
+    poles = poles[np.lexsort((np.abs(poles.imag), poles.real))]
+    zeros = np.concatenate((-np.ones(order), np.ones(order)))
+    sos = np.zeros((order, 6))
+    for section in range(order - 1, -1, -1):
+        worst = np.argmin(np.abs(1 - np.abs(poles)))
+        pole = poles[worst]
+        poles = np.delete(poles, worst)
+        nearest = np.argsort(np.abs(zeros - pole))[:2]
+        z1, z2 = zeros[nearest]
+        zeros = np.delete(zeros, nearest)
+        sos[section] = [1.0, -(z1 + z2), z1 * z2,
+                        1.0, -2 * pole.real, pole.real**2 + pole.imag**2]
+    sos[0, :3] *= gain
+    return sos
 
 
 def design_butterworth_bandpass(band: BandSpec, fs_hz, order=4) -> IirFilter:
@@ -146,8 +254,7 @@ def design_butterworth_bandpass(band: BandSpec, fs_hz, order=4) -> IirFilter:
             f"band {band.name} upper edge {band.high_hz} Hz at or above "
             f"Nyquist for fs={fs_hz}"
         )
-    sos = sps.butter(order, [band.low_hz, band.high_hz], btype="bandpass",
-                     fs=fs_hz, output="sos")
+    sos = _butterworth_bandpass_sos(order, band.low_hz, band.high_hz, fs_hz)
     filt = IirFilter(sos=sos, kind="bandpass", order=2 * order,
                      edges_hz=(band.low_hz, band.high_hz), fs_hz=fs_hz)
     if np.any(filt.pole_moduli() >= 1.0):
@@ -163,24 +270,116 @@ def filtfilt(filt: IirFilter, x) -> np.ndarray:
     return filtfilt_matrix(filt, np.atleast_2d(np.asarray(x, dtype=float)))[0]
 
 
+@dataclass(frozen=True)
+class _BlockOperators:
+    """A second-order-section cascade as one state-space system (A, B, C, D)
+    whose state stacks every section's two transposed-direct-form-II states,
+    applied to blocks of _BLOCK samples.  Over one block with input x and
+    entry state s, y = T x + O s and the exit state is A^L s + G x.  All
+    matrices are stored transposed, for row-major (rows x samples) data."""
+
+    toeplitz: np.ndarray   # T[t, j] = h[t - j], the impulse response h
+    observe: np.ndarray    # O[t] = C A^t
+    drive: np.ndarray      # G[:, j] = A^(L - 1 - j) B
+    carry: np.ndarray      # A^L
+    step_state: np.ndarray  # state after a unit step has settled
+
+
+@lru_cache(maxsize=64)
+def _block_operators(sos_bytes: bytes) -> _BlockOperators:
+    sos = np.frombuffer(sos_bytes).reshape(-1, 6)
+    n = 2 * len(sos)
+    a, b, c, d = np.zeros((n, n)), np.zeros(n), np.zeros(n), 1.0
+    step_state = np.zeros(n)
+    dc_gain = 1.0
+    for i, (b0, b1, b2, _, a1, a2) in enumerate(sos):
+        own = slice(2 * i, 2 * i + 2)
+        a_i = np.array([[-a1, 1.0], [-a2, 0.0]])
+        b_i = np.array([b1 - a1 * b0, b2 - a2 * b0])
+        # section i is driven by the output C s + D x of the sections before it
+        a[own, :2 * i] = np.outer(b_i, c[:2 * i])
+        a[own, own] = a_i
+        b[own] = b_i * d
+        c[:2 * i] *= b0
+        c[2 * i] = 1.0
+        d *= b0
+        # per-section steady state (scipy.signal.sosfilt_zi): a single
+        # solve over the whole cascade is equal in exact arithmetic but
+        # loses about 1e-8 relative on narrow high-order bands
+        step_state[own] = dc_gain * np.linalg.solve(np.eye(2) - a_i, b_i)
+        dc_gain *= sos[i, :3].sum() / sos[i, 3:].sum()
+    powers = [np.eye(n)]
+    for _ in range(_BLOCK):
+        powers.append(a @ powers[-1])
+    observe = np.array([c @ p for p in powers[:_BLOCK]])
+    impulse = np.concatenate(([d], observe[:-1] @ b))
+    lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
+    toeplitz = np.where(lag >= 0, impulse[np.clip(lag, 0, None)], 0.0)
+    drive = np.array([p @ b for p in powers[_BLOCK - 1::-1]])
+    ops = _BlockOperators(toeplitz=toeplitz.T.copy(), observe=observe.T.copy(),
+                          drive=drive, carry=powers[_BLOCK].T.copy(),
+                          step_state=step_state)
+    for matrix in vars(ops).values():
+        matrix.setflags(write=False)  # shared by every caller through the cache
+    return ops
+
+
+def _filter_blocks(ops: _BlockOperators, blocks, state):
+    """One causal pass of the cascade along each row of `blocks` (whose
+    length is a multiple of _BLOCK), from (rows, 2 x sections) entry
+    states."""
+    rows = len(blocks)
+    blocks = blocks.reshape(-1, _BLOCK)
+    driven = (blocks @ ops.drive).reshape(rows, -1, len(ops.carry))
+    entry = np.empty_like(driven)
+    entry[:, 0] = state
+    for k in range(driven.shape[1] - 1):
+        np.add(entry[:, k] @ ops.carry, driven[:, k], out=entry[:, k + 1])
+    y = blocks @ ops.toeplitz
+    y += entry.reshape(len(blocks), -1) @ ops.observe
+    return y.reshape(rows, -1)
+
+
 def filtfilt_matrix(filt: IirFilter, data: np.ndarray) -> np.ndarray:
     """Zero-phase filtering row-wise with odd padding of length 3 x order.
 
     The forward-backward and backward-forward passes are averaged, which
     leaves the steady-state (squared-magnitude) response untouched but makes
     the operation exactly symmetric under time reversal, including the edge
-    transients.
+    transients.  Each forward-backward pass is scipy.signal.sosfiltfilt's:
+    odd padding, and each direction starts from the step steady state
+    scaled by its first sample.  Rows and their time reversals are filtered
+    together, _ROW_CHUNK at a time.
     """
     padlen = 3 * filt.order
-    if data.shape[1] <= padlen:
+    n = data.shape[1]
+    if n <= padlen:
         raise SignalTooShort(
-            f"signal of {data.shape[1]} samples too short for order-{filt.order} "
+            f"signal of {n} samples too short for order-{filt.order} "
             f"zero-phase filtering (needs > {padlen})"
         )
-    fwd = sps.sosfiltfilt(filt.sos, data, axis=1, padtype="odd", padlen=padlen)
-    bwd = sps.sosfiltfilt(filt.sos, data[:, ::-1], axis=1, padtype="odd",
-                          padlen=padlen)[:, ::-1]
-    return 0.5 * (fwd + bwd)
+    ops = _block_operators(filt.sos.tobytes())
+    m = n + 2 * padlen
+    chunk = _ROW_CHUNK // 2
+    buf = np.zeros((2 * chunk, -(-m // _BLOCK) * _BLOCK))
+    out = np.empty(data.shape)
+    for r in range(0, len(data), chunk):
+        x = data[r:r + chunk]
+        c = len(x)
+        ext, rev = buf[:c, :m], buf[c:2 * c, :m]
+        ext[:, :padlen] = 2 * x[:, :1] - x[:, padlen:0:-1]
+        ext[:, padlen:padlen + n] = x
+        ext[:, padlen + n:] = 2 * x[:, -1:] - x[:, -2:-padlen - 2:-1]
+        rev[:] = ext[:, ::-1]
+        y = _filter_blocks(ops, buf[:2 * c], buf[:2 * c, :1] * ops.step_state)
+        buf[:2 * c, :m] = y[:, m - 1::-1]
+        y = _filter_blocks(ops, buf[:2 * c], buf[:2 * c, :1] * ops.step_state)
+        # the backward pass left both halves time-reversed; the reversed
+        # copy's result needs reversing once more, which cancels
+        out[r:r + c] = y[:c, m - 1 - padlen:padlen - 1:-1]
+        out[r:r + c] += y[c:2 * c, padlen:padlen + n]
+        out[r:r + c] *= 0.5
+    return out
 
 
 def bandpass(rec: EegRecording, band: BandSpec, order=4) -> EegRecording:

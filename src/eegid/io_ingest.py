@@ -7,6 +7,7 @@ silently dropped.  All remaining signals must share one sampling rate.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -154,12 +155,21 @@ def _ascii_field(buf: bytes, start: int, length: int) -> str:
         raise MalformedHeader(f"non-ASCII bytes in header field at offset {start}") from exc
 
 
-def _numeric_field(buf: bytes, start: int, length: int, what: str) -> float:
-    text = _ascii_field(buf, start, length)
+def _number(text: str, what: str) -> float:
     try:
-        return float(text)
-    except ValueError as exc:
-        raise MalformedHeader(f"non-numeric {what} field: {text!r}") from exc
+        value = float(text)
+    except ValueError:
+        raise MalformedHeader(f"non-numeric {what}: {text!r}") from None
+    if not math.isfinite(value):
+        raise MalformedHeader(f"non-finite {what}: {text!r}")
+    return value
+
+
+def _integer(text: str, what: str) -> int:
+    value = _number(text, what)
+    if value != int(value):
+        raise MalformedHeader(f"non-integral {what}: {text!r}")
+    return int(value)
 
 
 def parse_edf(raw: bytes, subject_id="", dataset_id="", condition="resting") -> EegRecording:
@@ -168,17 +178,19 @@ def parse_edf(raw: bytes, subject_id="", dataset_id="", condition="resting") -> 
     Samples are 16-bit little-endian two's complement, mapped to physical
     units with the per-signal digital/physical min/max linear calibration.
     Annotation signals are dropped.  Raises MalformedHeader,
-    MixedSamplingRates or TruncatedRecord on bad input.
+    MixedSamplingRates or TruncatedRecord on bad input, including numeric
+    header fields that are not finite, integer fields that are not
+    integral, and a header that leaves no complete data record.
     """
     if len(raw) < _EDF_HEADER_LEN:
         raise MalformedHeader("input shorter than the 256-byte EDF header")
     version = _ascii_field(raw, 0, 8)
     if version != "0":
         raise MalformedHeader(f"unsupported EDF version field {version!r}")
-    header_bytes = int(_numeric_field(raw, 184, 8, "header length"))
-    n_records = int(_numeric_field(raw, 236, 8, "record count"))
-    record_duration = _numeric_field(raw, 244, 8, "record duration")
-    n_signals = int(_numeric_field(raw, 252, 4, "signal count"))
+    header_bytes = _integer(_ascii_field(raw, 184, 8), "header length field")
+    n_records = _integer(_ascii_field(raw, 236, 8), "record count field")
+    record_duration = _number(_ascii_field(raw, 244, 8), "record duration field")
+    n_signals = _integer(_ascii_field(raw, 252, 4), "signal count field")
     if n_signals < 1:
         raise MalformedHeader("EDF declares no signals")
     expected_header = _EDF_HEADER_LEN + n_signals * _EDF_SIGNAL_HEADER_LEN
@@ -193,17 +205,14 @@ def parse_edf(raw: bytes, subject_id="", dataset_id="", condition="resting") -> 
 
     sig = raw[_EDF_HEADER_LEN:expected_header]
 
-    def sig_numeric(width, offset, what):
+    def sig_numeric(width, offset, what, parse=_number):
         # offset is the byte offset of the field block within the
         # transposed signal-header area
         out = []
         for i in range(n_signals):
             start = offset + i * width
             text = sig[start:start + width].decode("ascii", errors="replace").strip()
-            try:
-                out.append(float(text))
-            except ValueError:
-                raise MalformedHeader(f"non-numeric {what} for a signal: {text!r}") from None
+            out.append(parse(text, f"{what} for a signal"))
         return out
 
     # signal header layout: label(16) transducer(80) dim(8) phys_min(8)
@@ -218,15 +227,16 @@ def parse_edf(raw: bytes, subject_id="", dataset_id="", condition="resting") -> 
     dig_min = sig_numeric(8, off, "digital minimum"); off += 8 * n_signals
     dig_max = sig_numeric(8, off, "digital maximum"); off += 8 * n_signals
     off += 80 * n_signals
-    samples_per_record = [int(v) for v in sig_numeric(8, off, "samples per record")]
+    samples_per_record = sig_numeric(8, off, "samples per record", _integer)
 
+    for i in range(n_signals):
+        if samples_per_record[i] < 1:
+            raise MalformedHeader(f"signal {labels[i]!r} declares no samples per record")
     keep = [i for i, lab in enumerate(labels)
             if normalize_label(lab) != _ANNOTATION_LABEL]
     if not keep:
         raise MalformedHeader("EDF contains only annotation signals")
     for i in keep:
-        if samples_per_record[i] < 1:
-            raise MalformedHeader(f"signal {labels[i]!r} declares no samples per record")
         if dig_max[i] <= dig_min[i]:
             raise MalformedHeader(f"signal {labels[i]!r} has a degenerate digital range")
 
@@ -245,23 +255,29 @@ def parse_edf(raw: bytes, subject_id="", dataset_id="", condition="resting") -> 
         raise TruncatedRecord(
             f"expected {n_records} records of {record_bytes} bytes, got {len(body)} bytes"
         )
+    if n_records == 0:
+        raise TruncatedRecord(f"no complete data record of {record_bytes} bytes")
 
     flat = np.frombuffer(body[:n_records * record_bytes], dtype="<i2")
     flat = flat.reshape(n_records, record_samples)
     starts = np.cumsum([0] + samples_per_record)
     channels, names = [], []
-    for i in keep:
-        digital = flat[:, starts[i]:starts[i + 1]].reshape(-1).astype(float)
-        gain = (phys_max[i] - phys_min[i]) / (dig_max[i] - dig_min[i])
-        channels.append((digital - dig_min[i]) * gain + phys_min[i])
-        names.append(normalize_label(labels[i]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in keep:
+            digital = flat[:, starts[i]:starts[i + 1]].reshape(-1).astype(float)
+            gain = (phys_max[i] - phys_min[i]) / (dig_max[i] - dig_min[i])
+            channels.append((digital - dig_min[i]) * gain + phys_min[i])
+            names.append(normalize_label(labels[i]))
     if len(set(names)) != len(names):
         raise MalformedHeader("duplicate channel labels after normalization")
+    data = np.vstack(channels)
+    if not np.isfinite(data).all():
+        raise MalformedHeader("calibration maps samples outside the floating-point range")
 
     return EegRecording(
         channel_names=tuple(names),
         sampling_rate_hz=rate,
-        data=np.vstack(channels),
+        data=data,
         subject_id=subject_id,
         dataset_id=dataset_id,
         condition=condition,

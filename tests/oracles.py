@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations.
 
 These deliberately avoid the code paths they check: plain loops, direct
-formula transcription and exhaustive enumeration only.
+formula transcription and exhaustive enumeration only.  The signal
+processing references are scipy.signal, a test-only dependency.
 """
 
 import heapq
@@ -9,6 +10,35 @@ import itertools
 import math
 
 import numpy as np
+from scipy import signal
+
+
+# --- dsp --------------------------------------------------------------------
+
+
+def butter_bandpass_sos(order, low_hz, high_hz, fs_hz):
+    return signal.butter(order, [low_hz, high_hz], btype="bandpass",
+                         fs=fs_hz, output="sos")
+
+
+def notch_sos(f0_hz, q, fs_hz):
+    b, a = signal.iirnotch(f0_hz, q, fs=fs_hz)
+    return signal.tf2sos(b, a)
+
+
+def filtfilt_average(sos, padlen, data):
+    """Mean of sosfiltfilt on the rows and on their time reversals."""
+    fwd = signal.sosfiltfilt(sos, data, axis=1, padtype="odd", padlen=padlen)
+    bwd = signal.sosfiltfilt(sos, data[:, ::-1], axis=1, padtype="odd",
+                             padlen=padlen)[:, ::-1]
+    return 0.5 * (fwd + bwd)
+
+
+def resample_poly_line(data, up, down):
+    """Kaiser(14) polyphase resampling with line extension, floor length."""
+    out = signal.resample_poly(data, up, down, axis=1, padtype="line",
+                               window=("kaiser", 14.0))
+    return out[:, :data.shape[1] * up // down]
 
 
 # --- connectivity ---------------------------------------------------------

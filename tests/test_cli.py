@@ -1,5 +1,7 @@
 import importlib.metadata as md
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -7,6 +9,8 @@ import numpy as np
 import pytest
 
 from eegid import cli, io_ingest, synth
+
+from edf_tools import write_edf
 
 
 @pytest.fixture(scope="module")
@@ -51,21 +55,36 @@ class TestIngest:
                          "--out", str(cache)]) == cli.EXIT_OK
         assert "cache hit" in capsys.readouterr().err
 
-    def test_corrupted_edf_names_file(self, tmp_path, capsys):
-        bad = tmp_path / "junk.edf"
-        bad.write_bytes(b"\x00" * 100)
+    @staticmethod
+    def _ingest_one_edf(tmp_path, name, raw):
+        (tmp_path / name).write_bytes(raw)
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({
             "target_rate_hz": 128.0,
             "channel_policy": ["C3"],
-            "entries": [{"path": "junk.edf", "format": "edf",
+            "entries": [{"path": name, "format": "edf",
                          "subject_id": "s1", "dataset_id": "d1",
                          "window_s": [0.0, 1.0]}],
         }))
-        code = cli.main(["ingest", "--manifest", str(manifest),
+        return cli.main(["ingest", "--manifest", str(manifest),
                          "--out", str(tmp_path / "cache")])
+
+    def test_corrupted_edf_names_file(self, tmp_path, capsys):
+        code = self._ingest_one_edf(tmp_path, "junk.edf", b"\x00" * 100)
         assert code == cli.EXIT_DATA
         assert "junk.edf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("offset, width", [
+        (184, 8),  # header length
+        (236, 8),  # record count
+        (252, 4),  # signal count
+    ])
+    def test_non_finite_edf_header_field(self, tmp_path, capsys, offset, width):
+        raw = bytearray(write_edf(["C3"], np.zeros((1, 256), dtype=np.int16), 128.0))
+        raw[offset:offset + width] = b"inf".ljust(width)
+        code = self._ingest_one_edf(tmp_path, "bad.edf", bytes(raw))
+        assert code == cli.EXIT_DATA
+        assert "bad.edf" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [
         ("sampling_rate_hz", 256.0),
@@ -137,6 +156,62 @@ class TestFeatures:
 
     def test_missing_subcommand_is_usage_error(self):
         assert cli.main([]) == cli.EXIT_USAGE
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+# runs `eegid` with every scipy import failing
+_BLOCK_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+from eegid import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _run_python(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestRuntimeWithoutScipy:
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        done = _run_python(["-c", "import sys, eegid.cli; print(sorted(m for m in "
+                            "sys.modules if m.split('.')[0] == 'scipy'))"], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_features_end_to_end(self, tmp_path):
+        # 160 Hz EDF, so the run resamples as well as filters
+        rng = np.random.default_rng(3)
+        names = ["C3", "C4", "CZ", "FZ"]
+        entries = []
+        for subject in ("s1", "s2"):
+            digital = rng.integers(-3000, 3000, size=(4, 160 * 12))
+            (tmp_path / f"{subject}.edf").write_bytes(write_edf(names, digital, 160.0))
+            entries.append({"path": f"{subject}.edf", "format": "edf",
+                            "subject_id": subject, "dataset_id": "d1",
+                            "window_s": [0.0, 12.0]})
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "target_rate_hz": 128.0, "channel_policy": names, "entries": entries,
+        }))
+        done = _run_python(["-c", _BLOCK_SCIPY, "features", "--manifest", "manifest.json",
+                            "--out", "features.csv", "--cache", "cache",
+                            "--band", "alpha", "--metric", "PLV", "--gb", "BC",
+                            "--epoch-length", "2"], tmp_path)
+        assert done.returncode == cli.EXIT_OK, done.stderr
+        lines = (tmp_path / "features.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2 * 6  # header + 6 epochs x 2 subjects
+        assert len(lines[0].split(",")) == 3 + 4
 
 
 @pytest.fixture(scope="module")

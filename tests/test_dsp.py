@@ -11,6 +11,7 @@ from eegid.errors import (
     SignalTooShort,
 )
 
+import oracles
 from conftest import make_recording
 
 
@@ -44,6 +45,11 @@ class TestResample:
         rec = make_recording(rng.standard_normal((1, 1000)), fs=128.0)
         with pytest.raises(IrrationalRatio):
             dsp.resample(rec, 128.0 * np.pi)
+
+    def test_single_sample_rejected(self):
+        # the line extension needs a slope; one sample used to give all-NaN output
+        with pytest.raises(SignalTooShort):
+            dsp.resample(make_recording([[3.0], [1.0]], fs=1.0), 4.0)
 
     def test_there_and_back_preserves_bandlimited(self, rng):
         # band-limited (< 0.4 x lower Nyquist) noise, tapered so the
@@ -138,6 +144,11 @@ class TestFiltfilt:
         x[32] = 1.0
         np.testing.assert_allclose(dsp.filtfilt(identity, x), x, atol=1e-12)
 
+    def test_unnormalized_section_rejected(self):
+        with pytest.raises(ValueError, match="a0 = 1"):
+            dsp.IirFilter(sos=np.array([[1.0, 0, 0, 2.0, 0, 0]]), kind="x",
+                          order=2, edges_hz=(0, 0), fs_hz=128.0)
+
     def test_zero_lag_in_passband(self):
         filt = dsp.design_butterworth_bandpass(dsp.GAMMA, 128.0, order=4)
         t = np.arange(128 * 8) / 128.0
@@ -203,3 +214,68 @@ def test_band_table():
         band = dsp.BANDS[name]
         assert band.low_hz == lo
         assert band.high_hz == hi
+
+
+class TestScipyOracle:
+    """The numpy designs, filter and resampler against scipy.signal."""
+
+    @pytest.mark.parametrize("fs", [128.0, 256.0])
+    @pytest.mark.parametrize("order", [2, 4, 6, 8])
+    @pytest.mark.parametrize("band", list(dsp.BANDS.values()), ids=lambda b: b.name)
+    def test_butterworth_sos(self, band, order, fs):
+        ref = oracles.butter_bandpass_sos(order, band.low_hz, band.high_hz, fs)
+        sos = dsp.design_butterworth_bandpass(band, fs, order).sos
+        assert sos.shape == ref.shape
+        assert np.max(np.abs(sos - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("f0, q, fs", [(50.0, 30.0, 128.0), (60.0, 30.0, 256.0),
+                                           (50.0, 10.0, 160.0), (60.0, 35.0, 500.0)])
+    def test_notch_sos(self, f0, q, fs):
+        ref = oracles.notch_sos(f0, q, fs)
+        sos = dsp.design_notch(f0, q, fs).sos
+        assert sos.shape == ref.shape
+        assert np.max(np.abs(sos - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @staticmethod
+    def _check_filtfilt(filt, data):
+        ref = oracles.filtfilt_average(filt.sos, 3 * filt.order, data)
+        np.testing.assert_allclose(dsp.filtfilt_matrix(filt, data), ref, rtol=0,
+                                   atol=1e-11 * np.max(np.abs(data)))
+
+    # the DC offset makes the edge states matter: at order 8 in the delta
+    # band, one steady-state solve over the whole cascade is ~1e-9 off
+    @pytest.mark.parametrize("order", [2, 4, 6, 8])
+    @pytest.mark.parametrize("band", list(dsp.BANDS.values()), ids=lambda b: b.name)
+    def test_filtfilt_matrix(self, band, order, rng):
+        filt = dsp.design_butterworth_bandpass(band, 128.0, order)
+        self._check_filtfilt(filt, 50 * rng.standard_normal((20, 1500)) + 20)
+
+    def test_filtfilt_notch(self, rng):
+        filt = dsp.design_notch(50.0, 30.0, 128.0)
+        self._check_filtfilt(filt, 50 * rng.standard_normal((20, 1500)) + 20)
+
+    @pytest.mark.parametrize("n", [25, 26, 63, 64, 65, 200])
+    def test_filtfilt_short_signals(self, n, rng):
+        filt = dsp.design_butterworth_bandpass(dsp.DELTA, 128.0, order=4)
+        self._check_filtfilt(filt, rng.standard_normal((1, n)) + 3)
+
+    def test_filtfilt_impulse_and_step(self):
+        filt = dsp.design_butterworth_bandpass(dsp.DELTA, 128.0, order=8)
+        data = np.zeros((2, 1500))
+        data[0, 700] = 1.0
+        data[1] = 1.0
+        self._check_filtfilt(filt, data)
+
+    @pytest.mark.parametrize("up, down, n", [
+        (up, down, n)
+        for up, down in [(4, 5), (32, 125), (5, 4), (1, 2), (256, 255)]
+        for n in [2, 3, 4, 5, 17, 300, 1001]
+        if n * up // down > 0  # at least one output sample
+    ])
+    def test_resample(self, up, down, n, rng):
+        data = rng.standard_normal((3, n)) + np.linspace(5, -2, n)
+        rec = make_recording(data, fs=100.0 * down)
+        out = dsp.resample(rec, 100.0 * up)
+        ref = oracles.resample_poly_line(data, up, down)
+        assert out.data.shape == ref.shape
+        np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12 * np.max(np.abs(data)))

@@ -13,6 +13,7 @@ from eegid.channels import (
     resolve_policy,
 )
 from eegid.errors import (
+    EegIdError,
     MalformedHeader,
     MissingChannel,
     MixedSamplingRates,
@@ -23,6 +24,7 @@ from eegid.errors import (
 )
 from eegid.io_ingest import (
     DatasetManifest,
+    EegRecording,
     ManifestEntry,
     build_corpus,
     load_manifest,
@@ -35,6 +37,16 @@ from eegid.io_ingest import (
 
 from conftest import make_recording
 from edf_tools import decode_calibrated, write_edf
+
+
+# two signals, two 1 s records at 10 Hz; 256 + 2 x 256 header bytes
+_FUZZ_EDF = write_edf(["C3", "C4"], np.arange(40, dtype=np.int16).reshape(2, 20), 10.0)
+_FUZZ_FIELD_STARTS = (
+    [0, 8, 88, 168, 176, 184, 192, 236, 244, 252]
+    + list(256 + 2 * np.cumsum([0, 16, 80, 8, 8, 8, 8, 8, 80, 8])[:-1])
+)
+_FUZZ_TOKENS = [b"inf", b"-inf", b"nan", b"-1", b"0", b"1e308", b"1e-300",
+                b"0.5", b"2.5", b"99999999", b"        ", b"\xff", b"EDF Annotations"]
 
 
 class TestParseEdf:
@@ -101,6 +113,59 @@ class TestParseEdf:
         expected = decode_calibrated(digital, -200.0, 200.0, -32768, 32767)
         step = 400.0 / 65535
         assert np.max(np.abs(rec.data - expected)) <= step
+
+    @pytest.mark.parametrize("offset, width, text", [
+        (184, 8, "inf"),    # header length
+        (236, 8, "inf"),    # record count
+        (252, 4, "inf"),    # signal count
+        (244, 8, "nan"),    # record duration
+        (244, 8, "inf"),
+        (184, 8, "768.5"),
+        (236, 8, "1.5"),
+        (252, 4, "2.5"),
+        (688, 8, "inf"),    # first signal's samples per record
+        (688, 8, "10.5"),
+        (464, 8, "nan"),    # first signal's physical minimum
+        (512, 8, "inf"),    # first signal's digital maximum
+    ])
+    def test_non_finite_or_fractional_field(self, offset, width, text):
+        raw = bytearray(_FUZZ_EDF)
+        raw[offset:offset + width] = text.ljust(width).encode("ascii")
+        with pytest.raises(MalformedHeader):
+            parse_edf(bytes(raw))
+
+    @pytest.mark.parametrize("edits, error", [
+        ([(236, 8, "0")], TruncatedRecord),  # no data records
+        # the second signal becomes an annotation signal with a negative
+        # sample count, and the record count is left to inference
+        ([(272, 16, "EDF Annotations"), (696, 8, "-10"), (236, 8, "-1")],
+         MalformedHeader),
+        ([(464, 8, "-1e308"), (480, 8, "1e308")], MalformedHeader),  # overflow
+    ])
+    def test_header_without_usable_data(self, edits, error):
+        raw = bytearray(_FUZZ_EDF)
+        for offset, width, text in edits:
+            raw[offset:offset + width] = text.ljust(width).encode("ascii")
+        with pytest.raises(error):
+            parse_edf(bytes(raw))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(_FUZZ_FIELD_STARTS), st.sampled_from(_FUZZ_TOKENS)),
+            st.tuples(st.integers(0, 767), st.binary(min_size=1, max_size=8)),
+        ),
+        min_size=1, max_size=4,
+    ))
+    def test_header_fuzz_raises_only_pipeline_errors(self, edits):
+        raw = bytearray(_FUZZ_EDF)
+        for offset, patch in edits:
+            raw[offset:offset + len(patch)] = patch
+        try:
+            rec = parse_edf(bytes(raw))
+        except EegIdError:
+            return
+        assert isinstance(rec, EegRecording)
 
 
 class TestLoadMatrix:
