@@ -29,7 +29,6 @@ def main(argv=None) -> int:
     parser.add_argument("--gb", default=None,
                         help="optional graph metric: ND | EC | BC | CC")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
 
     corpus = synth.synthetic_corpus(
@@ -46,8 +45,7 @@ def main(argv=None) -> int:
                 metric=metric, band=band, gb_metric=args.gb,
                 epoch_length_s=args.epoch_length, seed=args.seed,
             )
-            report = evaluation.run_experiment(corpus, config,
-                                               workers=args.workers)
+            report = evaluation.run_experiment(corpus, config)
             print(f"{metric},{band},{report.cv.mean_accuracy:.4f},"
                   f"{report.cv.standard_error:.4f}")
     return 0

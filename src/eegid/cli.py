@@ -34,11 +34,8 @@ def _log(msg):
     print(msg, file=sys.stderr)
 
 
-def _corpus_hash(manifest_path, channel_policy=None) -> str:
+def _corpus_hash(manifest) -> str:
     h = hashlib.sha256()
-    manifest = load_manifest(manifest_path)
-    if channel_policy is not None:
-        manifest = replace(manifest, channel_policy=channel_policy)
     h.update(repr((manifest.target_rate_hz, manifest.channel_policy)).encode())
     for entry in manifest.entries:
         h.update(repr((entry.subject_id, entry.dataset_id, entry.condition,
@@ -53,7 +50,10 @@ def _cached_corpus(manifest_path, cache_dir, channel_policy=None):
 
     A cache file that cannot be read is rebuilt and overwritten.
     """
-    digest = _corpus_hash(manifest_path, channel_policy)
+    manifest = load_manifest(manifest_path)
+    if channel_policy is not None:
+        manifest = replace(manifest, channel_policy=channel_policy)
+    digest = _corpus_hash(manifest)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     cache_file = cache_dir / f"corpus-{digest}.pkl"
@@ -63,9 +63,6 @@ def _cached_corpus(manifest_path, cache_dir, channel_policy=None):
                 return pickle.load(fh), digest, True
         except evaluation.CACHE_READ_ERRORS as exc:
             _log(f"rebuilding unreadable cache {cache_file.name}: {exc!r}")
-    manifest = load_manifest(manifest_path)
-    if channel_policy is not None:
-        manifest = replace(manifest, channel_policy=channel_policy)
     corpus = build_corpus(manifest)
     evaluation.write_atomic(cache_file, lambda fh: pickle.dump(corpus, fh))
     return corpus, digest, False
@@ -82,15 +79,20 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+def _unknown_name(bands, metrics, gb_metrics):
+    """Usage message for the first unknown metric, graph metric or band, or None."""
+    for kind, names, valid in (("metric", metrics, connectivity.METRICS),
+                               ("graph metric", gb_metrics, (None, *graph.GRAPH_METRICS)),
+                               ("band", bands, sorted(dsp.BANDS))):
+        for name in names:
+            if name not in valid:
+                return f"unknown {kind} {name!r}; valid: {', '.join(filter(None, valid))}"
+    return None
+
+
 def cmd_features(args) -> int:
-    if args.metric not in connectivity.METRICS:
-        _log(f"unknown metric {args.metric!r}; valid: {', '.join(connectivity.METRICS)}")
-        return EXIT_USAGE
-    if args.gb is not None and args.gb not in graph.GRAPH_METRICS:
-        _log(f"unknown graph metric {args.gb!r}; valid: {', '.join(graph.GRAPH_METRICS)}")
-        return EXIT_USAGE
-    if args.band not in dsp.BANDS:
-        _log(f"unknown band {args.band!r}; valid: {', '.join(sorted(dsp.BANDS))}")
+    if problem := _unknown_name([args.band], [args.metric], [args.gb]):
+        _log(problem)
         return EXIT_USAGE
     corpus, digest, _ = _cached_corpus(args.manifest, args.cache)
     config = evaluation.ExperimentConfig(
@@ -100,8 +102,7 @@ def cmd_features(args) -> int:
         notch_q=args.notch_q,
     )
     epochs, labels, provenance = evaluation.band_epochs(corpus, config, args.condition)
-    features = evaluation.epoch_features(epochs, labels, args.metric, args.gb,
-                                         workers=args.workers)
+    features = evaluation.epoch_features(epochs, labels, args.metric, args.gb)
     with open(args.out, "w", encoding="utf-8") as fh:
         n_feat = features.shape[1]
         fh.write("dataset_id,subject_id,condition," +
@@ -115,17 +116,19 @@ def cmd_features(args) -> int:
     return EXIT_OK
 
 
+# optional run-config keys besides cache_dir, which defaults to the config's
+# directory; manifest, bands and metrics are required
+_RUN_CONFIG_DEFAULTS = {
+    "gb_metrics": (None,), "epoch_lengths_s": (4.0,), "channel_policies": (None,),
+    "conditions": (("resting", "resting"),), "seed": 0, "k1": 10, "k2": 3,
+}
+
+
 def _load_run_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    doc.setdefault("gb_metrics", [None])
-    doc.setdefault("epoch_lengths_s", [4.0])
-    doc.setdefault("channel_policies", [None])
-    doc.setdefault("conditions", [["resting", "resting"]])
-    doc.setdefault("seed", 0)
-    doc.setdefault("workers", 1)
-    doc.setdefault("k1", 10)
-    doc.setdefault("k2", 3)
+    for key, value in _RUN_CONFIG_DEFAULTS.items():
+        doc.setdefault(key, value)
     base = Path(path).parent
     manifest = Path(doc["manifest"])
     if not manifest.is_absolute():
@@ -156,22 +159,34 @@ def _grid_configs(doc, args):
                             )
 
 
+def _run_config_problem(doc):
+    """Usage message for a run config that cannot run as written, or None.
+    A legacy `"workers": 1` is accepted: every run is one process now."""
+    if doc.get("workers", 1) != 1:
+        return "run-config key 'workers' was removed: features are computed in one process"
+    known = {"manifest", "bands", "metrics", "cache_dir", "workers", *_RUN_CONFIG_DEFAULTS}
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        return f"unknown run-config key(s): {', '.join(map(repr, unknown))}"
+    if not doc.get("bands") or not doc.get("metrics"):
+        return "experiment grid is empty: config needs non-empty bands and metrics"
+    return _unknown_name(doc["bands"], doc["metrics"], doc["gb_metrics"])
+
+
 def cmd_evaluate(args) -> int:
     doc = _load_run_config(args.config)
-    if not doc.get("bands") or not doc.get("metrics"):
-        _log("experiment grid is empty: config needs non-empty bands and metrics")
+    if problem := _run_config_problem(doc):
+        _log(problem)
         return EXIT_USAGE
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = args.workers if args.workers is not None else int(doc["workers"])
     reports = []
     for policy, config in _grid_configs(doc, args):
         corpus, digest, _ = _cached_corpus(doc["manifest"], doc["cache_dir"],
                                            channel_policy=policy)
         _log(f"running {config.name()} [{policy or 'manifest policy'}]")
         report = evaluation.run_experiment(
-            corpus, config, workers=workers,
-            feature_cache_dir=doc["cache_dir"],
+            corpus, config, feature_cache_dir=doc["cache_dir"],
             cache_tag=f"{digest}-{policy or 'manifest'}",
         )
         stem = f"{policy or 'default'}_{config.name()}"
@@ -250,14 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epoch-length", type=float, default=4.0)
     p.add_argument("--condition", default="resting")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("evaluate", help="run an experiment grid from a config file")
     p.add_argument("--config", required=True, help="run config JSON")
     p.add_argument("--out", required=True, help="report output directory")
-    p.add_argument("--workers", type=int, default=None,
-                   help="override the config worker count")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("report", help="rebuild the roll-up table from report files")

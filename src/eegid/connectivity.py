@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateVariance, EpochTooShort, LengthMismatch
+from .errors import DegenerateVariance, EpochTooShort
 
 METRICS = ("COR", "PLV", "PLI")
 
@@ -48,50 +48,9 @@ def analytic_phase(data: np.ndarray) -> np.ndarray:
     return phases
 
 
-def _check_lengths(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise LengthMismatch(f"shapes {x.shape} and {y.shape} differ")
-    return x, y
-
-
-def pearson_correlation(x, y) -> float:
-    """Pearson correlation with population (1/M) normalization, clamped to [-1, 1]."""
-    x, y = _check_lengths(x, y)
-    if x.size < 2:
-        raise LengthMismatch("need at least two samples")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = np.sqrt(np.mean(xc * xc))
-    sy = np.sqrt(np.mean(yc * yc))
-    if sx == 0.0 or sy == 0.0:
-        raise DegenerateVariance("constant input vector")
-    rho = np.mean(xc * yc) / (sx * sy)
-    return float(np.clip(rho, -1.0, 1.0))
-
-
 def wrap_phase(d: np.ndarray) -> np.ndarray:
     """Wrap phase differences into (-pi, pi]."""
     return np.pi - np.mod(np.pi - np.asarray(d, dtype=float), 2 * np.pi)
-
-
-def plv(phi_x, phi_y) -> float:
-    """Phase locking value: |mean unit phasor of the phase differences|."""
-    phi_x, phi_y = _check_lengths(phi_x, phi_y)
-    if phi_x.size < 1:
-        raise LengthMismatch("need at least one sample")
-    value = np.abs(np.mean(np.exp(1j * (phi_x - phi_y))))
-    return float(min(value, 1.0))
-
-
-def pli(phi_x, phi_y) -> float:
-    """Phase lag index: |mean sign of the wrapped phase differences|."""
-    phi_x, phi_y = _check_lengths(phi_x, phi_y)
-    if phi_x.size < 1:
-        raise LengthMismatch("need at least one sample")
-    d = wrap_phase(phi_x - phi_y)
-    return float(np.abs(np.mean(np.sign(d))))
 
 
 def connectivity_matrix(data: np.ndarray, metric: str) -> np.ndarray:

@@ -79,13 +79,9 @@ ANALYSIS_BANDS = (DELTA, THETA, ALPHA, BETA1, BETA2, GAMMA)
 
 @dataclass(frozen=True)
 class IirFilter:
-    """Second-order-section IIR filter plus design metadata."""
+    """Second-order-section IIR filter."""
 
     sos: np.ndarray  # (n_sections, 6), a0 normalized to 1
-    kind: str
-    order: int
-    edges_hz: tuple
-    fs_hz: float
 
     def __post_init__(self):
         sos = np.atleast_2d(np.asarray(self.sos, dtype=float))
@@ -94,6 +90,10 @@ class IirFilter:
         if not np.all(sos[:, 3] == 1.0):
             raise ValueError("sos sections must be normalized to a0 = 1")
         object.__setattr__(self, "sos", sos)
+
+    @property
+    def order(self):
+        return 2 * len(self.sos)  # two poles per section
 
     def pole_moduli(self):
         mods = []
@@ -193,8 +193,7 @@ def design_notch(f0_hz, q, fs_hz) -> IirFilter:
     gain = 1.0 / (1.0 + np.tan(w0 / q / 2))
     sos = [[gain, -2 * gain * np.cos(w0), gain,
             1.0, -2 * gain * np.cos(w0), 2 * gain - 1.0]]
-    return IirFilter(sos=sos, kind="notch", order=2,
-                     edges_hz=(f0_hz, f0_hz), fs_hz=fs_hz)
+    return IirFilter(sos=sos)
 
 
 def notch(rec: EegRecording, f0_hz, q=30.0) -> EegRecording:
@@ -255,19 +254,13 @@ def design_butterworth_bandpass(band: BandSpec, fs_hz, order=4) -> IirFilter:
             f"Nyquist for fs={fs_hz}"
         )
     sos = _butterworth_bandpass_sos(order, band.low_hz, band.high_hz, fs_hz)
-    filt = IirFilter(sos=sos, kind="bandpass", order=2 * order,
-                     edges_hz=(band.low_hz, band.high_hz), fs_hz=fs_hz)
+    filt = IirFilter(sos=sos)
     if np.any(filt.pole_moduli() >= 1.0):
         raise UnstableDesign(
             f"band-pass design for {band.name} at fs={fs_hz} has poles on or "
             "outside the unit circle"
         )
     return filt
-
-
-def filtfilt(filt: IirFilter, x) -> np.ndarray:
-    """Forward-backward (zero-phase) filtering of a 1-D signal."""
-    return filtfilt_matrix(filt, np.atleast_2d(np.asarray(x, dtype=float)))[0]
 
 
 @dataclass(frozen=True)

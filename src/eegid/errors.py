@@ -73,10 +73,6 @@ class DegenerateVariance(EegIdError):
     pass
 
 
-class LengthMismatch(EegIdError):
-    pass
-
-
 # --- graph ---
 
 class ZeroGraph(EegIdError):

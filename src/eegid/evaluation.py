@@ -220,35 +220,23 @@ def run_nested_cv(x, labels, plan: FoldPlan, grid=GRID) -> CvReport:
 # --- feature extraction ---------------------------------------------------------
 
 
-def epoch_features(epochs: np.ndarray, labels, metric: str, gb_metric: str = None,
-                   workers: int = 1) -> np.ndarray:
+def epoch_features(epochs: np.ndarray, labels, metric: str,
+                   gb_metric: str = None) -> np.ndarray:
     """Feature matrix of an (epochs, channels, samples) band-filtered stack.
 
     Rows are the vectorized connectivity upper triangle, or per-node graph
     scores when gb_metric is given.  `labels` name each epoch's recording in
     error messages.
     """
-    tasks = [(epochs[i], f"epoch {i} [{labels[i]}]", metric, gb_metric)
-             for i in range(epochs.shape[0])]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # executor.map preserves task order, so results are deterministic
-            rows = list(pool.map(_feature_task, tasks))
-    else:
-        rows = [_feature_task(t) for t in tasks]
+    rows = []
+    for i, data in enumerate(epochs):
+        try:
+            values = connectivity.connectivity_matrix(data, metric)
+        except DegenerateVariance as exc:
+            raise DegenerateVariance(f"{exc} in epoch {i} [{labels[i]}]") from None
+        rows.append(connectivity.vectorize_upper(values) if gb_metric is None else
+                    graph.node_scores(graph.from_connectivity(values, metric), gb_metric))
     return np.vstack(rows)
-
-
-def _feature_task(args):
-    data, where, metric, gb_metric = args
-    try:
-        values = connectivity.connectivity_matrix(data, metric)
-    except DegenerateVariance as exc:
-        raise DegenerateVariance(f"{exc} in {where}") from None
-    if gb_metric is None:
-        return connectivity.vectorize_upper(values)
-    return graph.node_scores(graph.from_connectivity(values, metric), gb_metric)
 
 
 # --- experiment configs and runner ------------------------------------------------
@@ -341,7 +329,7 @@ def write_atomic(path, write):
         raise
 
 
-def _features_cached(corpus, config: ExperimentConfig, condition, workers,
+def _features_cached(corpus, config: ExperimentConfig, condition,
                      cache_dir=None, cache_tag=""):
     """Band-filter + featurize one condition, with optional on-disk caching.
 
@@ -361,19 +349,18 @@ def _features_cached(corpus, config: ExperimentConfig, condition, workers,
             try:
                 with np.load(cache_file, allow_pickle=False) as blob:
                     x, labels = blob["x"], blob["labels"]
-                return x, labels, len(labels)
+                return x, labels
             except CACHE_READ_ERRORS as exc:
                 print(f"rebuilding unreadable cache {cache_file.name}: {exc!r}",
                       file=sys.stderr)
     epochs, labels, _ = band_epochs(corpus, config, condition)
-    x = epoch_features(epochs, labels, config.metric, config.gb_metric,
-                       workers=workers)
+    x = epoch_features(epochs, labels, config.metric, config.gb_metric)
     if cache_file is not None:
         write_atomic(cache_file, lambda fh: np.savez(fh, x=x, labels=labels))
-    return x, labels, len(epochs)
+    return x, labels
 
 
-def run_experiment(corpus, config: ExperimentConfig, workers: int = 1,
+def run_experiment(corpus, config: ExperimentConfig,
                    feature_cache_dir=None, cache_tag="") -> ExperimentReport:
     """Full pipeline for one experiment configuration.
 
@@ -381,20 +368,18 @@ def run_experiment(corpus, config: ExperimentConfig, workers: int = 1,
     full train-condition data (grid search by inner folds of the training
     side only) and report a single train/test accuracy.
     """
-    x_train, y_train, n_train = _features_cached(
-        corpus, config, config.train_condition, workers,
-        feature_cache_dir, cache_tag)
+    x_train, y_train = _features_cached(
+        corpus, config, config.train_condition, feature_cache_dir, cache_tag)
     if config.train_condition == config.test_condition:
         plan = make_fold_plan(y_train, k1=config.k1, k2=config.k2, seed=config.seed)
         cv = run_nested_cv(x_train, y_train, plan)
         return ExperimentReport(
-            config=config, cv=cv, n_epochs=n_train,
+            config=config, cv=cv, n_epochs=len(y_train),
             n_subjects=len(cv.class_order),
         )
 
-    x_test, y_test, n_test = _features_cached(
-        corpus, config, config.test_condition, workers,
-        feature_cache_dir, cache_tag)
+    x_test, y_test = _features_cached(
+        corpus, config, config.test_condition, feature_cache_dir, cache_tag)
     train_subjects = set(y_train.tolist())
     missing = [s for s in set(y_test.tolist()) if s not in train_subjects]
     if missing:
@@ -419,7 +404,7 @@ def run_experiment(corpus, config: ExperimentConfig, workers: int = 1,
         grid_audits=[audit],
     )
     return ExperimentReport(
-        config=config, cv=cv, n_epochs=n_train + n_test,
+        config=config, cv=cv, n_epochs=len(y_train) + len(y_test),
         n_subjects=len(class_order), mismatched=True,
     )
 

@@ -32,7 +32,6 @@ class WeightedGraph:
     """Undirected weighted graph as a symmetric non-negative matrix."""
 
     weights: np.ndarray
-    node_labels: tuple = ()
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -45,8 +44,6 @@ class WeightedGraph:
         w = w.copy()
         np.fill_diagonal(w, 0.0)
         object.__setattr__(self, "weights", w)
-        if self.node_labels and len(self.node_labels) != w.shape[0]:
-            raise ValueError("node_labels length must match node count")
 
     @property
     def n(self):

@@ -325,13 +325,6 @@ def load_matrix(stream, sampling_rate_hz, channel_names,
     )
 
 
-def save_matrix(rec: EegRecording, fh):
-    """Write a recording in the plain matrix format (inverse of load_matrix)."""
-    for row in rec.data:
-        fh.write(" ".join(repr(float(v)) for v in row))
-        fh.write("\n")
-
-
 # --- channel selection and corpus assembly ---------------------------------
 
 def select_channels(rec: EegRecording, channel_set: ChannelSet) -> EegRecording:

@@ -36,16 +36,6 @@ class SvmHyperparams:
             raise ValueError("c and gamma must be positive")
 
 
-def rbf_kernel(x, y, gamma) -> float:
-    """exp(-gamma * ||x - y||^2)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"shapes {x.shape} and {y.shape} differ")
-    d = x - y
-    return float(np.exp(-gamma * np.dot(d, d)))
-
-
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances D[i, j] = ||a_i - b_j||^2, clipped at 0."""
     sq = (
@@ -323,12 +313,6 @@ def decision_values(model: MulticlassSvmModel, x) -> np.ndarray:
     """(n, n_classes) matrix of per-class decision values."""
     xs = apply_standardizer(model.standardizer, np.atleast_2d(np.asarray(x, dtype=float)))
     return np.column_stack([m.decision(xs) for m in model.models])
-
-
-def predict(model: MulticlassSvmModel, x):
-    """Label of a single feature vector; ties break by class sort order."""
-    values = decision_values(model, x)[0]
-    return model.classes[int(np.argmax(values))]
 
 
 def predict_batch(model: MulticlassSvmModel, x) -> list:

@@ -1,4 +1,5 @@
-"""Scripted EDF writer and decoder, independent of the package parser.
+"""Scripted EDF writer and decoder, independent of the package parser, and
+a writer of the plain matrix format.
 
 Used as the round-trip / calibration oracle: the writer emits spec-layout
 EDF bytes directly, the decoder re-reads them with its own arithmetic.
@@ -64,3 +65,10 @@ def decode_calibrated(digital, phys_min, phys_max, dig_min, dig_max):
     """Independent linear-calibration arithmetic for expected physical values."""
     digital = np.asarray(digital, dtype=float)
     return (digital - dig_min) / (dig_max - dig_min) * (phys_max - phys_min) + phys_min
+
+
+def save_matrix(rec, fh):
+    """Write a recording in the plain matrix format that load_matrix reads."""
+    for row in rec.data:
+        fh.write(" ".join(repr(float(v)) for v in row))
+        fh.write("\n")

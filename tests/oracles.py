@@ -231,6 +231,15 @@ def clustering_loop(w):
 # --- svm ---------------------------------------------------------------------
 
 
+def rbf_loop(a, b, gamma):
+    """K[i, j] = exp(-gamma * sum_k (a_ik - b_jk)^2), one entry at a time."""
+    out = np.zeros((len(a), len(b)))
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i, j] = math.exp(-gamma * sum((p - q) ** 2 for p, q in zip(u, v)))
+    return out
+
+
 def kkt_violations(x, y, alphas, bias, c, gamma):
     """Per-point KKT residuals for the soft-margin dual solution.
 

@@ -15,6 +15,7 @@ import pytest
 from eegid import cli, connectivity, dsp, evaluation as ev, graph, io_ingest, svm, synth
 
 from conftest import make_recording
+from edf_tools import save_matrix
 from oracles import (
     betweenness_loop,
     clustering_loop,
@@ -249,7 +250,7 @@ def test_criterion_9_determinism(capsys, tmp_path):
     for rec in corpus:
         path = tmp_path / f"{rec.subject_id}.txt"
         with open(path, "w", encoding="utf-8") as fh:
-            io_ingest.save_matrix(rec, fh)
+            save_matrix(rec, fh)
         entries.append({
             "path": path.name, "format": "matrix",
             "subject_id": rec.subject_id, "dataset_id": "synth",

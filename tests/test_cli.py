@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegid import cli, io_ingest, synth
+from eegid import cli, synth
+from eegid.io_ingest import load_manifest
 
-from edf_tools import write_edf
+from edf_tools import save_matrix, write_edf
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +24,7 @@ def workspace(tmp_path_factory):
     for rec in corpus:
         path = root / f"{rec.subject_id}.txt"
         with open(path, "w", encoding="utf-8") as fh:
-            io_ingest.save_matrix(rec, fh)
+            save_matrix(rec, fh)
         entries.append({
             "path": path.name,
             "format": "matrix",
@@ -101,7 +102,8 @@ class TestIngest:
         doc["entries"][1][field] = value
         changed = tmp_path / "changed.json"
         changed.write_text(json.dumps(doc))
-        assert cli._corpus_hash(base) != cli._corpus_hash(changed)
+        assert (cli._corpus_hash(load_manifest(base))
+                != cli._corpus_hash(load_manifest(changed)))
 
     def test_missing_manifest(self, tmp_path, capsys):
         code = cli.main(["ingest", "--manifest", str(tmp_path / "nope.json"),
@@ -299,6 +301,54 @@ class TestEvaluate:
                          "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_USAGE
         assert "empty" in capsys.readouterr().err
+
+    @staticmethod
+    def _evaluate(workspace, tmp_path, **keys):
+        root, manifest = workspace
+        config = tmp_path / "run.json"
+        doc = {"manifest": str(manifest), "bands": ["gamma"], "metrics": ["PLV"],
+               "epoch_lengths_s": [2.0], "k1": 5, "k2": 2, "seed": 0,
+               "cache_dir": str(root / "cache")}
+        config.write_text(json.dumps({**doc, **keys}))
+        return cli.main(["evaluate", "--config", str(config),
+                         "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("bands", ["gamma", "gama"], "'gama'"),
+        ("metrics", ["PLV", "PLX"], "'PLX'"),
+        ("gb_metrics", [None, "BX"], "'BX'"),
+    ])
+    def test_unknown_name_rejected_before_any_work(self, workspace, tmp_path, capsys,
+                                                   key, value, named):
+        assert self._evaluate(workspace, tmp_path, **{key: value}) == cli.EXIT_USAGE
+        assert named in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_unknown_key_rejected(self, workspace, tmp_path, capsys):
+        code = self._evaluate(workspace, tmp_path, epoch_length_s=[2.0])
+        assert code == cli.EXIT_USAGE
+        assert "'epoch_length_s'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_workers_other_than_one_rejected(self, workspace, tmp_path, capsys):
+        assert self._evaluate(workspace, tmp_path, workers=2) == cli.EXIT_USAGE
+        assert "'workers' was removed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_workers_one_still_accepted(self, workspace, tmp_path):
+        assert self._evaluate(workspace, tmp_path, workers=1) == cli.EXIT_OK
+        assert (tmp_path / "out" / "rollup.csv").exists()
+
+    @pytest.mark.parametrize("command", ["features", "evaluate"])
+    def test_workers_flag_removed(self, workspace, tmp_path, command):
+        root, manifest = workspace
+        argv = {"features": ["features", "--manifest", str(manifest),
+                             "--out", str(tmp_path / "x.csv"),
+                             "--band", "gamma", "--metric", "PLV"],
+                "evaluate": ["evaluate", "--config", str(tmp_path / "run.json"),
+                             "--out", str(tmp_path / "out")]}[command]
+        assert cli.main(argv + ["--workers", "2"]) == cli.EXIT_USAGE
 
     def test_report_rebuilds_rollup(self, workspace, run_config, tmp_path):
         out = tmp_path / "reports"

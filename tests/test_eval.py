@@ -325,13 +325,6 @@ class TestExperiment:
         with pytest.raises(DegenerateVariance, match=r"\[2\] in epoch 9 \[synth/S001\]"):
             ev.epoch_features(epochs, labels, "COR")
 
-    def test_parallel_features_match_serial(self, small_corpus):
-        config = ev.ExperimentConfig(metric="PLV", band="gamma")
-        epochs, labels, _ = ev.band_epochs(small_corpus, config, "resting")
-        serial = ev.epoch_features(epochs[:8], labels[:8], "PLV", workers=1)
-        parallel = ev.epoch_features(epochs[:8], labels[:8], "PLV", workers=2)
-        np.testing.assert_array_equal(serial, parallel)
-
     def test_missing_condition(self, small_corpus):
         config = ev.ExperimentConfig(metric="PLV", band="gamma")
         with pytest.raises(MissingCondition):
@@ -395,12 +388,12 @@ class TestExperiment:
                                    epoch_length_s=2.0)
         changed = ev.ExperimentConfig(metric="COR", band="gamma",
                                       epoch_length_s=2.0, **{field: value})
-        ev._features_cached(small_corpus, base, "resting", 1,
+        ev._features_cached(small_corpus, base, "resting",
                             cache_dir=tmp_path, cache_tag="t1")
-        x, _, _ = ev._features_cached(small_corpus, changed, "resting", 1,
-                                      cache_dir=tmp_path, cache_tag="t1")
+        x, _ = ev._features_cached(small_corpus, changed, "resting",
+                                   cache_dir=tmp_path, cache_tag="t1")
         assert len(list(tmp_path.glob("features-*.npz"))) == 2
-        cold, _, _ = ev._features_cached(small_corpus, changed, "resting", 1)
+        cold, _ = ev._features_cached(small_corpus, changed, "resting")
         np.testing.assert_array_equal(x, cold)
 
     def test_config_name(self):

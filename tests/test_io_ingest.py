@@ -30,13 +30,12 @@ from eegid.io_ingest import (
     load_manifest,
     load_matrix,
     parse_edf,
-    save_matrix,
     select_channels,
     window_recording,
 )
 
 from conftest import make_recording
-from edf_tools import decode_calibrated, write_edf
+from edf_tools import decode_calibrated, save_matrix, write_edf
 
 
 # two signals, two 1 s records at 10 Hz; 256 + 2 x 256 header bytes

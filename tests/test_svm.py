@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from eegid import svm
 from eegid.errors import DimensionMismatch, SingleClassInput, TooFewClasses, TooFewRows
 
-from oracles import dual_objective, kkt_violations, smo_scalar
+from oracles import dual_objective, kkt_violations, rbf_loop, smo_scalar
 
 
 def blobs(rng, centers, per_class=10, spread=0.1):
@@ -21,35 +21,27 @@ def blobs(rng, centers, per_class=10, spread=0.1):
 
 class TestRbfKernel:
     def test_zero_distance(self):
-        assert svm.rbf_kernel([1.0, 2.0], [1.0, 2.0], gamma=0.5) == 1.0
+        x = np.array([[1.0, 2.0]])
+        assert svm._rbf_cross(x, x, gamma=0.5)[0, 0] == 1.0
+        assert rbf_loop(x, x, gamma=0.5)[0, 0] == 1.0
 
     def test_unit_distance(self):
         # ||x - y||^2 = 1, gamma = 1 -> e^-1
-        assert svm.rbf_kernel([0.0], [1.0], gamma=1.0) == pytest.approx(
-            math.exp(-1.0), abs=1e-15)
-        assert svm.rbf_kernel([0.0], [1.0], gamma=1.0) == pytest.approx(
-            0.36787944117144233, abs=1e-15)
+        k = svm._rbf_cross(np.array([[0.0]]), np.array([[1.0]]), gamma=1.0)[0, 0]
+        assert k == pytest.approx(math.exp(-1.0), abs=1e-15)
+        assert k == pytest.approx(0.36787944117144233, abs=1e-15)
 
     def test_symmetry_and_range(self, rng):
-        for _ in range(20):
-            a = rng.standard_normal(5)
-            b = rng.standard_normal(5)
-            k = svm.rbf_kernel(a, b, gamma=0.1)
-            assert k == svm.rbf_kernel(b, a, gamma=0.1)
-            assert 0.0 < k <= 1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            svm.rbf_kernel([1.0, 2.0], [1.0], gamma=1.0)
+        x = rng.standard_normal((20, 5))
+        k = svm._rbf_cross(x, x, gamma=0.1)
+        np.testing.assert_allclose(k, k.T, rtol=0, atol=1e-15)
+        assert np.all((k > 0.0) & (k <= 1.0))
 
     def test_cross_block_matches_scalar(self, rng):
         a = rng.standard_normal((4, 3))
         b = rng.standard_normal((5, 3))
-        block = svm._rbf_cross(a, b, gamma=0.7)
-        for i in range(4):
-            for j in range(5):
-                assert block[i, j] == pytest.approx(
-                    svm.rbf_kernel(a[i], b[j], gamma=0.7), abs=1e-12)
+        np.testing.assert_allclose(svm._rbf_cross(a, b, gamma=0.7),
+                                   rbf_loop(a, b, gamma=0.7), rtol=0, atol=1e-12)
 
 
 class TestStandardizer:
@@ -291,7 +283,7 @@ class TestOvr:
         x, labels = blobs(rng, [(0.0, 0.0), (3.0, 3.0)], per_class=10)
         model = svm.train_ovr(x, labels, svm.SvmHyperparams(c=10.0, gamma=0.5))
         batch = svm.predict_batch(model, x)
-        singles = [svm.predict(model, row) for row in x]
+        singles = [svm.predict_batch(model, row)[0] for row in x]
         assert batch == singles
 
     @given(st.integers(0, 2**32 - 1))
