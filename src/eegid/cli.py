@@ -22,7 +22,7 @@ from .errors import (
     NoConvergence,
     UnstableDesign,
 )
-from .io_ingest import build_corpus, load_manifest
+from .io_ingest import CONDITIONS, build_corpus, load_manifest
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -125,15 +125,15 @@ _RUN_CONFIG_DEFAULTS = {
 
 
 def _load_run_config(path):
+    """The run config with defaults filled in; a non-object is returned as is."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        return doc
     for key, value in _RUN_CONFIG_DEFAULTS.items():
         doc.setdefault(key, value)
     base = Path(path).parent
-    manifest = Path(doc["manifest"])
-    if not manifest.is_absolute():
-        manifest = base / manifest
-    doc["manifest"] = str(manifest)
+    doc["manifest"] = str(base / doc["manifest"])  # an absolute path replaces base
     doc.setdefault("cache_dir", str(base / "cache"))
     return doc
 
@@ -150,9 +150,7 @@ def _grid_configs(doc, args):
                                 epoch_length_s=float(length),
                                 train_condition=train_cond,
                                 test_condition=test_cond,
-                                seed=int(doc["seed"]),
-                                k1=int(doc["k1"]),
-                                k2=int(doc["k2"]),
+                                seed=doc["seed"], k1=doc["k1"], k2=doc["k2"],
                                 filter_order=args.filter_order,
                                 notch_hz=args.notch_hz,
                                 notch_q=args.notch_q,
@@ -162,6 +160,8 @@ def _grid_configs(doc, args):
 def _run_config_problem(doc):
     """Usage message for a run config that cannot run as written, or None.
     A legacy `"workers": 1` is accepted: every run is one process now."""
+    if not isinstance(doc, dict):
+        return f"run config must be a JSON object, not {type(doc).__name__}"
     if doc.get("workers", 1) != 1:
         return "run-config key 'workers' was removed: features are computed in one process"
     known = {"manifest", "bands", "metrics", "cache_dir", "workers", *_RUN_CONFIG_DEFAULTS}
@@ -170,6 +170,23 @@ def _run_config_problem(doc):
         return f"unknown run-config key(s): {', '.join(map(repr, unknown))}"
     if not doc.get("bands") or not doc.get("metrics"):
         return "experiment grid is empty: config needs non-empty bands and metrics"
+    for key in ("bands", "metrics", "gb_metrics", "epoch_lengths_s", "channel_policies",
+                "conditions"):
+        if not isinstance(doc[key], (list, tuple)):
+            return f"run-config key {key!r} must be a list, not {doc[key]!r}"
+    for pair in doc["conditions"]:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(name in CONDITIONS for name in pair)):
+            return f"condition pair {pair!r} is not two of {', '.join(CONDITIONS)}"
+    # exact types: JSON true and false load as bool, a subclass of int
+    for length in doc["epoch_lengths_s"]:
+        if type(length) not in (int, float) or not 0 < length < np.inf:
+            return f"epoch length {length!r} is not a positive number of seconds"
+    for key in ("seed", "k1", "k2"):
+        if type(doc[key]) is not int:
+            return f"run-config key {key!r} must be an integer, not {doc[key]!r}"
+        if key != "seed" and doc[key] < 2:
+            return f"run-config key {key!r} must be at least 2, not {doc[key]}"
     return _unknown_name(doc["bands"], doc["metrics"], doc["gb_metrics"])
 
 
@@ -178,10 +195,12 @@ def cmd_evaluate(args) -> int:
     if problem := _run_config_problem(doc):
         _log(problem)
         return EXIT_USAGE
+    # build every config first, so that no bad value is met mid-sweep
+    configs = list(_grid_configs(doc, args))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
-    for policy, config in _grid_configs(doc, args):
+    for policy, config in configs:
         corpus, digest, _ = _cached_corpus(doc["manifest"], doc["cache_dir"],
                                            channel_policy=policy)
         _log(f"running {config.name()} [{policy or 'manifest policy'}]")

@@ -110,7 +110,7 @@ def grid_search(x, labels, k2=3, grid=GRID, seed=0):
         for params, model in svm.train_ovr_grid(x[train_idx], labels[train_idx], grid):
             preds = svm.predict_batch(model, x[val_idx])
             accs[params].append(_accuracy(truth, preds))
-            converged.extend(m.converged for m in model.models)
+            converged.extend(model.converged)
     _report_nonconverged(converged, "grid search")
     audit = {params: float(np.mean(a)) for params, a in accs.items()}
     # sorted() is stable: ordering by (-accuracy, C, gamma) implements the
@@ -121,7 +121,7 @@ def grid_search(x, labels, k2=3, grid=GRID, seed=0):
 
 def _report_nonconverged(converged, where):
     """One stderr line if any binary SVM stopped short of svm.KKT_TOL."""
-    failed = converged.count(False)
+    failed = len(converged) - int(np.count_nonzero(converged))
     if failed:
         print(f"warning: SMO did not converge in {failed} of {len(converged)} binary "
               f"SVMs ({where})", file=sys.stderr)
@@ -196,8 +196,7 @@ def run_nested_cv(x, labels, plan: FoldPlan, grid=GRID) -> CvReport:
             seed=plan.seed + held + 1,
         )
         model = svm.train_ovr(x[train_idx], labels[train_idx], params)
-        _report_nonconverged([m.converged for m in model.models],
-                             f"final fit, outer fold {held}")
+        _report_nonconverged(model.converged, f"final fit, outer fold {held}")
         preds = svm.predict_batch(model, x[test_idx])
         truth = labels[test_idx].tolist()
         fold_accs.append(_accuracy(truth, preds))
@@ -388,7 +387,7 @@ def run_experiment(corpus, config: ExperimentConfig,
         )
     params, audit = grid_search(x_train, y_train, k2=config.k2, seed=config.seed + 1)
     model = svm.train_ovr(x_train, y_train, params)
-    _report_nonconverged([m.converged for m in model.models], "final fit")
+    _report_nonconverged(model.converged, "final fit")
     preds = svm.predict_batch(model, x_test)
     truth = y_test.tolist()
     acc = _accuracy(truth, preds)

@@ -4,20 +4,18 @@ A training set is standardized once and its squared-distance matrix built
 once.  Each gamma then takes one full Gram matrix, and all (C, class) binary
 problems of that gamma are solved by one working-set SMO run in lockstep: each
 step moves every unfinished problem's maximal KKT-violating pair analytically.
+A model stores the standardized training matrix once, a class x row matrix of
+dual coefficients (zero off the support vectors) and per-class bias and
+converged vectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    SingleClassInput,
-    TooFewClasses,
-    TooFewRows,
-)
+from .errors import DimensionMismatch, SingleClassInput, TooFewClasses, TooFewRows
 
 KKT_TOL = 1e-3
 MAX_SMO_ITER = 1_000_000
@@ -91,34 +89,13 @@ def apply_standardizer(s: Standardizer, x: np.ndarray) -> np.ndarray:
 # --- binary SMO -------------------------------------------------------------
 
 
-@dataclass
-class BinarySvmModel:
-    """Binary decision function sum_i alpha_i y_i k(x_i, .) + bias."""
+def train_binary_smo(x, y, params: SvmHyperparams):
+    """Solve the binary soft-margin dual by SMO; returns (alphas, bias, converged).
 
-    support_vectors: np.ndarray
-    dual_coef: np.ndarray  # alpha_i * y_i for the support vectors
-    bias: float
-    params: SvmHyperparams
-    converged: bool = True
-    alphas: np.ndarray = field(default=None, repr=False)  # full-length, for audits
-
-    def decision(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.support_vectors.shape[1]:
-            raise DimensionMismatch(
-                f"feature dimension {x.shape[1]} != model "
-                f"{self.support_vectors.shape[1]}"
-            )
-        k = _rbf_cross(x, self.support_vectors, self.params.gamma)
-        return k @ self.dual_coef + self.bias
-
-
-def train_binary_smo(x, y, params: SvmHyperparams) -> BinarySvmModel:
-    """Solve the binary soft-margin dual by SMO.
-
-    y must be -1/+1 with both classes present.  Stops at maximal KKT
-    violation < 1e-3 or after 10^6 pair updates; the latter sets
-    converged=False on the returned model instead of raising.
+    y must be -1/+1 with both classes present.  The decision function is
+    sum_i alphas_i y_i k(x_i, .) + bias.  Stops at maximal KKT violation
+    < 1e-3 or after 10^6 pair updates; the latter returns converged=False
+    instead of raising.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -131,7 +108,7 @@ def train_binary_smo(x, y, params: SvmHyperparams) -> BinarySvmModel:
         raise ValueError("y must be -1/+1")
     alphas, f, converged = _smo(_rbf_cross(x, x, params.gamma), y[None, :],
                                 np.array([params.c]))
-    return _binary_model(x, y, alphas[0], f[0], params, bool(converged[0]))
+    return alphas[0], _bias(y, alphas[0], f[0], params.c), bool(converged[0])
 
 
 def _pair_update(kernel, y, c, alphas, f, i, j) -> np.ndarray:
@@ -238,30 +215,18 @@ def _smo(kernel, y, c):
     return alphas, f, converged
 
 
-def _binary_model(x, y, alphas, f, params: SvmHyperparams,
-                  converged: bool) -> BinarySvmModel:
-    """Bias and support vectors of one solved problem on training rows x."""
-    c = params.c
+def _bias(y, alphas, f, c) -> float:
+    """Bias of one solved problem: the mean of y - f over free alphas, else
+    the midpoint of the KKT bounds."""
     free = (alphas > 1e-12) & (alphas < c - 1e-12)
     if np.any(free):
-        bias = float(np.mean((y - f)[free]))
-    else:
-        up = ((y > 0) & (alphas < c)) | ((y < 0) & (alphas > 0))
-        low = ((y < 0) & (alphas < c)) | ((y > 0) & (alphas > 0))
-        g = y - f
-        hi = np.max(np.where(up, g, -np.inf))
-        lo = np.min(np.where(low, g, np.inf))
-        bias = float((hi + lo) / 2.0)
-
-    sv = alphas > 1e-12
-    return BinarySvmModel(
-        support_vectors=x[sv],
-        dual_coef=(alphas * y)[sv],
-        bias=bias,
-        params=params,
-        converged=converged,
-        alphas=alphas,
-    )
+        return float(np.mean((y - f)[free]))
+    up = ((y > 0) & (alphas < c)) | ((y < 0) & (alphas > 0))
+    low = ((y < 0) & (alphas < c)) | ((y > 0) & (alphas > 0))
+    g = y - f
+    hi = np.max(np.where(up, g, -np.inf))
+    lo = np.min(np.where(low, g, np.inf))
+    return float((hi + lo) / 2.0)
 
 
 # --- one-vs-rest multiclass --------------------------------------------------
@@ -269,13 +234,19 @@ def _binary_model(x, y, alphas, f, params: SvmHyperparams,
 
 @dataclass
 class MulticlassSvmModel:
+    """Class k decides by sum_i dual_coef[k, i] k(train_i, .) + bias[k]."""
+
     classes: tuple  # sorted label order; also the tie-break order
-    models: tuple   # one BinarySvmModel per class
     standardizer: Standardizer
+    params: SvmHyperparams
+    train: np.ndarray      # (n, d) standardized training rows, shared by a grid
+    dual_coef: np.ndarray  # (n_classes, n) alpha_i y_i, 0 where alpha_i <= 1e-12
+    bias: np.ndarray       # (n_classes,)
+    converged: np.ndarray  # (n_classes,) bool
 
 
 def train_ovr(x, labels, params: SvmHyperparams) -> MulticlassSvmModel:
-    """Train one binary model per class on standardized features."""
+    """Train one binary problem per class on standardized features."""
     [(_, model)] = train_ovr_grid(x, labels, (params,))
     return model
 
@@ -285,8 +256,8 @@ def train_ovr_grid(x, labels, grid):
 
     Standardizer and squared distances are computed once; each distinct
     gamma takes one Gram matrix and one lockstep SMO over all its (C, class)
-    problems.  Points come grouped by gamma, and each point's models (which
-    hold copies of their support vectors) are built only when it is reached.
+    problems.  Points come grouped by gamma, and all models share the one
+    standardized training matrix.
     """
     labels = np.asarray(labels)
     classes = tuple(sorted(set(labels.tolist())))
@@ -301,18 +272,26 @@ def train_ovr_grid(x, labels, grid):
         group = [p for p in points if p.gamma == gamma]
         # problem rows are point-major, class-minor; each point takes the
         # next len(classes) rows
-        solved = zip(*_smo(np.exp(-gamma * sq), np.tile(ys, (len(group), 1)),
-                           np.repeat([p.c for p in group], len(classes))))
-        for params in group:
-            binary = tuple(_binary_model(xs, y, a, f, params, bool(ok))
-                           for y, (a, f, ok) in zip(ys, solved))
-            yield params, MulticlassSvmModel(classes, binary, standardizer)
+        y = np.tile(ys, (len(group), 1))
+        alphas, f, converged = _smo(np.exp(-gamma * sq), y,
+                                    np.repeat([p.c for p in group], len(classes)))
+        coef = np.where(alphas > 1e-12, alphas * y, 0.0)
+        for k, params in enumerate(group):
+            rows = slice(k * len(classes), (k + 1) * len(classes))
+            bias = np.array([_bias(*problem, params.c)
+                             for problem in zip(y[rows], alphas[rows], f[rows])])
+            yield params, MulticlassSvmModel(classes, standardizer, params, xs,
+                                             coef[rows], bias, converged[rows])
 
 
 def decision_values(model: MulticlassSvmModel, x) -> np.ndarray:
-    """(n, n_classes) matrix of per-class decision values."""
+    """(n, n_classes) decision values; each class's kernel spans only its own
+    support vectors, the rows where its coefficient is nonzero."""
     xs = apply_standardizer(model.standardizer, np.atleast_2d(np.asarray(x, dtype=float)))
-    return np.column_stack([m.decision(xs) for m in model.models])
+    return np.column_stack([
+        _rbf_cross(xs, model.train[sv], model.params.gamma) @ coef[sv] + bias
+        for coef, bias, sv in zip(model.dual_coef, model.bias, model.dual_coef != 0.0)
+    ])
 
 
 def predict_batch(model: MulticlassSvmModel, x) -> list:

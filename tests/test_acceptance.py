@@ -110,9 +110,10 @@ def test_criterion_3_svm_kkt_and_ovr(capsys):
         y[0], y[1] = 1.0, -1.0
         c = float(rng.choice(svm.DEFAULT_C_GRID))
         gamma = float(rng.choice(svm.DEFAULT_GAMMA_GRID))
-        model = svm.train_binary_smo(x, y, svm.SvmHyperparams(c=c, gamma=gamma))
-        ok &= model.converged
-        ok &= kkt_violations(x, y, model.alphas, model.bias, c, gamma) <= svm.KKT_TOL + 1e-9
+        alphas, bias, converged = svm.train_binary_smo(
+            x, y, svm.SvmHyperparams(c=c, gamma=gamma))
+        ok &= converged
+        ok &= kkt_violations(x, y, alphas, bias, c, gamma) <= svm.KKT_TOL + 1e-9
     centers = [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0), (5.0, 5.0)]
     x, labels = [], []
     for k, center in enumerate(centers):

@@ -325,6 +325,33 @@ class TestEvaluate:
         out = tmp_path / "out"
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("conditions", [["resting", "resting"], ["resting"]], "['resting']"),
+        ("conditions", [["resting", "resting"], ["rest", "rest"]], "['rest', 'rest']"),
+        ("epoch_lengths_s", [2.0, 0], "epoch length 0"),
+        ("epoch_lengths_s", [2.0, "4"], "epoch length '4'"),
+        ("seed", "0", "'seed'"),
+        ("k1", 1, "'k1'"),
+        ("k2", 2.5, "'k2'"),
+        ("conditions", "resting", "'conditions'"),
+    ], ids=["short-pair", "unknown-condition", "zero-length", "string-length",
+            "string-seed", "k1-below-2", "fractional-k2", "conditions-not-a-list"])
+    def test_bad_value_rejected_before_any_work(self, workspace, tmp_path, capsys,
+                                                key, value, named):
+        assert self._evaluate(workspace, tmp_path, **{key: value}) == cli.EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc", [[], "run", 3, None])
+    def test_config_not_an_object_is_usage_error(self, tmp_path, capsys, doc):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(doc))
+        code = cli.main(["evaluate", "--config", str(config),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert "must be a JSON object" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
     def test_unknown_key_rejected(self, workspace, tmp_path, capsys):
         code = self._evaluate(workspace, tmp_path, epoch_length_s=[2.0])
         assert code == cli.EXIT_USAGE

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -74,15 +75,27 @@ def train_ovr_scalar(x, labels, params):
     standardizer = svm.fit_standardizer(x)
     xs = svm.apply_standardizer(standardizer, x)
     kernel = svm._rbf_cross(xs, xs, params.gamma)
-    models = []
+    coefs, biases, converged = [], [], []
     for cls in classes:
         y = np.where(labels == cls, 1.0, -1.0)
-        alphas, _, bias, converged = smo_scalar(kernel, y, params.c)
-        sv = alphas > 1e-12
-        models.append(svm.BinarySvmModel(
-            support_vectors=xs[sv], dual_coef=(alphas * y)[sv], bias=bias,
-            params=params, converged=converged, alphas=alphas))
-    return svm.MulticlassSvmModel(classes, tuple(models), standardizer)
+        alphas, _, bias, ok = smo_scalar(kernel, y, params.c)
+        coefs.append(np.where(alphas > 1e-12, alphas * y, 0.0))
+        biases.append(bias)
+        converged.append(ok)
+    return svm.MulticlassSvmModel(classes, standardizer, params, xs, np.array(coefs),
+                                  np.array(biases), np.array(converged))
+
+
+def model_arrays(obj):
+    """Every numpy array reachable from a model through fields and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from model_arrays(getattr(obj, f.name))
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from model_arrays(item)
 
 
 def grid_search_per_point(x, labels, k2, grid, seed):
@@ -131,11 +144,28 @@ class TestGridSearch:
             assert one.classes == many.classes
             assert np.array_equal(one.standardizer.means, many.standardizer.means)
             assert np.array_equal(one.standardizer.stds, many.standardizer.stds)
-            for a, b in zip(one.models, many.models, strict=True):
-                assert np.array_equal(a.alphas, b.alphas)
-                assert np.array_equal(a.support_vectors, b.support_vectors)
-                assert np.array_equal(a.dual_coef, b.dual_coef)
-                assert (a.bias, a.converged, a.params) == (b.bias, b.converged, b.params)
+            assert one.params == many.params == params
+            assert np.array_equal(one.train, many.train)
+            for name in ("dual_coef", "bias", "converged"):
+                a, b = getattr(one, name), getattr(many, name)
+                assert a.shape[0] == len(one.classes), name
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_grid_models_share_one_training_matrix(self, rng):
+        # 60 noisy features: at the larger gammas most training rows are
+        # support vectors of every class
+        n_classes = 6
+        x, labels = cluster_features(rng, n_classes, 5, dim=60, spread=3.0)
+        n, d = x.shape
+        # one training matrix, the standardizer's means and stds, and the
+        # float coefficient, float bias and bool converged arrays
+        bound = x.nbytes + 2 * d * 8 + n_classes * (n * 8 + 8 + 1)
+        models = [model for _, model in svm.train_ovr_grid(x, labels, ev.GRID)]
+        for model in models:
+            assert sum(a.nbytes for a in model_arrays(model)) <= bound
+        shared = models[0].train
+        assert shared.shape == x.shape
+        assert all(np.shares_memory(model.train, shared) for model in models)
 
     def test_nonconverged_models_reported(self, rng, monkeypatch, capsys):
         x, labels = cluster_features(rng, 3, 10, spread=1.0)

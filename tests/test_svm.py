@@ -69,13 +69,20 @@ class TestStandardizer:
             svm.apply_standardizer(s, rng.standard_normal((5, 4)))
 
 
+def binary_decision(x, y, alphas, bias, gamma, probe):
+    """sum_i alpha_i y_i k(x_i, probe) + bias over the support vectors."""
+    sv = alphas > 1e-12
+    return svm._rbf_cross(probe, x[sv], gamma) @ (alphas * y)[sv] + bias
+
+
 class TestBinarySmo:
     def test_separable_blobs_perfect(self, rng):
         x, labels = blobs(rng, [np.zeros(3), 3.0 * np.ones(3)], per_class=15)
         y = np.where(labels == "a", 1.0, -1.0)
-        model = svm.train_binary_smo(x, y, svm.SvmHyperparams(c=10.0, gamma=0.1))
-        assert model.converged
-        preds = np.sign(model.decision(x))
+        alphas, bias, converged = svm.train_binary_smo(
+            x, y, svm.SvmHyperparams(c=10.0, gamma=0.1))
+        assert converged
+        preds = np.sign(binary_decision(x, y, alphas, bias, 0.1, x))
         np.testing.assert_array_equal(preds, y)
 
     def test_single_class_rejected(self, rng):
@@ -93,9 +100,10 @@ class TestBinarySmo:
                 y[0] = -y[0]
             c = float(rng.choice([0.1, 1.0, 10.0]))
             gamma = float(rng.choice([1.0, 0.1]))
-            model = svm.train_binary_smo(x, y, svm.SvmHyperparams(c=c, gamma=gamma))
-            assert model.converged
-            worst = kkt_violations(x, y, model.alphas, model.bias, c, gamma)
+            alphas, bias, converged = svm.train_binary_smo(
+                x, y, svm.SvmHyperparams(c=c, gamma=gamma))
+            assert converged
+            worst = kkt_violations(x, y, alphas, bias, c, gamma)
             assert worst <= svm.KKT_TOL + 1e-9, f"trial {trial}: violation {worst}"
 
     def test_dual_feasibility(self, rng):
@@ -103,18 +111,18 @@ class TestBinarySmo:
         y = np.where(rng.uniform(size=30) < 0.5, 1.0, -1.0)
         y[0], y[1] = 1.0, -1.0
         c = 5.0
-        model = svm.train_binary_smo(x, y, svm.SvmHyperparams(c=c, gamma=0.5))
-        assert np.all(model.alphas >= -1e-12)
-        assert np.all(model.alphas <= c + 1e-12)
-        assert abs(np.dot(model.alphas, y)) < 1e-6
+        alphas, _, _ = svm.train_binary_smo(x, y, svm.SvmHyperparams(c=c, gamma=0.5))
+        assert np.all(alphas >= -1e-12)
+        assert np.all(alphas <= c + 1e-12)
+        assert abs(np.dot(alphas, y)) < 1e-6
 
     def test_dual_objective_beats_random_feasible(self, rng):
         x = rng.standard_normal((20, 2))
         y = np.where(rng.uniform(size=20) < 0.5, 1.0, -1.0)
         y[0], y[1] = 1.0, -1.0
         c, gamma = 1.0, 0.5
-        model = svm.train_binary_smo(x, y, svm.SvmHyperparams(c=c, gamma=gamma))
-        best = dual_objective(x, y, model.alphas, gamma)
+        alphas, _, _ = svm.train_binary_smo(x, y, svm.SvmHyperparams(c=c, gamma=gamma))
+        best = dual_objective(x, y, alphas, gamma)
         n_pos = int(np.sum(y > 0))
         n_neg = 20 - n_pos
         for _ in range(200):
@@ -137,16 +145,17 @@ class TestBinarySmo:
                           spread=0.05)
         y = np.where(labels == "a", 1.0, -1.0)
         params = svm.SvmHyperparams(c=10.0, gamma=0.5)
-        base = svm.train_binary_smo(x, y, params)
-        margins = y * base.decision(x)
+        alphas, bias, _ = svm.train_binary_smo(x, y, params)
+        margins = y * binary_decision(x, y, alphas, bias, params.gamma, x)
         non_sv = int(np.argmax(margins))
-        assert base.alphas[non_sv] <= 1e-12
+        assert alphas[non_sv] <= 1e-12
         x2 = np.vstack([x, x[non_sv]])
         y2 = np.append(y, y[non_sv])
-        again = svm.train_binary_smo(x2, y2, params)
+        alphas2, bias2, _ = svm.train_binary_smo(x2, y2, params)
         probe = rng.standard_normal((20, 2))
-        np.testing.assert_allclose(again.decision(probe), base.decision(probe),
-                                   atol=1e-6)
+        np.testing.assert_allclose(
+            binary_decision(x2, y2, alphas2, bias2, params.gamma, probe),
+            binary_decision(x, y, alphas, bias, params.gamma, probe), atol=1e-6)
 
 
 def assert_matches_scalar(kernel, y, c):
@@ -158,10 +167,7 @@ def assert_matches_scalar(kernel, y, c):
         assert np.array_equal(alphas[p], a_ref), f"row {p}"
         assert np.array_equal(f[p], f_ref), f"row {p}"
         assert converged[p] == conv_ref, f"row {p}"
-        # the bias needs no feature rows; kernel rows stand in for them
-        params = svm.SvmHyperparams(c=float(c[p]), gamma=1.0)
-        model = svm._binary_model(kernel, y[p], alphas[p], f[p], params, converged[p])
-        assert model.bias == bias_ref, f"row {p}"
+        assert svm._bias(y[p], alphas[p], f[p], float(c[p])) == bias_ref, f"row {p}"
     return converged
 
 
@@ -237,18 +243,18 @@ class TestLockstepSmo:
         converged = assert_matches_scalar(kernel, random_labels(rng, 6, 20),
                                           np.array([0.1, 1.0, 10.0] * 2))
         assert not converged.any()
-        model = svm.train_binary_smo(x, random_labels(rng, 1, 20)[0],
-                                     svm.SvmHyperparams(c=1.0, gamma=0.1))
-        assert not model.converged
+        _, _, converged = svm.train_binary_smo(x, random_labels(rng, 1, 20)[0],
+                                               svm.SvmHyperparams(c=1.0, gamma=0.1))
+        assert not converged
 
     def test_binary_smo_is_the_p1_case(self, rng):
         x = rng.standard_normal((25, 3))
         y = random_labels(rng, 1, 25)[0]
         params = svm.SvmHyperparams(c=10.0, gamma=0.5)
-        model = svm.train_binary_smo(x, y, params)
+        alphas, bias, converged = svm.train_binary_smo(x, y, params)
         a_ref, _, bias_ref, conv_ref = smo_scalar(svm._rbf_cross(x, x, 0.5), y, 10.0)
-        assert np.array_equal(model.alphas, a_ref)
-        assert model.bias == bias_ref and model.converged == conv_ref
+        assert np.array_equal(alphas, a_ref)
+        assert bias == bias_ref and converged == conv_ref
 
 
 class TestOvr:
@@ -264,7 +270,8 @@ class TestOvr:
         x = rng.standard_normal((30, 15))
         labels = np.repeat([f"s{i}" for i in range(10)], 3)
         model = svm.train_ovr(x, labels, svm.SvmHyperparams(c=1.0, gamma=0.01))
-        assert len(model.models) == 10
+        assert model.dual_coef.shape == (10, 30)
+        assert model.bias.shape == model.converged.shape == (10,)
         assert svm.decision_values(model, x).shape == (30, 10)
 
     def test_too_few_classes(self, rng):
