@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import pickle
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,7 +21,8 @@ from .errors import (
     NoConvergence,
     UnstableDesign,
 )
-from .io_ingest import CONDITIONS, build_corpus, load_manifest
+from .channels import resolve_policy
+from .io_ingest import CONDITIONS, EegRecording, build_corpus, load_manifest
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,33 +45,37 @@ def _corpus_hash(manifest) -> str:
     return h.hexdigest()[:16]
 
 
-def _cached_corpus(manifest_path, cache_dir, channel_policy=None):
-    """Build (or reuse) the corpus cache; returns (corpus, hash, was_cached).
+def _pack_corpus(corpus) -> dict:
+    """npz arrays of a corpus: flat samples, per-recording shapes, other fields as JSON."""
+    meta = [{k: v for k, v in vars(rec).items() if k != "data"} for rec in corpus]
+    return {"data": np.concatenate([np.empty(0)] + [rec.data.ravel() for rec in corpus]),
+            "shapes": np.array([rec.data.shape for rec in corpus], dtype=int).reshape(-1, 2),
+            "meta": np.array([json.dumps(m) for m in meta])}
 
-    A cache file that cannot be read is rebuilt and overwritten.
-    """
+
+def _unpack_corpus(arrays) -> list:
+    shapes = arrays["shapes"]
+    chunks = np.split(arrays["data"], np.cumsum(shapes.prod(axis=1)))[:-1]
+    return [EegRecording(data=chunk.reshape(shape), **json.loads(str(meta)))
+            for chunk, shape, meta in zip(chunks, shapes, arrays["meta"], strict=True)]
+
+
+def _cached_corpus(manifest_path, cache_dir, channel_policy=None):
+    """Build (or reuse) the corpus cache; returns (corpus, hash, was_cached)."""
     manifest = load_manifest(manifest_path)
     if channel_policy is not None:
         manifest = replace(manifest, channel_policy=channel_policy)
     digest = _corpus_hash(manifest)
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    cache_file = cache_dir / f"corpus-{digest}.pkl"
-    if cache_file.exists():
-        try:
-            with open(cache_file, "rb") as fh:
-                return pickle.load(fh), digest, True
-        except evaluation.CACHE_READ_ERRORS as exc:
-            _log(f"rebuilding unreadable cache {cache_file.name}: {exc!r}")
-    corpus = build_corpus(manifest)
-    evaluation.write_atomic(cache_file, lambda fh: pickle.dump(corpus, fh))
-    return corpus, digest, False
+    corpus, cached = evaluation.load_or_build(
+        Path(cache_dir) / f"corpus-{digest}.npz",
+        lambda: _pack_corpus(build_corpus(manifest)), _unpack_corpus)
+    return corpus, digest, cached
 
 
 def cmd_ingest(args) -> int:
     corpus, digest, cached = _cached_corpus(args.manifest, args.out)
     if cached:
-        _log(f"cache hit: corpus-{digest}.pkl (no recompute)")
+        _log(f"cache hit: corpus-{digest}.npz (no recompute)")
     subjects = sorted({r.label for r in corpus})
     rates = sorted({r.sampling_rate_hz for r in corpus})
     _log(f"corpus {digest}: {len(corpus)} recordings, {len(subjects)} subjects, "
@@ -128,13 +132,9 @@ def _load_run_config(path):
     """The run config with defaults filled in; a non-object is returned as is."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict):
-        return doc
-    for key, value in _RUN_CONFIG_DEFAULTS.items():
-        doc.setdefault(key, value)
-    base = Path(path).parent
-    doc["manifest"] = str(base / doc["manifest"])  # an absolute path replaces base
-    doc.setdefault("cache_dir", str(base / "cache"))
+    if isinstance(doc, dict):
+        for key, value in _RUN_CONFIG_DEFAULTS.items():
+            doc.setdefault(key, value)
     return doc
 
 
@@ -168,6 +168,10 @@ def _run_config_problem(doc):
     unknown = sorted(set(doc) - known)
     if unknown:
         return f"unknown run-config key(s): {', '.join(map(repr, unknown))}"
+    if not isinstance(doc.get("manifest"), str):
+        return f"run config needs a 'manifest' path string, not {doc.get('manifest')!r}"
+    if not isinstance(doc.get("cache_dir", ""), str):
+        return f"run-config key 'cache_dir' must be a path string, not {doc['cache_dir']!r}"
     if not doc.get("bands") or not doc.get("metrics"):
         return "experiment grid is empty: config needs non-empty bands and metrics"
     for key in ("bands", "metrics", "gb_metrics", "epoch_lengths_s", "channel_policies",
@@ -178,6 +182,16 @@ def _run_config_problem(doc):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(name in CONDITIONS for name in pair)):
             return f"condition pair {pair!r} is not two of {', '.join(CONDITIONS)}"
+    for policy in doc["channel_policies"]:
+        if policy is None:
+            continue
+        if not (isinstance(policy, str) or isinstance(policy, list) and policy
+                and all(isinstance(name, str) for name in policy)):
+            return f"channel policy {policy!r} is not a name or a list of channel labels"
+        try:
+            resolve_policy(policy)
+        except ValueError as exc:
+            return str(exc)
     # exact types: JSON true and false load as bool, a subclass of int
     for length in doc["epoch_lengths_s"]:
         if type(length) not in (int, float) or not 0 < length < np.inf:
@@ -197,15 +211,17 @@ def cmd_evaluate(args) -> int:
         return EXIT_USAGE
     # build every config first, so that no bad value is met mid-sweep
     configs = list(_grid_configs(doc, args))
+    base = Path(args.config).parent
+    manifest = base / doc["manifest"]  # an absolute path replaces base
+    cache_dir = doc.get("cache_dir", base / "cache")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
     for policy, config in configs:
-        corpus, digest, _ = _cached_corpus(doc["manifest"], doc["cache_dir"],
-                                           channel_policy=policy)
+        corpus, digest, _ = _cached_corpus(manifest, cache_dir, channel_policy=policy)
         _log(f"running {config.name()} [{policy or 'manifest policy'}]")
         report = evaluation.run_experiment(
-            corpus, config, feature_cache_dir=doc["cache_dir"],
+            corpus, config, feature_cache_dir=cache_dir,
             cache_tag=f"{digest}-{policy or 'manifest'}",
         )
         stem = f"{policy or 'default'}_{config.name()}"

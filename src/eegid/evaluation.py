@@ -9,8 +9,8 @@ one seed recorded in the report.
 from __future__ import annotations
 
 import json
+import operator
 import os
-import pickle
 import sys
 import tempfile
 import zipfile
@@ -21,10 +21,6 @@ import numpy as np
 
 from . import connectivity, dsp, graph, svm
 from .errors import DegenerateVariance, InsufficientEpochs, MissingCondition, UnknownLabel
-
-# what reading a damaged or truncated npz or pickle cache file raises
-CACHE_READ_ERRORS = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile,
-                     pickle.UnpicklingError)
 
 GRID = tuple(
     svm.SvmHyperparams(c=c, gamma=g)
@@ -310,22 +306,31 @@ def band_epochs(corpus, config: ExperimentConfig, condition: str) -> tuple:
     return epochs, np.array(labels), np.array(provenance)
 
 
-def write_atomic(path, write):
-    """Create or replace `path` with what `write(fh)` writes to a binary file.
+def load_or_build(path, build, unpack):
+    """(unpack(arrays), was_cached) for the npz cache file `path` (a Path).
 
-    The bytes go to a temporary file in the same directory, which is then
-    renamed over `path`, so a reader never sees a partly written file.
+    A missing file is written from `build()`, a dict of arrays, to a temporary
+    file that is renamed over `path`; one that cannot be read or unpacked is
+    logged and rewritten.  Object arrays are refused, so loading runs no code.
     """
-    path = Path(path)
+    if path.exists():
+        try:
+            with np.load(path, allow_pickle=False) as blob:
+                return unpack(blob), True
+        # what a damaged, truncated or foreign npz file raises
+        except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+            print(f"rebuilding unreadable cache {path.name}: {exc!r}", file=sys.stderr)
+    arrays = build()
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            write(fh)
+            np.savez(fh, **arrays)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+    return unpack(arrays), False
 
 
 def _features_cached(corpus, config: ExperimentConfig, condition,
@@ -335,28 +340,20 @@ def _features_cached(corpus, config: ExperimentConfig, condition,
     The cache key combines the caller-supplied tag (corpus hash + channel
     policy) with band, metric, graph metric, epoch length, condition and the
     filter settings (band-pass order, notch frequency and Q), so classifier
-    sweeps reuse the expensive connectivity computation.  A cache file that
-    cannot be read is rebuilt.
+    sweeps reuse the expensive connectivity computation.
     """
+    def build():
+        epochs, labels, _ = band_epochs(corpus, config, condition)
+        return {"x": epoch_features(epochs, labels, config.metric, config.gb_metric),
+                "labels": labels}
+
+    unpack = operator.itemgetter("x", "labels")
+    if not (cache_dir and cache_tag):
+        return unpack(build())
     key = (f"features-{cache_tag}-{config.band}-{config.metric}-"
            f"{config.gb_metric or 'fc'}-{config.epoch_length_s:g}s-{condition}-"
            f"order{config.filter_order}-notch{config.notch_hz:g}-q{config.notch_q:g}")
-    cache_file = None
-    if cache_dir and cache_tag:
-        cache_file = Path(cache_dir) / f"{key}.npz"
-        if cache_file.exists():
-            try:
-                with np.load(cache_file, allow_pickle=False) as blob:
-                    x, labels = blob["x"], blob["labels"]
-                return x, labels
-            except CACHE_READ_ERRORS as exc:
-                print(f"rebuilding unreadable cache {cache_file.name}: {exc!r}",
-                      file=sys.stderr)
-    epochs, labels, _ = band_epochs(corpus, config, condition)
-    x = epoch_features(epochs, labels, config.metric, config.gb_metric)
-    if cache_file is not None:
-        write_atomic(cache_file, lambda fh: np.savez(fh, x=x, labels=labels))
-    return x, labels
+    return load_or_build(Path(cache_dir) / f"{key}.npz", build, unpack)[0]
 
 
 def run_experiment(corpus, config: ExperimentConfig,

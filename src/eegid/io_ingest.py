@@ -291,7 +291,8 @@ def load_matrix(stream, sampling_rate_hz, channel_names,
     """Read a delimiter-separated numeric matrix, one channel per line.
 
     `stream` is an iterable of text lines (an open file works).  Commas and
-    whitespace both act as delimiters.
+    whitespace both act as delimiters.  A cell that is not a finite number
+    raises NonNumericCell.
     """
     rows = []
     width = None
@@ -305,6 +306,8 @@ def load_matrix(stream, sampling_rate_hz, channel_names,
                 values.append(float(cell))
             except ValueError:
                 raise NonNumericCell(f"line {lineno}: cannot parse {cell!r}") from None
+            if not math.isfinite(values[-1]):
+                raise NonNumericCell(f"line {lineno}: non-finite value {cell!r}")
         if width is None:
             width = len(values)
         elif len(values) != width:

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eegid import cli, synth
-from eegid.io_ingest import load_manifest
+from eegid.io_ingest import build_corpus, load_manifest
 
 from edf_tools import save_matrix, write_edf
 
@@ -44,17 +45,84 @@ def workspace(tmp_path_factory):
     return root, manifest
 
 
+class _Tripwire:
+    """Unpickling this object creates the directory `path`."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return os.mkdir, (self.path,)
+
+
 class TestIngest:
     def test_builds_and_caches(self, workspace, capsys):
         root, manifest = workspace
         cache = root / "cache"
         assert cli.main(["ingest", "--manifest", str(manifest),
                          "--out", str(cache)]) == cli.EXIT_OK
-        assert list(cache.glob("corpus-*.pkl"))
+        assert list(cache.glob("corpus-*.npz"))
         capsys.readouterr()
         assert cli.main(["ingest", "--manifest", str(manifest),
                          "--out", str(cache)]) == cli.EXIT_OK
         assert "cache hit" in capsys.readouterr().err
+
+    def test_cache_is_npz_read_without_pickles(self, workspace, tmp_path, capsys):
+        root, manifest = workspace
+        cache = tmp_path / "cache"
+        assert cli.main(["ingest", "--manifest", str(manifest),
+                         "--out", str(cache)]) == cli.EXIT_OK
+        digest = cli._corpus_hash(load_manifest(manifest))
+        assert sorted(p.name for p in cache.iterdir()) == [f"corpus-{digest}.npz"]
+        with np.load(cache / f"corpus-{digest}.npz", allow_pickle=False) as blob:
+            cached = cli._unpack_corpus(blob)
+        fresh = build_corpus(load_manifest(manifest))
+        assert len(cached) == len(fresh) == 3
+        for got, want in zip(cached, fresh):
+            assert got.data.dtype == np.float64 and got.data.flags.c_contiguous
+            np.testing.assert_array_equal(got.data, want.data)
+            for field in fields(want):
+                if field.name != "data":
+                    assert getattr(got, field.name) == getattr(want, field.name), field.name
+        capsys.readouterr()
+        assert cli.main(["ingest", "--manifest", str(manifest),
+                         "--out", str(cache)]) == cli.EXIT_OK
+        assert f"cache hit: corpus-{digest}.npz" in capsys.readouterr().err
+
+    def test_object_array_cache_is_rebuilt_not_unpickled(self, workspace, tmp_path,
+                                                         capsys):
+        root, manifest = workspace
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        cache_file = cache / f"corpus-{cli._corpus_hash(load_manifest(manifest))}.npz"
+        # the tripwire fires when numpy unpickles it
+        probe = tmp_path / "probe.npz"
+        np.savez(probe, data=np.array([_Tripwire(str(tmp_path / "probe-fired"))]))
+        with np.load(probe, allow_pickle=True) as blob:
+            blob["data"]
+        assert (tmp_path / "probe-fired").is_dir()
+        marker = tmp_path / "unpickled"
+        np.savez(cache_file, data=np.array([_Tripwire(str(marker))]),
+                 shapes=np.zeros((1, 2), dtype=int), meta=np.array(["{}"]))
+        capsys.readouterr()
+        assert cli.main(["ingest", "--manifest", str(manifest),
+                         "--out", str(cache)]) == cli.EXIT_OK
+        err = capsys.readouterr().err
+        assert f"rebuilding unreadable cache {cache_file.name}" in err
+        assert "cache hit" not in err
+        assert not marker.exists()
+        with np.load(cache_file, allow_pickle=False) as blob:
+            assert len(cli._unpack_corpus(blob)) == 3
+
+    def test_empty_corpus_is_cached(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"target_rate_hz": 128.0, "entries": []}))
+        for _ in range(2):
+            assert cli.main(["ingest", "--manifest", str(manifest),
+                             "--out", str(tmp_path / "cache")]) == cli.EXIT_OK
+        err = capsys.readouterr().err
+        assert "cache hit" in err and "rebuilding" not in err
+        assert "0 recordings" in err
 
     @staticmethod
     def _ingest_one_edf(tmp_path, name, raw):
@@ -216,6 +284,10 @@ class TestRuntimeWithoutScipy:
         assert len(lines[0].split(",")) == 3 + 4
 
 
+# a run-config value that TestEvaluate._evaluate leaves out of the config
+_MISSING = object()
+
+
 @pytest.fixture(scope="module")
 def run_config(workspace):
     root, manifest = workspace
@@ -276,7 +348,7 @@ class TestEvaluate:
         out2 = tmp_path / "r2"
         assert cli.main(["evaluate", "--config", str(config),
                          "--out", str(out1)]) == cli.EXIT_OK
-        damaged = sorted((tmp_path / "cache").glob("corpus-*.pkl"))
+        damaged = sorted((tmp_path / "cache").glob("corpus-*.npz"))
         damaged += sorted((tmp_path / "cache").glob("features-*.npz"))
         assert len(damaged) == 2
         for path in damaged:
@@ -304,12 +376,14 @@ class TestEvaluate:
 
     @staticmethod
     def _evaluate(workspace, tmp_path, **keys):
+        """Run `evaluate` on a small config; a key given as _MISSING is left out."""
         root, manifest = workspace
         config = tmp_path / "run.json"
         doc = {"manifest": str(manifest), "bands": ["gamma"], "metrics": ["PLV"],
                "epoch_lengths_s": [2.0], "k1": 5, "k2": 2, "seed": 0,
                "cache_dir": str(root / "cache")}
-        config.write_text(json.dumps({**doc, **keys}))
+        doc = {key: value for key, value in {**doc, **keys}.items() if value is not _MISSING}
+        config.write_text(json.dumps(doc))
         return cli.main(["evaluate", "--config", str(config),
                          "--out", str(tmp_path / "out")])
 
@@ -334,8 +408,16 @@ class TestEvaluate:
         ("k1", 1, "'k1'"),
         ("k2", 2.5, "'k2'"),
         ("conditions", "resting", "'conditions'"),
+        ("channel_policies", [None, "bogus"], "'bogus'"),
+        ("channel_policies", [None, ["C3", 7]], "['C3', 7]"),
+        ("channel_policies", [None, 5], "policy 5"),
+        ("manifest", _MISSING, "'manifest'"),
+        ("manifest", 5, "'manifest'"),
+        ("cache_dir", 5, "'cache_dir'"),
     ], ids=["short-pair", "unknown-condition", "zero-length", "string-length",
-            "string-seed", "k1-below-2", "fractional-k2", "conditions-not-a-list"])
+            "string-seed", "k1-below-2", "fractional-k2", "conditions-not-a-list",
+            "unknown-channel-policy", "non-label-channel-policy", "number-channel-policy",
+            "missing-manifest", "number-manifest", "number-cache-dir"])
     def test_bad_value_rejected_before_any_work(self, workspace, tmp_path, capsys,
                                                 key, value, named):
         assert self._evaluate(workspace, tmp_path, **{key: value}) == cli.EXIT_USAGE

@@ -46,6 +46,8 @@ _FUZZ_FIELD_STARTS = (
 )
 _FUZZ_TOKENS = [b"inf", b"-inf", b"nan", b"-1", b"0", b"1e308", b"1e-300",
                 b"0.5", b"2.5", b"99999999", b"        ", b"\xff", b"EDF Annotations"]
+_MATRIX_TOKENS = ["0", "-1", "2.5", "1e308", "1e999", "nan", "inf", "-inf", "Infinity",
+                  ",", " ", ", ", "\t", "\n", ""]
 
 
 class TestParseEdf:
@@ -180,6 +182,27 @@ class TestLoadMatrix:
     def test_non_numeric(self):
         with pytest.raises(NonNumericCell):
             load_matrix(io.StringIO("1 2 x\n"), 128.0, ["A"])
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_cell_names_line(self, cell):
+        with pytest.raises(NonNumericCell, match=f"line 3: non-finite value '{cell}'"):
+            load_matrix(io.StringIO(f"1 2 3\n\n4,{cell},6\n"), 128.0, ["A", "B"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.lists(st.one_of(st.sampled_from(_MATRIX_TOKENS),
+                           st.floats().map(repr),
+                           st.binary(max_size=6).map(lambda b: b.decode("latin-1"))),
+                 max_size=6).map("".join),
+        max_size=4,
+    ))
+    def test_fuzz_raises_only_pipeline_errors(self, lines):
+        names = [f"CH{i}" for i in range(len(lines))]
+        try:
+            rec = load_matrix(lines, 128.0, names)
+        except EegIdError:
+            return
+        assert np.isfinite(rec.data).all()
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
