@@ -37,6 +37,8 @@ def main(argv=None) -> int:
     )
     print(f"corpus: {args.subjects} subjects x {args.channels} channels x "
           f"{args.duration:g}s", file=sys.stderr)
+    # every config below keeps the default filter settings
+    corpus = list(evaluation.preprocessed(corpus))
 
     print("metric,band,accuracy,standard_error")
     for metric in args.metrics:

@@ -45,12 +45,23 @@ def _corpus_hash(manifest) -> str:
     return h.hexdigest()[:16]
 
 
-def _pack_corpus(corpus) -> dict:
-    """npz arrays of a corpus: flat samples, per-recording shapes, other fields as JSON."""
-    meta = [{k: v for k, v in vars(rec).items() if k != "data"} for rec in corpus]
-    return {"data": np.concatenate([np.empty(0)] + [rec.data.ravel() for rec in corpus]),
-            "shapes": np.array([rec.data.shape for rec in corpus], dtype=int).reshape(-1, 2),
-            "meta": np.array([json.dumps(m) for m in meta])}
+def _pack_corpus(recordings, shapes=None) -> dict:
+    """npz arrays of a corpus: flat samples, per-recording shapes, other fields as JSON.
+
+    Given the recordings' (channels, samples) `shapes`, `recordings` may be a
+    generator: each recording is copied into the flat array as it comes, and
+    no list of them is held beside it.
+    """
+    if shapes is None:
+        shapes = [rec.data.shape for rec in recordings]
+    shapes = np.array(shapes, dtype=int).reshape(-1, 2)
+    sizes = shapes.prod(axis=1)
+    data = np.empty(sizes.sum())
+    meta = []
+    for rec, shape, end in zip(recordings, shapes, np.cumsum(sizes), strict=True):
+        data[end - shape.prod():end].reshape(shape)[...] = rec.data
+        meta.append(json.dumps({k: v for k, v in vars(rec).items() if k != "data"}))
+    return {"data": data, "shapes": shapes, "meta": np.array(meta)}
 
 
 def _unpack_corpus(arrays) -> list:
@@ -60,22 +71,41 @@ def _unpack_corpus(arrays) -> list:
             for chunk, shape, meta in zip(chunks, shapes, arrays["meta"], strict=True)]
 
 
-def _cached_corpus(manifest_path, cache_dir, channel_policy=None):
-    """Build (or reuse) the corpus cache; returns (corpus, hash, was_cached)."""
+def _cached_corpus(manifest_path, cache_dir, channel_policy=None, filters=None):
+    """Load the corpus cache, or build and write it; returns (corpus, hash, was_cached).
+
+    Given `filters` (`ExperimentConfig.filters`), the corpus is preprocessed
+    and cached as such: the raw corpus cache is read, or built, only when
+    that file misses, and is released before the caller cuts band epochs.
+    """
     manifest = load_manifest(manifest_path)
     if channel_policy is not None:
         manifest = replace(manifest, channel_policy=channel_policy)
     digest = _corpus_hash(manifest)
-    corpus, cached = evaluation.load_or_build(
-        Path(cache_dir) / f"corpus-{digest}.npz",
-        lambda: _pack_corpus(build_corpus(manifest)), _unpack_corpus)
+    raw_path = Path(cache_dir) / f"corpus-{digest}.npz"
+
+    def build_raw():
+        return _pack_corpus(build_corpus(manifest))
+
+    def build_preprocessed():
+        raw, _ = evaluation.load_or_build(raw_path, build_raw, _unpack_corpus)
+        return _pack_corpus(evaluation.preprocessed(raw, **filters),
+                            [rec.data.shape for rec in raw])
+
+    if filters is None:
+        path, build = raw_path, build_raw
+    else:
+        path = raw_path.with_name(
+            f"preprocessed-{digest}-{evaluation.filter_tag(**filters)}.npz")
+        build = build_preprocessed
+    corpus, cached = evaluation.load_or_build(path, build, _unpack_corpus)
+    if cached:
+        _log(f"cache hit: {path.name} (no recompute)")
     return corpus, digest, cached
 
 
 def cmd_ingest(args) -> int:
-    corpus, digest, cached = _cached_corpus(args.manifest, args.out)
-    if cached:
-        _log(f"cache hit: corpus-{digest}.npz (no recompute)")
+    corpus, digest, _ = _cached_corpus(args.manifest, args.out)
     subjects = sorted({r.label for r in corpus})
     rates = sorted({r.sampling_rate_hz for r in corpus})
     _log(f"corpus {digest}: {len(corpus)} recordings, {len(subjects)} subjects, "
@@ -98,13 +128,13 @@ def cmd_features(args) -> int:
     if problem := _unknown_name([args.band], [args.metric], [args.gb]):
         _log(problem)
         return EXIT_USAGE
-    corpus, digest, _ = _cached_corpus(args.manifest, args.cache)
     config = evaluation.ExperimentConfig(
         metric=args.metric, band=args.band, gb_metric=args.gb,
         epoch_length_s=args.epoch_length, seed=args.seed,
         filter_order=args.filter_order, notch_hz=args.notch_hz,
         notch_q=args.notch_q,
     )
+    corpus, digest, _ = _cached_corpus(args.manifest, args.cache, filters=config.filters)
     epochs, labels, provenance = evaluation.band_epochs(corpus, config, args.condition)
     features = evaluation.epoch_features(epochs, labels, args.metric, args.gb)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -113,15 +143,15 @@ def cmd_features(args) -> int:
                  ",".join(f"f{i}" for i in range(n_feat)) + "\n")
         for (dataset_id, subject_id, condition), row in zip(provenance, features):
             fh.write(f"{dataset_id},{subject_id},{condition},")
-            fh.write(",".join(repr(float(v)) for v in row))
+            fh.write(",".join(map(repr, row.tolist())))
             fh.write("\n")
     _log(f"wrote {features.shape[0]} x {n_feat} feature matrix to {args.out} "
          f"(corpus {digest})")
     return EXIT_OK
 
 
-# optional run-config keys besides cache_dir, which defaults to the config's
-# directory; manifest, bands and metrics are required
+# optional run-config keys besides cache_dir, which defaults to "cache" in the
+# config's directory; manifest, bands and metrics are required
 _RUN_CONFIG_DEFAULTS = {
     "gb_metrics": (None,), "epoch_lengths_s": (4.0,), "channel_policies": (None,),
     "conditions": (("resting", "resting"),), "seed": 0, "k1": 10, "k2": 3,
@@ -204,6 +234,14 @@ def _run_config_problem(doc):
     return _unknown_name(doc["bands"], doc["metrics"], doc["gb_metrics"])
 
 
+def _policy_name(policy):
+    """File-name text of a run-config channel policy: a built-in's name, or
+    `labels-` and a short digest of an explicit label list; None stays None."""
+    if isinstance(policy, list):
+        return "labels-" + hashlib.sha256(json.dumps(policy).encode()).hexdigest()[:12]
+    return policy
+
+
 def cmd_evaluate(args) -> int:
     doc = _load_run_config(args.config)
     if problem := _run_config_problem(doc):
@@ -212,19 +250,22 @@ def cmd_evaluate(args) -> int:
     # build every config first, so that no bad value is met mid-sweep
     configs = list(_grid_configs(doc, args))
     base = Path(args.config).parent
-    manifest = base / doc["manifest"]  # an absolute path replaces base
-    cache_dir = doc.get("cache_dir", base / "cache")
+    # relative paths resolve against the config's directory; absolute ones replace it
+    manifest = base / doc["manifest"]
+    cache_dir = base / doc.get("cache_dir", "cache")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
     for policy, config in configs:
-        corpus, digest, _ = _cached_corpus(manifest, cache_dir, channel_policy=policy)
-        _log(f"running {config.name()} [{policy or 'manifest policy'}]")
+        corpus, digest, _ = _cached_corpus(manifest, cache_dir, channel_policy=policy,
+                                           filters=config.filters)
+        name = _policy_name(policy)
+        _log(f"running {config.name()} [{name or 'manifest policy'}]")
         report = evaluation.run_experiment(
             corpus, config, feature_cache_dir=cache_dir,
-            cache_tag=f"{digest}-{policy or 'manifest'}",
+            cache_tag=f"{digest}-{name or 'manifest'}",
         )
-        stem = f"{policy or 'default'}_{config.name()}"
+        stem = f"{name or 'default'}_{config.name()}"
         with open(out_dir / f"{stem}.json", "w", encoding="utf-8") as fh:
             fh.write(evaluation.report_to_json(report))
             fh.write("\n")

@@ -183,17 +183,20 @@ def resample(rec: EegRecording, target_hz) -> EegRecording:
     return replace(rec, sampling_rate_hz=float(target_hz), data=out[:, :n_out])
 
 
+@lru_cache(maxsize=64)
 def design_notch(f0_hz, q, fs_hz) -> IirFilter:
-    """Second-order IIR notch at f0_hz with quality factor q."""
+    """Second-order IIR notch at f0_hz with quality factor q (memoized; the
+    sections are read-only)."""
     if not 0 < f0_hz < fs_hz / 2:
         raise FrequencyOutOfRange(
             f"notch frequency {f0_hz} Hz outside (0, {fs_hz / 2}) at fs={fs_hz}"
         )
     w0 = 2 * f0_hz / fs_hz * np.pi
     gain = 1.0 / (1.0 + np.tan(w0 / q / 2))
-    sos = [[gain, -2 * gain * np.cos(w0), gain,
-            1.0, -2 * gain * np.cos(w0), 2 * gain - 1.0]]
-    return IirFilter(sos=sos)
+    filt = IirFilter(sos=[[gain, -2 * gain * np.cos(w0), gain,
+                           1.0, -2 * gain * np.cos(w0), 2 * gain - 1.0]])
+    filt.sos.setflags(write=False)  # shared by every caller through the cache
+    return filt
 
 
 def notch(rec: EegRecording, f0_hz, q=30.0) -> EegRecording:
@@ -240,11 +243,14 @@ def _butterworth_bandpass_sos(order, low_hz, high_hz, fs_hz):
     return sos
 
 
+@lru_cache(maxsize=64)
 def design_butterworth_bandpass(band: BandSpec, fs_hz, order=4) -> IirFilter:
     """Butterworth band-pass via bilinear transform with pre-warping.
 
     `order` is the analog prototype order (even, 2-8); the resulting
     band-pass filter has 2 x order poles, realized as second-order sections.
+    Designs are memoized and their sections read-only; a rejected design
+    raises again on every call.
     """
     if order % 2 != 0 or not 2 <= order <= 8:
         raise InvalidBand(f"order must be even and within 2-8, got {order}")
@@ -260,6 +266,7 @@ def design_butterworth_bandpass(band: BandSpec, fs_hz, order=4) -> IirFilter:
             f"band-pass design for {band.name} at fs={fs_hz} has poles on or "
             "outside the unit circle"
         )
+    filt.sos.setflags(write=False)  # shared by every caller through the cache
     return filt
 
 

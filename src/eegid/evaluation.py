@@ -14,7 +14,7 @@ import os
 import sys
 import tempfile
 import zipfile
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +258,12 @@ class ExperimentConfig:
                 else f"{self.train_condition}-vs-{self.test_condition}")
         return f"{self.metric.lower()}_{gb.lower()}_{self.band}_{self.epoch_length_s:g}s_{cond}"
 
+    @property
+    def filters(self):
+        """The filter settings, as keyword arguments of preprocessed and filter_tag."""
+        return {"notch_hz": self.notch_hz, "notch_q": self.notch_q,
+                "filter_order": self.filter_order}
+
 
 @dataclass
 class ExperimentReport:
@@ -278,8 +284,25 @@ class ExperimentReport:
         return d
 
 
+def preprocessed(corpus, notch_hz=50.0, notch_q=30.0, filter_order=4):
+    """Yield each recording after `dsp.preprocess` (notch, then the broadband
+    band-pass) with the given filter settings, `ExperimentConfig.filters`,
+    which it records in the recording's `filters`.  band_epochs,
+    _features_cached and run_experiment take their recordings from here, as
+    a list: run_experiment may read the corpus twice."""
+    tag = filter_tag(notch_hz, notch_q, filter_order)
+    for rec in corpus:
+        rec = dsp.preprocess(rec, notch_hz=notch_hz, notch_q=notch_q, order=filter_order)
+        yield replace(rec, filters=tag)
+
+
+def filter_tag(notch_hz, notch_q, filter_order) -> str:
+    """Cache-key text of the filter settings."""
+    return f"order{filter_order}-notch{notch_hz:g}-q{notch_q:g}"
+
+
 def band_epochs(corpus, config: ExperimentConfig, condition: str) -> tuple:
-    """Preprocess + band filter + epoch every recording of one condition.
+    """Band filter + epoch every preprocessed recording of one condition.
 
     Returns (epochs, labels, provenance): a C-contiguous (E, N, M) stack, the
     "dataset/subject" label of each epoch, and an (E, 3) array of each
@@ -289,6 +312,12 @@ def band_epochs(corpus, config: ExperimentConfig, condition: str) -> tuple:
     recs = [rec for rec in corpus if rec.condition == condition]
     if not recs:
         raise MissingCondition(f"corpus has no recordings with condition {condition!r}")
+    tag = filter_tag(**config.filters)
+    for rec in recs:
+        if rec.filters != tag:
+            raise ValueError(f"recording {rec.label} is preprocessed as "
+                             f"{rec.filters or 'raw'!r}, but the config needs {tag!r}: "
+                             "pass the corpus through preprocessed(corpus, **config.filters)")
     # the corpus shares one working rate, so every epoch has m samples
     m = dsp.epoch_samples(recs[0], config.epoch_length_s)
     counts = [rec.n_samples // m for rec in recs]
@@ -296,8 +325,6 @@ def band_epochs(corpus, config: ExperimentConfig, condition: str) -> tuple:
     labels, provenance = [], []
     pos = 0
     for rec, count in zip(recs, counts):
-        rec = dsp.preprocess(rec, notch_hz=config.notch_hz, notch_q=config.notch_q,
-                             order=config.filter_order)
         rec = dsp.bandpass(rec, band, config.filter_order)
         epochs[pos:pos + count] = dsp.split_epochs(rec, config.epoch_length_s)
         pos += count
@@ -335,7 +362,8 @@ def load_or_build(path, build, unpack):
 
 def _features_cached(corpus, config: ExperimentConfig, condition,
                      cache_dir=None, cache_tag=""):
-    """Band-filter + featurize one condition, with optional on-disk caching.
+    """Band-filter + featurize one condition of a preprocessed corpus, with
+    optional on-disk caching.
 
     The cache key combines the caller-supplied tag (corpus hash + channel
     policy) with band, metric, graph metric, epoch length, condition and the
@@ -352,13 +380,13 @@ def _features_cached(corpus, config: ExperimentConfig, condition,
         return unpack(build())
     key = (f"features-{cache_tag}-{config.band}-{config.metric}-"
            f"{config.gb_metric or 'fc'}-{config.epoch_length_s:g}s-{condition}-"
-           f"order{config.filter_order}-notch{config.notch_hz:g}-q{config.notch_q:g}")
+           f"{filter_tag(**config.filters)}")
     return load_or_build(Path(cache_dir) / f"{key}.npz", build, unpack)[0]
 
 
 def run_experiment(corpus, config: ExperimentConfig,
                    feature_cache_dir=None, cache_tag="") -> ExperimentReport:
-    """Full pipeline for one experiment configuration.
+    """Full pipeline for one experiment configuration on a preprocessed corpus.
 
     Matched conditions run nested CV.  Mismatched conditions train on the
     full train-condition data (grid search by inner folds of the training

@@ -33,7 +33,8 @@ class EegRecording:
     """A channels-by-samples block of EEG with its provenance.
 
     Rows of `data` follow `channel_names`.  Units are conventionally
-    microvolts but not enforced.
+    microvolts but not enforced.  `filters` names the preprocessing the data
+    went through (`evaluation.filter_tag` text), empty for raw data.
     """
 
     channel_names: tuple
@@ -42,6 +43,7 @@ class EegRecording:
     subject_id: str = ""
     dataset_id: str = ""
     condition: str = "resting"
+    filters: str = ""
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)

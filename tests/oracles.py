@@ -28,6 +28,7 @@ def notch_sos(f0_hz, q, fs_hz):
 
 def filtfilt_average(sos, padlen, data):
     """Mean of sosfiltfilt on the rows and on their time reversals."""
+    sos = np.array(sos)  # scipy's compiled sosfilt refuses read-only sections
     fwd = signal.sosfiltfilt(sos, data, axis=1, padtype="odd", padlen=padlen)
     bwd = signal.sosfiltfilt(sos, data[:, ::-1], axis=1, padtype="odd",
                              padlen=padlen)[:, ::-1]

@@ -1,6 +1,7 @@
 import importlib.metadata as md
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegid import cli, synth
+from eegid import cli, dsp, synth
 from eegid.io_ingest import build_corpus, load_manifest
 
 from edf_tools import save_matrix, write_edf
@@ -113,6 +114,20 @@ class TestIngest:
         assert not marker.exists()
         with np.load(cache_file, allow_pickle=False) as blob:
             assert len(cli._unpack_corpus(blob)) == 3
+        # the preprocessed corpus that `features` reads is refused the same way
+        digest = cli._corpus_hash(load_manifest(manifest))
+        cache_file = cache / f"preprocessed-{digest}-order4-notch50-q30.npz"
+        np.savez(cache_file, data=np.array([_Tripwire(str(marker))]),
+                 shapes=np.zeros((1, 2), dtype=int), meta=np.array(["{}"]))
+        assert cli.main(["features", "--manifest", str(manifest),
+                         "--out", str(tmp_path / "features.csv"), "--cache", str(cache),
+                         "--band", "gamma", "--metric", "PLV"]) == cli.EXIT_OK
+        err = capsys.readouterr().err
+        assert f"rebuilding unreadable cache {cache_file.name}" in err
+        assert "cache hit" not in err
+        assert not marker.exists()
+        with np.load(cache_file, allow_pickle=False) as blob:
+            assert len(cli._unpack_corpus(blob)) == 3
 
     def test_empty_corpus_is_cached(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
@@ -205,6 +220,53 @@ class TestFeatures:
         assert code == cli.EXIT_OK
         header = out.read_text().splitlines()[0].split(",")
         assert len(header) == 3 + 6  # provenance + one score per channel
+
+    @staticmethod
+    def _features(manifest, cache, out, *flags, band="gamma", metric="PLV"):
+        return cli.main([*flags, "features", "--manifest", str(manifest),
+                         "--out", str(out), "--cache", str(cache),
+                         "--band", band, "--metric", metric, "--epoch-length", "2"])
+
+    def test_commands_sharing_a_cache_preprocess_each_recording_once(
+            self, workspace, tmp_path, monkeypatch):
+        root, manifest = workspace
+        preprocess, calls = dsp.preprocess, []
+
+        def counting(rec, *args, **kwargs):
+            calls.append(rec.label)
+            return preprocess(rec, *args, **kwargs)
+
+        monkeypatch.setattr(dsp, "preprocess", counting)
+        for band, metric in (("gamma", "PLV"), ("alpha", "COR"), ("gamma", "PLI")):
+            assert self._features(manifest, tmp_path / "cache", tmp_path / f"{band}_{metric}.csv",
+                                  band=band, metric=metric) == cli.EXIT_OK
+        assert sorted(calls) == ["synth/S000", "synth/S001", "synth/S002"]
+
+    @pytest.mark.parametrize("flags", [("--notch-hz", "40"), ("--filter-order", "2")])
+    def test_filter_flags_key_the_preprocessed_cache(self, workspace, tmp_path, capsys,
+                                                     flags):
+        root, manifest = workspace
+        cache = tmp_path / "cache"
+        assert self._features(manifest, cache, tmp_path / "default.csv") == cli.EXIT_OK
+        assert self._features(manifest, cache, tmp_path / "changed.csv",
+                              *flags) == cli.EXIT_OK
+        assert "cache hit" not in capsys.readouterr().err
+        assert len(list(cache.glob("preprocessed-*.npz"))) == 2
+        assert ((tmp_path / "default.csv").read_bytes()
+                != (tmp_path / "changed.csv").read_bytes())
+        assert self._features(manifest, cache, tmp_path / "again.csv",
+                              *flags) == cli.EXIT_OK
+        assert "cache hit: preprocessed-" in capsys.readouterr().err
+        assert len(list(cache.glob("preprocessed-*.npz"))) == 2
+
+    def test_warm_cache_writes_the_same_bytes(self, workspace, tmp_path, capsys):
+        root, manifest = workspace
+        cache = tmp_path / "cache"
+        assert self._features(manifest, cache, tmp_path / "cold.csv") == cli.EXIT_OK
+        assert "cache hit" not in capsys.readouterr().err
+        assert self._features(manifest, cache, tmp_path / "warm.csv") == cli.EXIT_OK
+        assert "cache hit: preprocessed-" in capsys.readouterr().err
+        assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
 
     def test_unknown_metric_is_usage_error(self, workspace, tmp_path, capsys):
         root, manifest = workspace
@@ -350,17 +412,18 @@ class TestEvaluate:
                          "--out", str(out1)]) == cli.EXIT_OK
         damaged = sorted((tmp_path / "cache").glob("corpus-*.npz"))
         damaged += sorted((tmp_path / "cache").glob("features-*.npz"))
-        assert len(damaged) == 2
+        damaged += sorted((tmp_path / "cache").glob("preprocessed-*.npz"))
+        assert len(damaged) == 3
         for path in damaged:
             path.write_bytes(path.read_bytes()[:100])
         capsys.readouterr()
         assert cli.main(["evaluate", "--config", str(config),
                          "--out", str(out2)]) == cli.EXIT_OK
-        assert capsys.readouterr().err.count("rebuilding unreadable cache") == 2
+        assert capsys.readouterr().err.count("rebuilding unreadable cache") == 3
         for name in sorted(p.name for p in out1.iterdir()):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
         # the rebuilt files are whole again, and no temporary file is left
-        assert sorted((tmp_path / "cache").iterdir()) == damaged
+        assert sorted((tmp_path / "cache").iterdir()) == sorted(damaged)
         assert all(p.stat().st_size > 100 for p in damaged)
 
     def test_empty_grid_is_usage_error(self, workspace, tmp_path, capsys):
@@ -423,6 +486,29 @@ class TestEvaluate:
         assert self._evaluate(workspace, tmp_path, **{key: value}) == cli.EXIT_USAGE
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_label_list_policy_is_named_by_a_digest(self, workspace, tmp_path):
+        # trailing dots are stripped from labels, so these name the workspace's
+        # channels; pasted into a file name, the list would pass 255 bytes
+        labels = [f"CH{i:02d}" + "." * 60 for i in range(6)]
+        assert self._evaluate(workspace, tmp_path, channel_policies=[labels],
+                              cache_dir=str(tmp_path / "cache")) == cli.EXIT_OK
+        stem = "plv_fc_gamma_2s_resting"
+        names = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert len(names) == 4 and names[-1] == "rollup.csv"
+        for name, suffix in zip(names, (".json", "_confusion.csv", "_confusion.pgm")):
+            assert re.fullmatch(rf"labels-[0-9a-f]{{12}}_{stem}{suffix}", name), name
+        features = [p.name for p in (tmp_path / "cache").glob("features-*.npz")]
+        assert len(features) == 1 and "CH00" not in features[0]
+
+    def test_relative_cache_dir_resolves_against_the_config(self, workspace, tmp_path,
+                                                            monkeypatch):
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert self._evaluate(workspace, tmp_path, cache_dir="own-cache") == cli.EXIT_OK
+        assert len(list((tmp_path / "own-cache").glob("features-*.npz"))) == 1
+        assert not (elsewhere / "own-cache").exists()
 
     @pytest.mark.parametrize("doc", [[], "run", 3, None])
     def test_config_not_an_object_is_usage_error(self, tmp_path, capsys, doc):

@@ -9,6 +9,7 @@ from eegid.errors import (
     IrrationalRatio,
     RecordingTooShort,
     SignalTooShort,
+    UnstableDesign,
 )
 
 import oracles
@@ -132,6 +133,26 @@ class TestButterworthDesign:
     def test_band_above_nyquist_rejected(self):
         with pytest.raises(InvalidBand):
             dsp.design_butterworth_bandpass(dsp.BandSpec("x", 30.0, 60.0), 100.0)
+
+    @pytest.mark.parametrize("design, args", [
+        (dsp.design_butterworth_bandpass, (dsp.BETA2, 128.0, 6)),
+        (dsp.design_notch, (50.0, 30.0, 128.0)),
+    ], ids=["bandpass", "notch"])
+    def test_designs_are_memoized_read_only_and_bit_equal(self, design, args):
+        filt = design(*args)
+        assert design(*args) is filt
+        assert not filt.sos.flags.writeable
+        fresh = design.__wrapped__(*args)
+        assert fresh is not filt
+        assert filt.sos.tobytes() == fresh.sos.tobytes()
+
+    def test_unstable_design_raises_on_every_call(self, monkeypatch):
+        unstable = np.array([[1.0, 0.0, -1.0, 1.0, 0.0, -1.5]])  # poles at +/-1.22
+        monkeypatch.setattr(dsp, "_butterworth_bandpass_sos", lambda *args: unstable)
+        band = dsp.BandSpec("unstable", 9.0, 11.0)
+        for _ in range(2):
+            with pytest.raises(UnstableDesign):
+                dsp.design_butterworth_bandpass(band, 128.0, 2)
 
 
 def filtfilt(filt, x):

@@ -318,9 +318,15 @@ class TestNestedCv:
 
 
 @pytest.fixture(scope="module")
-def small_corpus():
+def raw_corpus():
     return synth.synthetic_corpus(n_subjects=4, n_channels=6, duration_s=30.0,
                                   seed=5)
+
+
+@pytest.fixture(scope="module")
+def small_corpus(raw_corpus):
+    """raw_corpus preprocessed with the default filter settings."""
+    return list(ev.preprocessed(raw_corpus))
 
 
 class TestExperiment:
@@ -342,6 +348,7 @@ class TestExperiment:
                   make_recording(rng.standard_normal((2, 512)), subject="S8",
                                  dataset="d3", condition="task")]
         config = ev.ExperimentConfig(metric="PLV", band="gamma")
+        corpus = list(ev.preprocessed(corpus, **config.filters))
         epochs, labels, provenance = ev.band_epochs(corpus, config, "task")
         assert epochs.shape == (3, 2, 512)
         assert labels.tolist() == ["d2/S7", "d2/S7", "d3/S8"]
@@ -354,6 +361,13 @@ class TestExperiment:
         epochs[9, 2] = 0.0
         with pytest.raises(DegenerateVariance, match=r"\[2\] in epoch 9 \[synth/S001\]"):
             ev.epoch_features(epochs, labels, "COR")
+
+    @pytest.mark.parametrize("filters", [None, {"notch_hz": 40.0}], ids=["raw", "other-notch"])
+    def test_band_epochs_refuses_other_preprocessing(self, raw_corpus, filters):
+        config = ev.ExperimentConfig(metric="PLV", band="gamma")
+        corpus = raw_corpus if filters is None else list(ev.preprocessed(raw_corpus, **filters))
+        with pytest.raises(ValueError, match="preprocessed as"):
+            ev.band_epochs(corpus, config, "resting")
 
     def test_missing_condition(self, small_corpus):
         config = ev.ExperimentConfig(metric="PLV", band="gamma")
@@ -380,7 +394,8 @@ class TestExperiment:
                                      epoch_length_s=2.0,
                                      train_condition="resting",
                                      test_condition="task", k2=2, seed=0)
-        report = ev.run_experiment(rest + task, config)
+        report = ev.run_experiment(list(ev.preprocessed(rest + task, **config.filters)),
+                                   config)
         assert report.mismatched
         assert len(report.cv.fold_accuracies) == 1
         assert report.cv.standard_error == 0.0
@@ -398,7 +413,7 @@ class TestExperiment:
                                      train_condition="resting",
                                      test_condition="task", k2=2)
         with pytest.raises(MissingCondition):
-            ev.run_experiment(rest + task, config)
+            ev.run_experiment(list(ev.preprocessed(rest + task, **config.filters)), config)
 
     def test_feature_cache_roundtrip(self, small_corpus, tmp_path):
         config = ev.ExperimentConfig(metric="PLV", band="gamma",
@@ -412,18 +427,21 @@ class TestExperiment:
 
     @pytest.mark.parametrize("field, value", [
         ("filter_order", 2), ("notch_hz", 0.0), ("notch_q", 10.0)])
-    def test_feature_cache_keyed_on_filter_settings(self, small_corpus,
+    def test_feature_cache_keyed_on_filter_settings(self, raw_corpus,
                                                     tmp_path, field, value):
         base = ev.ExperimentConfig(metric="COR", band="gamma",
                                    epoch_length_s=2.0)
         changed = ev.ExperimentConfig(metric="COR", band="gamma",
                                       epoch_length_s=2.0, **{field: value})
-        ev._features_cached(small_corpus, base, "resting",
-                            cache_dir=tmp_path, cache_tag="t1")
-        x, _ = ev._features_cached(small_corpus, changed, "resting",
+        corpus = {config: list(ev.preprocessed(raw_corpus, **config.filters))
+                  for config in (base, changed)}
+        x_base, _ = ev._features_cached(corpus[base], base, "resting",
+                                        cache_dir=tmp_path, cache_tag="t1")
+        x, _ = ev._features_cached(corpus[changed], changed, "resting",
                                    cache_dir=tmp_path, cache_tag="t1")
         assert len(list(tmp_path.glob("features-*.npz"))) == 2
-        cold, _ = ev._features_cached(small_corpus, changed, "resting")
+        assert not np.array_equal(x, x_base)
+        cold, _ = ev._features_cached(corpus[changed], changed, "resting")
         np.testing.assert_array_equal(x, cold)
 
     def test_config_name(self):
