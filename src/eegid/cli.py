@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 from dataclasses import replace
@@ -45,15 +46,13 @@ def _corpus_hash(manifest) -> str:
     return h.hexdigest()[:16]
 
 
-def _pack_corpus(recordings, shapes=None) -> dict:
+def _pack_corpus(recordings, shapes) -> dict:
     """npz arrays of a corpus: flat samples, per-recording shapes, other fields as JSON.
 
-    Given the recordings' (channels, samples) `shapes`, `recordings` may be a
-    generator: each recording is copied into the flat array as it comes, and
+    `recordings` may be a generator, given the recordings' (channels, samples)
+    `shapes`: each recording is copied into the flat array as it comes, and
     no list of them is held beside it.
     """
-    if shapes is None:
-        shapes = [rec.data.shape for rec in recordings]
     shapes = np.array(shapes, dtype=int).reshape(-1, 2)
     sizes = shapes.prod(axis=1)
     data = np.empty(sizes.sum())
@@ -71,41 +70,39 @@ def _unpack_corpus(arrays) -> list:
             for chunk, shape, meta in zip(chunks, shapes, arrays["meta"], strict=True)]
 
 
-def _cached_corpus(manifest_path, cache_dir, channel_policy=None, filters=None):
-    """Load the corpus cache, or build and write it; returns (corpus, hash, was_cached).
+def _cached_corpus(manifest_path, cache_dir, filters, channel_policy=None):
+    """Load the preprocessed corpus cache, or build and write it; returns
+    (corpus, hash, was_cached).
 
-    Given `filters` (`ExperimentConfig.filters`), the corpus is preprocessed
-    and cached as such: the raw corpus cache is read, or built, only when
-    that file misses, and is released before the caller cuts band epochs.
+    The file is keyed by the corpus hash and the filter settings `filters`
+    (`ExperimentConfig.filters`).  On a miss the corpus is built from the
+    manifest and each recording is preprocessed as it is copied into the file.
     """
     manifest = load_manifest(manifest_path)
     if channel_policy is not None:
         manifest = replace(manifest, channel_policy=channel_policy)
     digest = _corpus_hash(manifest)
-    raw_path = Path(cache_dir) / f"corpus-{digest}.npz"
+    path = Path(cache_dir) / f"preprocessed-{digest}-{evaluation.filter_tag(**filters)}.npz"
 
-    def build_raw():
-        return _pack_corpus(build_corpus(manifest))
-
-    def build_preprocessed():
-        raw, _ = evaluation.load_or_build(raw_path, build_raw, _unpack_corpus)
+    def build():
+        raw = build_corpus(manifest)
         return _pack_corpus(evaluation.preprocessed(raw, **filters),
                             [rec.data.shape for rec in raw])
 
-    if filters is None:
-        path, build = raw_path, build_raw
-    else:
-        path = raw_path.with_name(
-            f"preprocessed-{digest}-{evaluation.filter_tag(**filters)}.npz")
-        build = build_preprocessed
     corpus, cached = evaluation.load_or_build(path, build, _unpack_corpus)
     if cached:
         _log(f"cache hit: {path.name} (no recompute)")
     return corpus, digest, cached
 
 
+def _filters(args):
+    """The global filter flags as `ExperimentConfig.filters`."""
+    return {"notch_hz": args.notch_hz, "notch_q": args.notch_q,
+            "filter_order": args.filter_order}
+
+
 def cmd_ingest(args) -> int:
-    corpus, digest, _ = _cached_corpus(args.manifest, args.out)
+    corpus, digest, _ = _cached_corpus(args.manifest, args.out, _filters(args))
     subjects = sorted({r.label for r in corpus})
     rates = sorted({r.sampling_rate_hz for r in corpus})
     _log(f"corpus {digest}: {len(corpus)} recordings, {len(subjects)} subjects, "
@@ -130,11 +127,9 @@ def cmd_features(args) -> int:
         return EXIT_USAGE
     config = evaluation.ExperimentConfig(
         metric=args.metric, band=args.band, gb_metric=args.gb,
-        epoch_length_s=args.epoch_length, seed=args.seed,
-        filter_order=args.filter_order, notch_hz=args.notch_hz,
-        notch_q=args.notch_q,
+        epoch_length_s=args.epoch_length, seed=args.seed, **_filters(args),
     )
-    corpus, digest, _ = _cached_corpus(args.manifest, args.cache, filters=config.filters)
+    corpus, digest, _ = _cached_corpus(args.manifest, args.cache, config.filters)
     epochs, labels, provenance = evaluation.band_epochs(corpus, config, args.condition)
     features = evaluation.epoch_features(epochs, labels, args.metric, args.gb)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -168,23 +163,16 @@ def _load_run_config(path):
     return doc
 
 
-def _grid_configs(doc, args):
-    for policy in doc["channel_policies"]:
-        for band in doc["bands"]:
-            for metric in doc["metrics"]:
-                for gb in doc["gb_metrics"]:
-                    for length in doc["epoch_lengths_s"]:
-                        for train_cond, test_cond in doc["conditions"]:
-                            yield policy, evaluation.ExperimentConfig(
-                                metric=metric, band=band, gb_metric=gb,
-                                epoch_length_s=float(length),
-                                train_condition=train_cond,
-                                test_condition=test_cond,
-                                seed=doc["seed"], k1=doc["k1"], k2=doc["k2"],
-                                filter_order=args.filter_order,
-                                notch_hz=args.notch_hz,
-                                notch_q=args.notch_q,
-                            )
+def _grid_configs(doc, filters):
+    """Each run-config channel policy with its experiment configs, in sweep order."""
+    grid = list(itertools.product(doc["bands"], doc["metrics"], doc["gb_metrics"],
+                                  doc["epoch_lengths_s"], doc["conditions"]))
+    return [(policy, [evaluation.ExperimentConfig(
+                metric=metric, band=band, gb_metric=gb, epoch_length_s=float(length),
+                train_condition=train, test_condition=test,
+                seed=doc["seed"], k1=doc["k1"], k2=doc["k2"], **filters)
+             for band, metric, gb, length, (train, test) in grid])
+            for policy in doc["channel_policies"]]
 
 
 def _run_config_problem(doc):
@@ -248,7 +236,8 @@ def cmd_evaluate(args) -> int:
         _log(problem)
         return EXIT_USAGE
     # build every config first, so that no bad value is met mid-sweep
-    configs = list(_grid_configs(doc, args))
+    filters = _filters(args)
+    grid = _grid_configs(doc, filters)
     base = Path(args.config).parent
     # relative paths resolve against the config's directory; absolute ones replace it
     manifest = base / doc["manifest"]
@@ -256,27 +245,29 @@ def cmd_evaluate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
-    for policy, config in configs:
-        corpus, digest, _ = _cached_corpus(manifest, cache_dir, channel_policy=policy,
-                                           filters=config.filters)
+    for policy, configs in grid:
+        # one policy's corpus is loaded once and held only while its configs run
+        corpus, digest, _ = _cached_corpus(manifest, cache_dir, filters, channel_policy=policy)
         name = _policy_name(policy)
-        _log(f"running {config.name()} [{name or 'manifest policy'}]")
-        report = evaluation.run_experiment(
-            corpus, config, feature_cache_dir=cache_dir,
-            cache_tag=f"{digest}-{name or 'manifest'}",
-        )
-        stem = f"{name or 'default'}_{config.name()}"
-        with open(out_dir / f"{stem}.json", "w", encoding="utf-8") as fh:
-            fh.write(evaluation.report_to_json(report))
-            fh.write("\n")
-        with open(out_dir / f"{stem}_confusion.csv", "w", encoding="utf-8") as fh:
-            evaluation.confusion_to_csv(report.cv.confusion, report.cv.class_order, fh)
-        with open(out_dir / f"{stem}_confusion.pgm", "wb") as fh:
-            evaluation.confusion_to_pgm(report.cv.confusion, fh)
-        reports.append((policy, report))
-        _log(f"  accuracy {report.cv.mean_accuracy:.4f} "
-             f"+/- {report.cv.standard_error:.4f}")
-    _write_rollup(out_dir, [r.to_dict() for _, r in reports])
+        for config in configs:
+            _log(f"running {config.name()} [{name or 'manifest policy'}]")
+            report = evaluation.run_experiment(
+                corpus, config, feature_cache_dir=cache_dir,
+                cache_tag=f"{digest}-{name or 'manifest'}",
+            )
+            stem = f"{name or 'default'}_{config.name()}"
+            with open(out_dir / f"{stem}.json", "w", encoding="utf-8") as fh:
+                fh.write(evaluation.report_to_json(report))
+                fh.write("\n")
+            with open(out_dir / f"{stem}_confusion.csv", "w", encoding="utf-8") as fh:
+                evaluation.confusion_to_csv(report.cv.confusion, report.cv.class_order, fh)
+            with open(out_dir / f"{stem}_confusion.pgm", "wb") as fh:
+                evaluation.confusion_to_pgm(report.cv.confusion, fh)
+            reports.append(report.to_dict())
+            _log(f"  accuracy {report.cv.mean_accuracy:.4f} "
+                 f"+/- {report.cv.standard_error:.4f}")
+        del corpus
+    _write_rollup(out_dir, reports)
     return EXIT_OK
 
 

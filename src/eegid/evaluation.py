@@ -177,19 +177,25 @@ def run_nested_cv(x, labels, plan: FoldPlan, grid=GRID) -> CvReport:
     labels = np.asarray(labels)
     if x.shape[0] != labels.shape[0] or x.shape[0] != plan.size:
         raise ValueError("features, labels and fold plan disagree in size")
+    splits = [
+        (np.array(sorted(i for f, fold in enumerate(plan.outer_folds)
+                         if f != held for i in fold), dtype=int),
+         np.array(test, dtype=int))
+        for held, test in enumerate(plan.outer_folds)
+    ]
+    return _cross_validate(x, labels, splits, plan.k2, plan.seed, grid)
+
+
+def _cross_validate(x, labels, splits, k2, seed, grid=GRID) -> CvReport:
+    """Score each (train_idx, test_idx) split of the rows of x: an inner
+    grid search on the training rows, a final fit with the chosen
+    hyperparameters, and predictions on the test rows."""
     class_order = tuple(sorted(set(labels.tolist())))
     fold_accs, chosen, audits = [], [], []
     all_truth, all_pred = [], []
-    for held in range(plan.k1):
-        test_idx = np.array(plan.outer_folds[held], dtype=int)
-        train_idx = np.array(
-            sorted(i for f, fold in enumerate(plan.outer_folds)
-                   if f != held for i in fold),
-            dtype=int,
-        )
+    for held, (train_idx, test_idx) in enumerate(splits):
         params, audit = grid_search(
-            x[train_idx], labels[train_idx], k2=plan.k2, grid=grid,
-            seed=plan.seed + held + 1,
+            x[train_idx], labels[train_idx], k2=k2, grid=grid, seed=seed + held + 1,
         )
         model = svm.train_ovr(x[train_idx], labels[train_idx], params)
         _report_nonconverged(model.converged, f"final fit, outer fold {held}")
@@ -207,7 +213,7 @@ def run_nested_cv(x, labels, plan: FoldPlan, grid=GRID) -> CvReport:
         chosen_params=chosen,
         confusion=confusion_matrix(all_truth, all_pred, class_order),
         class_order=class_order,
-        seed=plan.seed,
+        seed=seed,
         grid_audits=audits,
     )
 
@@ -388,9 +394,10 @@ def run_experiment(corpus, config: ExperimentConfig,
                    feature_cache_dir=None, cache_tag="") -> ExperimentReport:
     """Full pipeline for one experiment configuration on a preprocessed corpus.
 
-    Matched conditions run nested CV.  Mismatched conditions train on the
-    full train-condition data (grid search by inner folds of the training
-    side only) and report a single train/test accuracy.
+    Matched conditions run nested CV.  Mismatched conditions run the same
+    fold loop on one split: train on all train-condition epochs (grid search
+    by inner folds of the training side only), test on all test-condition
+    epochs, and report that single accuracy.
     """
     x_train, y_train = _features_cached(
         corpus, config, config.train_condition, feature_cache_dir, cache_tag)
@@ -404,32 +411,18 @@ def run_experiment(corpus, config: ExperimentConfig,
 
     x_test, y_test = _features_cached(
         corpus, config, config.test_condition, feature_cache_dir, cache_tag)
-    train_subjects = set(y_train.tolist())
-    missing = [s for s in set(y_test.tolist()) if s not in train_subjects]
+    missing = set(y_test.tolist()) - set(y_train.tolist())
     if missing:
         raise MissingCondition(
             f"test-condition subjects absent from training data: {sorted(missing)[:5]}"
         )
-    params, audit = grid_search(x_train, y_train, k2=config.k2, seed=config.seed + 1)
-    model = svm.train_ovr(x_train, y_train, params)
-    _report_nonconverged(model.converged, "final fit")
-    preds = svm.predict_batch(model, x_test)
-    truth = y_test.tolist()
-    acc = _accuracy(truth, preds)
-    class_order = tuple(sorted(train_subjects))
-    cv = CvReport(
-        fold_accuracies=[acc],
-        mean_accuracy=acc,
-        standard_error=0.0,
-        chosen_params=[(params.c, params.gamma)],
-        confusion=confusion_matrix(truth, preds, class_order),
-        class_order=class_order,
-        seed=config.seed,
-        grid_audits=[audit],
-    )
+    n_train, n_epochs = len(y_train), len(y_train) + len(y_test)
+    split = (np.arange(n_train), np.arange(n_train, n_epochs))
+    cv = _cross_validate(np.vstack((x_train, x_test)), np.concatenate((y_train, y_test)),
+                         [split], config.k2, config.seed)
     return ExperimentReport(
-        config=config, cv=cv, n_epochs=len(y_train) + len(y_test),
-        n_subjects=len(class_order), mismatched=True,
+        config=config, cv=cv, n_epochs=n_epochs,
+        n_subjects=len(cv.class_order), mismatched=True,
     )
 
 

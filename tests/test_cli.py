@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from eegid import cli, dsp, synth
+from eegid.evaluation import preprocessed
 from eegid.io_ingest import build_corpus, load_manifest
 
 from edf_tools import save_matrix, write_edf
@@ -62,7 +63,7 @@ class TestIngest:
         cache = root / "cache"
         assert cli.main(["ingest", "--manifest", str(manifest),
                          "--out", str(cache)]) == cli.EXIT_OK
-        assert list(cache.glob("corpus-*.npz"))
+        assert list(cache.glob("preprocessed-*.npz"))
         capsys.readouterr()
         assert cli.main(["ingest", "--manifest", str(manifest),
                          "--out", str(cache)]) == cli.EXIT_OK
@@ -73,11 +74,11 @@ class TestIngest:
         cache = tmp_path / "cache"
         assert cli.main(["ingest", "--manifest", str(manifest),
                          "--out", str(cache)]) == cli.EXIT_OK
-        digest = cli._corpus_hash(load_manifest(manifest))
-        assert sorted(p.name for p in cache.iterdir()) == [f"corpus-{digest}.npz"]
-        with np.load(cache / f"corpus-{digest}.npz", allow_pickle=False) as blob:
+        name = f"preprocessed-{cli._corpus_hash(load_manifest(manifest))}-order4-notch50-q30.npz"
+        assert sorted(p.name for p in cache.iterdir()) == [name]
+        with np.load(cache / name, allow_pickle=False) as blob:
             cached = cli._unpack_corpus(blob)
-        fresh = build_corpus(load_manifest(manifest))
+        fresh = list(preprocessed(build_corpus(load_manifest(manifest))))
         assert len(cached) == len(fresh) == 3
         for got, want in zip(cached, fresh):
             assert got.data.dtype == np.float64 and got.data.flags.c_contiguous
@@ -88,14 +89,15 @@ class TestIngest:
         capsys.readouterr()
         assert cli.main(["ingest", "--manifest", str(manifest),
                          "--out", str(cache)]) == cli.EXIT_OK
-        assert f"cache hit: corpus-{digest}.npz" in capsys.readouterr().err
+        assert f"cache hit: {name}" in capsys.readouterr().err
 
     def test_object_array_cache_is_rebuilt_not_unpickled(self, workspace, tmp_path,
                                                          capsys):
         root, manifest = workspace
         cache = tmp_path / "cache"
         cache.mkdir()
-        cache_file = cache / f"corpus-{cli._corpus_hash(load_manifest(manifest))}.npz"
+        digest = cli._corpus_hash(load_manifest(manifest))
+        cache_file = cache / f"preprocessed-{digest}-order4-notch50-q30.npz"
         # the tripwire fires when numpy unpickles it
         probe = tmp_path / "probe.npz"
         np.savez(probe, data=np.array([_Tripwire(str(tmp_path / "probe-fired"))]))
@@ -114,9 +116,7 @@ class TestIngest:
         assert not marker.exists()
         with np.load(cache_file, allow_pickle=False) as blob:
             assert len(cli._unpack_corpus(blob)) == 3
-        # the preprocessed corpus that `features` reads is refused the same way
-        digest = cli._corpus_hash(load_manifest(manifest))
-        cache_file = cache / f"preprocessed-{digest}-order4-notch50-q30.npz"
+        # `features` reads the same file, and refuses it the same way
         np.savez(cache_file, data=np.array([_Tripwire(str(marker))]),
                  shapes=np.zeros((1, 2), dtype=int), meta=np.array(["{}"]))
         assert cli.main(["features", "--manifest", str(manifest),
@@ -128,6 +128,23 @@ class TestIngest:
         assert not marker.exists()
         with np.load(cache_file, allow_pickle=False) as blob:
             assert len(cli._unpack_corpus(blob)) == 3
+
+    @pytest.mark.parametrize("flags", [(), ("--notch-hz", "40", "--filter-order", "2")])
+    def test_ingest_warms_the_cache_features_reads(self, workspace, tmp_path, capsys,
+                                                   monkeypatch, flags):
+        root, manifest = workspace
+        cache = tmp_path / "cache"
+        assert cli.main([*flags, "ingest", "--manifest", str(manifest),
+                         "--out", str(cache)]) == cli.EXIT_OK
+        builds = []
+        monkeypatch.setattr(cli, "build_corpus", lambda *a: builds.append(a))
+        capsys.readouterr()
+        assert cli.main([*flags, "features", "--manifest", str(manifest),
+                         "--out", str(tmp_path / "features.csv"), "--cache", str(cache),
+                         "--band", "gamma", "--metric", "PLV"]) == cli.EXIT_OK
+        assert "cache hit: preprocessed-" in capsys.readouterr().err
+        assert builds == []
+        assert len(list(cache.iterdir())) == 1
 
     def test_empty_corpus_is_cached(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
@@ -410,21 +427,36 @@ class TestEvaluate:
         out2 = tmp_path / "r2"
         assert cli.main(["evaluate", "--config", str(config),
                          "--out", str(out1)]) == cli.EXIT_OK
-        damaged = sorted((tmp_path / "cache").glob("corpus-*.npz"))
-        damaged += sorted((tmp_path / "cache").glob("features-*.npz"))
+        damaged = sorted((tmp_path / "cache").glob("features-*.npz"))
         damaged += sorted((tmp_path / "cache").glob("preprocessed-*.npz"))
-        assert len(damaged) == 3
+        assert len(damaged) == 2
         for path in damaged:
             path.write_bytes(path.read_bytes()[:100])
         capsys.readouterr()
         assert cli.main(["evaluate", "--config", str(config),
                          "--out", str(out2)]) == cli.EXIT_OK
-        assert capsys.readouterr().err.count("rebuilding unreadable cache") == 3
+        assert capsys.readouterr().err.count("rebuilding unreadable cache") == 2
         for name in sorted(p.name for p in out1.iterdir()):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
         # the rebuilt files are whole again, and no temporary file is left
         assert sorted((tmp_path / "cache").iterdir()) == sorted(damaged)
         assert all(p.stat().st_size > 100 for p in damaged)
+
+    def test_corpus_loaded_once_per_policy(self, workspace, tmp_path, monkeypatch):
+        corpus_hash, calls = cli._corpus_hash, []
+
+        def counting(manifest):
+            calls.append(manifest.channel_policy)
+            return corpus_hash(manifest)
+
+        monkeypatch.setattr(cli, "_corpus_hash", counting)
+        first_four = [f"CH{i:02d}" for i in range(4)]
+        assert self._evaluate(workspace, tmp_path, bands=["gamma", "beta2"],
+                              epoch_lengths_s=[2.0, 3.0],
+                              channel_policies=[None, first_four],
+                              cache_dir=str(tmp_path / "cache")) == cli.EXIT_OK
+        assert len(calls) == 2 and calls[1] == first_four
+        assert len(list((tmp_path / "out").glob("*_confusion.pgm"))) == 8
 
     def test_empty_grid_is_usage_error(self, workspace, tmp_path, capsys):
         root, manifest = workspace

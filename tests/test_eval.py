@@ -401,6 +401,38 @@ class TestExperiment:
         assert report.cv.standard_error == 0.0
         assert 0.0 <= report.cv.mean_accuracy <= 1.0
 
+    def test_mismatched_report_is_one_train_test_split(self):
+        # grid search on the train condition with seed + 1, a final fit, and
+        # predictions on the test condition, as one fold of the fold loop
+        corpus = [rec for condition in ("resting", "task")
+                  for rec in synth.synthetic_corpus(n_subjects=3, n_channels=6,
+                                                    duration_s=24.0, seed=4,
+                                                    condition=condition)]
+        config = ev.ExperimentConfig(metric="COR", band="alpha", epoch_length_s=2.0,
+                                     train_condition="resting", test_condition="task",
+                                     k2=2, seed=3)
+        corpus = list(ev.preprocessed(corpus, **config.filters))
+        report = ev.run_experiment(corpus, config)
+        x_train, y_train = ev._features_cached(corpus, config, "resting")
+        x_test, y_test = ev._features_cached(corpus, config, "task")
+        params, audit = ev.grid_search(x_train, y_train, k2=2, seed=4)
+        preds = svm.predict_batch(svm.train_ovr(x_train, y_train, params), x_test)
+        truth = y_test.tolist()
+        acc = sum(t == p for t, p in zip(truth, preds)) / len(truth)
+        class_order = tuple(sorted(set(y_train.tolist())))
+        assert report.mismatched
+        assert report.n_epochs == len(y_train) + len(y_test)
+        assert report.n_subjects == 3
+        assert report.cv.fold_accuracies == [acc]
+        assert report.cv.mean_accuracy == acc
+        assert report.cv.standard_error == 0.0
+        assert report.cv.chosen_params == [(params.c, params.gamma)]
+        assert report.cv.class_order == class_order
+        np.testing.assert_array_equal(report.cv.confusion,
+                                      ev.confusion_matrix(truth, preds, class_order))
+        assert report.cv.seed == 3
+        assert report.cv.grid_audits == [audit]
+
     def test_mismatched_missing_subjects_rejected(self):
         rest = synth.synthetic_corpus(n_subjects=2, n_channels=6,
                                       duration_s=24.0, seed=9,
