@@ -101,6 +101,25 @@ def _filters(args):
             "filter_order": args.filter_order}
 
 
+def _filter_problem(filters):
+    """Usage message for the first filter flag out of its range, or None."""
+    if not 0 <= filters["notch_hz"] < np.inf:
+        return f"--notch-hz must be a finite frequency >= 0, not {filters['notch_hz']}"
+    if not 0 < filters["notch_q"] < np.inf:
+        return f"--notch-q must be a finite quality factor > 0, not {filters['notch_q']}"
+    if filters["filter_order"] % 2 or not 2 <= filters["filter_order"] <= 8:
+        return f"--filter-order must be even and within 2-8, not {filters['filter_order']}"
+    return None
+
+
+def _epoch_length_problem(length):
+    """Usage message for an epoch length that is not a positive number, or None."""
+    # exact types: JSON true and false load as bool, a subclass of int
+    if type(length) not in (int, float) or not 0 < length < np.inf:
+        return f"epoch length {length!r} is not a positive number of seconds"
+    return None
+
+
 def cmd_ingest(args) -> int:
     corpus, digest, _ = _cached_corpus(args.manifest, args.out, _filters(args))
     subjects = sorted({r.label for r in corpus})
@@ -122,7 +141,8 @@ def _unknown_name(bands, metrics, gb_metrics):
 
 
 def cmd_features(args) -> int:
-    if problem := _unknown_name([args.band], [args.metric], [args.gb]):
+    if problem := (_unknown_name([args.band], [args.metric], [args.gb])
+                   or _epoch_length_problem(args.epoch_length)):
         _log(problem)
         return EXIT_USAGE
     config = evaluation.ExperimentConfig(
@@ -210,10 +230,9 @@ def _run_config_problem(doc):
             resolve_policy(policy)
         except ValueError as exc:
             return str(exc)
-    # exact types: JSON true and false load as bool, a subclass of int
     for length in doc["epoch_lengths_s"]:
-        if type(length) not in (int, float) or not 0 < length < np.inf:
-            return f"epoch length {length!r} is not a positive number of seconds"
+        if problem := _epoch_length_problem(length):
+            return problem
     for key in ("seed", "k1", "k2"):
         if type(doc[key]) is not int:
             return f"run-config key {key!r} must be an integer, not {doc[key]!r}"
@@ -251,11 +270,11 @@ def cmd_evaluate(args) -> int:
         name = _policy_name(policy)
         for config in configs:
             _log(f"running {config.name()} [{name or 'manifest policy'}]")
-            report = evaluation.run_experiment(
+            report = replace(evaluation.run_experiment(
                 corpus, config, feature_cache_dir=cache_dir,
                 cache_tag=f"{digest}-{name or 'manifest'}",
-            )
-            stem = f"{name or 'default'}_{config.name()}"
+            ), policy=name or "default")
+            stem = f"{report.policy}_{config.name()}"
             with open(out_dir / f"{stem}.json", "w", encoding="utf-8") as fh:
                 fh.write(evaluation.report_to_json(report))
                 fh.write("\n")
@@ -272,17 +291,19 @@ def cmd_evaluate(args) -> int:
 
 
 def _write_rollup(out_dir: Path, report_dicts):
-    """Accuracy roll-up: one row per config, one column per band."""
+    """Accuracy roll-up: one row per config and channel policy, one column per
+    band.  A report without a policy, from before reports recorded it, counts
+    as `default`."""
     bands = [b.name for b in dsp.ANALYSIS_BANDS] + ["broadband"]
     rows = {}
     for d in report_dicts:
         cfg = d["config"]
         key = (cfg["metric"], cfg["gb_metric"] or "-", f"{cfg['epoch_length_s']:g}",
-               cfg["train_condition"], cfg["test_condition"])
+               cfg["train_condition"], cfg["test_condition"], d.get("policy", "default"))
         cell = f"{100 * d['mean_accuracy']:.1f}+/-{100 * d['standard_error']:.1f}"
         rows.setdefault(key, {})[cfg["band"]] = cell
     with open(out_dir / "rollup.csv", "w", encoding="utf-8") as fh:
-        fh.write("metric,gb_metric,epoch_s,train,test," + ",".join(bands) + "\n")
+        fh.write("metric,gb_metric,epoch_s,train,test,policy," + ",".join(bands) + "\n")
         for key in sorted(rows):
             cells = [rows[key].get(b, "") for b in bands]
             fh.write(",".join(key) + "," + ",".join(cells) + "\n")
@@ -330,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", required=True, help="COR | PLV | PLI")
     p.add_argument("--gb", default=None, help="optional graph metric: ND | EC | BC | CC")
     p.add_argument("--epoch-length", type=float, default=4.0)
-    p.add_argument("--condition", default="resting")
+    p.add_argument("--condition", default="resting", choices=CONDITIONS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_features)
 
@@ -352,6 +373,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    if problem := _filter_problem(_filters(args)):
+        _log(problem)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except (UnstableDesign, NoConvergence, np.linalg.LinAlgError) as exc:

@@ -191,6 +191,8 @@ def design_notch(f0_hz, q, fs_hz) -> IirFilter:
         raise FrequencyOutOfRange(
             f"notch frequency {f0_hz} Hz outside (0, {fs_hz / 2}) at fs={fs_hz}"
         )
+    if not q > 0:  # q = 0 divides by zero; q < 0 puts the poles outside the unit circle
+        raise UnstableDesign(f"notch quality factor must be positive, got {q}")
     w0 = 2 * f0_hz / fs_hz * np.pi
     gain = 1.0 / (1.0 + np.tan(w0 / q / 2))
     filt = IirFilter(sos=[[gain, -2 * gain * np.cos(w0), gain,

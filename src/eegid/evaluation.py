@@ -278,6 +278,7 @@ class ExperimentReport:
     n_epochs: int
     n_subjects: int
     mismatched: bool = False
+    policy: str = "default"  # file-name text of the corpus's channel policy
 
     def to_dict(self):
         d = {
@@ -285,6 +286,7 @@ class ExperimentReport:
             "n_epochs": self.n_epochs,
             "n_subjects": self.n_subjects,
             "mismatched": self.mismatched,
+            "policy": self.policy,
         }
         d.update(self.cv.to_dict())
         return d

@@ -307,6 +307,56 @@ class TestFeatures:
         assert cli.main([]) == cli.EXIT_USAGE
 
 
+class TestFlagChecks:
+    """Bad flag values exit 1 before any work, and write nothing."""
+
+    @staticmethod
+    def _argv(command, workspace, tmp_path):
+        root, manifest = workspace
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "manifest": str(manifest), "bands": ["gamma"], "metrics": ["PLV"],
+            "epoch_lengths_s": [2.0], "k1": 5, "k2": 2, "cache_dir": str(tmp_path / "cache"),
+        }))
+        return {"ingest": ["ingest", "--manifest", str(manifest),
+                           "--out", str(tmp_path / "cache")],
+                "features": ["features", "--manifest", str(manifest),
+                             "--out", str(tmp_path / "x.csv"), "--cache", str(tmp_path / "cache"),
+                             "--band", "gamma", "--metric", "PLV", "--epoch-length", "2"],
+                "evaluate": ["evaluate", "--config", str(config),
+                             "--out", str(tmp_path / "out")]}[command]
+
+    @pytest.mark.parametrize("command", ["ingest", "features", "evaluate"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--notch-q", "0"), ("--notch-q", "-1"), ("--notch-q", "inf"),
+        ("--notch-hz", "nan"), ("--notch-hz", "-50"), ("--notch-hz", "inf"),
+        ("--filter-order", "3"), ("--filter-order", "10"), ("--filter-order", "0"),
+    ])
+    def test_bad_filter_flag(self, workspace, tmp_path, capsys, command, flag, value):
+        argv = self._argv(command, workspace, tmp_path)
+        assert cli.main([flag, value, *argv]) == cli.EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--epoch-length", "0"), "epoch length 0.0"),
+        (("--epoch-length", "-2"), "epoch length -2.0"),
+        (("--epoch-length", "nan"), "epoch length nan"),
+        (("--condition", "rest"), "'rest'"),
+    ])
+    def test_bad_features_flag(self, workspace, tmp_path, capsys, flags, named):
+        argv = self._argv("features", workspace, tmp_path)
+        assert cli.main([*argv, *flags]) == cli.EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+    def test_notch_disabled_and_above_nyquist_accepted(self, workspace, tmp_path):
+        # 0 disables the notch; one at or above Nyquist is skipped, as documented
+        for notch in ("0", "64"):
+            argv = self._argv("features", workspace, tmp_path)
+            assert cli.main(["--notch-hz", notch, *argv]) == cli.EXIT_OK
+
+
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
 # runs `eegid` with every scipy import failing
@@ -582,6 +632,35 @@ class TestEvaluate:
         assert cli.main(["evaluate", "--config", str(run_config),
                          "--out", str(out)]) == cli.EXIT_OK
         original = (out / "rollup.csv").read_bytes()
+        (out / "rollup.csv").unlink()
+        assert cli.main(["report", "--out", str(out)]) == cli.EXIT_OK
+        assert (out / "rollup.csv").read_bytes() == original
+
+    def test_rollup_keeps_each_channel_policy(self, workspace, tmp_path):
+        first_four = [f"CH{i:02d}" for i in range(4)]
+        assert self._evaluate(workspace, tmp_path, channel_policies=[None, first_four],
+                              cache_dir=str(tmp_path / "cache")) == cli.EXIT_OK
+        out, name = tmp_path / "out", cli._policy_name(first_four)
+        rollup = (out / "rollup.csv").read_text().splitlines()
+        assert rollup[0].startswith("metric,gb_metric,epoch_s,train,test,policy,")
+        assert [row.split(",")[5] for row in rollup[1:]] == ["default", name]
+        for policy in ("default", name):
+            report = json.loads((out / f"{policy}_plv_fc_gamma_2s_resting.json").read_text())
+            assert report["policy"] == policy
+        original = (out / "rollup.csv").read_bytes()
+        (out / "rollup.csv").unlink()
+        assert cli.main(["report", "--out", str(out)]) == cli.EXIT_OK
+        assert (out / "rollup.csv").read_bytes() == original
+
+    def test_report_without_policy_counts_as_default(self, workspace, run_config, tmp_path):
+        out = tmp_path / "reports"
+        assert cli.main(["evaluate", "--config", str(run_config),
+                         "--out", str(out)]) == cli.EXIT_OK
+        original = (out / "rollup.csv").read_bytes()
+        path = out / "default_plv_fc_gamma_2s_resting.json"
+        report = json.loads(path.read_text())
+        assert report.pop("policy") == "default"
+        path.write_text(json.dumps(report))
         (out / "rollup.csv").unlink()
         assert cli.main(["report", "--out", str(out)]) == cli.EXIT_OK
         assert (out / "rollup.csv").read_bytes() == original

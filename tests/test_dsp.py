@@ -86,6 +86,12 @@ class TestNotch:
         with pytest.raises(FrequencyOutOfRange):
             dsp.notch(rec, 70.0)
 
+    @pytest.mark.parametrize("q", [0.0, -1.0, float("nan")])
+    def test_non_positive_q_rejected(self, q):
+        # q = 0 divided by zero; q = -1 gave pole moduli 1.95 and 1.09
+        with pytest.raises(UnstableDesign, match="quality factor"):
+            dsp.design_notch(50.0, q, 160.0)
+
 
 def sos_response(sos, freqs_hz, fs_hz):
     """Independent |H| oracle: evaluate every section at z = e^{jw} directly."""
