@@ -86,8 +86,10 @@ def _cached_corpus(manifest_path, cache_dir, filters, channel_policy=None):
 
     def build():
         raw = build_corpus(manifest)
-        return _pack_corpus(evaluation.preprocessed(raw, **filters),
-                            [rec.data.shape for rec in raw])
+        shapes = [rec.data.shape for rec in raw]
+        # each raw recording is released once its preprocessed copy is packed
+        return _pack_corpus(evaluation.preprocessed((raw.pop(0) for _ in shapes), **filters),
+                            shapes)
 
     corpus, cached = evaluation.load_or_build(path, build, _unpack_corpus)
     if cached:
