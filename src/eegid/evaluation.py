@@ -29,47 +29,25 @@ GRID = tuple(
 )
 
 
-# --- fold plans ---------------------------------------------------------------
+# --- folds --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    k1: int
-    k2: int
-    outer_folds: tuple  # tuple of index tuples, one per outer fold
-    seed: int
+def fold_splits(labels, k, seed):
+    """Round-robin k-fold splits of epochs grouped per subject.
 
-    @property
-    def size(self):
-        return sum(len(f) for f in self.outer_folds)
-
-
-def _round_robin_folds(labels, k, rng):
-    """Per-subject shuffled round-robin assignment of epochs to k folds."""
+    Subject by subject in sorted order, the subject's epochs are shuffled by
+    `np.random.default_rng(seed)` and dealt to the folds in turn.  Returns one
+    (train_idx, test_idx) pair of sorted index arrays per fold.
+    """
     labels = np.asarray(labels)
-    folds = [[] for _ in range(k)]
+    rng = np.random.default_rng(seed)
+    fold_of = np.empty(labels.shape[0], dtype=int)
     for subject in sorted(set(labels.tolist())):
         idx = np.flatnonzero(labels == subject)
         rng.shuffle(idx)
-        for pos, epoch_idx in enumerate(idx):
-            folds[pos % k].append(int(epoch_idx))
-    return tuple(tuple(sorted(f)) for f in folds)
-
-
-def make_fold_plan(labels, k1=10, k2=3, seed=0) -> FoldPlan:
-    """Stratified outer fold assignment; deterministic given the seed."""
-    if k1 < 2:
-        raise ValueError("k1 must be at least 2 (need held-out data)")
-    if k2 < 2:
-        raise ValueError("k2 must be at least 2")
-    labels = np.asarray(labels)
-    counts = {s: int(np.sum(labels == s)) for s in set(labels.tolist())}
-    for subject, count in sorted(counts.items()):
-        if count < k1:
-            raise InsufficientEpochs(subject)
-    rng = np.random.default_rng(seed)
-    return FoldPlan(k1=k1, k2=k2, outer_folds=_round_robin_folds(labels, k1, rng),
-                    seed=seed)
+        fold_of[idx] = np.arange(idx.size) % k
+    return [(np.flatnonzero(fold_of != held), np.flatnonzero(fold_of == held))
+            for held in range(k)]
 
 
 # --- grid search and nested CV -------------------------------------------------
@@ -88,20 +66,11 @@ def grid_search(x, labels, k2=3, grid=GRID, seed=0):
     `svm.train_ovr_grid` call.
     """
     grid = tuple(grid)
-    if len(grid) == 1:
-        return grid[0], {grid[0]: None}
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels)
-    rng = np.random.default_rng(seed)
-    inner = _round_robin_folds(labels, k2, rng)
     accs = {params: [] for params in grid}
     converged = []
-    for held in range(k2):
-        val_idx = np.array(inner[held], dtype=int)
-        train_idx = np.array(
-            sorted(i for f in inner[:held] + inner[held + 1:] for i in f),
-            dtype=int,
-        )
+    for train_idx, val_idx in fold_splits(labels, k2, seed):
         truth = labels[val_idx].tolist()
         for params, model in svm.train_ovr_grid(x[train_idx], labels[train_idx], grid):
             preds = svm.predict_batch(model, x[val_idx])
@@ -167,26 +136,29 @@ def standard_error(fold_accuracies) -> float:
     return float(np.std(accs) / np.sqrt(accs.size))
 
 
-def run_nested_cv(x, labels, plan: FoldPlan, grid=GRID) -> CvReport:
-    """Outer-fold evaluation with inner grid search per fold.
+def run_nested_cv(x, labels, k1=10, k2=3, seed=0) -> CvReport:
+    """Outer k1-fold evaluation with an inner k2-fold grid search per fold.
 
     The standardizer and hyperparameters for each outer fold are fitted on
-    that fold's training epochs only.
+    that fold's training epochs only.  Every subject needs at least k1
+    epochs, so that it appears in every outer fold.
     """
+    if k1 < 2:
+        raise ValueError("k1 must be at least 2 (need held-out data)")
+    if k2 < 2:
+        raise ValueError("k2 must be at least 2")
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels)
-    if x.shape[0] != labels.shape[0] or x.shape[0] != plan.size:
-        raise ValueError("features, labels and fold plan disagree in size")
-    splits = [
-        (np.array(sorted(i for f, fold in enumerate(plan.outer_folds)
-                         if f != held for i in fold), dtype=int),
-         np.array(test, dtype=int))
-        for held, test in enumerate(plan.outer_folds)
-    ]
-    return _cross_validate(x, labels, splits, plan.k2, plan.seed, grid)
+    if x.shape[0] != labels.shape[0]:
+        raise ValueError("features and labels disagree in size")
+    subjects, counts = np.unique(labels, return_counts=True)
+    for subject, count in zip(subjects.tolist(), counts.tolist()):
+        if count < k1:
+            raise InsufficientEpochs(subject)
+    return _cross_validate(x, labels, fold_splits(labels, k1, seed), k2, seed)
 
 
-def _cross_validate(x, labels, splits, k2, seed, grid=GRID) -> CvReport:
+def _cross_validate(x, labels, splits, k2, seed) -> CvReport:
     """Score each (train_idx, test_idx) split of the rows of x: an inner
     grid search on the training rows, a final fit with the chosen
     hyperparameters, and predictions on the test rows."""
@@ -195,7 +167,7 @@ def _cross_validate(x, labels, splits, k2, seed, grid=GRID) -> CvReport:
     all_truth, all_pred = [], []
     for held, (train_idx, test_idx) in enumerate(splits):
         params, audit = grid_search(
-            x[train_idx], labels[train_idx], k2=k2, grid=grid, seed=seed + held + 1,
+            x[train_idx], labels[train_idx], k2=k2, seed=seed + held + 1,
         )
         model = svm.train_ovr(x[train_idx], labels[train_idx], params)
         _report_nonconverged(model.converged, f"final fit, outer fold {held}")
@@ -401,31 +373,24 @@ def run_experiment(corpus, config: ExperimentConfig,
     by inner folds of the training side only), test on all test-condition
     epochs, and report that single accuracy.
     """
-    x_train, y_train = _features_cached(
+    x, labels = _features_cached(
         corpus, config, config.train_condition, feature_cache_dir, cache_tag)
-    if config.train_condition == config.test_condition:
-        plan = make_fold_plan(y_train, k1=config.k1, k2=config.k2, seed=config.seed)
-        cv = run_nested_cv(x_train, y_train, plan)
-        return ExperimentReport(
-            config=config, cv=cv, n_epochs=len(y_train),
-            n_subjects=len(cv.class_order),
-        )
-
-    x_test, y_test = _features_cached(
-        corpus, config, config.test_condition, feature_cache_dir, cache_tag)
-    missing = set(y_test.tolist()) - set(y_train.tolist())
-    if missing:
-        raise MissingCondition(
-            f"test-condition subjects absent from training data: {sorted(missing)[:5]}"
-        )
-    n_train, n_epochs = len(y_train), len(y_train) + len(y_test)
-    split = (np.arange(n_train), np.arange(n_train, n_epochs))
-    cv = _cross_validate(np.vstack((x_train, x_test)), np.concatenate((y_train, y_test)),
-                         [split], config.k2, config.seed)
-    return ExperimentReport(
-        config=config, cv=cv, n_epochs=n_epochs,
-        n_subjects=len(cv.class_order), mismatched=True,
-    )
+    mismatched = config.train_condition != config.test_condition
+    if not mismatched:
+        cv = run_nested_cv(x, labels, config.k1, config.k2, config.seed)
+    else:
+        x_test, y_test = _features_cached(
+            corpus, config, config.test_condition, feature_cache_dir, cache_tag)
+        missing = set(y_test.tolist()) - set(labels.tolist())
+        if missing:
+            raise MissingCondition(
+                f"test-condition subjects absent from training data: {sorted(missing)[:5]}"
+            )
+        split = (np.arange(len(labels)), np.arange(len(labels), len(labels) + len(y_test)))
+        x, labels = np.vstack((x, x_test)), np.concatenate((labels, y_test))
+        cv = _cross_validate(x, labels, [split], config.k2, config.seed)
+    return ExperimentReport(config=config, cv=cv, n_epochs=len(labels),
+                            n_subjects=len(cv.class_order), mismatched=mismatched)
 
 
 # --- report emission ---------------------------------------------------------------

@@ -136,8 +136,7 @@ def test_criterion_4_null_experiment(capsys):
     labels = np.repeat([f"s{i}" for i in range(10)], 12)
     shuffled = labels.copy()
     rng.shuffle(shuffled)
-    plan = ev.make_fold_plan(shuffled, k1=4, k2=2, seed=0)
-    report = ev.run_nested_cv(x, shuffled, plan)
+    report = ev.run_nested_cv(x, shuffled, k1=4, k2=2, seed=0)
     chance = 0.1
     spread = max(3 * report.standard_error, 0.08)
     elapsed = time.monotonic() - start

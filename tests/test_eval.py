@@ -34,39 +34,59 @@ class TestFoldPlan:
         # 184 subjects x 15 epochs into 10 folds: five folds get two epochs
         # per subject, five get one
         labels = np.repeat([f"s{i}" for i in range(184)], 15)
-        plan = ev.make_fold_plan(labels, k1=10, k2=3, seed=0)
-        sizes = sorted(len(f) for f in plan.outer_folds)
+        sizes = sorted(len(test) for _, test in ev.fold_splits(labels, 10, 0))
         assert set(sizes) == {184, 368}
         assert sum(sizes) == 2760
 
     def test_partition_is_exact(self, rng):
         labels = np.repeat(["a", "b", "c"], 12)
-        plan = ev.make_fold_plan(labels, k1=4, k2=2, seed=3)
-        all_idx = sorted(i for f in plan.outer_folds for i in f)
+        splits = ev.fold_splits(labels, 4, 3)
+        all_idx = sorted(i for _, test in splits for i in test.tolist())
         assert all_idx == list(range(36))
+        for train, test in splits:
+            assert sorted(train.tolist() + test.tolist()) == list(range(36))
 
     def test_every_subject_in_every_fold(self):
         labels = np.repeat([f"s{i}" for i in range(5)], 20)
-        plan = ev.make_fold_plan(labels, k1=10, k2=3, seed=1)
-        for fold in plan.outer_folds:
-            assert {labels[i] for i in fold} == set(labels.tolist())
+        for _, test in ev.fold_splits(labels, 10, 1):
+            assert set(labels[test].tolist()) == set(labels.tolist())
 
     def test_k1_of_one_rejected(self):
-        with pytest.raises(ValueError):
-            ev.make_fold_plan(np.repeat(["a", "b"], 10), k1=1)
+        labels = np.repeat(["a", "b"], 10)
+        with pytest.raises(ValueError, match="k1"):
+            ev.run_nested_cv(np.zeros((20, 2)), labels, k1=1)
+        with pytest.raises(ValueError, match="k2"):
+            ev.run_nested_cv(np.zeros((20, 2)), labels, k1=2, k2=1)
 
     def test_insufficient_epochs(self):
         labels = np.array(["a"] * 10 + ["b"] * 3)
-        with pytest.raises(InsufficientEpochs):
-            ev.make_fold_plan(labels, k1=10)
+        with pytest.raises(InsufficientEpochs, match="'b'"):
+            ev.run_nested_cv(np.zeros((13, 2)), labels, k1=10)
+
+    def test_rows_and_labels_must_agree(self):
+        labels = np.repeat(["a", "b"], 10)
+        with pytest.raises(ValueError, match="disagree in size"):
+            ev.run_nested_cv(np.zeros((19, 2)), labels, k1=2, k2=2)
 
     def test_seed_determinism(self):
         labels = np.repeat(["a", "b", "c"], 15)
-        p1 = ev.make_fold_plan(labels, seed=7, k1=5)
-        p2 = ev.make_fold_plan(labels, seed=7, k1=5)
-        p3 = ev.make_fold_plan(labels, seed=8, k1=5)
-        assert p1.outer_folds == p2.outer_folds
-        assert p1.outer_folds != p3.outer_folds
+
+        def folds(seed):
+            return [test.tolist() for _, test in ev.fold_splits(labels, 5, seed)]
+
+        assert folds(7) == folds(7)
+        assert folds(7) != folds(8)
+
+    def test_golden_indices(self):
+        # the per-subject shuffled round-robin assignment, pinned index by index
+        labels = np.array(["b", "a", "c", "a", "b", "a", "c", "b", "a", "c", "b"])
+        splits = ev.fold_splits(labels, 3, 2)
+        assert [test.tolist() for _, test in splits] == [
+            [0, 2, 3, 8, 10], [4, 5, 9], [1, 6, 7]]
+        assert [train.tolist() for train, _ in splits] == [
+            [1, 4, 5, 6, 7, 9], [0, 1, 2, 3, 6, 7, 8, 10], [0, 2, 3, 4, 5, 8, 9, 10]]
+        for train, test in splits:
+            assert train.dtype == test.dtype == np.intp
 
 
 def train_ovr_scalar(x, labels, params):
@@ -100,14 +120,10 @@ def model_arrays(obj):
 
 def grid_search_per_point(x, labels, k2, grid, seed):
     """The grid search as one scalar-trained model per point and fold."""
-    inner = ev._round_robin_folds(labels, k2, np.random.default_rng(seed))
     audit = {}
     for params in grid:
         accs = []
-        for held in range(k2):
-            val_idx = np.array(inner[held], dtype=int)
-            train_idx = np.array(
-                sorted(i for f in inner[:held] + inner[held + 1:] for i in f), dtype=int)
+        for train_idx, val_idx in ev.fold_splits(labels, k2, seed):
             model = train_ovr_scalar(x[train_idx], labels[train_idx], params)
             preds = svm.predict_batch(model, x[val_idx])
             accs.append(ev._accuracy(labels[val_idx].tolist(), preds))
@@ -126,7 +142,8 @@ class TestGridSearch:
         tuple(reversed(ev.GRID[::3])) + ev.GRID[1:4],           # unsorted
         grid((10.0, 0.1, 1.0), (0.1, 0.1)) + grid((100.0,), (0.1, 1.0)),  # repeated gamma
         grid((0.1, 1.0, 10.0, 100.0), (0.01,)),                  # a single gamma
-    ], ids=["default", "unsorted", "repeated-gamma", "single-gamma"])
+        grid((1.0,), (0.1,)),                                     # a single point
+    ], ids=["default", "unsorted", "repeated-gamma", "single-gamma", "one-point"])
     def test_equals_per_point_scalar_loop(self, rng, points):
         x, labels = cluster_features(rng, 4, 9, dim=6, spread=1.5)
         best, audit = ev.grid_search(x, labels, k2=3, grid=points, seed=5)
@@ -169,10 +186,10 @@ class TestGridSearch:
 
     def test_nonconverged_models_reported(self, rng, monkeypatch, capsys):
         x, labels = cluster_features(rng, 3, 10, spread=1.0)
-        ev.run_nested_cv(x, labels, ev.make_fold_plan(labels, k1=2, k2=2))
+        ev.run_nested_cv(x, labels, k1=2, k2=2)
         assert capsys.readouterr().err == ""
         monkeypatch.setattr(svm, "MAX_SMO_ITER", 2)
-        ev.run_nested_cv(x, labels, ev.make_fold_plan(labels, k1=2, k2=2))
+        ev.run_nested_cv(x, labels, k1=2, k2=2)
         err = capsys.readouterr().err.splitlines()
         # per outer fold: 2 inner folds x 16 points x 3 classes, then 3 classes
         assert err == [
@@ -192,13 +209,6 @@ class TestGridSearch:
         assert len(audit) == 16
         assert best in audit
         assert audit[best] == max(audit.values())
-
-    def test_single_point_grid_shortcut(self, rng):
-        x, labels = cluster_features(rng, 2, 8)
-        only = svm.SvmHyperparams(c=1.0, gamma=0.1)
-        best, audit = ev.grid_search(x, labels, grid=(only,))
-        assert best == only
-        assert audit == {only: None}
 
     def test_tie_break_prefers_smaller_c_then_gamma(self, rng):
         # fully separable clusters: many grid points reach 100%, the
@@ -272,8 +282,7 @@ class TestConfusionMatrix:
 class TestNestedCv:
     def test_separable_is_perfect(self, rng):
         x, labels = cluster_features(rng, 4, 20)
-        plan = ev.make_fold_plan(labels, k1=5, k2=3, seed=0)
-        report = ev.run_nested_cv(x, labels, plan)
+        report = ev.run_nested_cv(x, labels, k1=5, k2=3, seed=0)
         assert report.mean_accuracy == 1.0
         assert report.standard_error == 0.0
         assert np.trace(report.confusion) == 80
@@ -283,25 +292,19 @@ class TestNestedCv:
         x, labels = cluster_features(rng, 10, 12)
         shuffled = labels.copy()
         rng.shuffle(shuffled)
-        plan = ev.make_fold_plan(shuffled, k1=4, k2=2, seed=0)
-        report = ev.run_nested_cv(x, shuffled, plan)
+        report = ev.run_nested_cv(x, shuffled, k1=4, k2=2, seed=0)
         chance = 1.0 / 10
         spread = max(3 * report.standard_error, 0.08)
         assert abs(report.mean_accuracy - chance) <= spread
 
     def test_no_leakage_between_folds(self):
         labels = np.repeat(["a", "b", "c"], 10)
-        plan = ev.make_fold_plan(labels, k1=5, k2=2, seed=0)
-        for held in range(plan.k1):
-            test = set(plan.outer_folds[held])
-            train = {i for f, fold in enumerate(plan.outer_folds)
-                     if f != held for i in fold}
-            assert not test & train
+        for train, test in ev.fold_splits(labels, 5, 0):
+            assert not set(test.tolist()) & set(train.tolist())
 
     def test_report_roundtrips_to_json(self, rng):
         x, labels = cluster_features(rng, 3, 10)
-        plan = ev.make_fold_plan(labels, k1=5, k2=2, seed=0)
-        report = ev.run_nested_cv(x, labels, plan)
+        report = ev.run_nested_cv(x, labels, k1=5, k2=2, seed=0)
         d = report.to_dict()
         again = json.loads(json.dumps(d))
         assert again["mean_accuracy"] == report.mean_accuracy
@@ -310,9 +313,8 @@ class TestNestedCv:
 
     def test_deterministic_given_seed(self, rng):
         x, labels = cluster_features(rng, 3, 10, spread=0.8)
-        plan = ev.make_fold_plan(labels, k1=5, k2=2, seed=11)
-        r1 = ev.run_nested_cv(x, labels, plan)
-        r2 = ev.run_nested_cv(x, labels, plan)
+        r1 = ev.run_nested_cv(x, labels, k1=5, k2=2, seed=11)
+        r2 = ev.run_nested_cv(x, labels, k1=5, k2=2, seed=11)
         assert r1.fold_accuracies == r2.fold_accuracies
         assert r1.chosen_params == r2.chosen_params
 
@@ -382,6 +384,26 @@ class TestExperiment:
         assert report.n_epochs == 4 * 15
         assert not report.mismatched
         assert report.cv.mean_accuracy >= 0.9  # strongly identifiable corpus
+
+    def test_matched_report_is_nested_cv_of_the_features(self, small_corpus):
+        # nested CV of the cached train-condition features, with the config's
+        # k1, k2 and seed, as in the mismatched recipe test below
+        config = ev.ExperimentConfig(metric="COR", band="alpha", epoch_length_s=2.0,
+                                     k1=5, k2=2, seed=3)
+        report = ev.run_experiment(small_corpus, config)
+        x, labels = ev._features_cached(small_corpus, config, "resting")
+        cv = ev.run_nested_cv(x, labels, config.k1, config.k2, config.seed)
+        assert report.config == config
+        assert not report.mismatched
+        assert report.n_epochs == len(labels) == 4 * 15
+        assert report.n_subjects == 4
+        assert report.policy == "default"
+        for f in dataclasses.fields(ev.CvReport):
+            mine, ref = getattr(report.cv, f.name), getattr(cv, f.name)
+            if f.name == "confusion":
+                np.testing.assert_array_equal(mine, ref)
+            else:
+                assert mine == ref, f.name
 
     def test_mismatched_conditions(self):
         rest = synth.synthetic_corpus(n_subjects=3, n_channels=6,
