@@ -149,7 +149,7 @@ def cmd_features(args) -> int:
         return EXIT_USAGE
     config = evaluation.ExperimentConfig(
         metric=args.metric, band=args.band, gb_metric=args.gb,
-        epoch_length_s=args.epoch_length, seed=args.seed, **_filters(args),
+        epoch_length_s=args.epoch_length, **_filters(args),
     )
     corpus, digest, _ = _cached_corpus(args.manifest, args.cache, config.filters)
     epochs, labels, provenance = evaluation.band_epochs(corpus, config, args.condition)
@@ -313,15 +313,18 @@ def _write_rollup(out_dir: Path, report_dicts):
 
 def cmd_report(args) -> int:
     out_dir = Path(args.out)
-    report_files = sorted(p for p in out_dir.glob("*.json")
-                          if not p.name.endswith("_confusion.json"))
-    if not report_files:
+    dicts = []
+    for path in sorted(out_dir.glob("*.json")):
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        # a run config or other JSON kept beside the reports is not one
+        if isinstance(doc, dict) and isinstance(doc.get("config"), dict):
+            dicts.append(doc)
+        else:
+            _log(f"skipping {path.name}: not a report (no 'config' object)")
+    if not dicts:
         _log(f"no report files found in {out_dir}")
         return EXIT_USAGE
-    dicts = []
-    for path in report_files:
-        with open(path, "r", encoding="utf-8") as fh:
-            dicts.append(json.load(fh))
     _write_rollup(out_dir, dicts)
     _log(f"rebuilt rollup.csv from {len(dicts)} report(s)")
     return EXIT_OK
@@ -354,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gb", default=None, help="optional graph metric: ND | EC | BC | CC")
     p.add_argument("--epoch-length", type=float, default=4.0)
     p.add_argument("--condition", default="resting", choices=CONDITIONS)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("evaluate", help="run an experiment grid from a config file")

@@ -47,6 +47,19 @@ def workspace(tmp_path_factory):
     return root, manifest
 
 
+_GOOD_ENTRY = {"path": "s1.txt", "format": "matrix", "subject_id": "s1",
+               "dataset_id": "d1", "window_s": [0.0, 1.0],
+               "sampling_rate_hz": 128.0, "channel_names": ["C3"]}
+
+
+def _manifest_doc(**changes):
+    """A two-entry manifest whose second entry has `changes`; a change to
+    None drops the key."""
+    second = {**_GOOD_ENTRY, "subject_id": "s2", **changes}
+    return {"target_rate_hz": 128.0, "channel_policy": ["C3"],
+            "entries": [_GOOD_ENTRY, {k: v for k, v in second.items() if v is not None}]}
+
+
 class _Tripwire:
     """Unpickling this object creates the directory `path`."""
 
@@ -205,6 +218,30 @@ class TestIngest:
         assert (cli._corpus_hash(load_manifest(base))
                 != cli._corpus_hash(load_manifest(changed)))
 
+    @pytest.mark.parametrize("doc, named", [
+        ([_manifest_doc()], "must be a JSON object, not list"),
+        ({**_manifest_doc(), "entries": {"s1": _GOOD_ENTRY}}, "key 'entries'"),
+        ({**_manifest_doc(), "target_rate_hz": [1]}, "key 'target_rate_hz'"),
+        ({**_manifest_doc(), "channel_policy": 3}, "key 'channel_policy'"),
+        ({**_manifest_doc(), "entries": [_GOOD_ENTRY, 3]}, "entry 1 must be an object"),
+        (_manifest_doc(path=3), "entry 1 key 'path'"),
+        (_manifest_doc(window_s=5), "entry 1 key 'window_s'"),
+        (_manifest_doc(window_s=["a", "b"]), "entry 1 key 'window_s'"),
+        (_manifest_doc(condition=["resting"]), "entry 1 key 'condition'"),
+        (_manifest_doc(channel_names="C3"), "entry 1 key 'channel_names'"),
+        (_manifest_doc(subject_id=None), "entry 1 has no 'subject_id'"),
+    ], ids=["top-level-list", "entries-object", "rate-list", "policy-number",
+            "entry-number", "path-number", "window-number", "window-strings",
+            "condition-list", "channel-names-string", "no-subject"])
+    def test_malformed_manifest_is_data_error(self, tmp_path, capsys, doc, named):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        code = cli.main(["ingest", "--manifest", str(manifest),
+                         "--out", str(tmp_path / "cache")])
+        assert code == cli.EXIT_DATA
+        assert named in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
     def test_missing_manifest(self, tmp_path, capsys):
         code = cli.main(["ingest", "--manifest", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "cache")])
@@ -302,6 +339,15 @@ class TestFeatures:
                          "--band", "mu", "--metric", "PLV"])
         assert code == cli.EXIT_USAGE
         assert "gamma" in capsys.readouterr().err
+
+    def test_seed_flag_removed(self, workspace, tmp_path, capsys):
+        # features never read a seed; the flag is gone
+        root, manifest = workspace
+        assert cli.main(["features", "--manifest", str(manifest),
+                         "--out", str(tmp_path / "x.csv"), "--cache", str(tmp_path / "cache"),
+                         "--band", "gamma", "--metric", "PLV", "--seed", "1"]) == cli.EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_subcommand_is_usage_error(self):
         assert cli.main([]) == cli.EXIT_USAGE
@@ -667,6 +713,29 @@ class TestEvaluate:
 
     def test_report_empty_dir_is_usage_error(self, tmp_path):
         assert cli.main(["report", "--out", str(tmp_path)]) == cli.EXIT_USAGE
+
+    def test_report_skips_json_that_is_not_a_report(self, workspace, run_config,
+                                                    tmp_path, capsys):
+        out = tmp_path / "reports"
+        assert cli.main(["evaluate", "--config", str(run_config),
+                         "--out", str(out)]) == cli.EXIT_OK
+        original = (out / "rollup.csv").read_bytes()
+        (out / "rollup.csv").unlink()
+        (out / "run.json").write_bytes(run_config.read_bytes())
+        (out / "list.json").write_text("[1, 2]")
+        (out / "note.json").write_text(json.dumps({"config": "not an object"}))
+        capsys.readouterr()
+        assert cli.main(["report", "--out", str(out)]) == cli.EXIT_OK
+        assert (out / "rollup.csv").read_bytes() == original
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in err if line.startswith("skipping")] == [
+            "skipping list.json", "skipping note.json", "skipping run.json"]
+
+    def test_report_with_only_other_json_is_usage_error(self, run_config, tmp_path, capsys):
+        (tmp_path / "run.json").write_bytes(run_config.read_bytes())
+        assert cli.main(["report", "--out", str(tmp_path)]) == cli.EXIT_USAGE
+        assert "skipping run.json" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 def test_console_entry_point(capsys):
