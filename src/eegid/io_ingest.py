@@ -115,10 +115,57 @@ class DatasetManifest:
         return resolve_policy(self.channel_policy)
 
 
+def _is_number(value):
+    # exact types: JSON true and false load as bool, a subclass of int
+    return type(value) in (int, float)
+
+
+# each manifest entry key's type check and the type it names
+_ENTRY_TYPES = {
+    "path": (lambda v: isinstance(v, str), "a path string"),
+    "format": (lambda v: isinstance(v, str), "a string"),
+    "condition": (lambda v: isinstance(v, str), "a string"),
+    "window_s": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+                 "[start, end] in seconds"),
+    "sampling_rate_hz": (_is_number, "a number"),
+    "channel_names": (lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
+                      "a list of channel labels"),
+}
+_REQUIRED_ENTRY_KEYS = ("path", "format", "subject_id", "dataset_id", "window_s")
+
+
+def _manifest_problem(doc):
+    """What makes a loaded manifest document the wrong shape, or None."""
+    if not isinstance(doc, dict):
+        return f"manifest must be a JSON object, not {type(doc).__name__}"
+    if not isinstance(doc.get("entries"), list):
+        return f"manifest key 'entries' must be a list, not {doc.get('entries')!r}"
+    if not _is_number(doc.get("target_rate_hz")):
+        return f"manifest key 'target_rate_hz' must be a number, not {doc.get('target_rate_hz')!r}"
+    policy = doc.get("channel_policy", "common_56")
+    if not (isinstance(policy, str) or isinstance(policy, list)
+            and all(isinstance(name, str) for name in policy)):
+        return (f"manifest key 'channel_policy' must be a name or a list of channel "
+                f"labels, not {policy!r}")
+    for i, raw in enumerate(doc["entries"]):
+        if not isinstance(raw, dict):
+            return f"manifest entry {i} must be an object, not {raw!r}"
+        for key in _REQUIRED_ENTRY_KEYS:
+            if key not in raw:
+                return f"manifest entry {i} has no {key!r}"
+        for key, (ok, kind) in _ENTRY_TYPES.items():
+            if key in raw and not ok(raw[key]):
+                return f"manifest entry {i} key {key!r} must be {kind}, not {raw[key]!r}"
+    return None
+
+
 def load_manifest(path) -> DatasetManifest:
-    """Read a JSON manifest file (schema documented in the README)."""
+    """Read a JSON manifest file (schema documented in the README).  A
+    document of the wrong shape raises ValueError naming the entry and key."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if problem := _manifest_problem(doc):
+        raise ValueError(problem)
     base = Path(path).parent
     entries = []
     for raw in doc["entries"]:
