@@ -30,6 +30,8 @@ def cluster_features(rng, n_classes, per_class, dim=4, spread=0.1):
 
 
 class TestFoldPlan:
+    """ev.fold_splits, and the checks run_nested_cv makes before using it."""
+
     def test_paper_scale_fold_sizes(self):
         # 184 subjects x 15 epochs into 10 folds: five folds get two epochs
         # per subject, five get one
