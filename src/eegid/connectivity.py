@@ -48,11 +48,6 @@ def analytic_phase(data: np.ndarray) -> np.ndarray:
     return phases
 
 
-def wrap_phase(d: np.ndarray) -> np.ndarray:
-    """Wrap phase differences into (-pi, pi]."""
-    return np.pi - np.mod(np.pi - np.asarray(d, dtype=float), 2 * np.pi)
-
-
 def connectivity_matrix(data: np.ndarray, metric: str) -> np.ndarray:
     """All-pairs connectivity of one (channels, samples) epoch.
 
@@ -74,11 +69,26 @@ def connectivity_matrix(data: np.ndarray, metric: str) -> np.ndarray:
         values = np.abs(z @ z.conj().T) / mm
         values = np.minimum(values, 1.0)
     else:  # PLI
+        # |#(d > 0) - #(d < 0)| / M over d = phi_m - phi_k wrapped into
+        # (-pi, pi] as pi - mod(pi - d, 2 pi).  The signs are counted without
+        # mod: u = pi - d is folded into [0, 2 pi) the way np.mod rounds (fmod
+        # is exact; a negative remainder gets 2 pi added), and the wrapped d is
+        # positive where the fold is below pi, negative where it is above.  The
+        # sign sum is an integer, so the count gives the bits of a sign mean.
         phases = analytic_phase(data)
+        two_pi = 2 * np.pi
         values = np.zeros((n, n))
         for m in range(n - 1):
-            d = wrap_phase(phases[m][None, :] - phases[m + 1:])
-            values[m, m + 1:] = np.abs(np.mean(np.sign(d), axis=1))
+            # -(phi_m - phi_k) is exact, so this is pi - d bit for bit
+            u = phases[m + 1:] - phases[m]
+            u += np.pi
+            r = (u < 0) * two_pi
+            r += u
+            # u lies in [-pi, 3 pi], so u - 2 pi is exact wherever it is taken
+            r -= (u >= two_pi) * two_pi
+            lead = np.count_nonzero(r < np.pi, axis=1)
+            lag = np.count_nonzero(r > np.pi, axis=1)
+            values[m, m + 1:] = np.abs(lead - lag) / mm
         values = values + values.T
     values = values.copy()
     np.fill_diagonal(values, 0.0)

@@ -75,6 +75,24 @@ def pli_loop(phi_x, phi_y):
     return abs(total) / len(phi_x)
 
 
+def wrap_phase(d):
+    """Wrap phase differences into (-pi, pi]."""
+    return np.pi - np.mod(np.pi - np.asarray(d, dtype=float), 2 * np.pi)
+
+
+def pli_rows_parent(phases):
+    """Upper-triangle PLI matrix of (channels, samples) phases, by the former
+    `connectivity_matrix` row loop: the mean sign of the np.mod-wrapped
+    differences.  Entries are exact, so the matrix code must match it bit
+    for bit."""
+    n = phases.shape[0]
+    values = np.zeros((n, n))
+    for m in range(n - 1):
+        d = wrap_phase(phases[m][None, :] - phases[m + 1:])
+        values[m, m + 1:] = np.abs(np.mean(np.sign(d), axis=1))
+    return values
+
+
 def connectivity_loop(series_or_phases, metric):
     """Naive O(N^2) pairwise matrix from per-channel rows."""
     rows = series_or_phases

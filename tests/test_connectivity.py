@@ -7,7 +7,8 @@ from eegid import dsp
 from eegid.errors import DegenerateVariance, EpochTooShort
 
 from conftest import make_recording
-from oracles import connectivity_loop, pearson_two_pass, pli_loop, plv_loop
+from oracles import (connectivity_loop, pearson_two_pass, pli_loop, pli_rows_parent,
+                     plv_loop, wrap_phase)
 
 
 def make_epoch(data, fs=128.0):
@@ -31,7 +32,7 @@ class TestAnalyticPhase:
                                       np.sin(2 * np.pi * 10 * t)]))
         phases = con.analytic_phase(epoch)
         edge = int(0.05 * 512)
-        diff = con.wrap_phase(phases[0] - phases[1])[edge:-edge]
+        diff = wrap_phase(phases[0] - phases[1])[edge:-edge]
         np.testing.assert_allclose(diff, np.pi / 2, atol=0.02)
 
     def test_zero_epoch_is_defined(self):
@@ -139,6 +140,71 @@ class TestPli:
         shifted = a.copy()
         shifted[rng.integers(0, 64)] += 2 * np.pi
         assert pli_loop(shifted, b) == pytest.approx(pli_loop(a, b), abs=1e-12)
+
+
+def _ulps(x, k):
+    """x moved k representable doubles up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.copysign(np.inf, k))
+    return float(x)
+
+
+def _edge_phase_pairs():
+    """(phi_m, phi_k) pairs in [-pi, pi] whose difference lies within a few
+    ulps of 0, +-pi or +-2 pi (where pi - d lies near 3 pi), or is subnormal
+    or far below ulp(pi)."""
+    near = range(-7, 8)
+    pairs = [(_ulps(x, i), x) for x in (0.0, 0.5, 1.0, np.pi, -np.pi) for i in near]
+    for a, b in ((np.pi, 0.0), (np.pi / 2, -np.pi / 2), (np.pi, -np.pi)):
+        pairs += [(_ulps(a, i), _ulps(b, j)) for i in near for j in near]
+    pairs += [(0.0, t) for t in (5e-324, -5e-324, 1e-310, -1e-310, 1e-17, -1e-17)]
+    pairs += [(np.pi, t) for t in (5e-324, -5e-324, 1e-17, -1e-17)]
+    pairs += [(b, a) for a, b in pairs]
+    return [(a, b) for a, b in pairs if abs(a) <= np.pi and abs(b) <= np.pi]
+
+
+class TestPliExact:
+    """The PLI matrix counts the signs of np.mod-wrapped phase differences
+    exactly: it equals `pli_rows_parent`, the former mean-of-signs loop, bit
+    for bit."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 56), st.integers(8, 512),
+           st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_random_epochs_bit_equal(self, seed, n, m, quantized):
+        rng = np.random.default_rng(seed)
+        # small-integer samples make equal and mirrored phases common
+        data = (rng.integers(-2, 3, (n, m)).astype(float) if quantized
+                else rng.standard_normal((n, m)))
+        cm = con.connectivity_matrix(data, "PLI")
+        assert np.array_equal(np.triu(cm, 1), pli_rows_parent(con.analytic_phase(data)))
+
+    def test_edge_differences_signed_as_wrap_phase(self, monkeypatch):
+        # channel 2i is [0.25, a] and channel 2i+1 is [-0.25, b]: the first
+        # sample leads, so their PLI is |1 + s| / 2 for the sign s of the
+        # wrapped a - b, which recovers s exactly
+        pairs = np.array(_edge_phase_pairs())
+        phases = np.empty((2 * len(pairs), 2))
+        phases[0::2] = np.column_stack([np.full(len(pairs), 0.25), pairs[:, 0]])
+        phases[1::2] = np.column_stack([np.full(len(pairs), -0.25), pairs[:, 1]])
+        monkeypatch.setattr(con, "analytic_phase", lambda data: phases)
+        cm = con.connectivity_matrix(np.zeros(phases.shape), "PLI")
+        got = 2 * cm[np.arange(0, len(phases), 2), np.arange(1, len(phases), 2)] - 1
+        want = np.sign(wrap_phase(pairs[:, 0] - pairs[:, 1]))
+        wrong = [(a.hex(), b.hex(), g, w)
+                 for (a, b), g, w in zip(pairs.tolist(), got, want) if g != w]
+        assert wrong == []
+        # every other channel pair mixes the edge values too
+        assert np.array_equal(np.triu(cm, 1), pli_rows_parent(phases))
+
+    def test_flat_and_duplicated_channels(self, rng):
+        data = rng.standard_normal((6, 256))
+        data[1] = 0.0
+        data[3] = 2.5
+        data[4] = data[2]
+        cm = con.connectivity_matrix(data, "PLI")
+        assert np.array_equal(np.triu(cm, 1), pli_rows_parent(con.analytic_phase(data)))
+        assert cm[2, 4] == 0.0 and cm[1, 3] == 0.0
 
 
 class TestConnectivityMatrix:
