@@ -23,7 +23,7 @@ from .errors import (
     UnstableDesign,
 )
 from .channels import resolve_policy
-from .io_ingest import CONDITIONS, EegRecording, build_corpus, load_manifest
+from .io_ingest import CONDITIONS, EegRecording, build_corpus, load_json, load_manifest
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -177,8 +177,7 @@ _RUN_CONFIG_DEFAULTS = {
 
 def _load_run_config(path):
     """The run config with defaults filled in; a non-object is returned as is."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json(path)
     if isinstance(doc, dict):
         for key, value in _RUN_CONFIG_DEFAULTS.items():
             doc.setdefault(key, value)
@@ -292,6 +291,21 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+# the keys _write_rollup reads from a report and from its config
+_REPORT_KEYS = ("mean_accuracy", "standard_error")
+_REPORT_CONFIG_KEYS = ("metric", "band", "gb_metric", "epoch_length_s",
+                       "train_condition", "test_condition")
+
+
+def _not_a_report(doc):
+    """Why a JSON document is not a report that `_write_rollup` can read, or None."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
+        return "no 'config' object"
+    missing = ([key for key in _REPORT_KEYS if key not in doc]
+               + [f"config.{key}" for key in _REPORT_CONFIG_KEYS if key not in doc["config"]])
+    return f"no {missing[0]!r}" if missing else None
+
+
 def _write_rollup(out_dir: Path, report_dicts):
     """Accuracy roll-up: one row per config and channel policy, one column per
     band.  A report without a policy, from before reports recorded it, counts
@@ -315,13 +329,12 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out)
     dicts = []
     for path in sorted(out_dir.glob("*.json")):
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        # a run config or other JSON kept beside the reports is not one
-        if isinstance(doc, dict) and isinstance(doc.get("config"), dict):
-            dicts.append(doc)
+        doc = load_json(path)
+        # a run config, a partial report or other JSON kept beside the reports
+        if problem := _not_a_report(doc):
+            _log(f"skipping {path.name}: not a report ({problem})")
         else:
-            _log(f"skipping {path.name}: not a report (no 'config' object)")
+            dicts.append(doc)
     if not dicts:
         _log(f"no report files found in {out_dir}")
         return EXIT_USAGE
@@ -385,7 +398,7 @@ def main(argv=None) -> int:
     except (UnstableDesign, NoConvergence, np.linalg.LinAlgError) as exc:
         _log(f"numeric failure: {exc}")
         return EXIT_NUMERIC
-    except (EegIdError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (EegIdError, OSError, KeyError, ValueError) as exc:
         _log(f"data error: {exc}")
         return EXIT_DATA
 

@@ -159,11 +159,20 @@ def _manifest_problem(doc):
     return None
 
 
+def load_json(path):
+    """The JSON document in the file at `path`.  A file that is not JSON
+    raises ValueError whose message starts with the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a syntax error, or bytes that are not UTF-8
+            raise ValueError(f"{path}: {exc}") from exc
+
+
 def load_manifest(path) -> DatasetManifest:
     """Read a JSON manifest file (schema documented in the README).  A
     document of the wrong shape raises ValueError naming the entry and key."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json(path)
     if problem := _manifest_problem(doc):
         raise ValueError(problem)
     base = Path(path).parent

@@ -242,6 +242,18 @@ class TestIngest:
         assert named in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
+    @pytest.mark.parametrize("raw", [json.dumps(_manifest_doc()).encode()[:35],
+                                     b'\xff{"entries": []}'],
+                             ids=["truncated", "not-utf8"])
+    def test_unreadable_manifest_names_file(self, tmp_path, capsys, raw):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(raw)
+        code = cli.main(["ingest", "--manifest", str(manifest),
+                         "--out", str(tmp_path / "cache")])
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {manifest}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
     def test_missing_manifest(self, tmp_path, capsys):
         code = cli.main(["ingest", "--manifest", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "cache")])
@@ -648,6 +660,15 @@ class TestEvaluate:
         assert "must be a JSON object" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
+    def test_truncated_config_names_file(self, run_config, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_bytes(run_config.read_bytes()[:40])
+        code = cli.main(["evaluate", "--config", str(config),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {config}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
     def test_unknown_key_rejected(self, workspace, tmp_path, capsys):
         code = self._evaluate(workspace, tmp_path, epoch_length_s=[2.0])
         assert code == cli.EXIT_USAGE
@@ -724,12 +745,31 @@ class TestEvaluate:
         (out / "run.json").write_bytes(run_config.read_bytes())
         (out / "list.json").write_text("[1, 2]")
         (out / "note.json").write_text(json.dumps({"config": "not an object"}))
+        # partial reports: each lacks a key the roll-up reads
+        report = json.loads((out / "default_plv_fc_gamma_2s_resting.json").read_text())
+        (out / "bare.json").write_text(json.dumps({"config": {"metric": "COR"}}))
+        (out / "no_sem.json").write_text(json.dumps(
+            {k: v for k, v in report.items() if k != "standard_error"}))
+        (out / "no_band.json").write_text(json.dumps(
+            {**report, "config": {k: v for k, v in report["config"].items() if k != "band"}}))
         capsys.readouterr()
         assert cli.main(["report", "--out", str(out)]) == cli.EXIT_OK
         assert (out / "rollup.csv").read_bytes() == original
         err = capsys.readouterr().err.splitlines()
-        assert [line.split(":")[0] for line in err if line.startswith("skipping")] == [
-            "skipping list.json", "skipping note.json", "skipping run.json"]
+        assert [line for line in err if line.startswith("skipping")] == [
+            "skipping bare.json: not a report (no 'mean_accuracy')",
+            "skipping list.json: not a report (no 'config' object)",
+            "skipping no_band.json: not a report (no 'config.band')",
+            "skipping no_sem.json: not a report (no 'standard_error')",
+            "skipping note.json: not a report (no 'config' object)",
+            "skipping run.json: not a report (no 'config' object)"]
+
+    def test_half_written_report_names_file(self, tmp_path, capsys):
+        report = tmp_path / "default_plv_fc_gamma_2s_resting.json"
+        report.write_text('{"config": {"metric": "PLV", "band"')
+        assert cli.main(["report", "--out", str(tmp_path)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {report}: ")
+        assert not (tmp_path / "rollup.csv").exists()
 
     def test_report_with_only_other_json_is_usage_error(self, run_config, tmp_path, capsys):
         (tmp_path / "run.json").write_bytes(run_config.read_bytes())
