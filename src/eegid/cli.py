@@ -291,19 +291,43 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-# the keys _write_rollup reads from a report and from its config
-_REPORT_KEYS = ("mean_accuracy", "standard_error")
-_REPORT_CONFIG_KEYS = ("metric", "band", "gb_metric", "epoch_length_s",
-                       "train_condition", "test_condition")
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_string(value):
+    return isinstance(value, str)
+
+
+# the keys _write_rollup reads from a report and its config, each with the
+# check its value must pass and what the check asks for
+_REPORT_FIELDS = (
+    ("mean_accuracy", _is_number, "a number"),
+    ("standard_error", _is_number, "a number"),
+    ("config.metric", _is_string, "a string"),
+    ("config.band", _is_string, "a string"),
+    ("config.gb_metric", lambda v: v is None or _is_string(v), "a string or null"),
+    ("config.epoch_length_s", _is_number, "a number"),
+    ("config.train_condition", _is_string, "a string"),
+    ("config.test_condition", _is_string, "a string"),
+)
 
 
 def _not_a_report(doc):
     """Why a JSON document is not a report that `_write_rollup` can read, or None."""
     if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
         return "no 'config' object"
-    missing = ([key for key in _REPORT_KEYS if key not in doc]
-               + [f"config.{key}" for key in _REPORT_CONFIG_KEYS if key not in doc["config"]])
-    return f"no {missing[0]!r}" if missing else None
+    for key, check, kind in _REPORT_FIELDS:
+        section, _, name = key.rpartition(".")
+        values = doc[section] if section else doc
+        if name not in values:
+            return f"no {key!r}"
+        if not check(values[name]):
+            return f"{key!r} is not {kind}"
+    # reports from before policies were recorded have none and count as default
+    if not _is_string(doc.get("policy", "default")):
+        return "'policy' is not a string"
+    return None
 
 
 def _write_rollup(out_dir: Path, report_dicts):

@@ -63,7 +63,8 @@ def grid_search(x, labels, k2=3, grid=GRID, seed=0):
 
     Returns (best_params, audit) where audit maps each grid point to its mean
     inner-validation accuracy.  Each inner fold trains the whole grid in one
-    `svm.train_ovr_grid` call.
+    `svm.train_ovr_grid` call and predicts with all its models in one
+    `svm.predict_batch` call.
     """
     grid = tuple(grid)
     x = np.asarray(x, dtype=float)
@@ -72,10 +73,12 @@ def grid_search(x, labels, k2=3, grid=GRID, seed=0):
     converged = []
     for train_idx, val_idx in fold_splits(labels, k2, seed):
         truth = labels[val_idx].tolist()
-        for params, model in svm.train_ovr_grid(x[train_idx], labels[train_idx], grid):
-            preds = svm.predict_batch(model, x[val_idx])
+        points, models = zip(*svm.train_ovr_grid(x[train_idx], labels[train_idx], grid))
+        for params, preds in zip(points, svm.predict_batch(models, x[val_idx])):
             accs[params].append(_accuracy(truth, preds))
-            converged.extend(model.converged)
+        converged.extend(flag for model in models for flag in model.converged)
+        # the next fold's solve needs none of this fold's models
+        del models
     _report_nonconverged(converged, "grid search")
     audit = {params: float(np.mean(a)) for params, a in accs.items()}
     # sorted() is stable: ordering by (-accuracy, C, gamma) implements the
@@ -171,7 +174,7 @@ def _cross_validate(x, labels, splits, k2, seed) -> CvReport:
         )
         model = svm.train_ovr(x[train_idx], labels[train_idx], params)
         _report_nonconverged(model.converged, f"final fit, outer fold {held}")
-        preds = svm.predict_batch(model, x[test_idx])
+        [preds] = svm.predict_batch([model], x[test_idx])
         truth = labels[test_idx].tolist()
         fold_accs.append(_accuracy(truth, preds))
         chosen.append((params.c, params.gamma))

@@ -6,7 +6,8 @@ problems of that gamma are solved by one working-set SMO run in lockstep: each
 step moves every unfinished problem's maximal KKT-violating pair analytically.
 A model stores the standardized training matrix once, a class x row matrix of
 dual coefficients (zero off the support vectors) and per-class bias and
-converged vectors.
+converged vectors.  Prediction takes a group of models that share one training
+matrix and builds each kernel once per distinct support-vector set and gamma.
 """
 
 from __future__ import annotations
@@ -282,18 +283,50 @@ def train_ovr_grid(x, labels, grid):
                              for problem in zip(y[rows], alphas[rows], f[rows])])
             yield params, MulticlassSvmModel(classes, standardizer, params, xs,
                                              coef[rows], bias, converged[rows])
+        # a caller may hold every model of the grid; the next gamma's solve
+        # needs none of this gamma's solver state
+        del y, alphas, f
 
 
-def decision_values(model: MulticlassSvmModel, x) -> np.ndarray:
-    """(n, n_classes) decision values; each class's kernel spans only its own
-    support vectors, the rows where its coefficient is nonzero."""
-    xs = apply_standardizer(model.standardizer, np.atleast_2d(np.asarray(x, dtype=float)))
-    return np.column_stack([
-        _rbf_cross(xs, model.train[sv], model.params.gamma) @ coef[sv] + bias
-        for coef, bias, sv in zip(model.dual_coef, model.bias, model.dual_coef != 0.0)
-    ])
+def predict_batch(models, x) -> list:
+    """One prediction list per model, for models that share one standardizer
+    and training matrix, such as the models of one `train_ovr_grid` call."""
+    return [[m.classes[int(i)] for i in np.argmax(v, axis=1)]
+            for m, v in zip(models, _decision_values(models, x))]
 
 
-def predict_batch(model: MulticlassSvmModel, x) -> list:
-    values = decision_values(model, x)
-    return [model.classes[int(i)] for i in np.argmax(values, axis=1)]
+def _decision_values(models, x) -> list:
+    """(n, n_classes) decision values of each model; see `predict_batch`.
+
+    Class k of a model decides by its kernel against its own support-vector
+    rows, the rows where its coefficient is nonzero.  The rows of x are
+    standardized once; squared distances to a support-vector row set are
+    computed once per distinct set, and their kernel once per (set, gamma).
+    Only one distance block and one kernel are alive at a time.  Each class
+    still takes its own matvec, so every value has the bits that a kernel
+    built for that class alone gives.
+    """
+    models = list(models)
+    first = models[0]
+    if any(m.train is not first.train or m.standardizer is not first.standardizer
+           for m in models):
+        raise ValueError("models do not share one training matrix and standardizer")
+    xs = apply_standardizer(first.standardizer, np.atleast_2d(np.asarray(x, dtype=float)))
+    values = [np.empty((xs.shape[0], len(m.classes))) for m in models]
+    # support-vector mask bytes -> {gamma: [(model, class) indices]}
+    by_set = {}
+    for m_idx, model in enumerate(models):
+        for k, sv in enumerate(model.dual_coef != 0.0):
+            by_gamma = by_set.setdefault(sv.tobytes(), {})
+            by_gamma.setdefault(model.params.gamma, []).append((m_idx, k))
+    for key, by_gamma in by_set.items():
+        sv = np.frombuffer(key, dtype=bool)
+        sq = _sq_dist(xs, first.train[sv])
+        for gamma, columns in by_gamma.items():
+            kernel = np.exp(-gamma * sq)
+            for m_idx, k in columns:
+                model = models[m_idx]
+                values[m_idx][:, k] = kernel @ model.dual_coef[k][sv] + model.bias[k]
+            del kernel
+        del sq
+    return values

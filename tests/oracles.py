@@ -259,6 +259,25 @@ def rbf_loop(a, b, gamma):
     return out
 
 
+def decision_values(model, x):
+    """(n, n_classes) decision values, one fresh kernel per class.
+
+    The per-class prediction path, transcribed term by term: class k's
+    kernel spans only its own support vectors, the rows where its coefficient
+    is nonzero, so the shared path must match it bit for bit.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    xs = (x - model.standardizer.means) / model.standardizer.stds
+    columns = []
+    for coef, bias, sv in zip(model.dual_coef, model.bias, model.dual_coef != 0.0):
+        t = model.train[sv]
+        sq = (np.sum(xs * xs, axis=1)[:, None] + np.sum(t * t, axis=1)[None, :]
+              - 2.0 * (xs @ t.T))
+        np.clip(sq, 0.0, None, out=sq)
+        columns.append(np.exp(-model.params.gamma * sq) @ coef[sv] + bias)
+    return np.column_stack(columns)
+
+
 def kkt_violations(x, y, alphas, bias, c, gamma):
     """Per-point KKT residuals for the soft-margin dual solution.
 

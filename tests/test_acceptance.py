@@ -121,7 +121,7 @@ def test_criterion_3_svm_kkt_and_ovr(capsys):
         labels.extend([f"c{k}"] * 12)
     x = np.vstack(x)
     ovr = svm.train_ovr(x, labels, svm.SvmHyperparams(c=10.0, gamma=0.5))
-    ok &= svm.predict_batch(ovr, x) == labels
+    ok &= svm.predict_batch([ovr], x) == [labels]
     elapsed = time.monotonic() - start
     ok &= elapsed < 120.0
     _report(capsys, 3, f"KKT audit + separable OvR ({elapsed:.1f}s)", ok)

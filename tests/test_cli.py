@@ -764,6 +764,40 @@ class TestEvaluate:
             "skipping note.json: not a report (no 'config' object)",
             "skipping run.json: not a report (no 'config' object)"]
 
+    def test_report_skips_wrongly_typed_reports(self, workspace, run_config,
+                                                tmp_path, capsys):
+        out = tmp_path / "reports"
+        assert cli.main(["evaluate", "--config", str(run_config),
+                         "--out", str(out)]) == cli.EXIT_OK
+        original = (out / "rollup.csv").read_bytes()
+        (out / "rollup.csv").unlink()
+        report = json.loads((out / "default_plv_fc_gamma_2s_resting.json").read_text())
+        bad = {
+            "acc_null": {**report, "mean_accuracy": None},
+            "sem_bool": {**report, "standard_error": True},
+            "sem_text": {**report, "standard_error": "0.1"},
+            "band_number": {**report, "config": {**report["config"], "band": 4}},
+            "gb_number": {**report, "config": {**report["config"], "gb_metric": 1}},
+            "length_text": {**report, "config": {**report["config"], "epoch_length_s": "2"}},
+            "policy_number": {**report, "policy": 3},
+        }
+        for name, doc in bad.items():
+            (out / f"{name}.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["report", "--out", str(out)]) == cli.EXIT_OK
+        assert (out / "rollup.csv").read_bytes() == original
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("skipping")] == [
+            "skipping acc_null.json: not a report ('mean_accuracy' is not a number)",
+            "skipping band_number.json: not a report ('config.band' is not a string)",
+            "skipping gb_number.json: not a report "
+            "('config.gb_metric' is not a string or null)",
+            "skipping length_text.json: not a report "
+            "('config.epoch_length_s' is not a number)",
+            "skipping policy_number.json: not a report ('policy' is not a string)",
+            "skipping sem_bool.json: not a report ('standard_error' is not a number)",
+            "skipping sem_text.json: not a report ('standard_error' is not a number)"]
+
     def test_half_written_report_names_file(self, tmp_path, capsys):
         report = tmp_path / "default_plv_fc_gamma_2s_resting.json"
         report.write_text('{"config": {"metric": "PLV", "band"')

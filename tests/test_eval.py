@@ -15,7 +15,7 @@ from eegid.errors import (
 )
 
 from conftest import make_recording
-from oracles import smo_scalar
+from oracles import decision_values, smo_scalar
 
 
 def cluster_features(rng, n_classes, per_class, dim=4, spread=0.1):
@@ -127,7 +127,8 @@ def grid_search_per_point(x, labels, k2, grid, seed):
         accs = []
         for train_idx, val_idx in ev.fold_splits(labels, k2, seed):
             model = train_ovr_scalar(x[train_idx], labels[train_idx], params)
-            preds = svm.predict_batch(model, x[val_idx])
+            values = decision_values(model, x[val_idx])
+            preds = [model.classes[i] for i in np.argmax(values, axis=1)]
             accs.append(ev._accuracy(labels[val_idx].tolist(), preds))
         audit[params] = float(np.mean(accs))
     best = sorted(audit, key=lambda p: (-audit[p], p.c, p.gamma))[0]
@@ -185,6 +186,28 @@ class TestGridSearch:
         shared = models[0].train
         assert shared.shape == x.shape
         assert all(np.shares_memory(model.train, shared) for model in models)
+
+    def test_one_distance_block_per_support_set_and_fold(self, rng, monkeypatch):
+        # per inner fold: the training block, then one validation block per
+        # distinct support-vector row set of the fold's 16 models
+        x, labels = cluster_features(rng, 4, 9, dim=6, spread=1.5)
+        want, folds = [], ev.fold_splits(labels, 3, 5)
+        for train_idx, val_idx in folds:
+            models = [m for _, m in svm.train_ovr_grid(x[train_idx], labels[train_idx], ev.GRID)]
+            sets = {sv.tobytes() for m in models for sv in m.dual_coef != 0.0}
+            assert len(sets) < sum(len(m.classes) for m in models)
+            want.append((len(train_idx), True))
+            want.extend([(len(val_idx), False)] * len(sets))
+        calls, predictions = [], []
+        sq_dist, predict_batch = svm._sq_dist, svm.predict_batch
+        monkeypatch.setattr(svm, "_sq_dist",
+                            lambda a, b: calls.append((len(a), a is b)) or sq_dist(a, b))
+        monkeypatch.setattr(svm, "predict_batch",
+                            lambda models, v: predictions.append(len(v))
+                            or predict_batch(models, v))
+        ev.grid_search(x, labels, k2=3, seed=5)
+        assert calls == want
+        assert predictions == [len(val_idx) for _, val_idx in folds]
 
     def test_nonconverged_models_reported(self, rng, monkeypatch, capsys):
         x, labels = cluster_features(rng, 3, 10, spread=1.0)
@@ -440,7 +463,7 @@ class TestExperiment:
         x_train, y_train = ev._features_cached(corpus, config, "resting")
         x_test, y_test = ev._features_cached(corpus, config, "task")
         params, audit = ev.grid_search(x_train, y_train, k2=2, seed=4)
-        preds = svm.predict_batch(svm.train_ovr(x_train, y_train, params), x_test)
+        [preds] = svm.predict_batch([svm.train_ovr(x_train, y_train, params)], x_test)
         truth = y_test.tolist()
         acc = sum(t == p for t, p in zip(truth, preds)) / len(truth)
         class_order = tuple(sorted(set(y_train.tolist())))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from eegid import svm
 from eegid.errors import DimensionMismatch, SingleClassInput, TooFewClasses, TooFewRows
 
-from oracles import dual_objective, kkt_violations, rbf_loop, smo_scalar
+from oracles import decision_values, dual_objective, kkt_violations, rbf_loop, smo_scalar
 
 
 def blobs(rng, centers, per_class=10, spread=0.1):
@@ -262,7 +263,7 @@ class TestOvr:
         x, labels = blobs(rng, [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)], per_class=12)
         model = svm.train_ovr(x, labels, svm.SvmHyperparams(c=10.0, gamma=0.5))
         assert model.classes == ("a", "b", "c")
-        assert svm.predict_batch(model, x) == list(labels)
+        assert svm.predict_batch([model], x) == [list(labels)]
 
     def test_wide_problem_accepted(self, rng):
         # 109 classes x a handful of rows each is the scale ceiling; here a
@@ -272,7 +273,8 @@ class TestOvr:
         model = svm.train_ovr(x, labels, svm.SvmHyperparams(c=1.0, gamma=0.01))
         assert model.dual_coef.shape == (10, 30)
         assert model.bias.shape == model.converged.shape == (10,)
-        assert svm.decision_values(model, x).shape == (30, 10)
+        [values] = svm._decision_values([model], x)
+        assert values.shape == (30, 10)
 
     def test_too_few_classes(self, rng):
         with pytest.raises(TooFewClasses):
@@ -289,8 +291,8 @@ class TestOvr:
     def test_predict_matches_batch(self, rng):
         x, labels = blobs(rng, [(0.0, 0.0), (3.0, 3.0)], per_class=10)
         model = svm.train_ovr(x, labels, svm.SvmHyperparams(c=10.0, gamma=0.5))
-        batch = svm.predict_batch(model, x)
-        singles = [svm.predict_batch(model, row)[0] for row in x]
+        [batch] = svm.predict_batch([model], x)
+        singles = [svm.predict_batch([model], row)[0][0] for row in x]
         assert batch == singles
 
     @given(st.integers(0, 2**32 - 1))
@@ -299,8 +301,93 @@ class TestOvr:
         rng = np.random.default_rng(seed)
         x, labels = blobs(rng, [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0)], per_class=8)
         model = svm.train_ovr(x, labels, svm.SvmHyperparams(c=10.0, gamma=0.5))
-        assert svm.predict_batch(model, x) == list(labels)
+        assert svm.predict_batch([model], x) == [list(labels)]
 
+
+def grid_models(x, labels, grid=None):
+    """The models of one train_ovr_grid call over the default 16-point grid."""
+    grid = grid or [svm.SvmHyperparams(c=c, gamma=g)
+                    for c in svm.DEFAULT_C_GRID for g in svm.DEFAULT_GAMMA_GRID]
+    return [model for _, model in svm.train_ovr_grid(x, labels, grid)]
+
+
+def support_sets(models):
+    return {sv.tobytes() for model in models for sv in model.dual_coef != 0.0}
+
+
+class TestSharedPrediction:
+    """predict_batch shares kernels across a grid; each value keeps the bits
+    of the per-class kernel in oracles.decision_values."""
+
+    def assert_matches_per_class(self, models, x):
+        values = svm._decision_values(models, x)
+        assert len(values) == len(models)
+        for model, got in zip(models, values):
+            want = decision_values(model, x)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert svm.predict_batch(models, x) == [
+            [model.classes[i] for i in np.argmax(v, axis=1)] for model, v in zip(models, values)]
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_grid_equals_per_class_kernels(self, seed):
+        rng = np.random.default_rng(seed)
+        n_classes, dim = int(rng.integers(2, 6)), int(rng.integers(1, 30))
+        x, labels = blobs(rng, list(rng.standard_normal((n_classes, dim))),
+                          per_class=int(rng.integers(2, 7)), spread=float(rng.uniform(0.1, 2.0)))
+        models = grid_models(x, labels)
+        probe = x.mean(axis=0) + rng.standard_normal((int(rng.integers(2, 40)), dim))
+        self.assert_matches_per_class(models, probe)
+        self.assert_matches_per_class(models, probe[:1])
+        self.assert_matches_per_class(models, probe[0])
+
+    def test_classes_with_different_support_sets(self, rng):
+        x, labels = blobs(rng, [(0.0, 0.0), (3.0, 0.0), (0.0, 3.0), (3.0, 3.0)],
+                          per_class=9, spread=0.6)
+        models = grid_models(x, labels)
+        assert all(len(support_sets([m])) == len(m.classes) for m in models)
+        self.assert_matches_per_class(models, rng.uniform(-1.0, 4.0, (25, 2)))
+
+    def test_class_with_empty_support_set(self, rng):
+        x, labels = blobs(rng, [(0.0, 0.0), (3.0, 0.0), (0.0, 3.0)], per_class=6, spread=1.0)
+        models = grid_models(x, labels)
+        coef = models[5].dual_coef.copy()
+        coef[1] = 0.0
+        models[5] = dataclasses.replace(models[5], dual_coef=coef)
+        probe = rng.standard_normal((7, 2))
+        self.assert_matches_per_class(models, probe)
+        # an empty set leaves that class's bias alone
+        assert np.array_equal(svm._decision_values(models, probe)[5][:, 1],
+                              np.full(7, models[5].bias[1]))
+
+    def test_single_model(self, rng):
+        x, labels = blobs(rng, [(0.0, 0.0, 0.0), (2.0, 2.0, 0.0)], per_class=8, spread=1.0)
+        model = svm.train_ovr(x, labels, svm.SvmHyperparams(c=1.0, gamma=0.1))
+        self.assert_matches_per_class([model], x)
+        self.assert_matches_per_class([model], x[3])
+
+    def test_one_distance_block_per_support_set(self, rng, monkeypatch):
+        x, labels = blobs(rng, [(0.0,) * 4, (2.0,) * 4, (0.0, 4.0, 0.0, 0.0)],
+                          per_class=6, spread=1.5)
+        models = grid_models(x, labels)
+        n_sets = len(support_sets(models))
+        assert n_sets < sum(len(m.classes) for m in models)
+        calls = []
+        real = svm._sq_dist
+        monkeypatch.setattr(svm, "_sq_dist", lambda a, b: calls.append(len(b)) or real(a, b))
+        svm.predict_batch(models, x[:5])
+        assert len(calls) == n_sets
+
+    def test_models_of_two_grids_rejected(self, rng):
+        x, labels = blobs(rng, [(0.0, 0.0), (3.0, 3.0)], per_class=5)
+        params = svm.SvmHyperparams(c=1.0, gamma=0.1)
+        first, second = svm.train_ovr(x, labels, params), svm.train_ovr(x, labels, params)
+        with pytest.raises(ValueError, match="share"):
+            svm.predict_batch([first, second], x)
+        other = dataclasses.replace(first, standardizer=second.standardizer)
+        with pytest.raises(ValueError, match="share"):
+            svm.predict_batch([first, other], x)
 
 def test_default_grids():
     assert svm.DEFAULT_C_GRID == (0.1, 1.0, 10.0, 100.0)
