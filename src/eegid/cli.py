@@ -292,7 +292,9 @@ def cmd_evaluate(args) -> int:
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number that formats as a float: not a bool, NaN or a huge int."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _is_string(value):
@@ -302,12 +304,12 @@ def _is_string(value):
 # the keys _write_rollup reads from a report and its config, each with the
 # check its value must pass and what the check asks for
 _REPORT_FIELDS = (
-    ("mean_accuracy", _is_number, "a number"),
-    ("standard_error", _is_number, "a number"),
+    ("mean_accuracy", _is_number, "a finite number"),
+    ("standard_error", _is_number, "a finite number"),
     ("config.metric", _is_string, "a string"),
     ("config.band", _is_string, "a string"),
     ("config.gb_metric", lambda v: v is None or _is_string(v), "a string or null"),
-    ("config.epoch_length_s", _is_number, "a number"),
+    ("config.epoch_length_s", _is_number, "a finite number"),
     ("config.train_condition", _is_string, "a string"),
     ("config.test_condition", _is_string, "a string"),
 )

@@ -776,6 +776,8 @@ class TestEvaluate:
             "acc_null": {**report, "mean_accuracy": None},
             "sem_bool": {**report, "standard_error": True},
             "sem_text": {**report, "standard_error": "0.1"},
+            "sem_nan": {**report, "standard_error": float("nan")},
+            "acc_huge": {**report, "mean_accuracy": 10 ** 400},
             "band_number": {**report, "config": {**report["config"], "band": 4}},
             "gb_number": {**report, "config": {**report["config"], "gb_metric": 1}},
             "length_text": {**report, "config": {**report["config"], "epoch_length_s": "2"}},
@@ -788,15 +790,17 @@ class TestEvaluate:
         assert (out / "rollup.csv").read_bytes() == original
         err = capsys.readouterr().err.splitlines()
         assert [line for line in err if line.startswith("skipping")] == [
-            "skipping acc_null.json: not a report ('mean_accuracy' is not a number)",
+            "skipping acc_huge.json: not a report ('mean_accuracy' is not a finite number)",
+            "skipping acc_null.json: not a report ('mean_accuracy' is not a finite number)",
             "skipping band_number.json: not a report ('config.band' is not a string)",
             "skipping gb_number.json: not a report "
             "('config.gb_metric' is not a string or null)",
             "skipping length_text.json: not a report "
-            "('config.epoch_length_s' is not a number)",
+            "('config.epoch_length_s' is not a finite number)",
             "skipping policy_number.json: not a report ('policy' is not a string)",
-            "skipping sem_bool.json: not a report ('standard_error' is not a number)",
-            "skipping sem_text.json: not a report ('standard_error' is not a number)"]
+            "skipping sem_bool.json: not a report ('standard_error' is not a finite number)",
+            "skipping sem_nan.json: not a report ('standard_error' is not a finite number)",
+            "skipping sem_text.json: not a report ('standard_error' is not a finite number)"]
 
     def test_half_written_report_names_file(self, tmp_path, capsys):
         report = tmp_path / "default_plv_fc_gamma_2s_resting.json"

@@ -304,10 +304,10 @@ class TestOvr:
         assert svm.predict_batch([model], x) == [list(labels)]
 
 
-def grid_models(x, labels, grid=None):
+def grid_models(x, labels):
     """The models of one train_ovr_grid call over the default 16-point grid."""
-    grid = grid or [svm.SvmHyperparams(c=c, gamma=g)
-                    for c in svm.DEFAULT_C_GRID for g in svm.DEFAULT_GAMMA_GRID]
+    grid = [svm.SvmHyperparams(c=c, gamma=g)
+            for c in svm.DEFAULT_C_GRID for g in svm.DEFAULT_GAMMA_GRID]
     return [model for _, model in svm.train_ovr_grid(x, labels, grid)]
 
 
@@ -375,7 +375,7 @@ class TestSharedPrediction:
         assert n_sets < sum(len(m.classes) for m in models)
         calls = []
         real = svm._sq_dist
-        monkeypatch.setattr(svm, "_sq_dist", lambda a, b: calls.append(len(b)) or real(a, b))
+        monkeypatch.setattr(svm, "_sq_dist", lambda a, b: calls.append(b.shape) or real(a, b))
         svm.predict_batch(models, x[:5])
         assert len(calls) == n_sets
 
@@ -388,6 +388,7 @@ class TestSharedPrediction:
         other = dataclasses.replace(first, standardizer=second.standardizer)
         with pytest.raises(ValueError, match="share"):
             svm.predict_batch([first, other], x)
+
 
 def test_default_grids():
     assert svm.DEFAULT_C_GRID == (0.1, 1.0, 10.0, 100.0)
