@@ -23,7 +23,8 @@ from .errors import (
     UnstableDesign,
 )
 from .channels import resolve_policy
-from .io_ingest import CONDITIONS, EegRecording, build_corpus, load_json, load_manifest
+from .io_ingest import (CONDITIONS, EegRecording, build_corpus, is_finite_number,
+                        load_json, load_manifest)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -116,8 +117,7 @@ def _filter_problem(filters):
 
 def _epoch_length_problem(length):
     """Usage message for an epoch length that is not a positive number, or None."""
-    # exact types: JSON true and false load as bool, a subclass of int
-    if type(length) not in (int, float) or not 0 < length < np.inf:
+    if not is_finite_number(length) or not length > 0:
         return f"epoch length {length!r} is not a positive number of seconds"
     return None
 
@@ -291,12 +291,6 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _is_number(value):
-    """A finite JSON number that formats as a float: not a bool, NaN or a huge int."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
 def _is_string(value):
     return isinstance(value, str)
 
@@ -304,12 +298,12 @@ def _is_string(value):
 # the keys _write_rollup reads from a report and its config, each with the
 # check its value must pass and what the check asks for
 _REPORT_FIELDS = (
-    ("mean_accuracy", _is_number, "a finite number"),
-    ("standard_error", _is_number, "a finite number"),
+    ("mean_accuracy", is_finite_number, "a finite number"),
+    ("standard_error", is_finite_number, "a finite number"),
     ("config.metric", _is_string, "a string"),
     ("config.band", _is_string, "a string"),
     ("config.gb_metric", lambda v: v is None or _is_string(v), "a string or null"),
-    ("config.epoch_length_s", _is_number, "a finite number"),
+    ("config.epoch_length_s", is_finite_number, "a finite number"),
     ("config.train_condition", _is_string, "a string"),
     ("config.test_condition", _is_string, "a string"),
 )

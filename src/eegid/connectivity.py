@@ -25,12 +25,10 @@ def analytic_signal(x: np.ndarray) -> np.ndarray:
     nfft = 1 << (m - 1).bit_length()
     spectrum = np.fft.fft(x, n=nfft, axis=-1)
     h = np.zeros(nfft)
+    # nfft is a power of two: bins 0 and nfft/2 (one bin if nfft = 1) keep 1
     h[0] = 1.0
-    if nfft % 2 == 0:
-        h[nfft // 2] = 1.0
-        h[1:nfft // 2] = 2.0
-    else:
-        h[1:(nfft + 1) // 2] = 2.0
+    h[nfft // 2] = 1.0
+    h[1:nfft // 2] = 2.0
     return np.fft.ifft(spectrum * h, axis=-1)[..., :m]
 
 
@@ -89,10 +87,8 @@ def connectivity_matrix(data: np.ndarray, metric: str) -> np.ndarray:
             lead = np.count_nonzero(r < np.pi, axis=1)
             lag = np.count_nonzero(r > np.pi, axis=1)
             values[m, m + 1:] = np.abs(lead - lag) / mm
-        values = values + values.T
-    values = values.copy()
-    np.fill_diagonal(values, 0.0)
-    # mirror the upper triangle exactly so symmetry holds bit for bit
+    # mirror the strict upper triangle exactly, so symmetry holds bit for bit
+    # and the diagonal is zero
     iu = np.triu_indices(n, k=1)
     sym = np.zeros((n, n))
     sym[iu] = values[iu]

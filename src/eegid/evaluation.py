@@ -58,25 +58,25 @@ def _accuracy(truth, predictions):
     return sum(t == p for t, p in zip(truth, predictions)) / len(truth)
 
 
-def grid_search(x, labels, k2=3, grid=GRID, seed=0):
-    """Inner k2-fold selection of (C, gamma); ties break toward smaller values.
+def grid_search(x, labels, k2=3, seed=0):
+    """Inner k2-fold selection of (C, gamma) over GRID; ties break toward
+    smaller values.
 
     Returns (best_params, audit) where audit maps each grid point to its mean
     inner-validation accuracy.  Each inner fold trains the whole grid in one
     `svm.train_ovr_grid` call and predicts with all its models in one
     `svm.predict_batch` call.
     """
-    grid = tuple(grid)
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels)
-    accs = {params: [] for params in grid}
+    accs = {params: [] for params in GRID}
     converged = []
     for train_idx, val_idx in fold_splits(labels, k2, seed):
         truth = labels[val_idx].tolist()
-        points, models = zip(*svm.train_ovr_grid(x[train_idx], labels[train_idx], grid))
-        for params, preds in zip(points, svm.predict_batch(models, x[val_idx])):
+        models = svm.train_ovr_grid(x[train_idx], labels[train_idx], GRID)
+        for params, preds in zip(models, svm.predict_batch(models.values(), x[val_idx])):
             accs[params].append(_accuracy(truth, preds))
-        converged.extend(flag for model in models for flag in model.converged)
+        converged.extend(flag for model in models.values() for flag in model.converged)
         # the next fold's solve needs none of this fold's models
         del models
     _report_nonconverged(converged, "grid search")

@@ -63,41 +63,32 @@ def node_degree(g: WeightedGraph) -> np.ndarray:
 def eigenvector_centrality(g: WeightedGraph) -> np.ndarray:
     """Dominant eigenvector of the weight matrix by power iteration.
 
-    Starts from the normalized all-ones vector (deterministic tie-break on
-    degenerate spectra), converges when successive iterates differ by less
-    than 1e-10 in max-norm.  The returned vector is unit-norm with
-    non-negative entries (Perron-Frobenius).
+    Weights are normalized by the global maximum, so the result does not
+    depend on their scale.  Starts from the normalized all-ones vector
+    (deterministic tie-break on degenerate spectra), converges when
+    successive iterates differ by less than 1e-10 in max-norm.  The returned
+    vector is unit-norm with positive entries (Perron-Frobenius).
     """
-    w = g.weights
-    if not np.any(w > 0):
+    w_max = g.weights.max()
+    if w_max <= 0:
         raise ZeroGraph("all edge weights are zero")
+    w = g.weights / w_max
     # shift by the largest weighted degree: eigenvectors are unchanged but
     # the Perron eigenvalue becomes strictly dominant, so the iteration also
-    # converges on bipartite graphs (whose spectrum is symmetric about zero)
+    # converges on bipartite graphs (whose spectrum is symmetric about zero).
+    # The shift is at least 1, so from a positive unit vector every iterate is
+    # positive with norm at least 1.
     shift = w.sum(axis=1).max()
     v = np.ones(g.n) / np.sqrt(g.n)
     for _ in range(_EC_MAX_ITER):
         nxt = w @ v + shift * v
-        norm = np.linalg.norm(nxt)
-        if norm == 0.0:
-            # start vector in the null space; nudge with the degree vector
-            nxt = w.sum(axis=1)
-            norm = np.linalg.norm(nxt)
-        nxt /= norm
+        nxt /= np.linalg.norm(nxt)
         if np.max(np.abs(nxt - v)) < _EC_TOL:
-            v = nxt
-            break
+            return nxt
         v = nxt
-    else:
-        raise NoConvergence(
-            f"power iteration did not converge in {_EC_MAX_ITER} iterations"
-        )
-    if v.sum() < 0:
-        v = -v
-    # tiny negative round-off is clipped; the Perron vector is non-negative
-    v = np.clip(v, 0.0, None)
-    v /= np.linalg.norm(v)
-    return v
+    raise NoConvergence(
+        f"power iteration did not converge in {_EC_MAX_ITER} iterations"
+    )
 
 
 def betweenness_centrality(g: WeightedGraph) -> np.ndarray:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -115,9 +116,11 @@ class DatasetManifest:
         return resolve_policy(self.channel_policy)
 
 
-def _is_number(value):
-    # exact types: JSON true and false load as bool, a subclass of int
-    return type(value) in (int, float)
+def is_finite_number(value):
+    """A finite JSON number that fits a float: not a bool, NaN, an infinity
+    or an integer too large for a float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 # each manifest entry key's type check and the type it names
@@ -125,9 +128,9 @@ _ENTRY_TYPES = {
     "path": (lambda v: isinstance(v, str), "a path string"),
     "format": (lambda v: isinstance(v, str), "a string"),
     "condition": (lambda v: isinstance(v, str), "a string"),
-    "window_s": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
-                 "[start, end] in seconds"),
-    "sampling_rate_hz": (_is_number, "a number"),
+    "window_s": (lambda v: isinstance(v, list) and len(v) == 2
+                 and all(map(is_finite_number, v)), "[start, end] in seconds"),
+    "sampling_rate_hz": (is_finite_number, "a finite number"),
     "channel_names": (lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
                       "a list of channel labels"),
 }
@@ -140,13 +143,15 @@ def _manifest_problem(doc):
         return f"manifest must be a JSON object, not {type(doc).__name__}"
     if not isinstance(doc.get("entries"), list):
         return f"manifest key 'entries' must be a list, not {doc.get('entries')!r}"
-    if not _is_number(doc.get("target_rate_hz")):
-        return f"manifest key 'target_rate_hz' must be a number, not {doc.get('target_rate_hz')!r}"
+    if not is_finite_number(doc.get("target_rate_hz")):
+        return (f"manifest key 'target_rate_hz' must be a finite number, "
+                f"not {doc.get('target_rate_hz')!r}")
     policy = doc.get("channel_policy", "common_56")
     if not (isinstance(policy, str) or isinstance(policy, list)
             and all(isinstance(name, str) for name in policy)):
         return (f"manifest key 'channel_policy' must be a name or a list of channel "
                 f"labels, not {policy!r}")
+    owners = {}  # class label -> (entry index, (dataset, subject))
     for i, raw in enumerate(doc["entries"]):
         if not isinstance(raw, dict):
             return f"manifest entry {i} must be an object, not {raw!r}"
@@ -156,6 +161,15 @@ def _manifest_problem(doc):
         for key, (ok, kind) in _ENTRY_TYPES.items():
             if key in raw and not ok(raw[key]):
                 return f"manifest entry {i} key {key!r} must be {kind}, not {raw[key]!r}"
+        # EegRecording.label joins the two with "/", so ("d", "a/b") and
+        # ("d/a", "b") would make two subjects one class
+        who = (str(raw["dataset_id"]), str(raw["subject_id"]))
+        label = "/".join(who)
+        j, first = owners.setdefault(label, (i, who))
+        if first != who:
+            return (f"manifest entries {j} and {i} give two subjects the class label "
+                    f"{label!r}: dataset {first[0]!r} subject {first[1]!r}, and dataset "
+                    f"{who[0]!r} subject {who[1]!r}")
     return None
 
 
@@ -401,9 +415,14 @@ def select_channels(rec: EegRecording, channel_set: ChannelSet) -> EegRecording:
 
 def window_recording(rec: EegRecording, start_s, end_s) -> EegRecording:
     """Cut [start_s, end_s) out of a recording."""
-    i0 = int(round(start_s * rec.sampling_rate_hz))
-    i1 = int(round(end_s * rec.sampling_rate_hz))
-    if i0 < 0 or i1 > rec.n_samples or i0 >= i1:
+    start, end = start_s * rec.sampling_rate_hz, end_s * rec.sampling_rate_hz
+    # a loose bound first: int() overflows on a huge or infinite sample
+    # position, such as the end of a 1e308 s window
+    inside = -1 <= start < end <= rec.n_samples + 1
+    if inside:
+        i0, i1 = int(round(start)), int(round(end))
+        inside = 0 <= i0 < i1 <= rec.n_samples
+    if not inside:
         raise WindowOutOfRange(
             f"window [{start_s}, {end_s}] s outside recording of {rec.duration_s:.3f} s"
         )

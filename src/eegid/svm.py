@@ -4,10 +4,12 @@ A training set is standardized once and its squared-distance matrix built
 once.  Each gamma then takes one full Gram matrix, and all (C, class) binary
 problems of that gamma are solved by one working-set SMO run in lockstep: each
 step moves every unfinished problem's maximal KKT-violating pair analytically.
-A model stores the standardized training matrix once, a class x row matrix of
-dual coefficients (zero off the support vectors) and per-class bias and
-converged vectors.  Prediction takes a group of models that share one training
-matrix and builds each kernel once per distinct support-vector set and gamma.
+`train_ovr_grid` returns a {params: model} mapping.  A model holds the
+standardizer's column means and stds, the standardized training matrix (one
+array shared by every model of a grid), a class x row matrix of dual
+coefficients (zero off the support vectors) and per-class bias and converged
+vectors.  Prediction takes a group of models that share one training matrix
+and builds each kernel once per distinct support-vector set and gamma.
 """
 
 from __future__ import annotations
@@ -54,17 +56,8 @@ def _rbf_cross(a: np.ndarray, b: np.ndarray, gamma) -> np.ndarray:
 # --- standardization --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Standardizer:
-    means: np.ndarray
-    stds: np.ndarray  # floored at 1e-12; constant columns transform to 0
-
-    @property
-    def dimension(self):
-        return self.means.shape[0]
-
-
-def fit_standardizer(x: np.ndarray) -> Standardizer:
+def fit_standardizer(x: np.ndarray):
+    """(means, stds) of the columns of x."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise TooFewRows("standardizer needs at least two rows")
@@ -75,16 +68,16 @@ def fit_standardizer(x: np.ndarray) -> Standardizer:
     # (x - mean) / std is exactly zero on the training data
     means = np.where(constant, x[0], means)
     stds = np.where(constant, 1.0, stds)
-    return Standardizer(means=means, stds=stds)
+    return means, stds
 
 
-def apply_standardizer(s: Standardizer, x: np.ndarray) -> np.ndarray:
+def apply_standardizer(means, stds, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != s.dimension:
+    if x.shape[-1] != means.shape[0]:
         raise DimensionMismatch(
-            f"feature dimension {x.shape[-1]} != fitted {s.dimension}"
+            f"feature dimension {x.shape[-1]} != fitted {means.shape[0]}"
         )
-    return (x - s.means) / s.stds
+    return (x - means) / stds
 
 
 # --- binary SMO -------------------------------------------------------------
@@ -238,7 +231,8 @@ class MulticlassSvmModel:
     """Class k decides by sum_i dual_coef[k, i] k(train_i, .) + bias[k]."""
 
     classes: tuple  # sorted label order; also the tie-break order
-    standardizer: Standardizer
+    means: np.ndarray      # (d,) standardizer column means
+    stds: np.ndarray       # (d,) standardizer column stds
     params: SvmHyperparams
     train: np.ndarray      # (n, d) standardized training rows, shared by a grid
     dual_coef: np.ndarray  # (n_classes, n) alpha_i y_i, 0 where alpha_i <= 1e-12
@@ -248,27 +242,27 @@ class MulticlassSvmModel:
 
 def train_ovr(x, labels, params: SvmHyperparams) -> MulticlassSvmModel:
     """Train one binary problem per class on standardized features."""
-    [(_, model)] = train_ovr_grid(x, labels, (params,))
-    return model
+    return train_ovr_grid(x, labels, (params,))[params]
 
 
-def train_ovr_grid(x, labels, grid):
-    """Yield (params, one-vs-rest model) for each distinct point of a grid.
+def train_ovr_grid(x, labels, grid) -> dict:
+    """{params: one-vs-rest model} for each distinct point of a grid.
 
     Standardizer and squared distances are computed once; each distinct
     gamma takes one Gram matrix and one lockstep SMO over all its (C, class)
     problems.  Points come grouped by gamma, and all models share the one
-    standardized training matrix.
+    standardized training matrix and its means and stds.
     """
     labels = np.asarray(labels)
     classes = tuple(sorted(set(labels.tolist())))
     if len(classes) < 2:
         raise TooFewClasses(f"need at least 2 classes, got {len(classes)}")
-    standardizer = fit_standardizer(x)
-    xs = apply_standardizer(standardizer, x)
+    means, stds = fit_standardizer(x)
+    xs = apply_standardizer(means, stds, x)
     sq = _sq_dist(xs, xs)
     ys = np.array([np.where(labels == cls, 1.0, -1.0) for cls in classes])
     points = tuple(dict.fromkeys(grid))
+    models = {}
     for gamma in dict.fromkeys(p.gamma for p in points):
         group = [p for p in points if p.gamma == gamma]
         # problem rows are point-major, class-minor; each point takes the
@@ -281,16 +275,17 @@ def train_ovr_grid(x, labels, grid):
             rows = slice(k * len(classes), (k + 1) * len(classes))
             bias = np.array([_bias(*problem, params.c)
                              for problem in zip(y[rows], alphas[rows], f[rows])])
-            yield params, MulticlassSvmModel(classes, standardizer, params, xs,
-                                             coef[rows], bias, converged[rows])
-        # a caller may hold every model of the grid; the next gamma's solve
-        # needs none of this gamma's solver state
+            models[params] = MulticlassSvmModel(classes, means, stds, params, xs,
+                                                coef[rows], bias, converged[rows])
+        # the next gamma's solve needs none of this gamma's solver state
         del y, alphas, f
+    return models
 
 
 def predict_batch(models, x) -> list:
-    """One prediction list per model, for models that share one standardizer
-    and training matrix, such as the models of one `train_ovr_grid` call."""
+    """One prediction list per model, for models that share one training
+    matrix and its means and stds, such as the models of one `train_ovr_grid`
+    call."""
     return [[m.classes[int(i)] for i in np.argmax(v, axis=1)]
             for m, v in zip(models, _decision_values(models, x))]
 
@@ -308,10 +303,11 @@ def _decision_values(models, x) -> list:
     """
     models = list(models)
     first = models[0]
-    if any(m.train is not first.train or m.standardizer is not first.standardizer
-           for m in models):
-        raise ValueError("models do not share one training matrix and standardizer")
-    xs = apply_standardizer(first.standardizer, np.atleast_2d(np.asarray(x, dtype=float)))
+    if any(m.train is not first.train or m.means is not first.means
+           or m.stds is not first.stds for m in models):
+        raise ValueError("models do not share one training matrix, means and stds")
+    xs = apply_standardizer(first.means, first.stds,
+                            np.atleast_2d(np.asarray(x, dtype=float)))
     values = [np.empty((xs.shape[0], len(m.classes))) for m in models]
     # support-vector mask bytes -> {gamma: [(model, class) indices]}
     by_set = {}

@@ -267,7 +267,7 @@ def decision_values(model, x):
     is nonzero, so the shared path must match it bit for bit.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    xs = (x - model.standardizer.means) / model.standardizer.stds
+    xs = (x - model.means) / model.stds
     columns = []
     for coef, bias, sv in zip(model.dual_coef, model.bias, model.dual_coef != 0.0):
         t = model.train[sv]

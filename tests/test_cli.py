@@ -60,6 +60,15 @@ def _manifest_doc(**changes):
             "entries": [_GOOD_ENTRY, {k: v for k, v in second.items() if v is not None}]}
 
 
+def _workspace_doc(workspace):
+    """The workspace manifest document with absolute entry paths."""
+    root, manifest = workspace
+    doc = json.loads(manifest.read_text())
+    for entry in doc["entries"]:
+        entry["path"] = str(root / entry["path"])
+    return doc
+
+
 class _Tripwire:
     """Unpickling this object creates the directory `path`."""
 
@@ -206,10 +215,7 @@ class TestIngest:
     ])
     def test_corpus_hash_covers_matrix_entry_fields(self, workspace, tmp_path,
                                                     field, value):
-        root, manifest = workspace
-        doc = json.loads(manifest.read_text())
-        for entry in doc["entries"]:
-            entry["path"] = str(root / entry["path"])
+        doc = _workspace_doc(workspace)
         base = tmp_path / "base.json"
         base.write_text(json.dumps(doc))
         doc["entries"][1][field] = value
@@ -252,6 +258,36 @@ class TestIngest:
                          "--out", str(tmp_path / "cache")])
         assert code == cli.EXIT_DATA
         assert capsys.readouterr().err.startswith(f"data error: {manifest}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("target_rate_hz", float("inf")),
+        ("target_rate_hz", 10 ** 400),
+        ("window_s", [0.0, float("inf")]),
+        ("sampling_rate_hz", float("inf")),
+    ], ids=["rate-infinite", "rate-huge-int", "window-infinite", "entry-rate-infinite"])
+    def test_non_finite_number_is_data_error(self, workspace, tmp_path, capsys, key, value):
+        # over readable files, where such a number used to reach int() or
+        # resampling and end in a traceback
+        doc = _workspace_doc(workspace)
+        (doc if key == "target_rate_hz" else doc["entries"][2])[key] = value
+        changed = tmp_path / "manifest.json"
+        changed.write_text(json.dumps(doc))
+        code = cli.main(["ingest", "--manifest", str(changed), "--out", str(tmp_path / "cache")])
+        assert code == cli.EXIT_DATA
+        named = f"key {key!r}" if key == "target_rate_hz" else f"entry 2 key {key!r}"
+        assert named in capsys.readouterr().err
+
+    def test_two_subjects_with_one_class_label_rejected(self, workspace, tmp_path, capsys):
+        doc = _workspace_doc(workspace)
+        doc["entries"][0].update(dataset_id="d", subject_id="a/b")
+        doc["entries"][1].update(dataset_id="d/a", subject_id="b")
+        changed = tmp_path / "manifest.json"
+        changed.write_text(json.dumps(doc))
+        code = cli.main(["ingest", "--manifest", str(changed), "--out", str(tmp_path / "cache")])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "entries 0 and 1" in err and "'d/a/b'" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
     def test_missing_manifest(self, tmp_path, capsys):
@@ -607,6 +643,7 @@ class TestEvaluate:
         ("conditions", [["resting", "resting"], ["rest", "rest"]], "['rest', 'rest']"),
         ("epoch_lengths_s", [2.0, 0], "epoch length 0"),
         ("epoch_lengths_s", [2.0, "4"], "epoch length '4'"),
+        ("epoch_lengths_s", [2.0, 10 ** 400], "epoch length 1000"),
         ("seed", "0", "'seed'"),
         ("k1", 1, "'k1'"),
         ("k2", 2.5, "'k2'"),
@@ -617,7 +654,7 @@ class TestEvaluate:
         ("manifest", _MISSING, "'manifest'"),
         ("manifest", 5, "'manifest'"),
         ("cache_dir", 5, "'cache_dir'"),
-    ], ids=["short-pair", "unknown-condition", "zero-length", "string-length",
+    ], ids=["short-pair", "unknown-condition", "zero-length", "string-length", "huge-length",
             "string-seed", "k1-below-2", "fractional-k2", "conditions-not-a-list",
             "unknown-channel-policy", "non-label-channel-policy", "number-channel-policy",
             "missing-manifest", "number-manifest", "number-cache-dir"])

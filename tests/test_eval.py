@@ -94,8 +94,8 @@ class TestFoldPlan:
 def train_ovr_scalar(x, labels, params):
     """One-vs-rest training, one smo_scalar call per class and grid point."""
     classes = tuple(sorted(set(labels.tolist())))
-    standardizer = svm.fit_standardizer(x)
-    xs = svm.apply_standardizer(standardizer, x)
+    means, stds = svm.fit_standardizer(x)
+    xs = svm.apply_standardizer(means, stds, x)
     kernel = svm._rbf_cross(xs, xs, params.gamma)
     coefs, biases, converged = [], [], []
     for cls in classes:
@@ -104,7 +104,7 @@ def train_ovr_scalar(x, labels, params):
         coefs.append(np.where(alphas > 1e-12, alphas * y, 0.0))
         biases.append(bias)
         converged.append(ok)
-    return svm.MulticlassSvmModel(classes, standardizer, params, xs, np.array(coefs),
+    return svm.MulticlassSvmModel(classes, means, stds, params, xs, np.array(coefs),
                                   np.array(biases), np.array(converged))
 
 
@@ -147,9 +147,10 @@ class TestGridSearch:
         grid((0.1, 1.0, 10.0, 100.0), (0.01,)),                  # a single gamma
         grid((1.0,), (0.1,)),                                     # a single point
     ], ids=["default", "unsorted", "repeated-gamma", "single-gamma", "one-point"])
-    def test_equals_per_point_scalar_loop(self, rng, points):
+    def test_equals_per_point_scalar_loop(self, rng, monkeypatch, points):
         x, labels = cluster_features(rng, 4, 9, dim=6, spread=1.5)
-        best, audit = ev.grid_search(x, labels, k2=3, grid=points, seed=5)
+        monkeypatch.setattr(ev, "GRID", points)
+        best, audit = ev.grid_search(x, labels, k2=3, seed=5)
         best_ref, audit_ref = grid_search_per_point(x, labels, 3, points, seed=5)
         assert list(audit.items()) == list(audit_ref.items())
         assert best == best_ref
@@ -157,13 +158,13 @@ class TestGridSearch:
     def test_grid_models_equal_single_point_models(self, rng):
         x, labels = cluster_features(rng, 3, 8, dim=5, spread=1.0)
         points = ev.GRID[::-1]
-        models = dict(svm.train_ovr_grid(x, labels, points))
+        models = svm.train_ovr_grid(x, labels, points)
         assert set(models) == set(points)
         for params in points:
             one, many = svm.train_ovr(x, labels, params), models[params]
             assert one.classes == many.classes
-            assert np.array_equal(one.standardizer.means, many.standardizer.means)
-            assert np.array_equal(one.standardizer.stds, many.standardizer.stds)
+            assert np.array_equal(one.means, many.means)
+            assert np.array_equal(one.stds, many.stds)
             assert one.params == many.params == params
             assert np.array_equal(one.train, many.train)
             for name in ("dual_coef", "bias", "converged"):
@@ -180,7 +181,7 @@ class TestGridSearch:
         # one training matrix, the standardizer's means and stds, and the
         # float coefficient, float bias and bool converged arrays
         bound = x.nbytes + 2 * d * 8 + n_classes * (n * 8 + 8 + 1)
-        models = [model for _, model in svm.train_ovr_grid(x, labels, ev.GRID)]
+        models = list(svm.train_ovr_grid(x, labels, ev.GRID).values())
         for model in models:
             assert sum(a.nbytes for a in model_arrays(model)) <= bound
         shared = models[0].train
@@ -193,7 +194,7 @@ class TestGridSearch:
         x, labels = cluster_features(rng, 4, 9, dim=6, spread=1.5)
         want, folds = [], ev.fold_splits(labels, 3, 5)
         for train_idx, val_idx in folds:
-            models = [m for _, m in svm.train_ovr_grid(x[train_idx], labels[train_idx], ev.GRID)]
+            models = svm.train_ovr_grid(x[train_idx], labels[train_idx], ev.GRID).values()
             sets = {sv.tobytes() for m in models for sv in m.dual_coef != 0.0}
             assert len(sets) < sum(len(m.classes) for m in models)
             want.append((len(train_idx), True))

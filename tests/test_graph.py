@@ -90,6 +90,17 @@ class TestEigenvectorCentrality:
         with pytest.raises(ZeroGraph):
             graph.eigenvector_centrality(graph.WeightedGraph(weights=np.zeros((4, 4))))
 
+    @pytest.mark.parametrize("sparsity", [0.0, 0.4])
+    def test_defined_at_every_weight_scale(self, rng, sparsity):
+        # unnormalized, the iterate's norm overflows near x1e160 and the
+        # iteration stalls below the tolerance near x1e-160
+        g = random_graph(rng, 6, sparsity=sparsity)
+        base = graph.eigenvector_centrality(g)
+        for scale in 10.0 ** np.arange(-200, 201, 20):
+            ec = graph.eigenvector_centrality(graph.WeightedGraph(weights=scale * g.weights))
+            assert np.all(np.isfinite(ec)) and np.all(ec > 0.0), scale
+            np.testing.assert_allclose(ec, base, rtol=0, atol=1e-12, err_msg=str(scale))
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestBetweennessCentrality:

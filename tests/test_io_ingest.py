@@ -339,3 +339,11 @@ def test_window_recording_basic(rng):
     cut = window_recording(rec, 1.0, 3.0)
     assert cut.n_samples == 256
     np.testing.assert_array_equal(cut.data, rec.data[:, 128:384])
+
+
+@pytest.mark.parametrize("window", [(0.0, 1e308), (1e307, 1e308), (0.0, float("inf"))])
+def test_window_far_past_the_end_is_out_of_range(rng, window):
+    # the sample index of such an end overflows int()
+    rec = make_recording(rng.standard_normal((2, 1280)))
+    with pytest.raises(WindowOutOfRange):
+        window_recording(rec, *window)

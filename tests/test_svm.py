@@ -48,15 +48,15 @@ class TestRbfKernel:
 class TestStandardizer:
     def test_oracle(self, rng):
         x = rng.standard_normal((50, 4)) * np.array([1.0, 5.0, 0.2, 3.0]) + 7.0
-        s = svm.fit_standardizer(x)
-        z = svm.apply_standardizer(s, x)
+        means, stds = svm.fit_standardizer(x)
+        z = svm.apply_standardizer(means, stds, x)
         np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(z.std(axis=0), 1.0, atol=1e-12)
 
     def test_constant_column_maps_to_zero(self, rng):
         x = rng.standard_normal((20, 3))
         x[:, 1] = 4.2
-        z = svm.apply_standardizer(svm.fit_standardizer(x), x)
+        z = svm.apply_standardizer(*svm.fit_standardizer(x), x)
         np.testing.assert_array_equal(z[:, 1], 0.0)
         assert np.all(np.isfinite(z))
 
@@ -65,9 +65,9 @@ class TestStandardizer:
             svm.fit_standardizer(np.ones((1, 3)))
 
     def test_dimension_mismatch(self, rng):
-        s = svm.fit_standardizer(rng.standard_normal((5, 3)))
+        means, stds = svm.fit_standardizer(rng.standard_normal((5, 3)))
         with pytest.raises(DimensionMismatch):
-            svm.apply_standardizer(s, rng.standard_normal((5, 4)))
+            svm.apply_standardizer(means, stds, rng.standard_normal((5, 4)))
 
 
 def binary_decision(x, y, alphas, bias, gamma, probe):
@@ -308,7 +308,7 @@ def grid_models(x, labels):
     """The models of one train_ovr_grid call over the default 16-point grid."""
     grid = [svm.SvmHyperparams(c=c, gamma=g)
             for c in svm.DEFAULT_C_GRID for g in svm.DEFAULT_GAMMA_GRID]
-    return [model for _, model in svm.train_ovr_grid(x, labels, grid)]
+    return list(svm.train_ovr_grid(x, labels, grid).values())
 
 
 def support_sets(models):
@@ -385,7 +385,7 @@ class TestSharedPrediction:
         first, second = svm.train_ovr(x, labels, params), svm.train_ovr(x, labels, params)
         with pytest.raises(ValueError, match="share"):
             svm.predict_batch([first, second], x)
-        other = dataclasses.replace(first, standardizer=second.standardizer)
+        other = dataclasses.replace(first, means=second.means, stds=second.stds)
         with pytest.raises(ValueError, match="share"):
             svm.predict_batch([first, other], x)
 
