@@ -104,9 +104,7 @@ class TooFewClasses(EegIdError):
 # --- evaluation ---
 
 class InsufficientEpochs(EegIdError):
-    def __init__(self, subject):
-        super().__init__(f"subject {subject!r} has fewer epochs than outer folds")
-        self.subject = subject
+    pass
 
 
 class MissingCondition(EegIdError):

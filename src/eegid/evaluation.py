@@ -37,9 +37,15 @@ def fold_splits(labels, k, seed):
 
     Subject by subject in sorted order, the subject's epochs are shuffled by
     `np.random.default_rng(seed)` and dealt to the folds in turn.  Returns one
-    (train_idx, test_idx) pair of sorted index arrays per fold.
+    (train_idx, test_idx) pair of sorted index arrays per fold.  Fold h is
+    empty unless some subject has more than h epochs, so a k above every
+    subject's epoch count raises InsufficientEpochs.
     """
     labels = np.asarray(labels)
+    largest = int(np.unique(labels, return_counts=True)[1].max(initial=0))
+    if largest < k:
+        raise InsufficientEpochs(f"{k} folds need a subject with at least {k} epochs, "
+                                 f"but the most any subject has is {largest}")
     rng = np.random.default_rng(seed)
     fold_of = np.empty(labels.shape[0], dtype=int)
     for subject in sorted(set(labels.tolist())):
@@ -157,7 +163,7 @@ def run_nested_cv(x, labels, k1=10, k2=3, seed=0) -> CvReport:
     subjects, counts = np.unique(labels, return_counts=True)
     for subject, count in zip(subjects.tolist(), counts.tolist()):
         if count < k1:
-            raise InsufficientEpochs(subject)
+            raise InsufficientEpochs(f"subject {subject!r} has fewer epochs than outer folds")
     return _cross_validate(x, labels, fold_splits(labels, k1, seed), k2, seed)
 
 

@@ -1,9 +1,11 @@
 """One-vs-rest RBF-kernel SVM trained by sequential minimal optimization.
 
 A training set is standardized once and its squared-distance matrix built
-once.  Each gamma then takes one full Gram matrix, and all (C, class) binary
-problems of that gamma are solved by one working-set SMO run in lockstep: each
-step moves every unfinished problem's maximal KKT-violating pair analytically.
+once.  Each gamma then takes one full Gram matrix, and the (C, class) binary
+problems of consecutive gammas are solved by one working-set SMO run in
+lockstep while the run's problems x rows stay within 2^16 (a larger gamma
+runs alone): each step moves every unfinished problem's maximal
+KKT-violating pair analytically, reading that problem's own Gram matrix.
 `train_ovr_grid` returns a {params: model} mapping.  A model holds the
 standardizer's column means and stds, the standardized training matrix (one
 array shared by every model of a grid), a class x row matrix of dual
@@ -25,6 +27,10 @@ MAX_SMO_ITER = 1_000_000
 DEFAULT_C_GRID = (0.1, 1.0, 10.0, 100.0)
 DEFAULT_GAMMA_GRID = (1.0, 0.1, 0.01, 0.001)
 _STD_FLOOR = 1e-12
+# most (problems x training rows) of one lockstep SMO run over several gammas:
+# 512 KiB per float64 state array.  Merging pays below it, where per-step
+# numpy overhead dominates, and costs above it.
+_LOCKSTEP_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -100,19 +106,21 @@ def train_binary_smo(x, y, params: SvmHyperparams):
         raise SingleClassInput("training labels contain a single class")
     if not np.all(np.abs(y) == 1):
         raise ValueError("y must be -1/+1")
-    alphas, f, converged = _smo(_rbf_cross(x, x, params.gamma), y[None, :],
-                                np.array([params.c]))
+    alphas, f, converged = _smo(_rbf_cross(x, x, params.gamma), np.zeros(1, int),
+                                y[None, :], np.array([params.c]))
     return alphas[0], _bias(y, alphas[0], f[0], params.c), bool(converged[0])
 
 
-def _pair_update(kernel, y, c, alphas, f, i, j) -> np.ndarray:
+def _pair_update(kernel, base, y, c, alphas, f, i, j) -> np.ndarray:
     """Analytic two-variable step on pair (i[p], j[p]) of each row p, in place.
 
-    Returns the mask of rows whose pair moved.  Each row's arithmetic is the
-    scalar step's, term by term, down to Python's max/min tie rules.
+    Row p reads its Gram matrix at kernel rows base[p] + 0..n-1.  Returns the
+    mask of rows whose pair moved.  Each row's arithmetic is the scalar
+    step's, term by term, down to Python's max/min tie rules.
     """
     r = np.arange(len(i))
-    eta = kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j]
+    k_i, k_j = base + i, base + j
+    eta = kernel[k_i, i] + kernel[k_j, j] - 2.0 * kernel[k_i, j]
     y_i, y_j = y[r, i], y[r, j]
     a_i, a_j = alphas[r, i], alphas[r, j]
     e_i, e_j = f[r, i] - y_i, f[r, j] - y_j
@@ -130,18 +138,18 @@ def _pair_update(kernel, y, c, alphas, f, i, j) -> np.ndarray:
     moved = (d_i != 0.0) | (d_j != 0.0)
     rows = slice(None)
     if not moved.all():
-        r, i, j, a_i_new, a_j_new, d_i, d_j = (
-            v[moved] for v in (r, i, j, a_i_new, a_j_new, d_i, d_j))
+        r, i, j, k_i, k_j, a_i_new, a_j_new, d_i, d_j = (
+            v[moved] for v in (r, i, j, k_i, k_j, a_i_new, a_j_new, d_i, d_j))
         rows = r
     alphas[r, i] = a_i_new
     alphas[r, j] = a_j_new
     # f + d_i k_i + d_j k_j, summed in that order
-    f[rows] += d_i[:, None] * kernel[i]
-    f[rows] += d_j[:, None] * kernel[j]
+    f[rows] += d_i[:, None] * kernel[k_i]
+    f[rows] += d_j[:, None] * kernel[k_j]
     return moved
 
 
-def _corner_scan(kernel, y, c, alphas, f, up_score, low_score, top) -> bool:
+def _corner_scan(kernel, base, y, c, alphas, f, up_score, low_score, top) -> bool:
     """Move the most violating pair of one problem that can move, if any.
 
     Takes one-row slices of the lockstep arrays and that row's scores; `top`,
@@ -157,14 +165,17 @@ def _corner_scan(kernel, y, c, alphas, f, up_score, low_score, top) -> bool:
                 break
             if ii == jj or (ii, jj) == top:
                 continue
-            if _pair_update(kernel, y, c, alphas, f, np.array([ii]), np.array([jj]))[0]:
+            if _pair_update(kernel, base, y, c, alphas, f,
+                            np.array([ii]), np.array([jj]))[0]:
                 return True
     return False
 
 
-def _smo(kernel, y, c):
-    """Lockstep SMO for P binary problems, rows of y (P, n), on one Gram matrix.
+def _smo(kernel, base, y, c):
+    """Lockstep SMO for P binary problems, rows of y (P, n), on a Gram stack.
 
+    kernel stacks G Gram matrices as a (G n, n) array, and problem p reads
+    its own at rows base[p] + 0..n-1, so one run can span several gammas.
     Each step moves every unfinished problem's maximal KKT-violating pair
     (first index on ties), exactly as if it were solved alone.  A problem
     stops below KKT_TOL (converged), at a fixed point or after MAX_SMO_ITER
@@ -172,14 +183,14 @@ def _smo(kernel, y, c):
     """
     alphas, f, converged = np.zeros(y.shape), np.zeros(y.shape), np.zeros(len(y), bool)
     # unfinished problems, compacted; finished rows are written back
-    act, ya, ca, aa, fa = np.arange(len(y)), y, c, alphas.copy(), f.copy()
+    act, ba, ya, ca, aa, fa = np.arange(len(y)), base, y, c, alphas.copy(), f.copy()
 
     def finish(mask):
-        nonlocal act, ya, ca, aa, fa
+        nonlocal act, ba, ya, ca, aa, fa
         alphas[act[mask]] = aa[mask]
         f[act[mask]] = fa[mask]
         keep = ~mask
-        act, ya, ca, aa, fa = act[keep], ya[keep], ca[keep], aa[keep], fa[keep]
+        act, ba, ya, ca, aa, fa = (v[keep] for v in (act, ba, ya, ca, aa, fa))
 
     for _ in range(MAX_SMO_ITER):
         if not len(act):
@@ -196,12 +207,12 @@ def _smo(kernel, y, c):
             converged[act[done]] = True
             i, j, up_score, low_score = (v[~done] for v in (i, j, up_score, low_score))
             finish(done)
-        moved = _pair_update(kernel, ya, ca, aa, fa, i, j)
+        moved = _pair_update(kernel, ba, ya, ca, aa, fa, i, j)
         if not moved.all():
             for p in np.flatnonzero(~moved):
                 rows = slice(p, p + 1)
-                moved[p] = _corner_scan(kernel, ya[rows], ca[rows], aa[rows], fa[rows],
-                                        up_score[p], low_score[p], (i[p], j[p]))
+                moved[p] = _corner_scan(kernel, ba[rows], ya[rows], ca[rows], aa[rows],
+                                        fa[rows], up_score[p], low_score[p], (i[p], j[p]))
             if not moved.all():
                 # no violating pair can move: a fixed point short of KKT_TOL
                 finish(~moved)
@@ -249,9 +260,11 @@ def train_ovr_grid(x, labels, grid) -> dict:
     """{params: one-vs-rest model} for each distinct point of a grid.
 
     Standardizer and squared distances are computed once; each distinct
-    gamma takes one Gram matrix and one lockstep SMO over all its (C, class)
-    problems.  Points come grouped by gamma, and all models share the one
-    standardized training matrix and its means and stds.
+    gamma takes one Gram matrix.  Consecutive gammas share one lockstep SMO
+    over all their (C, class) problems while its problems x rows stay within
+    _LOCKSTEP_BLOCK; a gamma above it runs alone.  Points come grouped by
+    gamma, and all models share the one standardized training matrix and its
+    means and stds.
     """
     labels = np.asarray(labels)
     classes = tuple(sorted(set(labels.tolist())))
@@ -261,24 +274,39 @@ def train_ovr_grid(x, labels, grid) -> dict:
     xs = apply_standardizer(means, stds, x)
     sq = _sq_dist(xs, xs)
     ys = np.array([np.where(labels == cls, 1.0, -1.0) for cls in classes])
-    points = tuple(dict.fromkeys(grid))
+    n, n_classes = sq.shape[0], len(classes)
+    by_gamma = {}
+    for p in dict.fromkeys(grid):
+        by_gamma.setdefault(p.gamma, []).append(p)
+    runs = []  # each run: the point groups of consecutive gammas
+    for group in by_gamma.values():
+        if runs and (sum(map(len, runs[-1])) + len(group)) * n_classes * n <= _LOCKSTEP_BLOCK:
+            runs[-1].append(group)
+        else:
+            runs.append([group])
     models = {}
-    for gamma in dict.fromkeys(p.gamma for p in points):
-        group = [p for p in points if p.gamma == gamma]
+    for run in runs:
+        kernel = np.empty((len(run) * n, n))
+        for g, group in enumerate(run):
+            block = kernel[g * n:(g + 1) * n]
+            np.multiply(sq, -group[0].gamma, out=block)
+            np.exp(block, out=block)
         # problem rows are point-major, class-minor; each point takes the
-        # next len(classes) rows
-        y = np.tile(ys, (len(group), 1))
-        alphas, f, converged = _smo(np.exp(-gamma * sq), y,
-                                    np.repeat([p.c for p in group], len(classes)))
+        # next n_classes rows and its gamma's Gram matrix
+        points = [p for group in run for p in group]
+        y = np.tile(ys, (len(points), 1))
+        base = np.repeat(np.arange(len(run)) * n, [len(group) * n_classes for group in run])
+        alphas, f, converged = _smo(kernel, base, y,
+                                    np.repeat([p.c for p in points], n_classes))
         coef = np.where(alphas > 1e-12, alphas * y, 0.0)
-        for k, params in enumerate(group):
-            rows = slice(k * len(classes), (k + 1) * len(classes))
+        for k, params in enumerate(points):
+            rows = slice(k * n_classes, (k + 1) * n_classes)
             bias = np.array([_bias(*problem, params.c)
                              for problem in zip(y[rows], alphas[rows], f[rows])])
             models[params] = MulticlassSvmModel(classes, means, stds, params, xs,
                                                 coef[rows], bias, converged[rows])
-        # the next gamma's solve needs none of this gamma's solver state
-        del y, alphas, f
+        # the next run's solve needs none of this run's solver state
+        del kernel, y, alphas, f
     return models
 
 

@@ -1,3 +1,4 @@
+import filecmp
 import importlib.metadata as md
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegid import cli, dsp, synth
+from eegid import cli, dsp, svm, synth
 from eegid.evaluation import preprocessed
 from eegid.io_ingest import build_corpus, load_manifest
 
@@ -558,6 +559,51 @@ class TestEvaluate:
                          "--out", str(out2)]) == cli.EXIT_OK
         for name in sorted(p.name for p in out1.iterdir()):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    @pytest.mark.parametrize("conditions, k2, largest", [
+        ([["resting", "resting"]], 13, 12),  # 15 epochs per subject, 3 held out
+        ([["resting", "task"]], 16, 15),     # all 15 resting epochs train
+    ], ids=["matched", "mismatched"])
+    def test_more_inner_folds_than_epochs_is_data_error(self, workspace, tmp_path, capsys,
+                                                        conditions, k2, largest):
+        doc = _workspace_doc(workspace)
+        doc["entries"] += [{**entry, "condition": "task"} for entry in doc["entries"]]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "manifest": str(manifest), "bands": ["gamma"], "metrics": ["PLV"],
+            "epoch_lengths_s": [2.0], "conditions": conditions, "k1": 5, "k2": k2,
+        }))
+        code = cli.main(["evaluate", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{k2} folds need a subject with at least {k2} epochs" in err
+        assert f"the most any subject has is {largest}" in err
+
+    def test_lockstep_block_does_not_change_reports(self, workspace, tmp_path, monkeypatch,
+                                                    capsys):
+        # every gamma in its own SMO run, then all gammas of a fold in one
+        _, manifest = workspace
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "manifest": str(manifest), "bands": ["gamma"], "metrics": ["PLV"],
+            "gb_metrics": [None, "BC"], "epoch_lengths_s": [2.0], "k1": 5, "k2": 3,
+            "cache_dir": str(tmp_path / "cache"),
+        }))
+        outs, errs = [], []
+        for block in (0, 1 << 40):
+            monkeypatch.setattr(svm, "_LOCKSTEP_BLOCK", block)
+            outs.append(tmp_path / f"out{block}")
+            assert cli.main(["evaluate", "--config", str(config),
+                             "--out", str(outs[-1])]) == cli.EXIT_OK
+            errs.append([line for line in capsys.readouterr().err.splitlines()
+                         if line.startswith("warning: SMO")])
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert len(names) == 7 and names == sorted(p.name for p in outs[1].iterdir())
+        _, mismatch, errors = filecmp.cmpfiles(*outs, names, shallow=False)
+        assert (mismatch, errors) == ([], [])
+        assert errs[0] == errs[1]
 
     def test_damaged_caches_are_rebuilt(self, workspace, tmp_path, capsys):
         root, manifest = workspace

@@ -65,6 +65,21 @@ class TestFoldPlan:
         with pytest.raises(InsufficientEpochs, match="'b'"):
             ev.run_nested_cv(np.zeros((13, 2)), labels, k1=10)
 
+    def test_more_folds_than_epochs(self):
+        # fold h is empty unless some subject has more than h epochs
+        labels = np.array(["a"] * 3 + ["b"] * 5)
+        with pytest.raises(InsufficientEpochs, match="6 folds .* most any subject has is 5"):
+            ev.fold_splits(labels, 6, 0)
+        assert all(len(test) for _, test in ev.fold_splits(labels, 5, 0))
+
+    def test_inner_folds_need_epochs(self, rng):
+        # 10 epochs per subject leave 8 per subject in each outer training fold
+        x, labels = cluster_features(rng, 3, 10, dim=3, spread=1.0)
+        with pytest.raises(InsufficientEpochs, match="9 folds .* is 8$"):
+            ev.run_nested_cv(x, labels, k1=5, k2=9)
+        report = ev.run_nested_cv(x, labels, k1=5, k2=8)
+        assert len(report.fold_accuracies) == 5
+
     def test_rows_and_labels_must_agree(self):
         labels = np.repeat(["a", "b"], 10)
         with pytest.raises(ValueError, match="disagree in size"):

@@ -159,11 +159,18 @@ class TestBinarySmo:
             binary_decision(x, y, alphas, bias, params.gamma, probe), atol=1e-6)
 
 
-def assert_matches_scalar(kernel, y, c):
-    """_smo on the rows of y equals smo_scalar on each row, bit for bit."""
-    alphas, f, converged = svm._smo(kernel, y, c)
+def assert_matches_scalar(kernels, y, c, which=None):
+    """_smo on the rows of y, row p on Gram matrix kernels[which[p]] of a
+    stack, equals smo_scalar on each row with its own kernel, bit for bit.
+
+    kernels is one (n, n) Gram matrix or a (G, n, n) stack; which defaults to
+    every row on the first."""
+    kernels = np.asarray(kernels).reshape(-1, *np.shape(kernels)[-2:])
+    which = np.zeros(len(y), int) if which is None else np.asarray(which)
+    n = y.shape[1]
+    alphas, f, converged = svm._smo(kernels.reshape(-1, n), which * n, y, c)
     for p in range(len(y)):
-        a_ref, f_ref, bias_ref, conv_ref = smo_scalar(kernel, y[p], c[p],
+        a_ref, f_ref, bias_ref, conv_ref = smo_scalar(kernels[which[p]], y[p], c[p],
                                                       max_iter=svm.MAX_SMO_ITER)
         assert np.array_equal(alphas[p], a_ref), f"row {p}"
         assert np.array_equal(f[p], f_ref), f"row {p}"
@@ -188,8 +195,21 @@ class TestLockstepSmo:
             c = rng.choice([0.1, 1.0, 10.0, 100.0], size=p)
             assert_matches_scalar(kernel, random_labels(rng, p, n), c)
 
+    def test_mixed_gamma_stacks(self, rng):
+        # one run over several Gram matrices, rows in any order of kernels
+        for _ in range(40):
+            n = int(rng.integers(4, 30))
+            x = rng.standard_normal((n, int(rng.integers(1, 5))))
+            gammas = rng.choice([10.0, 1.0, 0.1, 0.01, 0.001], size=int(rng.integers(1, 5)))
+            kernels = np.stack([svm._rbf_cross(x, x, g) for g in gammas])
+            p = int(rng.integers(1, 25))
+            which = rng.integers(0, len(gammas), size=p)
+            c = rng.choice([0.1, 1.0, 10.0, 100.0], size=p)
+            assert_matches_scalar(kernels, random_labels(rng, p, n), c, which)
+
     def test_duplicate_rows(self, rng):
-        # repeated points give pairs with eta = 0, floored at 1e-12
+        # repeated points give pairs with eta = 0, floored at 1e-12, alone
+        # and in a run over several gammas
         for _ in range(20):
             x = rng.standard_normal((12, 2))
             x[6:] = x[:6]
@@ -198,6 +218,10 @@ class TestLockstepSmo:
             p = int(rng.integers(1, 9))
             assert_matches_scalar(kernel, random_labels(rng, p, 12),
                                   rng.choice([0.1, 1.0, 10.0], size=p))
+            kernels = np.stack([svm._rbf_cross(x, x, g) for g in (1.0, 0.1, 0.01)])
+            assert_matches_scalar(kernels, random_labels(rng, p, 12),
+                                  rng.choice([0.1, 1.0, 10.0], size=p),
+                                  rng.integers(0, 3, size=p))
 
     def _spy_scan(self, monkeypatch):
         outcomes = []
@@ -223,6 +247,13 @@ class TestLockstepSmo:
         rows = np.array([y, -y, y, [1.0, 1.0, -1.0, -1.0]])
         assert_matches_scalar(kernel, rows, np.array([10.0, 10.0, 1.0, 10.0]))
         assert True in outcomes[1:]
+        # in one run with other gammas' problems, the scan reads its own kernel
+        outcomes.clear()
+        kernels = np.stack([svm._rbf_cross(x, x, g) for g in (1.0, 0.1, 0.01)])
+        converged = assert_matches_scalar(kernels, np.vstack([rows, rows]),
+                                          np.array([10.0, 10.0, 1.0, 10.0] * 2),
+                                          [1, 0, 2, 1, 0, 2, 1, 0])
+        assert True in outcomes and converged[0]
 
     def test_fixed_point_short_of_tolerance(self, monkeypatch):
         # three copies of one point with labels +1, -1, -1: no violating
@@ -236,6 +267,14 @@ class TestLockstepSmo:
         converged = assert_matches_scalar(kernel, rows, np.array([1.0, 0.1, 1.0]))
         assert False in outcomes
         assert not converged[0]
+        # the same fixed point inside one run with other gammas' problems
+        outcomes.clear()
+        kernels = np.stack([svm._rbf_cross(x, x, g) for g in (0.1, 1.0, 0.01)])
+        converged = assert_matches_scalar(kernels, np.vstack([rows, rows]),
+                                          np.array([1.0, 0.1, 1.0] * 2),
+                                          [0, 2, 0, 1, 1, 2])
+        assert False in outcomes
+        assert not converged[3]
 
     def test_iteration_cap(self, rng, monkeypatch):
         monkeypatch.setattr(svm, "MAX_SMO_ITER", 3)
@@ -243,6 +282,11 @@ class TestLockstepSmo:
         kernel = svm._rbf_cross(x, x, 0.1)
         converged = assert_matches_scalar(kernel, random_labels(rng, 6, 20),
                                           np.array([0.1, 1.0, 10.0] * 2))
+        assert not converged.any()
+        kernels = np.stack([svm._rbf_cross(x, x, g) for g in (1.0, 0.1, 0.01, 0.001)])
+        converged = assert_matches_scalar(kernels, random_labels(rng, 8, 20),
+                                          np.array([0.1, 1.0, 10.0, 100.0] * 2),
+                                          [0, 1, 2, 3, 3, 2, 1, 0])
         assert not converged.any()
         _, _, converged = svm.train_binary_smo(x, random_labels(rng, 1, 20)[0],
                                                svm.SvmHyperparams(c=1.0, gamma=0.1))
@@ -309,6 +353,71 @@ def grid_models(x, labels):
     grid = [svm.SvmHyperparams(c=c, gamma=g)
             for c in svm.DEFAULT_C_GRID for g in svm.DEFAULT_GAMMA_GRID]
     return list(svm.train_ovr_grid(x, labels, grid).values())
+
+
+class TestLockstepRuns:
+    """train_ovr_grid solves consecutive gammas in one _smo run while the
+    run's problems x rows stay within svm._LOCKSTEP_BLOCK."""
+
+    @staticmethod
+    def spy_smo(monkeypatch):
+        runs = []
+        smo = svm._smo
+
+        def spy(kernel, base, y, c):
+            runs.append((kernel.shape[0] // y.shape[1], len(y)))
+            return smo(kernel, base, y, c)
+
+        monkeypatch.setattr(svm, "_smo", spy)
+        return runs
+
+    @pytest.mark.parametrize("block, runs", [
+        (None, [(4, 64)]),                 # 4 gammas x 4 C x 4 classes, 24 rows
+        (4 * 16 * 24, [(4, 64)]),
+        (2 * 16 * 24, [(2, 32), (2, 32)]),
+        (2 * 16 * 24 - 1, [(1, 16)] * 4),
+        (16 * 24, [(1, 16)] * 4),
+        (0, [(1, 16)] * 4),                # each gamma above the block runs alone
+    ])
+    def test_runs_per_block(self, rng, monkeypatch, block, runs):
+        x, labels = blobs(rng, list(rng.standard_normal((4, 5))), per_class=6, spread=1.0)
+        if block is not None:
+            monkeypatch.setattr(svm, "_LOCKSTEP_BLOCK", block)
+        seen = self.spy_smo(monkeypatch)
+        grid_models(x, labels)
+        assert seen == runs
+
+    def test_uneven_gamma_groups(self, rng, monkeypatch):
+        # gammas with 3, 1 and 2 points: 30 rows x (9, 3, 6) problems
+        x, labels = blobs(rng, [(0.0, 0.0), (3.0, 0.0), (0.0, 3.0)], per_class=10)
+        grid = [svm.SvmHyperparams(c=c, gamma=g) for c, g in
+                [(1.0, 0.1), (10.0, 0.1), (1.0, 0.5), (0.1, 0.1), (1.0, 2.0), (10.0, 2.0)]]
+        monkeypatch.setattr(svm, "_LOCKSTEP_BLOCK", 12 * 30)
+        seen = self.spy_smo(monkeypatch)
+        models = svm.train_ovr_grid(x, labels, grid)
+        assert seen == [(2, 12), (1, 6)]
+        assert list(models) == [grid[i] for i in (0, 1, 3, 2, 4, 5)]
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_block_does_not_change_models(self, seed):
+        rng = np.random.default_rng(seed)
+        n_classes, dim = int(rng.integers(2, 7)), int(rng.integers(1, 40))
+        x, labels = blobs(rng, list(rng.standard_normal((n_classes, dim))),
+                          per_class=int(rng.integers(2, 8)), spread=float(rng.uniform(0.1, 2.0)))
+        grid = [svm.SvmHyperparams(c=c, gamma=g)
+                for c in svm.DEFAULT_C_GRID for g in svm.DEFAULT_GAMMA_GRID]
+        grid = [grid[i] for i in rng.permutation(len(grid))]
+        results = []
+        for block in (0, 1 << 40):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(svm, "_LOCKSTEP_BLOCK", block)
+                results.append(svm.train_ovr_grid(x, labels, grid))
+        alone, merged = results
+        assert list(alone) == list(merged)
+        for a, b in zip(alone.values(), merged.values()):
+            for name in ("dual_coef", "bias", "converged"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def support_sets(models):
