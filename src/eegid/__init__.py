@@ -5,7 +5,7 @@ one-vs-rest RBF-SVM under nested cross-validation, plus the ingestion,
 signal-processing and experiment machinery around them.
 """
 
-from . import channels, connectivity, dsp, evaluation, graph, io_ingest, svm, synth
+from . import channels, connectivity, dsp, evaluation, graph, io_ingest, svm
 
 __all__ = [
     "channels",
@@ -15,7 +15,6 @@ __all__ = [
     "graph",
     "io_ingest",
     "svm",
-    "synth",
 ]
 
 __version__ = "0.1.0"

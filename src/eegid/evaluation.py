@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import connectivity, dsp, graph, svm
-from .errors import DegenerateVariance, InsufficientEpochs, MissingCondition, UnknownLabel
+from .errors import (DegenerateVariance, InsufficientEpochs, MissingCondition, NoConvergence,
+                     UnknownLabel, ZeroGraph)
 
 GRID = tuple(
     svm.SvmHyperparams(c=c, gamma=g)
@@ -214,10 +215,11 @@ def epoch_features(epochs: np.ndarray, labels, metric: str,
     for i, data in enumerate(epochs):
         try:
             values = connectivity.connectivity_matrix(data, metric)
-        except DegenerateVariance as exc:
-            raise DegenerateVariance(f"{exc} in epoch {i} [{labels[i]}]") from None
-        rows.append(connectivity.vectorize_upper(values) if gb_metric is None else
-                    graph.node_scores(graph.from_connectivity(values, metric), gb_metric))
+            rows.append(connectivity.vectorize_upper(values) if gb_metric is None else
+                        graph.node_scores(graph.from_connectivity(values, metric),
+                                          gb_metric))
+        except (DegenerateVariance, ZeroGraph, NoConvergence) as exc:
+            raise type(exc)(f"{exc} in epoch {i} [{labels[i]}]") from None
     return np.vstack(rows)
 
 

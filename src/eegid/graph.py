@@ -1,8 +1,11 @@
 """Per-node graph features of a weighted connectivity graph.
 
 Node degree, eigenvector centrality (power iteration), betweenness
-centrality and the weighted clustering coefficient.  Edge weights must be
-non-negative; correlation matrices are mapped through |rho| before graph use.
+centrality and the weighted clustering coefficient.  Each metric takes the
+(N, N) weight matrix itself: symmetric, zero on the diagonal and
+non-negative, which is what `from_connectivity` makes of a connectivity
+matrix (correlations go through |rho|).  The metrics do not check that, and
+they never write to the matrix.
 
 Betweenness is Brandes' accumulation over shortest paths with distance
 1/weight, in a dense form vectorized over all sources: Floyd-Warshall
@@ -12,8 +15,6 @@ needs O(N^3) working memory per graph (about 1.4 MB at N = 56).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,40 +28,18 @@ _EC_TOL = 1e-10
 _EC_MAX_ITER = 10000
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Undirected weighted graph as a symmetric non-negative matrix."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("weights must be a square matrix")
-        if not np.array_equal(w, w.T):
-            raise ValueError("weights must be symmetric")
-        if np.any(w < 0):
-            raise ValueError("weights must be non-negative")
-        w = w.copy()
-        np.fill_diagonal(w, 0.0)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def n(self):
-        return self.weights.shape[0]
+def from_connectivity(values: np.ndarray, metric: str) -> np.ndarray:
+    """Graph weights of a connectivity matrix: |rho| for COR, else the
+    matrix itself (not a copy)."""
+    return np.abs(values) if metric == "COR" else values
 
 
-def from_connectivity(values: np.ndarray, metric: str) -> WeightedGraph:
-    """Connectivity matrix as a graph; COR entries pass through abs()."""
-    return WeightedGraph(weights=np.abs(values) if metric == "COR" else values)
-
-
-def node_degree(g: WeightedGraph) -> np.ndarray:
+def node_degree(w: np.ndarray) -> np.ndarray:
     """Weighted degree: sum of incident edge weights per node."""
-    return g.weights.sum(axis=1)
+    return w.sum(axis=1)
 
 
-def eigenvector_centrality(g: WeightedGraph) -> np.ndarray:
+def eigenvector_centrality(w: np.ndarray) -> np.ndarray:
     """Dominant eigenvector of the weight matrix by power iteration.
 
     Weights are normalized by the global maximum, so the result does not
@@ -69,17 +48,18 @@ def eigenvector_centrality(g: WeightedGraph) -> np.ndarray:
     successive iterates differ by less than 1e-10 in max-norm.  The returned
     vector is unit-norm with positive entries (Perron-Frobenius).
     """
-    w_max = g.weights.max()
+    w_max = w.max()
     if w_max <= 0:
         raise ZeroGraph("all edge weights are zero")
-    w = g.weights / w_max
+    w = w / w_max
     # shift by the largest weighted degree: eigenvectors are unchanged but
     # the Perron eigenvalue becomes strictly dominant, so the iteration also
     # converges on bipartite graphs (whose spectrum is symmetric about zero).
     # The shift is at least 1, so from a positive unit vector every iterate is
     # positive with norm at least 1.
     shift = w.sum(axis=1).max()
-    v = np.ones(g.n) / np.sqrt(g.n)
+    n = w.shape[0]
+    v = np.ones(n) / np.sqrt(n)
     for _ in range(_EC_MAX_ITER):
         nxt = w @ v + shift * v
         nxt /= np.linalg.norm(nxt)
@@ -91,7 +71,7 @@ def eigenvector_centrality(g: WeightedGraph) -> np.ndarray:
     )
 
 
-def betweenness_centrality(g: WeightedGraph) -> np.ndarray:
+def betweenness_centrality(w: np.ndarray) -> np.ndarray:
     """Brandes betweenness over shortest paths with distance 1/weight.
 
     Dense form, vectorized over all sources at once: all-pairs distances
@@ -106,8 +86,7 @@ def betweenness_centrality(g: WeightedGraph) -> np.ndarray:
     pairs are counted once (undirected halving).  Working memory is O(N^3)
     per graph, about 1.4 MB at N = 56.
     """
-    w = g.weights
-    n = g.n
+    n = w.shape[0]
     length = np.divide(1.0, w, out=np.full_like(w, np.inf), where=w > 0)
     dist = length.copy()
     np.fill_diagonal(dist, 0.0)
@@ -145,14 +124,13 @@ def betweenness_centrality(g: WeightedGraph) -> np.ndarray:
     return delta.sum(axis=0) / 2.0
 
 
-def clustering_coefficient(g: WeightedGraph) -> np.ndarray:
+def clustering_coefficient(w: np.ndarray) -> np.ndarray:
     """Weighted clustering via geometric-mean triangle intensities.
 
     Weights are normalized by the global maximum; the per-node sum of cube
     roots of triangle weight products is scaled by 1/(d_u (d_u - 1)) with
     d_u the weighted degree.  Nodes with negligible d_u (d_u - 1) score 0.
     """
-    w = g.weights
     w_max = w.max()
     if w_max <= 0:
         raise ZeroGraph("all edge weights are zero")
@@ -172,7 +150,7 @@ _METRIC_FUNCS = {
 }
 
 
-def node_scores(g: WeightedGraph, metric: str) -> np.ndarray:
+def node_scores(w: np.ndarray, metric: str) -> np.ndarray:
     """One score per node for the named graph metric."""
     try:
         func = _METRIC_FUNCS[metric]
@@ -180,4 +158,4 @@ def node_scores(g: WeightedGraph, metric: str) -> np.ndarray:
         raise ValueError(
             f"unknown graph metric {metric!r}; expected one of {GRAPH_METRICS}"
         ) from None
-    return func(g)
+    return func(w)

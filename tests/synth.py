@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .io_ingest import EegRecording
+from eegid.io_ingest import EegRecording
 
 
 def _oscillator_phases(n_samples, fs, freq_hz, jitter_rad, rng):

@@ -11,11 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegid import cli, dsp, svm, synth
+from eegid import cli, dsp, svm
 from eegid.evaluation import preprocessed
 from eegid.io_ingest import build_corpus, load_manifest
 
 from edf_tools import save_matrix, write_edf
+import synth
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +324,27 @@ class TestFeatures:
         assert code == cli.EXIT_OK
         header = out.read_text().splitlines()[0].split(",")
         assert len(header) == 3 + 6  # provenance + one score per channel
+
+    def test_zero_graph_names_epoch_and_recording(self, tmp_path, capsys):
+        # identical channels have no phase lag: every PLI entry is 0,
+        # and EC is undefined on an all-zero graph
+        names = ["C3", "C4", "CZ"]
+        row = " ".join(map(repr, np.random.default_rng(0).standard_normal(8 * 128).tolist()))
+        entries = []
+        for sid in ("s1", "s2"):
+            (tmp_path / f"{sid}.txt").write_text(f"{row}\n" * len(names))
+            entries.append({**_GOOD_ENTRY, "path": f"{sid}.txt", "subject_id": sid,
+                            "dataset_id": "d", "window_s": [0.0, 8.0],
+                            "channel_names": names})
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"target_rate_hz": 128.0, "channel_policy": names,
+                                        "entries": entries}))
+        code = cli.main(["features", "--manifest", str(manifest),
+                         "--out", str(tmp_path / "graph.csv"), "--cache", str(tmp_path / "cache"),
+                         "--band", "gamma", "--metric", "PLI", "--gb", "EC"])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "all edge weights are zero in epoch 0 [d/s1]" in err, err
 
     @staticmethod
     def _features(manifest, cache, out, *flags, band="gamma", metric="PLV"):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eegid import connectivity as con
-from eegid import dsp
+from eegid import dsp, graph
 from eegid.errors import DegenerateVariance, EpochTooShort
 
 from conftest import make_recording
@@ -234,10 +234,13 @@ class TestConnectivityMatrix:
         np.testing.assert_allclose(cm, expected, atol=1e-12)
 
     def test_symmetry_and_zero_diagonal(self, rng):
+        # the graph metrics take these matrices unchecked
         epoch = make_epoch(rng.standard_normal((6, 64)))
-        cm = con.connectivity_matrix(epoch, "PLI")
-        assert np.array_equal(cm, cm.T)
-        np.testing.assert_array_equal(np.diag(cm), 0.0)
+        for metric in con.METRICS:
+            cm = con.connectivity_matrix(epoch, metric)
+            assert np.array_equal(cm, cm.T), metric
+            np.testing.assert_array_equal(np.diag(cm), 0.0, err_msg=metric)
+            assert np.all(graph.from_connectivity(cm, metric) >= 0.0), metric
 
     def test_degenerate_channel_reported(self, rng):
         data = rng.standard_normal((3, 64))

@@ -5,11 +5,16 @@ A public name counts as used when it appears as a name, an attribute or an
 imported name anywhere in src/eegid or scripts/.  A defaulted parameter
 counts as passed when a call in src/eegid or scripts/ to a function of that
 name passes it by keyword or by position, or passes *args or **kwargs there.
-Tests do not count: code that only tests call belongs in tests/oracles.py or
-tests/edf_tools.py, and a knob that only tests set is an option nobody uses.
+Tests do not count: code that only tests call belongs in tests/oracles.py,
+tests/edf_tools.py or tests/synth.py, and a knob that only tests set is an
+option nobody uses.
+
+The benchmark's tracer wraps package functions by module and name, so every
+one of its targets must still exist.
 """
 
 import ast
+import importlib
 import math
 from pathlib import Path
 
@@ -28,12 +33,6 @@ ALLOWED = {
 ALLOWED_DEFAULTS = {
     "cli.main.argv": "the entry point: the console script reads sys.argv, and "
                      "in-process callers such as bench/child.py pass an argument list",
-    **{f"synth.synthetic_corpus.{name}": "a setting of the synthetic-data generator, "
-                                         "whose settings are its interface"
-       for name in ("fs", "n_oscillators", "noise_scale", "condition", "dataset_id")},
-    **{f"synth.synthetic_subject.{name}": "a setting of the synthetic-data generator, "
-                                          "whose settings are its interface"
-       for name in ("band_hz", "jitter_rad")},
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -144,3 +143,19 @@ def test_allowed_names_still_exist():
     defaulted = {qualified for module, tree in trees.items()
                  for qualified, *_ in _defaulted_parameters(tree, module)}
     assert set(ALLOWED_DEFAULTS) <= defaulted
+
+
+def _tracer_targets():
+    """The (module, attribute) pairs in bench/tracer.py's TARGETS, read from
+    its source without running it."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    [targets] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)]
+    return [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+
+
+def test_tracer_targets_exist():
+    targets = _tracer_targets()
+    assert targets
+    assert [f"{module}.{attr}" for module, attr in targets
+            if not hasattr(importlib.import_module(module), attr)] == []

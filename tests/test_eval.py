@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eegid import evaluation as ev
-from eegid import svm, synth
+from eegid import svm
 from eegid.errors import (
     DegenerateVariance,
     InsufficientEpochs,
@@ -16,6 +16,7 @@ from eegid.errors import (
 
 from conftest import make_recording
 from oracles import decision_values, smo_scalar
+import synth
 
 
 def cluster_features(rng, n_classes, per_class, dim=4, spread=0.1):

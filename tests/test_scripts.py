@@ -18,18 +18,6 @@ def _run_script(name, *args, cwd):
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
 
 
-def test_run_synthetic_experiment(tmp_path):
-    done = _run_script("run_synthetic_experiment.py", "--subjects", "3",
-                       "--channels", "4", "--duration", "40", cwd=tmp_path)
-    assert done.returncode == 0, done.stderr
-    header, *rows = done.stdout.splitlines()
-    assert header == "metric,band,accuracy,standard_error"
-    assert len(rows) == 1
-    metric, band, accuracy, sem = rows[0].split(",")
-    assert (metric, band) == ("PLV", "gamma")
-    assert 0.0 <= float(accuracy) <= 1.0 and float(sem) >= 0.0
-
-
 def test_make_physionet_manifest(tmp_path):
     for sid in ("S001", "S002"):
         (tmp_path / sid).mkdir()
