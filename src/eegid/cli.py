@@ -19,6 +19,7 @@ import numpy as np
 from . import connectivity, dsp, evaluation, graph
 from .errors import (
     EegIdError,
+    EpochTooShort,
     NoConvergence,
     UnstableDesign,
 )
@@ -71,15 +72,15 @@ def _unpack_corpus(arrays) -> list:
             for chunk, shape, meta in zip(chunks, shapes, arrays["meta"], strict=True)]
 
 
-def _cached_corpus(manifest_path, cache_dir, filters, channel_policy=None):
+def _cached_corpus(manifest, cache_dir, filters, channel_policy=None):
     """Load the preprocessed corpus cache, or build and write it; returns
     (corpus, hash, was_cached).
 
     The file is keyed by the corpus hash and the filter settings `filters`
     (`ExperimentConfig.filters`).  On a miss the corpus is built from the
-    manifest and each recording is preprocessed as it is copied into the file.
+    loaded `manifest` and each recording is preprocessed as it is copied into
+    the file.
     """
-    manifest = load_manifest(manifest_path)
     if channel_policy is not None:
         manifest = replace(manifest, channel_policy=channel_policy)
     digest = _corpus_hash(manifest)
@@ -123,7 +124,8 @@ def _epoch_length_problem(length):
 
 
 def cmd_ingest(args) -> int:
-    corpus, digest, _ = _cached_corpus(args.manifest, args.out, _filters(args))
+    corpus, digest, _ = _cached_corpus(load_manifest(args.manifest), args.out,
+                                       _filters(args))
     subjects = sorted({r.label for r in corpus})
     rates = sorted({r.sampling_rate_hz for r in corpus})
     _log(f"corpus {digest}: {len(corpus)} recordings, {len(subjects)} subjects, "
@@ -151,7 +153,8 @@ def cmd_features(args) -> int:
         metric=args.metric, band=args.band, gb_metric=args.gb,
         epoch_length_s=args.epoch_length, **_filters(args),
     )
-    corpus, digest, _ = _cached_corpus(args.manifest, args.cache, config.filters)
+    corpus, digest, _ = _cached_corpus(load_manifest(args.manifest), args.cache,
+                                       config.filters)
     epochs, labels, provenance = evaluation.band_epochs(corpus, config, args.condition)
     features = evaluation.epoch_features(epochs, labels, args.metric, args.gb)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -228,9 +231,12 @@ def _run_config_problem(doc):
                 and all(isinstance(name, str) for name in policy)):
             return f"channel policy {policy!r} is not a name or a list of channel labels"
         try:
-            resolve_policy(policy)
+            n_channels = len(resolve_policy(policy))
         except ValueError as exc:
             return str(exc)
+        if n_channels < 2:
+            return (f"channel policy {policy!r} names {n_channels} channel; "
+                    "connectivity needs at least 2")
     for length in doc["epoch_lengths_s"]:
         if problem := _epoch_length_problem(length):
             return problem
@@ -250,6 +256,18 @@ def _policy_name(policy):
     return policy
 
 
+def _check_epoch_lengths(lengths, rate_hz, metrics):
+    """Raise unless every epoch length gives at least one sample at rate_hz,
+    and enough samples for a phase metric when one is swept."""
+    phase = sorted({"PLV", "PLI"} & set(metrics))
+    for length in lengths:
+        m = dsp.epoch_samples(rate_hz, length)
+        if phase and m < connectivity.MIN_PHASE_SAMPLES:
+            raise EpochTooShort(
+                f"a {length} s epoch is {m} samples at {rate_hz} Hz; {'/'.join(phase)} "
+                f"need >= {connectivity.MIN_PHASE_SAMPLES}")
+
+
 def cmd_evaluate(args) -> int:
     doc = _load_run_config(args.config)
     if problem := _run_config_problem(doc):
@@ -260,7 +278,8 @@ def cmd_evaluate(args) -> int:
     grid = _grid_configs(doc, filters)
     base = Path(args.config).parent
     # relative paths resolve against the config's directory; absolute ones replace it
-    manifest = base / doc["manifest"]
+    manifest = load_manifest(base / doc["manifest"])
+    _check_epoch_lengths(doc["epoch_lengths_s"], manifest.target_rate_hz, doc["metrics"])
     cache_dir = base / doc.get("cache_dir", "cache")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -12,6 +12,8 @@ import numpy as np
 from .errors import DegenerateVariance, EpochTooShort
 
 METRICS = ("COR", "PLV", "PLI")
+# the phase metrics (PLV, PLI) need at least this many samples per epoch
+MIN_PHASE_SAMPLES = 8
 
 
 def analytic_signal(x: np.ndarray) -> np.ndarray:
@@ -38,8 +40,9 @@ def analytic_phase(data: np.ndarray) -> np.ndarray:
     Zero-valued analytic samples get phase 0 rather than NaN so a flat
     channel cannot poison a whole connectivity matrix.
     """
-    if data.shape[-1] < 8:
-        raise EpochTooShort(f"epoch of {data.shape[-1]} samples; need >= 8")
+    if data.shape[-1] < MIN_PHASE_SAMPLES:
+        raise EpochTooShort(
+            f"epoch of {data.shape[-1]} samples; need >= {MIN_PHASE_SAMPLES}")
     z = analytic_signal(data)
     phases = np.angle(z)
     phases[z == 0] = 0.0

@@ -1,4 +1,5 @@
-"""Resampling, notch/band-pass filtering and epoch extraction, in numpy.
+"""Resampling, notch/band-pass filtering and epoch extraction of
+(channels, samples) arrays at a given rate, in numpy.
 
 - Resampling is rational and polyphase: a Kaiser-windowed (beta 14) sinc
   low-pass, with the signal extended along the line through its first and
@@ -8,7 +9,8 @@
 - Butterworth band-passes come from the analog prototype poles, the
   pre-warped band-pass transform and the bilinear map, paired into
   second-order sections nearest-pole-first; the notch is the closed-form
-  second-order design (Orfanidis, Introduction to Signal Processing).
+  second-order design (Orfanidis, Introduction to Signal Processing).  A
+  filter is its read-only (sections, 6) array of [b0, b1, b2, 1, a1, a2] rows.
 - Zero-phase filtering runs the section cascade as one state-space system
   over blocks of samples, forward and backward, with odd edge padding and
   the step steady state as initial state.
@@ -19,7 +21,7 @@ independent frequency-response oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,7 +35,6 @@ from .errors import (
     SignalTooShort,
     UnstableDesign,
 )
-from .io_ingest import EegRecording
 
 # large enough for 500 Hz -> 128 Hz (32/125), the widest ratio in scope
 _MAX_RESAMPLE_FACTOR = 256
@@ -55,15 +56,6 @@ class BandSpec:
     low_hz: float
     high_hz: float
 
-    def __post_init__(self):
-        if not (0 < self.low_hz < self.high_hz):
-            raise InvalidBand(f"bad band edges ({self.low_hz}, {self.high_hz}) Hz")
-        if not self.high_hz < 64:
-            raise InvalidBand(
-                f"band {self.name} upper edge {self.high_hz} Hz not below the "
-                "64 Hz Nyquist limit of the 128 Hz working rate"
-            )
-
 
 DELTA = BandSpec("delta", 0.5, 4.0)
 THETA = BandSpec("theta", 4.0, 8.0)
@@ -75,31 +67,6 @@ BROADBAND = BandSpec("broadband", 0.5, 45.0)
 
 BANDS = {b.name: b for b in (DELTA, THETA, ALPHA, BETA1, BETA2, GAMMA, BROADBAND)}
 ANALYSIS_BANDS = (DELTA, THETA, ALPHA, BETA1, BETA2, GAMMA)
-
-
-@dataclass(frozen=True)
-class IirFilter:
-    """Second-order-section IIR filter."""
-
-    sos: np.ndarray  # (n_sections, 6), a0 normalized to 1
-
-    def __post_init__(self):
-        sos = np.atleast_2d(np.asarray(self.sos, dtype=float))
-        if sos.shape[1] != 6:
-            raise ValueError("sos must have six coefficients per section")
-        if not np.all(sos[:, 3] == 1.0):
-            raise ValueError("sos sections must be normalized to a0 = 1")
-        object.__setattr__(self, "sos", sos)
-
-    @property
-    def order(self):
-        return 2 * len(self.sos)  # two poles per section
-
-    def pole_moduli(self):
-        mods = []
-        for _, _, _, a0, a1, a2 in self.sos:
-            mods.extend(abs(r) for r in np.roots([a0, a1, a2]))
-        return np.array(mods)
 
 
 def _rational_ratio(target_hz, source_hz):
@@ -160,14 +127,15 @@ def _line_extended(x, start, stop):
                            x[:, -1:] + right * slope), axis=1)
 
 
-def resample(rec: EegRecording, target_hz) -> EegRecording:
-    """Polyphase rational resampling of every channel to target_hz."""
+def resample(data, fs_hz, target_hz) -> np.ndarray:
+    """Polyphase rational resampling of every row from fs_hz to target_hz;
+    `data` itself when the ratio is 1/1."""
     if not target_hz > 0:
         raise ValueError("target_hz must be positive")
-    p, q = _rational_ratio(target_hz, rec.sampling_rate_hz)
+    p, q = _rational_ratio(target_hz, fs_hz)
     if p == q:
-        return replace(rec, sampling_rate_hz=float(target_hz))
-    if rec.n_samples < 2:
+        return data
+    if data.shape[1] < 2:
         raise SignalTooShort(
             "resampling needs two samples to extend the signal along a line"
         )
@@ -175,18 +143,18 @@ def resample(rec: EegRecording, target_hz) -> EegRecording:
     # the high-beta Kaiser window keeps passband ripple below 1e-6
     matrix, first, stride = _polyphase_operator(p, q)
     window, frame = matrix.shape
-    n_out = (rec.n_samples * p) // q
+    n_out = (data.shape[1] * p) // q
     n_frames = max(1, -(-n_out // frame))
-    x = _line_extended(rec.data, first, first + (n_frames - 1) * stride + window)
+    x = _line_extended(data, first, first + (n_frames - 1) * stride + window)
     frames = np.lib.stride_tricks.sliding_window_view(x, window, axis=1)[:, ::stride]
     out = (frames.reshape(-1, window) @ matrix).reshape(len(x), -1)
-    return replace(rec, sampling_rate_hz=float(target_hz), data=out[:, :n_out])
+    return out[:, :n_out]
 
 
 @lru_cache(maxsize=64)
-def design_notch(f0_hz, q, fs_hz) -> IirFilter:
-    """Second-order IIR notch at f0_hz with quality factor q (memoized; the
-    sections are read-only)."""
+def design_notch(f0_hz, q, fs_hz) -> np.ndarray:
+    """Second-order IIR notch at f0_hz with quality factor q, as a (1, 6)
+    section array (memoized and read-only)."""
     if not 0 < f0_hz < fs_hz / 2:
         raise FrequencyOutOfRange(
             f"notch frequency {f0_hz} Hz outside (0, {fs_hz / 2}) at fs={fs_hz}"
@@ -195,16 +163,15 @@ def design_notch(f0_hz, q, fs_hz) -> IirFilter:
         raise UnstableDesign(f"notch quality factor must be positive, got {q}")
     w0 = 2 * f0_hz / fs_hz * np.pi
     gain = 1.0 / (1.0 + np.tan(w0 / q / 2))
-    filt = IirFilter(sos=[[gain, -2 * gain * np.cos(w0), gain,
-                           1.0, -2 * gain * np.cos(w0), 2 * gain - 1.0]])
-    filt.sos.setflags(write=False)  # shared by every caller through the cache
-    return filt
+    sos = np.array([[gain, -2 * gain * np.cos(w0), gain,
+                     1.0, -2 * gain * np.cos(w0), 2 * gain - 1.0]])
+    sos.setflags(write=False)  # shared by every caller through the cache
+    return sos
 
 
-def notch(rec: EegRecording, f0_hz, q=30.0) -> EegRecording:
-    """Zero-phase notch filtering of every channel."""
-    filt = design_notch(f0_hz, q, rec.sampling_rate_hz)
-    return replace(rec, data=filtfilt_matrix(filt, rec.data))
+def notch(data, fs_hz, f0_hz, q=30.0) -> np.ndarray:
+    """Zero-phase notch filtering of every row."""
+    return filtfilt_matrix(design_notch(f0_hz, q, fs_hz), data)
 
 
 def _butterworth_bandpass_sos(order, low_hz, high_hz, fs_hz):
@@ -246,13 +213,13 @@ def _butterworth_bandpass_sos(order, low_hz, high_hz, fs_hz):
 
 
 @lru_cache(maxsize=64)
-def design_butterworth_bandpass(band: BandSpec, fs_hz, order=4) -> IirFilter:
+def design_butterworth_bandpass(band: BandSpec, fs_hz, order=4) -> np.ndarray:
     """Butterworth band-pass via bilinear transform with pre-warping.
 
     `order` is the analog prototype order (even, 2-8); the resulting
-    band-pass filter has 2 x order poles, realized as second-order sections.
-    Designs are memoized and their sections read-only; a rejected design
-    raises again on every call.
+    band-pass filter has 2 x order poles, realized as an (order, 6) array of
+    second-order sections.  Designs are memoized and read-only; a rejected
+    design raises again on every call.
     """
     if order % 2 != 0 or not 2 <= order <= 8:
         raise InvalidBand(f"order must be even and within 2-8, got {order}")
@@ -262,14 +229,13 @@ def design_butterworth_bandpass(band: BandSpec, fs_hz, order=4) -> IirFilter:
             f"Nyquist for fs={fs_hz}"
         )
     sos = _butterworth_bandpass_sos(order, band.low_hz, band.high_hz, fs_hz)
-    filt = IirFilter(sos=sos)
-    if np.any(filt.pole_moduli() >= 1.0):
+    if any(np.any(np.abs(np.roots(section[3:])) >= 1.0) for section in sos):
         raise UnstableDesign(
             f"band-pass design for {band.name} at fs={fs_hz} has poles on or "
             "outside the unit circle"
         )
-    filt.sos.setflags(write=False)  # shared by every caller through the cache
-    return filt
+    sos.setflags(write=False)  # shared by every caller through the cache
+    return sos
 
 
 @dataclass(frozen=True)
@@ -342,8 +308,9 @@ def _filter_blocks(ops: _BlockOperators, blocks, state):
     return y.reshape(rows, -1)
 
 
-def filtfilt_matrix(filt: IirFilter, data: np.ndarray) -> np.ndarray:
-    """Zero-phase filtering row-wise with odd padding of length 3 x order.
+def filtfilt_matrix(sos: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Zero-phase filtering row-wise by the sections `sos`, each normalized
+    to a0 = 1, with odd padding of 3 x order = 6 x sections samples.
 
     The forward-backward and backward-forward passes are averaged, which
     leaves the steady-state (squared-magnitude) response untouched but makes
@@ -353,14 +320,14 @@ def filtfilt_matrix(filt: IirFilter, data: np.ndarray) -> np.ndarray:
     scaled by its first sample.  Rows and their time reversals are filtered
     together, _ROW_CHUNK at a time.
     """
-    padlen = 3 * filt.order
+    padlen = 6 * len(sos)  # three samples per pole, two poles per section
     n = data.shape[1]
     if n <= padlen:
         raise SignalTooShort(
-            f"signal of {n} samples too short for order-{filt.order} "
+            f"signal of {n} samples too short for order-{2 * len(sos)} "
             f"zero-phase filtering (needs > {padlen})"
         )
-    ops = _block_operators(filt.sos.tobytes())
+    ops = _block_operators(sos.tobytes())
     m = n + 2 * padlen
     chunk = _ROW_CHUNK // 2
     buf = np.zeros((2 * chunk, -(-m // _BLOCK) * _BLOCK))
@@ -384,48 +351,46 @@ def filtfilt_matrix(filt: IirFilter, data: np.ndarray) -> np.ndarray:
     return out
 
 
-def bandpass(rec: EegRecording, band: BandSpec, order=4) -> EegRecording:
-    """Zero-phase Butterworth band-pass of every channel."""
-    filt = design_butterworth_bandpass(band, rec.sampling_rate_hz, order)
-    return replace(rec, data=filtfilt_matrix(filt, rec.data))
+def bandpass(data, fs_hz, band: BandSpec, order=4) -> np.ndarray:
+    """Zero-phase Butterworth band-pass of every row."""
+    return filtfilt_matrix(design_butterworth_bandpass(band, fs_hz, order), data)
 
 
-def epoch_samples(rec: EegRecording, epoch_length_s) -> int:
-    """Samples per epoch of epoch_length_s at the recording's rate."""
+def epoch_samples(fs_hz, epoch_length_s) -> int:
+    """Samples per epoch of epoch_length_s at fs_hz."""
     if not epoch_length_s > 0:
         raise ValueError("epoch_length_s must be positive")
-    m = int(round(epoch_length_s * rec.sampling_rate_hz))
+    m = int(round(epoch_length_s * fs_hz))
     if m < 1:
         raise ValueError(
-            f"a {epoch_length_s} s epoch is shorter than one sample at "
-            f"{rec.sampling_rate_hz} Hz"
+            f"a {epoch_length_s} s epoch is shorter than one sample at {fs_hz} Hz"
         )
     return m
 
 
-def split_epochs(rec: EegRecording, epoch_length_s) -> np.ndarray:
-    """Cut a recording into non-overlapping epochs; remainder is dropped.
+def split_epochs(data, fs_hz, epoch_length_s) -> np.ndarray:
+    """Cut (channels, samples) data into non-overlapping epochs; remainder
+    is dropped.
 
     Returns a C-contiguous (epochs, channels, samples) stack.
     """
-    m = epoch_samples(rec, epoch_length_s)
-    n_epochs = rec.n_samples // m
+    m = epoch_samples(fs_hz, epoch_length_s)
+    n_epochs = data.shape[1] // m
     if n_epochs < 1:
         raise RecordingTooShort(
-            f"{rec.n_samples} samples cannot hold one {epoch_length_s} s epoch "
-            f"at {rec.sampling_rate_hz} Hz"
+            f"{data.shape[1]} samples cannot hold one {epoch_length_s} s epoch at {fs_hz} Hz"
         )
-    data = rec.data[:, :n_epochs * m].reshape(rec.n_channels, n_epochs, m)
+    data = data[:, :n_epochs * m].reshape(len(data), n_epochs, m)
     return np.ascontiguousarray(data.transpose(1, 0, 2))
 
 
-def preprocess(rec: EegRecording, notch_hz=50.0, notch_q=30.0, order=4) -> EegRecording:
-    """Standard cleanup applied to an already-resampled recording.
+def preprocess(data, fs_hz, notch_hz=50.0, notch_q=30.0, order=4) -> np.ndarray:
+    """Standard cleanup of already-resampled (channels, samples) data.
 
     Notch at notch_hz (skipped when at/above Nyquist, e.g. 50 Hz at 128 Hz
     would still fit, but 60 Hz at 100 Hz would not), then broadband
     0.5-45 Hz band-pass.
     """
-    if notch_hz and 0 < notch_hz < rec.sampling_rate_hz / 2:
-        rec = notch(rec, notch_hz, notch_q)
-    return bandpass(rec, BROADBAND, order)
+    if notch_hz and 0 < notch_hz < fs_hz / 2:
+        data = notch(data, fs_hz, notch_hz, notch_q)
+    return bandpass(data, fs_hz, BROADBAND, order)

@@ -283,8 +283,10 @@ def preprocessed(corpus, notch_hz=50.0, notch_q=30.0, filter_order=4):
     a list: run_experiment may read the corpus twice."""
     tag = filter_tag(notch_hz, notch_q, filter_order)
     for rec in corpus:
-        rec = dsp.preprocess(rec, notch_hz=notch_hz, notch_q=notch_q, order=filter_order)
-        yield replace(rec, filters=tag)
+        rec = replace(rec, filters=tag, data=dsp.preprocess(
+            rec.data, rec.sampling_rate_hz, notch_hz=notch_hz, notch_q=notch_q,
+            order=filter_order))
+        yield rec  # rebinding `rec` let the raw samples go before the caller runs
 
 
 def filter_tag(notch_hz, notch_q, filter_order) -> str:
@@ -309,15 +311,19 @@ def band_epochs(corpus, config: ExperimentConfig, condition: str) -> tuple:
             raise ValueError(f"recording {rec.label} is preprocessed as "
                              f"{rec.filters or 'raw'!r}, but the config needs {tag!r}: "
                              "pass the corpus through preprocessed(corpus, **config.filters)")
+    if recs[0].n_channels < 2:
+        raise ValueError(f"corpus has {recs[0].n_channels} channel(s); connectivity "
+                         "needs at least 2")
     # the corpus shares one working rate, so every epoch has m samples
-    m = dsp.epoch_samples(recs[0], config.epoch_length_s)
+    m = dsp.epoch_samples(recs[0].sampling_rate_hz, config.epoch_length_s)
     counts = [rec.n_samples // m for rec in recs]
     epochs = np.empty((sum(counts), recs[0].n_channels, m))
     labels, provenance = [], []
     pos = 0
     for rec, count in zip(recs, counts):
-        rec = dsp.bandpass(rec, band, config.filter_order)
-        epochs[pos:pos + count] = dsp.split_epochs(rec, config.epoch_length_s)
+        data = dsp.bandpass(rec.data, rec.sampling_rate_hz, band, config.filter_order)
+        epochs[pos:pos + count] = dsp.split_epochs(data, rec.sampling_rate_hz,
+                                                   config.epoch_length_s)
         pos += count
         labels.extend([rec.label] * count)
         provenance.extend([(rec.dataset_id, rec.subject_id, rec.condition)] * count)

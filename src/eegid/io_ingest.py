@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import dsp
 from .channels import ChannelSet, normalize_label, resolve_policy
 from .errors import (
     EegIdError,
@@ -147,10 +148,10 @@ def _manifest_problem(doc):
         return (f"manifest key 'target_rate_hz' must be a finite number, "
                 f"not {doc.get('target_rate_hz')!r}")
     policy = doc.get("channel_policy", "common_56")
-    if not (isinstance(policy, str) or isinstance(policy, list)
+    if not (isinstance(policy, str) or isinstance(policy, list) and policy
             and all(isinstance(name, str) for name in policy)):
-        return (f"manifest key 'channel_policy' must be a name or a list of channel "
-                f"labels, not {policy!r}")
+        return (f"manifest key 'channel_policy' must be a name or a non-empty list of "
+                f"channel labels, not {policy!r}")
     owners = {}  # class label -> (entry index, (dataset, subject))
     for i, raw in enumerate(doc["entries"]):
         if not isinstance(raw, dict):
@@ -456,14 +457,14 @@ def build_corpus(manifest: DatasetManifest) -> list:
     Each dataset's recordings are resampled independently to the manifest
     target rate, mirroring the pooling protocol for heterogeneous sources.
     """
-    from . import dsp  # local import: dsp depends on types above
-
     channel_set = manifest.channel_set
     corpus = []
     for entry in manifest.entries:
         rec = _load_entry(entry)
         rec = window_recording(rec, *entry.window_s)
         rec = select_channels(rec, channel_set)
-        rec = dsp.resample(rec, manifest.target_rate_hz)
+        rec = replace(rec, sampling_rate_hz=float(manifest.target_rate_hz),
+                      data=dsp.resample(rec.data, rec.sampling_rate_hz,
+                                        manifest.target_rate_hz))
         corpus.append(rec)
     return corpus

@@ -35,6 +35,12 @@ def filtfilt_average(sos, padlen, data):
     return 0.5 * (fwd + bwd)
 
 
+def pole_moduli(sos):
+    """|pole| of every section of an (n_sections, 6) array, from the roots
+    of each denominator."""
+    return np.array([abs(r) for section in sos for r in np.roots(section[3:])])
+
+
 def resample_poly_line(data, up, down):
     """Kaiser(14) polyphase resampling with line extension, floor length."""
     out = signal.resample_poly(data, up, down, axis=1, padtype="line",

@@ -14,7 +14,6 @@ import pytest
 
 from eegid import cli, connectivity, dsp, evaluation as ev, graph, io_ingest, svm
 
-from conftest import make_recording
 from edf_tools import save_matrix
 from oracles import (
     betweenness_loop,
@@ -41,8 +40,8 @@ def _skip(capsys, number, description, reason):
 
 
 def _epoch(rng, n_channels, n_samples=512):
-    rec = make_recording(rng.standard_normal((n_channels, n_samples)))
-    return dsp.split_epochs(rec, n_samples / 128.0)[0]
+    return dsp.split_epochs(rng.standard_normal((n_channels, n_samples)), 128.0,
+                            n_samples / 128.0)[0]
 
 
 def test_criterion_1_oracle_equivalence(capsys):
@@ -91,8 +90,7 @@ def test_criterion_2_feature_dimensions(capsys):
     cm = connectivity.connectivity_matrix(epoch, "PLV")
     fc_dim = connectivity.vectorize_upper(cm).size
     gb_dim = graph.node_scores(graph.from_connectivity(cm, "PLV"), "ND").size
-    rec = make_recording(rng.standard_normal((4, 60 * 128)))
-    n_epochs = len(dsp.split_epochs(rec, 4.0))
+    n_epochs = len(dsp.split_epochs(rng.standard_normal((4, 60 * 128)), 128.0, 4.0))
     ok = fc_dim == 1540 and gb_dim == 56 and n_epochs == 15
     _report(capsys, 2,
             f"dimensions fc={fc_dim} graph={gb_dim} epochs/60s={n_epochs}", ok)

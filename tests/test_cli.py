@@ -231,6 +231,7 @@ class TestIngest:
         ({**_manifest_doc(), "entries": {"s1": _GOOD_ENTRY}}, "key 'entries'"),
         ({**_manifest_doc(), "target_rate_hz": [1]}, "key 'target_rate_hz'"),
         ({**_manifest_doc(), "channel_policy": 3}, "key 'channel_policy'"),
+        ({**_manifest_doc(), "channel_policy": []}, "key 'channel_policy'"),
         ({**_manifest_doc(), "entries": [_GOOD_ENTRY, 3]}, "entry 1 must be an object"),
         (_manifest_doc(path=3), "entry 1 key 'path'"),
         (_manifest_doc(window_s=5), "entry 1 key 'window_s'"),
@@ -239,7 +240,7 @@ class TestIngest:
         (_manifest_doc(channel_names="C3"), "entry 1 key 'channel_names'"),
         (_manifest_doc(subject_id=None), "entry 1 has no 'subject_id'"),
     ], ids=["top-level-list", "entries-object", "rate-list", "policy-number",
-            "entry-number", "path-number", "window-number", "window-strings",
+            "policy-empty", "entry-number", "path-number", "window-number", "window-strings",
             "condition-list", "channel-names-string", "no-subject"])
     def test_malformed_manifest_is_data_error(self, tmp_path, capsys, doc, named):
         manifest = tmp_path / "manifest.json"
@@ -325,6 +326,14 @@ class TestFeatures:
         header = out.read_text().splitlines()[0].split(",")
         assert len(header) == 3 + 6  # provenance + one score per channel
 
+    def test_one_channel_corpus_is_data_error(self, workspace, tmp_path, capsys):
+        doc = {**_workspace_doc(workspace), "channel_policy": ["CH00"]}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        assert self._features(manifest, tmp_path / "cache", tmp_path / "f.csv") == cli.EXIT_DATA
+        assert "corpus has 1 channel(s)" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
+
     def test_zero_graph_names_epoch_and_recording(self, tmp_path, capsys):
         # identical channels have no phase lag: every PLI entry is 0,
         # and EC is undefined on an all-zero graph
@@ -355,17 +364,26 @@ class TestFeatures:
     def test_commands_sharing_a_cache_preprocess_each_recording_once(
             self, workspace, tmp_path, monkeypatch):
         root, manifest = workspace
-        preprocess, calls = dsp.preprocess, []
+        build_corpus, preprocess, built, calls = cli.build_corpus, dsp.preprocess, [], []
 
-        def counting(rec, *args, **kwargs):
-            calls.append(rec.label)
-            return preprocess(rec, *args, **kwargs)
+        def building(*args, **kwargs):
+            corpus = build_corpus(*args, **kwargs)
+            built.extend(corpus)
+            return corpus
 
+        def counting(data, *args, **kwargs):
+            calls.append(data)
+            return preprocess(data, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_corpus", building)
         monkeypatch.setattr(dsp, "preprocess", counting)
         for band, metric in (("gamma", "PLV"), ("alpha", "COR"), ("gamma", "PLI")):
             assert self._features(manifest, tmp_path / "cache", tmp_path / f"{band}_{metric}.csv",
                                   band=band, metric=metric) == cli.EXIT_OK
-        assert sorted(calls) == ["synth/S000", "synth/S001", "synth/S002"]
+        assert sorted(rec.label for rec in built) == ["synth/S000", "synth/S001", "synth/S002"]
+        # one call per built recording, each on that recording's own samples
+        assert len(calls) == len(built)
+        assert all(data is rec.data for data, rec in zip(calls, built))
 
     @pytest.mark.parametrize("flags", [("--notch-hz", "40"), ("--filter-order", "2")])
     def test_filter_flags_key_the_preprocessed_cache(self, workspace, tmp_path, capsys,
@@ -719,18 +737,32 @@ class TestEvaluate:
         ("channel_policies", [None, "bogus"], "'bogus'"),
         ("channel_policies", [None, ["C3", 7]], "['C3', 7]"),
         ("channel_policies", [None, 5], "policy 5"),
+        ("channel_policies", [None, ["CH00"]], "names 1 channel"),
         ("manifest", _MISSING, "'manifest'"),
         ("manifest", 5, "'manifest'"),
         ("cache_dir", 5, "'cache_dir'"),
     ], ids=["short-pair", "unknown-condition", "zero-length", "string-length", "huge-length",
             "string-seed", "k1-below-2", "fractional-k2", "conditions-not-a-list",
             "unknown-channel-policy", "non-label-channel-policy", "number-channel-policy",
-            "missing-manifest", "number-manifest", "number-cache-dir"])
+            "one-channel-policy", "missing-manifest", "number-manifest", "number-cache-dir"])
     def test_bad_value_rejected_before_any_work(self, workspace, tmp_path, capsys,
                                                 key, value, named):
         assert self._evaluate(workspace, tmp_path, **{key: value}) == cli.EXIT_USAGE
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("metrics, lengths, named", [
+        (["COR"], [2.0, 0.001], "0.001 s epoch is shorter than one sample at 128.0 Hz"),
+        (["PLV"], [2.0, 0.03], "0.03 s epoch is 4 samples at 128.0 Hz; PLV need >= 8"),
+        (["COR", "PLI"], [0.03], "PLI need >= 8"),
+    ], ids=["below-one-sample", "plv-below-eight", "pli-below-eight"])
+    def test_short_epoch_is_data_error_before_any_work(self, workspace, tmp_path, capsys,
+                                                       metrics, lengths, named):
+        assert self._evaluate(workspace, tmp_path, metrics=metrics, epoch_lengths_s=lengths,
+                              cache_dir=str(tmp_path / "cache")) == cli.EXIT_DATA
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "cache").exists()
 
     def test_label_list_policy_is_named_by_a_digest(self, workspace, tmp_path):
         # trailing dots are stripped from labels, so these name the workspace's

@@ -6,14 +6,13 @@ from eegid import connectivity as con
 from eegid import dsp, graph
 from eegid.errors import DegenerateVariance, EpochTooShort
 
-from conftest import make_recording
 from oracles import (connectivity_loop, pearson_two_pass, pli_loop, pli_rows_parent,
                      plv_loop, wrap_phase)
 
 
 def make_epoch(data, fs=128.0):
-    rec = make_recording(data, fs=fs)
-    return dsp.split_epochs(rec, rec.n_samples / fs)[0]
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    return dsp.split_epochs(data, fs, data.shape[1] / fs)[0]
 
 
 class TestAnalyticPhase:

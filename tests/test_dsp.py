@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +16,6 @@ from eegid.errors import (
 )
 
 import oracles
-from conftest import make_recording
 
 
 def rms(x):
@@ -22,35 +24,34 @@ def rms(x):
 
 class TestResample:
     def test_160_to_128_length(self, rng):
-        rec = make_recording(rng.standard_normal((2, 9600)), fs=160.0)
-        out = dsp.resample(rec, 128.0)
-        assert out.n_samples == 7680
-        assert out.sampling_rate_hz == 128.0
+        out = dsp.resample(rng.standard_normal((2, 9600)), 160.0, 128.0)
+        assert out.shape == (2, 7680)
+
+    def test_same_rate_returns_the_input(self, rng):
+        data = rng.standard_normal((2, 100))
+        assert dsp.resample(data, 128.0, 128) is data
 
     def test_dc_preserved(self):
-        rec = make_recording(np.full((1, 9600), 3.0), fs=160.0)
-        out = dsp.resample(rec, 128.0)
-        np.testing.assert_allclose(out.data, 3.0, atol=1e-6)
+        out = dsp.resample(np.full((1, 9600), 3.0), 160.0, 128.0)
+        np.testing.assert_allclose(out, 3.0, atol=1e-6)
 
     def test_fft_peak_survives_500_to_128(self):
         t = np.arange(5000) / 500.0
-        rec = make_recording(np.sin(2 * np.pi * 10 * t), fs=500.0)
-        out = dsp.resample(rec, 128.0)
-        spectrum = np.abs(np.fft.rfft(out.data[0]))
-        freqs = np.fft.rfftfreq(out.n_samples, 1 / 128.0)
+        out = dsp.resample(np.sin(2 * np.pi * 10 * t)[None], 500.0, 128.0)
+        spectrum = np.abs(np.fft.rfft(out[0]))
+        freqs = np.fft.rfftfreq(out.shape[1], 1 / 128.0)
         peak = freqs[np.argmax(spectrum)]
-        bin_width = 128.0 / out.n_samples
+        bin_width = 128.0 / out.shape[1]
         assert abs(peak - 10.0) <= bin_width
 
     def test_irrational_ratio(self, rng):
-        rec = make_recording(rng.standard_normal((1, 1000)), fs=128.0)
         with pytest.raises(IrrationalRatio):
-            dsp.resample(rec, 128.0 * np.pi)
+            dsp.resample(rng.standard_normal((1, 1000)), 128.0, 128.0 * np.pi)
 
     def test_single_sample_rejected(self):
         # the line extension needs a slope; one sample used to give all-NaN output
         with pytest.raises(SignalTooShort):
-            dsp.resample(make_recording([[3.0], [1.0]], fs=1.0), 4.0)
+            dsp.resample(np.array([[3.0], [1.0]]), 1.0, 4.0)
 
     def test_there_and_back_preserves_bandlimited(self, rng):
         # band-limited (< 0.4 x lower Nyquist) noise, tapered so the
@@ -60,31 +61,27 @@ class TestResample:
         freqs = np.fft.rfftfreq(4000, 1 / 128.0)
         spectrum[freqs > 0.4 * 64.0] = 0.0
         x = np.fft.irfft(spectrum, 4000) * np.hanning(4000)
-        rec = make_recording(x, fs=128.0)
-        back = dsp.resample(dsp.resample(rec, 160.0), 128.0)
-        n = min(back.n_samples, rec.n_samples)
-        assert rms(back.data[0][:n] - x[:n]) / rms(x) < 1e-3
+        back = dsp.resample(dsp.resample(x[None], 128.0, 160.0), 160.0, 128.0)[0]
+        n = min(len(back), len(x))
+        assert rms(back[:n] - x[:n]) / rms(x) < 1e-3
 
 
 class TestNotch:
     def test_line_noise_removed(self):
         t = np.arange(128 * 20) / 128.0
-        rec = make_recording(np.sin(2 * np.pi * 50 * t), fs=128.0)
-        out = dsp.notch(rec, 50.0, q=30.0)
-        settled = out.data[0][512:-512]
-        assert rms(settled) < 0.01 * rms(rec.data[0])
+        x = np.sin(2 * np.pi * 50 * t)
+        settled = dsp.notch(x[None], 128.0, 50.0, q=30.0)[0][512:-512]
+        assert rms(settled) < 0.01 * rms(x)
 
     def test_passband_preserved(self):
         t = np.arange(128 * 20) / 128.0
-        rec = make_recording(np.sin(2 * np.pi * 10 * t), fs=128.0)
-        out = dsp.notch(rec, 50.0, q=30.0)
-        settled = out.data[0][512:-512]
-        assert abs(rms(settled) - rms(rec.data[0])) < 0.01 * rms(rec.data[0])
+        x = np.sin(2 * np.pi * 10 * t)
+        settled = dsp.notch(x[None], 128.0, 50.0, q=30.0)[0][512:-512]
+        assert abs(rms(settled) - rms(x)) < 0.01 * rms(x)
 
     def test_above_nyquist_rejected(self, rng):
-        rec = make_recording(rng.standard_normal((1, 1280)), fs=128.0)
         with pytest.raises(FrequencyOutOfRange):
-            dsp.notch(rec, 70.0)
+            dsp.notch(rng.standard_normal((1, 1280)), 128.0, 70.0)
 
     @pytest.mark.parametrize("q", [0.0, -1.0, float("nan")])
     def test_non_positive_q_rejected(self, q):
@@ -105,31 +102,31 @@ def sos_response(sos, freqs_hz, fs_hz):
 
 class TestButterworthDesign:
     def test_gamma_band_response(self):
-        filt = dsp.design_butterworth_bandpass(dsp.GAMMA, 128.0, order=4)
-        h = sos_response(filt.sos, [37.0, 55.0], 128.0)
+        sos = dsp.design_butterworth_bandpass(dsp.GAMMA, 128.0, order=4)
+        h = sos_response(sos, [37.0, 55.0], 128.0)
         assert h[0] >= 0.95
         assert h[1] <= 0.1
 
     def test_dc_killed(self):
         for band in dsp.ANALYSIS_BANDS:
-            filt = dsp.design_butterworth_bandpass(band, 128.0, order=4)
-            assert sos_response(filt.sos, [1e-12], 128.0)[0] < 1e-9
+            sos = dsp.design_butterworth_bandpass(band, 128.0, order=4)
+            assert sos_response(sos, [1e-12], 128.0)[0] < 1e-9
 
     def test_delta_band_valid(self):
-        filt = dsp.design_butterworth_bandpass(dsp.DELTA, 128.0, order=4)
-        assert np.all(filt.pole_moduli() < 1.0)
+        sos = dsp.design_butterworth_bandpass(dsp.DELTA, 128.0, order=4)
+        assert np.all(oracles.pole_moduli(sos) < 1.0)
 
     @pytest.mark.parametrize("order", [2, 4, 6, 8])
     @pytest.mark.parametrize("band", dsp.ANALYSIS_BANDS, ids=lambda b: b.name)
     def test_stability_all_bands_orders(self, band, order):
-        filt = dsp.design_butterworth_bandpass(band, 128.0, order=order)
-        assert np.all(filt.pole_moduli() < 1.0 - 1e-9)
+        sos = dsp.design_butterworth_bandpass(band, 128.0, order=order)
+        assert np.all(oracles.pole_moduli(sos) < 1.0 - 1e-9)
 
     @pytest.mark.parametrize("band", dsp.ANALYSIS_BANDS, ids=lambda b: b.name)
     def test_band_center_gain(self, band):
-        filt = dsp.design_butterworth_bandpass(band, 128.0, order=4)
+        sos = dsp.design_butterworth_bandpass(band, 128.0, order=4)
         center = np.sqrt(band.low_hz * band.high_hz)
-        gain = sos_response(filt.sos, [center], 128.0)[0]
+        gain = sos_response(sos, [center], 128.0)[0]
         assert 0.9 <= gain <= 1.0 + 1e-9
 
     def test_odd_order_rejected(self):
@@ -145,12 +142,12 @@ class TestButterworthDesign:
         (dsp.design_notch, (50.0, 30.0, 128.0)),
     ], ids=["bandpass", "notch"])
     def test_designs_are_memoized_read_only_and_bit_equal(self, design, args):
-        filt = design(*args)
-        assert design(*args) is filt
-        assert not filt.sos.flags.writeable
+        sos = design(*args)
+        assert design(*args) is sos
+        assert not sos.flags.writeable
         fresh = design.__wrapped__(*args)
-        assert fresh is not filt
-        assert filt.sos.tobytes() == fresh.sos.tobytes()
+        assert fresh is not sos
+        assert sos.tobytes() == fresh.tobytes()
 
     def test_unstable_design_raises_on_every_call(self, monkeypatch):
         unstable = np.array([[1.0, 0.0, -1.0, 1.0, 0.0, -1.5]])  # poles at +/-1.22
@@ -161,86 +158,77 @@ class TestButterworthDesign:
                 dsp.design_butterworth_bandpass(band, 128.0, 2)
 
 
-def filtfilt(filt, x):
+def filtfilt(sos, x):
     """Zero-phase filtering of one 1-D signal, as a one-row matrix."""
-    return dsp.filtfilt_matrix(filt, np.asarray(x, dtype=float)[None])[0]
+    return dsp.filtfilt_matrix(sos, np.asarray(x, dtype=float)[None])[0]
 
 
 class TestFiltfilt:
     def test_identity_section(self):
-        identity = dsp.IirFilter(sos=np.array([[1.0, 0, 0, 1.0, 0, 0]]))
+        identity = np.array([[1.0, 0, 0, 1.0, 0, 0]])
         x = np.zeros(64)
         x[32] = 1.0
         np.testing.assert_allclose(filtfilt(identity, x), x, atol=1e-12)
 
-    def test_unnormalized_section_rejected(self):
-        with pytest.raises(ValueError, match="a0 = 1"):
-            dsp.IirFilter(sos=np.array([[1.0, 0, 0, 2.0, 0, 0]]))
-
     def test_zero_lag_in_passband(self):
-        filt = dsp.design_butterworth_bandpass(dsp.GAMMA, 128.0, order=4)
+        sos = dsp.design_butterworth_bandpass(dsp.GAMMA, 128.0, order=4)
         t = np.arange(128 * 8) / 128.0
         x = np.sin(2 * np.pi * 37 * t)
-        y = filtfilt(filt, x)
+        y = filtfilt(sos, x)
         lags = np.arange(-20, 21)
         xc = [np.dot(x[20:-20], y[20 + lag:len(y) - 20 + lag]) for lag in lags]
         assert lags[np.argmax(xc)] == 0
 
     def test_too_short(self):
-        filt = dsp.design_butterworth_bandpass(dsp.GAMMA, 128.0, order=2)
+        sos = dsp.design_butterworth_bandpass(dsp.GAMMA, 128.0, order=2)
         with pytest.raises(SignalTooShort):
-            filtfilt(filt, np.zeros(5))
+            filtfilt(sos, np.zeros(5))
 
     def test_padding_is_three_times_the_order(self):
         # an order-2 band-pass has 4 poles, so 12 samples of padding; the notch 2 and 6
-        for filt, padlen in ((dsp.design_butterworth_bandpass(dsp.GAMMA, 128.0, order=2), 12),
-                             (dsp.design_notch(50.0, 30.0, 128.0), 6)):
+        for sos, padlen in ((dsp.design_butterworth_bandpass(dsp.GAMMA, 128.0, order=2), 12),
+                            (dsp.design_notch(50.0, 30.0, 128.0), 6)):
             with pytest.raises(SignalTooShort):
-                filtfilt(filt, np.ones(padlen))
-            filtfilt(filt, np.ones(padlen + 1))
+                filtfilt(sos, np.ones(padlen))
+            filtfilt(sos, np.ones(padlen + 1))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)
     def test_time_reversal_symmetry(self, seed):
         rng = np.random.default_rng(seed)
-        filt = dsp.design_butterworth_bandpass(dsp.ALPHA, 128.0, order=4)
+        sos = dsp.design_butterworth_bandpass(dsp.ALPHA, 128.0, order=4)
         x = rng.standard_normal(512)
-        forward = filtfilt(filt, x[::-1])[::-1]
-        backward = filtfilt(filt, x)
+        forward = filtfilt(sos, x[::-1])[::-1]
+        backward = filtfilt(sos, x)
         np.testing.assert_allclose(forward, backward, atol=1e-9)
 
 
 class TestSplitEpochs:
     def test_fifteen_four_second_epochs(self, rng):
-        rec = make_recording(rng.standard_normal((3, 7680)), fs=128.0)
-        epochs = dsp.split_epochs(rec, 4.0)
+        epochs = dsp.split_epochs(rng.standard_normal((3, 7680)), 128.0, 4.0)
         assert epochs.shape == (15, 3, 512)
         assert epochs.flags.c_contiguous
 
     def test_thirty_two_second_epochs(self, rng):
-        rec = make_recording(rng.standard_normal((1, 7680)), fs=128.0)
-        assert len(dsp.split_epochs(rec, 2.0)) == 30
+        assert len(dsp.split_epochs(rng.standard_normal((1, 7680)), 128.0, 2.0)) == 30
 
     def test_floor_semantics(self, rng):
-        rec = make_recording(rng.standard_normal((1, 7680)), fs=128.0)
-        epochs = dsp.split_epochs(rec, 7.0)
+        epochs = dsp.split_epochs(rng.standard_normal((1, 7680)), 128.0, 7.0)
         assert len(epochs) == 8
 
     def test_too_short(self, rng):
-        rec = make_recording(rng.standard_normal((1, 100)), fs=128.0)
         with pytest.raises(RecordingTooShort):
-            dsp.split_epochs(rec, 4.0)
+            dsp.split_epochs(rng.standard_normal((1, 100)), 128.0, 4.0)
 
     def test_epoch_shorter_than_one_sample(self, rng):
-        rec = make_recording(rng.standard_normal((1, 512)), fs=128.0)
         with pytest.raises(ValueError, match="shorter than one sample"):
-            dsp.split_epochs(rec, 0.001)
+            dsp.split_epochs(rng.standard_normal((1, 512)), 128.0, 0.001)
 
     def test_concatenation_reconstructs_prefix(self, rng):
-        rec = make_recording(rng.standard_normal((2, 1000)), fs=128.0)
-        epochs = dsp.split_epochs(rec, 1.0)
+        data = rng.standard_normal((2, 1000))
+        epochs = dsp.split_epochs(data, 128.0, 1.0)
         joined = np.concatenate(list(epochs), axis=1)
-        np.testing.assert_array_equal(joined, rec.data[:, :joined.shape[1]])
+        np.testing.assert_array_equal(joined, data[:, :joined.shape[1]])
 
 
 def test_band_table():
@@ -260,7 +248,7 @@ class TestScipyOracle:
     @pytest.mark.parametrize("band", list(dsp.BANDS.values()), ids=lambda b: b.name)
     def test_butterworth_sos(self, band, order, fs):
         ref = oracles.butter_bandpass_sos(order, band.low_hz, band.high_hz, fs)
-        sos = dsp.design_butterworth_bandpass(band, fs, order).sos
+        sos = dsp.design_butterworth_bandpass(band, fs, order)
         assert sos.shape == ref.shape
         assert np.max(np.abs(sos - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -268,14 +256,14 @@ class TestScipyOracle:
                                            (50.0, 10.0, 160.0), (60.0, 35.0, 500.0)])
     def test_notch_sos(self, f0, q, fs):
         ref = oracles.notch_sos(f0, q, fs)
-        sos = dsp.design_notch(f0, q, fs).sos
+        sos = dsp.design_notch(f0, q, fs)
         assert sos.shape == ref.shape
         assert np.max(np.abs(sos - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @staticmethod
-    def _check_filtfilt(filt, data):
-        ref = oracles.filtfilt_average(filt.sos, 3 * filt.order, data)
-        np.testing.assert_allclose(dsp.filtfilt_matrix(filt, data), ref, rtol=0,
+    def _check_filtfilt(sos, data):
+        ref = oracles.filtfilt_average(sos, 3 * 2 * len(sos), data)
+        np.testing.assert_allclose(dsp.filtfilt_matrix(sos, data), ref, rtol=0,
                                    atol=1e-11 * np.max(np.abs(data)))
 
     # the DC offset makes the edge states matter: at order 8 in the delta
@@ -283,24 +271,24 @@ class TestScipyOracle:
     @pytest.mark.parametrize("order", [2, 4, 6, 8])
     @pytest.mark.parametrize("band", list(dsp.BANDS.values()), ids=lambda b: b.name)
     def test_filtfilt_matrix(self, band, order, rng):
-        filt = dsp.design_butterworth_bandpass(band, 128.0, order)
-        self._check_filtfilt(filt, 50 * rng.standard_normal((20, 1500)) + 20)
+        sos = dsp.design_butterworth_bandpass(band, 128.0, order)
+        self._check_filtfilt(sos, 50 * rng.standard_normal((20, 1500)) + 20)
 
     def test_filtfilt_notch(self, rng):
-        filt = dsp.design_notch(50.0, 30.0, 128.0)
-        self._check_filtfilt(filt, 50 * rng.standard_normal((20, 1500)) + 20)
+        sos = dsp.design_notch(50.0, 30.0, 128.0)
+        self._check_filtfilt(sos, 50 * rng.standard_normal((20, 1500)) + 20)
 
     @pytest.mark.parametrize("n", [25, 26, 63, 64, 65, 200])
     def test_filtfilt_short_signals(self, n, rng):
-        filt = dsp.design_butterworth_bandpass(dsp.DELTA, 128.0, order=4)
-        self._check_filtfilt(filt, rng.standard_normal((1, n)) + 3)
+        sos = dsp.design_butterworth_bandpass(dsp.DELTA, 128.0, order=4)
+        self._check_filtfilt(sos, rng.standard_normal((1, n)) + 3)
 
     def test_filtfilt_impulse_and_step(self):
-        filt = dsp.design_butterworth_bandpass(dsp.DELTA, 128.0, order=8)
+        sos = dsp.design_butterworth_bandpass(dsp.DELTA, 128.0, order=8)
         data = np.zeros((2, 1500))
         data[0, 700] = 1.0
         data[1] = 1.0
-        self._check_filtfilt(filt, data)
+        self._check_filtfilt(sos, data)
 
     @pytest.mark.parametrize("up, down, n", [
         (up, down, n)
@@ -310,8 +298,22 @@ class TestScipyOracle:
     ])
     def test_resample(self, up, down, n, rng):
         data = rng.standard_normal((3, n)) + np.linspace(5, -2, n)
-        rec = make_recording(data, fs=100.0 * down)
-        out = dsp.resample(rec, 100.0 * up)
+        out = dsp.resample(data, 100.0 * down, 100.0 * up)
         ref = oracles.resample_poly_line(data, up, down)
-        assert out.data.shape == ref.shape
-        np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12 * np.max(np.abs(data)))
+        assert out.shape == ref.shape
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12 * np.max(np.abs(data)))
+
+
+def test_dsp_imports_only_errors():
+    """dsp is an array layer: of the package it imports only `.errors`, so
+    io_ingest can import dsp at module level without a cycle."""
+    path = Path(__file__).resolve().parents[1] / "src" / "eegid" / "dsp.py"
+    nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+    relative = {"." * node.level + (node.module or "") for node in nodes
+                if isinstance(node, ast.ImportFrom) and node.level}
+    absolute = {node.module for node in nodes if isinstance(node, ast.ImportFrom)
+                and not node.level}
+    absolute |= {alias.name for node in nodes if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert relative == {".errors"}
+    assert not [name for name in absolute if name.split(".")[0] == "eegid"]

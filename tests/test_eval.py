@@ -399,6 +399,14 @@ class TestExperiment:
         assert [tuple(p) for p in provenance.tolist()] == [
             ("d2", "S7", "task"), ("d2", "S7", "task"), ("d3", "S8", "task")]
 
+    def test_band_epochs_needs_two_channels(self, rng):
+        corpus = [make_recording(rng.standard_normal((1, 1024)), subject=f"S{i}")
+                  for i in range(2)]
+        config = ev.ExperimentConfig(metric="COR", band="gamma")
+        corpus = list(ev.preprocessed(corpus, **config.filters))
+        with pytest.raises(ValueError, match=r"corpus has 1 channel\(s\)"):
+            ev.band_epochs(corpus, config, "resting")
+
     def test_degenerate_epoch_names_recording(self, small_corpus):
         config = ev.ExperimentConfig(metric="COR", band="gamma")
         epochs, labels, _ = ev.band_epochs(small_corpus, config, "resting")
