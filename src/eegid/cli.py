@@ -24,8 +24,7 @@ from .errors import (
     UnstableDesign,
 )
 from .channels import resolve_policy
-from .io_ingest import (CONDITIONS, EegRecording, build_corpus, is_finite_number,
-                        load_json, load_manifest)
+from .io_ingest import CONDITIONS, build_corpus, is_finite_number, load_json, load_manifest
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,52 +47,23 @@ def _corpus_hash(manifest) -> str:
     return h.hexdigest()[:16]
 
 
-def _pack_corpus(recordings, shapes) -> dict:
-    """npz arrays of a corpus: flat samples, per-recording shapes, other fields as JSON.
-
-    `recordings` may be a generator, given the recordings' (channels, samples)
-    `shapes`: each recording is copied into the flat array as it comes, and
-    no list of them is held beside it.
-    """
-    shapes = np.array(shapes, dtype=int).reshape(-1, 2)
-    sizes = shapes.prod(axis=1)
-    data = np.empty(sizes.sum())
-    meta = []
-    for rec, shape, end in zip(recordings, shapes, np.cumsum(sizes), strict=True):
-        data[end - shape.prod():end].reshape(shape)[...] = rec.data
-        meta.append(json.dumps({k: v for k, v in vars(rec).items() if k != "data"}))
-    return {"data": data, "shapes": shapes, "meta": np.array(meta)}
-
-
-def _unpack_corpus(arrays) -> list:
-    shapes = arrays["shapes"]
-    chunks = np.split(arrays["data"], np.cumsum(shapes.prod(axis=1)))[:-1]
-    return [EegRecording(data=chunk.reshape(shape), **json.loads(str(meta)))
-            for chunk, shape, meta in zip(chunks, shapes, arrays["meta"], strict=True)]
-
-
 def _cached_corpus(manifest, cache_dir, filters, channel_policy=None):
     """Load the preprocessed corpus cache, or build and write it; returns
     (corpus, hash, was_cached).
 
     The file is keyed by the corpus hash and the filter settings `filters`
-    (`ExperimentConfig.filters`).  On a miss the corpus is built from the
-    loaded `manifest` and each recording is preprocessed as it is copied into
-    the file.
+    (`ExperimentConfig.filters`), and holds the arrays of
+    `evaluation.preprocessed`.  On a miss the corpus is built from the loaded
+    `manifest` and each recording is preprocessed as it is copied into them.
     """
     if channel_policy is not None:
         manifest = replace(manifest, channel_policy=channel_policy)
     digest = _corpus_hash(manifest)
     path = Path(cache_dir) / f"preprocessed-{digest}-{evaluation.filter_tag(**filters)}.npz"
-
-    def build():
-        raw = build_corpus(manifest)
-        shapes = [rec.data.shape for rec in raw]
-        # each raw recording is released once its preprocessed copy is packed
-        return _pack_corpus(evaluation.preprocessed((raw.pop(0) for _ in shapes), **filters),
-                            shapes)
-
-    corpus, cached = evaluation.load_or_build(path, build, _unpack_corpus)
+    corpus, cached = evaluation.load_or_build(
+        path, lambda: evaluation.preprocessed(build_corpus(manifest), **filters),
+        # a file without one of the arrays raises KeyError here, and is rebuilt
+        lambda arrays: {key: arrays[key] for key in evaluation.CORPUS_KEYS})
     if cached:
         _log(f"cache hit: {path.name} (no recompute)")
     return corpus, digest, cached
@@ -126,10 +96,10 @@ def _epoch_length_problem(length):
 def cmd_ingest(args) -> int:
     corpus, digest, _ = _cached_corpus(load_manifest(args.manifest), args.out,
                                        _filters(args))
-    subjects = sorted({r.label for r in corpus})
-    rates = sorted({r.sampling_rate_hz for r in corpus})
-    _log(f"corpus {digest}: {len(corpus)} recordings, {len(subjects)} subjects, "
-         f"rates {rates} Hz")
+    provenance = corpus["provenance"]
+    subjects = {(dataset, subject) for dataset, subject, _ in provenance.tolist()}
+    _log(f"corpus {digest}: {len(provenance)} recordings, {len(subjects)} subjects, "
+         f"rates {[float(corpus['rate'])]} Hz")
     return EXIT_OK
 
 

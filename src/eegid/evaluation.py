@@ -14,7 +14,7 @@ import os
 import sys
 import tempfile
 import zipfile
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
@@ -275,18 +275,34 @@ class ExperimentReport:
         return d
 
 
-def preprocessed(corpus, notch_hz=50.0, notch_q=30.0, filter_order=4):
-    """Yield each recording after `dsp.preprocess` (notch, then the broadband
-    band-pass) with the given filter settings, `ExperimentConfig.filters`,
-    which it records in the recording's `filters`.  band_epochs,
-    _features_cached and run_experiment take their recordings from here, as
-    a list: run_experiment may read the corpus twice."""
-    tag = filter_tag(notch_hz, notch_q, filter_order)
-    for rec in corpus:
-        rec = replace(rec, filters=tag, data=dsp.preprocess(
-            rec.data, rec.sampling_rate_hz, notch_hz=notch_hz, notch_q=notch_q,
-            order=filter_order))
-        yield rec  # rebinding `rec` let the raw samples go before the caller runs
+# the arrays of a corpus, as preprocessed returns them and its cache file holds them
+CORPUS_KEYS = ("data", "ends", "provenance", "rate", "filters")
+
+
+def preprocessed(recordings, notch_hz=50.0, notch_q=30.0, filter_order=4) -> dict:
+    """The corpus arrays of a list of recordings after `dsp.preprocess` (notch,
+    then the broadband band-pass) with the given filter settings,
+    `ExperimentConfig.filters`.
+
+    `data` holds the recordings side by side as (channels, total samples),
+    recording i ending at column `ends[i]`; `provenance` is an (R, 3) array
+    of dataset id, subject id and condition; `rate` and `filters` (the
+    `filter_tag`) are 0-d.  The list is consumed: each raw recording is
+    released once it has been copied, so a caller that reuses it passes a copy.
+    """
+    if len({(rec.n_channels, rec.sampling_rate_hz) for rec in recordings}) > 1:
+        raise ValueError("recordings differ in channel count or sampling rate")
+    rate = recordings[0].sampling_rate_hz
+    ends = np.cumsum([rec.n_samples for rec in recordings])
+    provenance = np.array([(rec.dataset_id, rec.subject_id, rec.condition)
+                           for rec in recordings])
+    data = np.empty((recordings[0].n_channels, ends[-1]))
+    for end in ends:
+        rec = recordings.pop(0)  # rebinding `rec` lets the previous raw samples go
+        data[:, end - rec.n_samples:end] = dsp.preprocess(
+            rec.data, rate, notch_hz=notch_hz, notch_q=notch_q, order=filter_order)
+    return {"data": data, "ends": ends, "provenance": provenance, "rate": np.array(rate),
+            "filters": np.array(filter_tag(notch_hz, notch_q, filter_order))}
 
 
 def filter_tag(notch_hz, notch_q, filter_order) -> str:
@@ -295,39 +311,38 @@ def filter_tag(notch_hz, notch_q, filter_order) -> str:
 
 
 def band_epochs(corpus, config: ExperimentConfig, condition: str) -> tuple:
-    """Band filter + epoch every preprocessed recording of one condition.
+    """Band filter + epoch every recording of one condition of a `preprocessed` corpus.
 
     Returns (epochs, labels, provenance): a C-contiguous (E, N, M) stack, the
     "dataset/subject" label of each epoch, and an (E, 3) array of each
     epoch's dataset id, subject id and condition.
     """
     band = dsp.BANDS[config.band]
-    recs = [rec for rec in corpus if rec.condition == condition]
-    if not recs:
+    picked = np.flatnonzero(corpus["provenance"][:, 2] == condition)
+    if not picked.size:
         raise MissingCondition(f"corpus has no recordings with condition {condition!r}")
     tag = filter_tag(**config.filters)
-    for rec in recs:
-        if rec.filters != tag:
-            raise ValueError(f"recording {rec.label} is preprocessed as "
-                             f"{rec.filters or 'raw'!r}, but the config needs {tag!r}: "
-                             "pass the corpus through preprocessed(corpus, **config.filters)")
-    if recs[0].n_channels < 2:
-        raise ValueError(f"corpus has {recs[0].n_channels} channel(s); connectivity "
-                         "needs at least 2")
+    if corpus["filters"] != tag:
+        raise ValueError(f"corpus is preprocessed as {str(corpus['filters'])!r}, but the "
+                         f"config needs {tag!r}: pass its recordings through "
+                         "preprocessed(recordings, **config.filters)")
+    data, rate, ends = corpus["data"], float(corpus["rate"]), corpus["ends"]
+    if len(data) < 2:
+        raise ValueError(f"corpus has {len(data)} channel(s); connectivity needs at least 2")
+    lengths = np.diff(ends, prepend=0)
     # the corpus shares one working rate, so every epoch has m samples
-    m = dsp.epoch_samples(recs[0].sampling_rate_hz, config.epoch_length_s)
-    counts = [rec.n_samples // m for rec in recs]
-    epochs = np.empty((sum(counts), recs[0].n_channels, m))
-    labels, provenance = [], []
+    m = dsp.epoch_samples(rate, config.epoch_length_s)
+    counts = lengths[picked] // m
+    epochs = np.empty((counts.sum(), len(data), m))
     pos = 0
-    for rec, count in zip(recs, counts):
-        data = dsp.bandpass(rec.data, rec.sampling_rate_hz, band, config.filter_order)
-        epochs[pos:pos + count] = dsp.split_epochs(data, rec.sampling_rate_hz,
-                                                   config.epoch_length_s)
+    for i, count in zip(picked, counts):
+        filtered = dsp.bandpass(data[:, ends[i] - lengths[i]:ends[i]], rate, band,
+                                config.filter_order)
+        epochs[pos:pos + count] = dsp.split_epochs(filtered, rate, config.epoch_length_s)
         pos += count
-        labels.extend([rec.label] * count)
-        provenance.extend([(rec.dataset_id, rec.subject_id, rec.condition)] * count)
-    return epochs, np.array(labels), np.array(provenance)
+    rows = corpus["provenance"][picked]
+    labels = np.array([f"{dataset}/{subject}" for dataset, subject, _ in rows.tolist()])
+    return epochs, np.repeat(labels, counts), np.repeat(rows, counts, axis=0)
 
 
 def load_or_build(path, build, unpack):

@@ -35,8 +35,7 @@ class EegRecording:
     """A channels-by-samples block of EEG with its provenance.
 
     Rows of `data` follow `channel_names`.  Units are conventionally
-    microvolts but not enforced.  `filters` names the preprocessing the data
-    went through (`evaluation.filter_tag` text), empty for raw data.
+    microvolts but not enforced.
     """
 
     channel_names: tuple
@@ -45,7 +44,6 @@ class EegRecording:
     subject_id: str = ""
     dataset_id: str = ""
     condition: str = "resting"
-    filters: str = ""
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
@@ -74,11 +72,6 @@ class EegRecording:
     @property
     def duration_s(self):
         return self.n_samples / self.sampling_rate_hz
-
-    @property
-    def label(self):
-        """Class label used for identification: dataset-qualified subject."""
-        return f"{self.dataset_id}/{self.subject_id}"
 
 
 @dataclass(frozen=True)
@@ -128,7 +121,7 @@ def is_finite_number(value):
 _ENTRY_TYPES = {
     "path": (lambda v: isinstance(v, str), "a path string"),
     "format": (lambda v: isinstance(v, str), "a string"),
-    "condition": (lambda v: isinstance(v, str), "a string"),
+    "condition": (lambda v: v in CONDITIONS, " or ".join(map(repr, CONDITIONS))),
     "window_s": (lambda v: isinstance(v, list) and len(v) == 2
                  and all(map(is_finite_number, v)), "[start, end] in seconds"),
     "sampling_rate_hz": (is_finite_number, "a finite number"),
@@ -142,8 +135,8 @@ def _manifest_problem(doc):
     """What makes a loaded manifest document the wrong shape, or None."""
     if not isinstance(doc, dict):
         return f"manifest must be a JSON object, not {type(doc).__name__}"
-    if not isinstance(doc.get("entries"), list):
-        return f"manifest key 'entries' must be a list, not {doc.get('entries')!r}"
+    if not isinstance(doc.get("entries"), list) or not doc["entries"]:
+        return f"manifest key 'entries' must be a non-empty list, not {doc.get('entries')!r}"
     if not is_finite_number(doc.get("target_rate_hz")):
         return (f"manifest key 'target_rate_hz' must be a finite number, "
                 f"not {doc.get('target_rate_hz')!r}")
@@ -162,8 +155,12 @@ def _manifest_problem(doc):
         for key, (ok, kind) in _ENTRY_TYPES.items():
             if key in raw and not ok(raw[key]):
                 return f"manifest entry {i} key {key!r} must be {kind}, not {raw[key]!r}"
-        # EegRecording.label joins the two with "/", so ("d", "a/b") and
-        # ("d/a", "b") would make two subjects one class
+        names = [normalize_label(name) for name in raw.get("channel_names", ())]
+        if raw["format"] == "matrix" and len(set(names)) < len(names):
+            return (f"manifest entry {i} key 'channel_names' repeats a channel after "
+                    f"normalization: {raw['channel_names']!r}")
+        # evaluation.band_epochs joins the two with "/" into the class label,
+        # so ("d", "a/b") and ("d/a", "b") would make two subjects one class
         who = (str(raw["dataset_id"]), str(raw["subject_id"]))
         label = "/".join(who)
         j, first = owners.setdefault(label, (i, who))

@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -100,28 +99,32 @@ class TestIngest:
                          "--out", str(cache)]) == cli.EXIT_OK
         name = f"preprocessed-{cli._corpus_hash(load_manifest(manifest))}-order4-notch50-q30.npz"
         assert sorted(p.name for p in cache.iterdir()) == [name]
+        fresh = preprocessed(build_corpus(load_manifest(manifest)))
         with np.load(cache / name, allow_pickle=False) as blob:
-            cached = cli._unpack_corpus(blob)
-        fresh = list(preprocessed(build_corpus(load_manifest(manifest))))
-        assert len(cached) == len(fresh) == 3
-        for got, want in zip(cached, fresh):
-            assert got.data.dtype == np.float64 and got.data.flags.c_contiguous
-            np.testing.assert_array_equal(got.data, want.data)
-            for field in fields(want):
-                if field.name != "data":
-                    assert getattr(got, field.name) == getattr(want, field.name), field.name
+            assert sorted(blob.files) == sorted(fresh)
+            for key, want in fresh.items():
+                assert blob[key].dtype == want.dtype and np.array_equal(blob[key], want), key
+        assert fresh["data"].dtype == np.float64 and fresh["data"].shape == (6, 3 * 30 * 128)
+        assert fresh["ends"].tolist() == [3840, 7680, 11520]
+        assert fresh["provenance"].tolist() == [["synth", f"S00{i}", "resting"] for i in range(3)]
+        assert fresh["rate"].shape == () and fresh["rate"] == 128.0
+        assert fresh["filters"].shape == () and fresh["filters"] == "order4-notch50-q30"
         capsys.readouterr()
         assert cli.main(["ingest", "--manifest", str(manifest),
                          "--out", str(cache)]) == cli.EXIT_OK
         assert f"cache hit: {name}" in capsys.readouterr().err
+
+    @staticmethod
+    def _corpus_file(cache, manifest):
+        digest = cli._corpus_hash(load_manifest(manifest))
+        return cache / f"preprocessed-{digest}-order4-notch50-q30.npz"
 
     def test_object_array_cache_is_rebuilt_not_unpickled(self, workspace, tmp_path,
                                                          capsys):
         root, manifest = workspace
         cache = tmp_path / "cache"
         cache.mkdir()
-        digest = cli._corpus_hash(load_manifest(manifest))
-        cache_file = cache / f"preprocessed-{digest}-order4-notch50-q30.npz"
+        cache_file = self._corpus_file(cache, manifest)
         # the tripwire fires when numpy unpickles it
         probe = tmp_path / "probe.npz"
         np.savez(probe, data=np.array([_Tripwire(str(tmp_path / "probe-fired"))]))
@@ -129,20 +132,23 @@ class TestIngest:
             blob["data"]
         assert (tmp_path / "probe-fired").is_dir()
         marker = tmp_path / "unpickled"
-        np.savez(cache_file, data=np.array([_Tripwire(str(marker))]),
-                 shapes=np.zeros((1, 2), dtype=int), meta=np.array(["{}"]))
+        # every key a corpus file holds, so only the object array is refused
+        booby_trapped = {"data": np.array([_Tripwire(str(marker))]), "ends": np.array([1]),
+                         "provenance": np.array([["d", "s", "resting"]]),
+                         "rate": np.array(128.0), "filters": np.array("order4-notch50-q30")}
+        np.savez(cache_file, **booby_trapped)
         capsys.readouterr()
         assert cli.main(["ingest", "--manifest", str(manifest),
                          "--out", str(cache)]) == cli.EXIT_OK
         err = capsys.readouterr().err
         assert f"rebuilding unreadable cache {cache_file.name}" in err
+        assert "Object arrays cannot be loaded" in err
         assert "cache hit" not in err
         assert not marker.exists()
         with np.load(cache_file, allow_pickle=False) as blob:
-            assert len(cli._unpack_corpus(blob)) == 3
+            assert len(blob["ends"]) == 3
         # `features` reads the same file, and refuses it the same way
-        np.savez(cache_file, data=np.array([_Tripwire(str(marker))]),
-                 shapes=np.zeros((1, 2), dtype=int), meta=np.array(["{}"]))
+        np.savez(cache_file, **booby_trapped)
         assert cli.main(["features", "--manifest", str(manifest),
                          "--out", str(tmp_path / "features.csv"), "--cache", str(cache),
                          "--band", "gamma", "--metric", "PLV"]) == cli.EXIT_OK
@@ -151,7 +157,39 @@ class TestIngest:
         assert "cache hit" not in err
         assert not marker.exists()
         with np.load(cache_file, allow_pickle=False) as blob:
-            assert len(cli._unpack_corpus(blob)) == 3
+            assert len(blob["ends"]) == 3
+
+    def test_cache_of_the_old_layout_is_rebuilt_once(self, workspace, tmp_path, capsys,
+                                                     monkeypatch):
+        # flat samples, per-recording shapes and each recording's other
+        # fields as a JSON string
+        root, manifest = workspace
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        cache_file = self._corpus_file(cache, manifest)
+        meta = [json.dumps({"channel_names": ["C3", "C4"], "sampling_rate_hz": 128.0,
+                            "subject_id": subject, "dataset_id": "synth",
+                            "condition": "resting", "filters": "order4-notch50-q30"})
+                for subject in ("S000", "S001")]
+        np.savez(cache_file, data=np.zeros(12), shapes=np.array([[2, 3], [2, 3]]),
+                 meta=np.array(meta))
+        build, builds = cli.build_corpus, []
+
+        def building(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(cli, "build_corpus", building)
+        capsys.readouterr()
+        for _ in range(2):
+            assert cli.main(["ingest", "--manifest", str(manifest),
+                             "--out", str(cache)]) == cli.EXIT_OK
+        err = capsys.readouterr().err
+        assert err.count(f"rebuilding unreadable cache {cache_file.name}") == 1
+        assert err.count("cache hit") == 1
+        assert len(builds) == 1
+        with np.load(cache_file, allow_pickle=False) as blob:
+            assert sorted(blob.files) == ["data", "ends", "filters", "provenance", "rate"]
 
     @pytest.mark.parametrize("flags", [(), ("--notch-hz", "40", "--filter-order", "2")])
     def test_ingest_warms_the_cache_features_reads(self, workspace, tmp_path, capsys,
@@ -170,15 +208,16 @@ class TestIngest:
         assert builds == []
         assert len(list(cache.iterdir())) == 1
 
-    def test_empty_corpus_is_cached(self, tmp_path, capsys):
+    def test_empty_manifest_is_data_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"target_rate_hz": 128.0, "entries": []}))
-        for _ in range(2):
-            assert cli.main(["ingest", "--manifest", str(manifest),
-                             "--out", str(tmp_path / "cache")]) == cli.EXIT_OK
-        err = capsys.readouterr().err
-        assert "cache hit" in err and "rebuilding" not in err
-        assert "0 recordings" in err
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        assert cli.main(["ingest", "--manifest", str(manifest),
+                         "--out", str(cache)]) == cli.EXIT_DATA
+        assert ("manifest key 'entries' must be a non-empty list, not []"
+                in capsys.readouterr().err)
+        assert list(cache.iterdir()) == []
 
     @staticmethod
     def _ingest_one_edf(tmp_path, name, raw):
@@ -237,11 +276,16 @@ class TestIngest:
         (_manifest_doc(window_s=5), "entry 1 key 'window_s'"),
         (_manifest_doc(window_s=["a", "b"]), "entry 1 key 'window_s'"),
         (_manifest_doc(condition=["resting"]), "entry 1 key 'condition'"),
+        (_manifest_doc(condition="sleep"),
+         "entry 1 key 'condition' must be 'resting' or 'task', not 'sleep'"),
+        (_manifest_doc(channel_names=["FC5", "FC3", "fc5."]),
+         "entry 1 key 'channel_names' repeats a channel after normalization"),
         (_manifest_doc(channel_names="C3"), "entry 1 key 'channel_names'"),
         (_manifest_doc(subject_id=None), "entry 1 has no 'subject_id'"),
     ], ids=["top-level-list", "entries-object", "rate-list", "policy-number",
             "policy-empty", "entry-number", "path-number", "window-number", "window-strings",
-            "condition-list", "channel-names-string", "no-subject"])
+            "condition-list", "condition-unknown", "channel-names-repeated",
+            "channel-names-string", "no-subject"])
     def test_malformed_manifest_is_data_error(self, tmp_path, capsys, doc, named):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(doc))
@@ -380,7 +424,7 @@ class TestFeatures:
         for band, metric in (("gamma", "PLV"), ("alpha", "COR"), ("gamma", "PLI")):
             assert self._features(manifest, tmp_path / "cache", tmp_path / f"{band}_{metric}.csv",
                                   band=band, metric=metric) == cli.EXIT_OK
-        assert sorted(rec.label for rec in built) == ["synth/S000", "synth/S001", "synth/S002"]
+        assert [rec.subject_id for rec in built] == ["S000", "S001", "S002"]
         # one call per built recording, each on that recording's own samples
         assert len(calls) == len(built)
         assert all(data is rec.data for data, rec in zip(calls, built))

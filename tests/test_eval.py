@@ -370,7 +370,7 @@ def raw_corpus():
 @pytest.fixture(scope="module")
 def small_corpus(raw_corpus):
     """raw_corpus preprocessed with the default filter settings."""
-    return list(ev.preprocessed(raw_corpus))
+    return ev.preprocessed(list(raw_corpus))
 
 
 class TestExperiment:
@@ -392,7 +392,7 @@ class TestExperiment:
                   make_recording(rng.standard_normal((2, 512)), subject="S8",
                                  dataset="d3", condition="task")]
         config = ev.ExperimentConfig(metric="PLV", band="gamma")
-        corpus = list(ev.preprocessed(corpus, **config.filters))
+        corpus = ev.preprocessed(corpus, **config.filters)
         epochs, labels, provenance = ev.band_epochs(corpus, config, "task")
         assert epochs.shape == (3, 2, 512)
         assert labels.tolist() == ["d2/S7", "d2/S7", "d3/S8"]
@@ -403,9 +403,16 @@ class TestExperiment:
         corpus = [make_recording(rng.standard_normal((1, 1024)), subject=f"S{i}")
                   for i in range(2)]
         config = ev.ExperimentConfig(metric="COR", band="gamma")
-        corpus = list(ev.preprocessed(corpus, **config.filters))
+        corpus = ev.preprocessed(corpus, **config.filters)
         with pytest.raises(ValueError, match=r"corpus has 1 channel\(s\)"):
             ev.band_epochs(corpus, config, "resting")
+
+    @pytest.mark.parametrize("channels, fs", [(2, 160.0), (3, 128.0)], ids=["rate", "channels"])
+    def test_preprocessed_needs_one_rate_and_channel_count(self, rng, channels, fs):
+        corpus = [make_recording(rng.standard_normal((2, 1024))),
+                  make_recording(rng.standard_normal((channels, 1024)), fs=fs, subject="S1")]
+        with pytest.raises(ValueError, match="differ in channel count or sampling rate"):
+            ev.preprocessed(corpus)
 
     def test_degenerate_epoch_names_recording(self, small_corpus):
         config = ev.ExperimentConfig(metric="COR", band="gamma")
@@ -414,10 +421,10 @@ class TestExperiment:
         with pytest.raises(DegenerateVariance, match=r"\[2\] in epoch 9 \[synth/S001\]"):
             ev.epoch_features(epochs, labels, "COR")
 
-    @pytest.mark.parametrize("filters", [None, {"notch_hz": 40.0}], ids=["raw", "other-notch"])
+    @pytest.mark.parametrize("filters", [{"notch_hz": 40.0}], ids=["other-notch"])
     def test_band_epochs_refuses_other_preprocessing(self, raw_corpus, filters):
         config = ev.ExperimentConfig(metric="PLV", band="gamma")
-        corpus = raw_corpus if filters is None else list(ev.preprocessed(raw_corpus, **filters))
+        corpus = ev.preprocessed(list(raw_corpus), **filters)
         with pytest.raises(ValueError, match="preprocessed as"):
             ev.band_epochs(corpus, config, "resting")
 
@@ -466,8 +473,7 @@ class TestExperiment:
                                      epoch_length_s=2.0,
                                      train_condition="resting",
                                      test_condition="task", k2=2, seed=0)
-        report = ev.run_experiment(list(ev.preprocessed(rest + task, **config.filters)),
-                                   config)
+        report = ev.run_experiment(ev.preprocessed(rest + task, **config.filters), config)
         assert report.mismatched
         assert len(report.cv.fold_accuracies) == 1
         assert report.cv.standard_error == 0.0
@@ -483,7 +489,7 @@ class TestExperiment:
         config = ev.ExperimentConfig(metric="COR", band="alpha", epoch_length_s=2.0,
                                      train_condition="resting", test_condition="task",
                                      k2=2, seed=3)
-        corpus = list(ev.preprocessed(corpus, **config.filters))
+        corpus = ev.preprocessed(corpus, **config.filters)
         report = ev.run_experiment(corpus, config)
         x_train, y_train = ev._features_cached(corpus, config, "resting")
         x_test, y_test = ev._features_cached(corpus, config, "task")
@@ -517,7 +523,7 @@ class TestExperiment:
                                      train_condition="resting",
                                      test_condition="task", k2=2)
         with pytest.raises(MissingCondition):
-            ev.run_experiment(list(ev.preprocessed(rest + task, **config.filters)), config)
+            ev.run_experiment(ev.preprocessed(rest + task, **config.filters), config)
 
     def test_feature_cache_roundtrip(self, small_corpus, tmp_path):
         config = ev.ExperimentConfig(metric="PLV", band="gamma",
@@ -537,7 +543,7 @@ class TestExperiment:
                                    epoch_length_s=2.0)
         changed = ev.ExperimentConfig(metric="COR", band="gamma",
                                       epoch_length_s=2.0, **{field: value})
-        corpus = {config: list(ev.preprocessed(raw_corpus, **config.filters))
+        corpus = {config: ev.preprocessed(list(raw_corpus), **config.filters)
                   for config in (base, changed)}
         x_base, _ = ev._features_cached(corpus[base], base, "resting",
                                         cache_dir=tmp_path, cache_tag="t1")

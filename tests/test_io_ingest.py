@@ -1,5 +1,7 @@
+import ast
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,3 +349,22 @@ def test_window_far_past_the_end_is_out_of_range(rng, window):
     rec = make_recording(rng.standard_normal((2, 1280)))
     with pytest.raises(WindowOutOfRange):
         window_recording(rec, *window)
+
+
+def test_only_io_ingest_names_eeg_recording():
+    """Past ingestion the corpus is arrays: no other package module names
+    EegRecording, as an import, a name or an attribute."""
+    package = Path(__file__).resolve().parents[1] / "src" / "eegid"
+    naming = []
+    for path in sorted(package.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rsplit(".", 1)[-1])
+        if "EegRecording" in names:
+            naming.append(path.name)
+    assert naming == ["io_ingest.py"]
