@@ -40,6 +40,8 @@ def _corpus_hash(manifest) -> str:
     h = hashlib.sha256()
     h.update(repr((manifest.target_rate_hz, manifest.channel_policy)).encode())
     for entry in manifest.entries:
+        if entry.format == "edf":  # its loader reads the rate and channels from the file
+            entry = replace(entry, sampling_rate_hz=0.0, channel_names=())
         h.update(repr((entry.subject_id, entry.dataset_id, entry.condition,
                        entry.window_s, entry.format, entry.sampling_rate_hz,
                        entry.channel_names)).encode())

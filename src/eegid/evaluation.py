@@ -3,7 +3,9 @@
 The fold unit is the epoch, grouped per subject: every subject contributes
 epochs to every outer fold (subject-disjoint folds are impossible for
 identification, where each subject is a class).  All randomness flows from
-one seed recorded in the report.
+one seed recorded in the report.  The nested CV of one config makes two
+`svm.train_ovr` calls: one trains the grid on every inner fold of every
+outer fold, the other makes every final fit.
 """
 
 from __future__ import annotations
@@ -65,33 +67,41 @@ def _accuracy(truth, predictions):
     return sum(t == p for t, p in zip(truth, predictions)) / len(truth)
 
 
-def grid_search(x, labels, k2=3, seed=0):
-    """Inner k2-fold selection of (C, gamma) over GRID; ties break toward
-    smaller values.
+def grid_search(x, labels, splits, k2, seed):
+    """Inner k2-fold selection of (C, gamma) over GRID on the training rows of
+    each outer (train_idx, test_idx) split of x; ties break toward smaller
+    values.
 
-    Returns (best_params, audit) where audit maps each grid point to its mean
-    inner-validation accuracy.  Each inner fold trains the whole grid in one
-    `svm.train_ovr_grid` call and predicts with all its models in one
-    `svm.predict_batch` call.
+    Split `held` deals its training rows into inner folds with seed
+    `seed + held + 1`.  One `svm.train_ovr` call trains the whole grid on
+    every inner fold of every split, and each inner fold predicts with all
+    its models in one `svm.predict_batch` call.  Returns one (best_params,
+    audit, converged) per split: audit maps each grid point to its mean
+    inner-validation accuracy, and converged lists the flags of the split's
+    binary SVMs.
     """
-    x = np.asarray(x, dtype=float)
-    labels = np.asarray(labels)
-    accs = {params: [] for params in GRID}
-    converged = []
-    for train_idx, val_idx in fold_splits(labels, k2, seed):
+    folds, validation = [], []  # per inner fold: (rows, GRID) and (split, rows)
+    for held, (train_idx, _) in enumerate(splits):
+        for inner_train, inner_val in fold_splits(labels[train_idx], k2, seed + held + 1):
+            folds.append((train_idx[inner_train], GRID))
+            validation.append((held, train_idx[inner_val]))
+    accs = [{params: [] for params in GRID} for _ in splits]
+    converged = [[] for _ in splits]
+    for (held, val_idx), models in zip(validation, svm.train_ovr(x, labels, folds)):
         truth = labels[val_idx].tolist()
-        models = svm.train_ovr_grid(x[train_idx], labels[train_idx], GRID)
         for params, preds in zip(models, svm.predict_batch(models.values(), x[val_idx])):
-            accs[params].append(_accuracy(truth, preds))
-        converged.extend(flag for model in models.values() for flag in model.converged)
+            accs[held][params].append(_accuracy(truth, preds))
+        converged[held].extend(flag for model in models.values() for flag in model.converged)
         # the next fold's solve needs none of this fold's models
         del models
-    _report_nonconverged(converged, "grid search")
-    audit = {params: float(np.mean(a)) for params, a in accs.items()}
-    # sorted() is stable: ordering by (-accuracy, C, gamma) implements the
-    # smaller-C-then-smaller-gamma tie break
-    best = sorted(audit, key=lambda p: (-audit[p], p.c, p.gamma))[0]
-    return best, audit
+    searches = []
+    for split_accs, split_converged in zip(accs, converged):
+        audit = {params: float(np.mean(a)) for params, a in split_accs.items()}
+        # sorted() is stable: ordering by (-accuracy, C, gamma) implements the
+        # smaller-C-then-smaller-gamma tie break
+        best = sorted(audit, key=lambda p: (-audit[p], p.c, p.gamma))[0]
+        searches.append((best, audit, split_converged))
+    return searches
 
 
 def _report_nonconverged(converged, where):
@@ -171,15 +181,19 @@ def run_nested_cv(x, labels, k1=10, k2=3, seed=0) -> CvReport:
 def _cross_validate(x, labels, splits, k2, seed) -> CvReport:
     """Score each (train_idx, test_idx) split of the rows of x: an inner
     grid search on the training rows, a final fit with the chosen
-    hyperparameters, and predictions on the test rows."""
+    hyperparameters, and predictions on the test rows.  The final fits share
+    one `svm.train_ovr` call; stderr gets each split's grid-search warning,
+    then its final-fit warning."""
     class_order = tuple(sorted(set(labels.tolist())))
     fold_accs, chosen, audits = [], [], []
     all_truth, all_pred = [], []
-    for held, (train_idx, test_idx) in enumerate(splits):
-        params, audit = grid_search(
-            x[train_idx], labels[train_idx], k2=k2, seed=seed + held + 1,
-        )
-        model = svm.train_ovr(x[train_idx], labels[train_idx], params)
+    searches = grid_search(x, labels, splits, k2, seed)
+    fits = svm.train_ovr(x, labels, [(train_idx, (params,)) for (train_idx, _), (params, _, _)
+                                     in zip(splits, searches)])
+    for held, ((_, test_idx), (params, audit, converged), models) in enumerate(
+            zip(splits, searches, fits)):
+        _report_nonconverged(converged, "grid search")
+        model = models[params]
         _report_nonconverged(model.converged, f"final fit, outer fold {held}")
         [preds] = svm.predict_batch([model], x[test_idx])
         truth = labels[test_idx].tolist()

@@ -120,7 +120,7 @@ def is_finite_number(value):
 # each manifest entry key's type check and the type it names
 _ENTRY_TYPES = {
     "path": (lambda v: isinstance(v, str), "a path string"),
-    "format": (lambda v: isinstance(v, str), "a string"),
+    "format": (lambda v: v in ("edf", "matrix"), "'edf' or 'matrix'"),
     "condition": (lambda v: v in CONDITIONS, " or ".join(map(repr, CONDITIONS))),
     "window_s": (lambda v: isinstance(v, list) and len(v) == 2
                  and all(map(is_finite_number, v)), "[start, end] in seconds"),
@@ -155,10 +155,14 @@ def _manifest_problem(doc):
         for key, (ok, kind) in _ENTRY_TYPES.items():
             if key in raw and not ok(raw[key]):
                 return f"manifest entry {i} key {key!r} must be {kind}, not {raw[key]!r}"
-        names = [normalize_label(name) for name in raw.get("channel_names", ())]
-        if raw["format"] == "matrix" and len(set(names)) < len(names):
-            return (f"manifest entry {i} key 'channel_names' repeats a channel after "
-                    f"normalization: {raw['channel_names']!r}")
+        if raw["format"] == "matrix":
+            names = [normalize_label(name) for name in raw.get("channel_names", ())]
+            if not raw.get("sampling_rate_hz", 0.0) > 0 or not names:
+                return (f"manifest entry {i} has format 'matrix', which needs a positive "
+                        f"'sampling_rate_hz' and a non-empty 'channel_names'")
+            if len(set(names)) < len(names):
+                return (f"manifest entry {i} key 'channel_names' repeats a channel after "
+                        f"normalization: {raw['channel_names']!r}")
         # evaluation.band_epochs joins the two with "/" into the class label,
         # so ("d", "a/b") and ("d/a", "b") would make two subjects one class
         who = (str(raw["dataset_id"]), str(raw["subject_id"]))
@@ -435,17 +439,11 @@ def _load_entry(entry: ManifestEntry) -> EegRecording:
                              dataset_id=entry.dataset_id, condition=entry.condition)
         except EegIdError as exc:
             raise type(exc)(f"{entry.path}: {exc}") from None
-    if entry.format == "matrix":
-        if not entry.sampling_rate_hz > 0 or not entry.channel_names:
-            raise ValueError(
-                f"matrix entry {entry.path} needs sampling_rate_hz and channel_names"
-            )
-        with open(entry.path, "r", encoding="utf-8") as fh:
-            return load_matrix(fh, entry.sampling_rate_hz, entry.channel_names,
-                               subject_id=entry.subject_id,
-                               dataset_id=entry.dataset_id,
-                               condition=entry.condition)
-    raise ValueError(f"unknown entry format {entry.format!r}")
+    with open(entry.path, "r", encoding="utf-8") as fh:
+        return load_matrix(fh, entry.sampling_rate_hz, entry.channel_names,
+                           subject_id=entry.subject_id,
+                           dataset_id=entry.dataset_id,
+                           condition=entry.condition)
 
 
 def build_corpus(manifest: DatasetManifest) -> list:

@@ -1,14 +1,17 @@
 """One-vs-rest RBF-kernel SVM trained by sequential minimal optimization.
 
-A training set is standardized once and its squared-distance matrix built
-once.  Each gamma then takes one full Gram matrix, and the (C, class) binary
-problems of consecutive gammas are solved by one working-set SMO run in
-lockstep while the run's problems x rows stay within 2^16 (a larger gamma
-runs alone): each step moves every unfinished problem's maximal
-KKT-violating pair analytically, reading that problem's own Gram matrix.
-`train_ovr_grid` returns a {params: model} mapping.  A model holds the
-standardizer's column means and stds, the standardized training matrix (one
-array shared by every model of a grid), a class x row matrix of dual
+`train_ovr` is the one trainer: it takes training sets (folds), each a set
+of rows with its grid, and yields one {params: model} mapping per fold.
+Each fold is standardized once and its squared-distance matrix built once;
+each (fold, gamma) then takes one full Gram matrix.  The (C, class) binary
+problems of consecutive (fold, gamma) groups of one training-set size are
+solved by one working-set SMO run in lockstep while the run's problems x
+rows stay within 2^16 (a larger group runs alone): each step moves every
+unfinished problem's maximal KKT-violating pair analytically, reading that
+problem's own Gram matrix.  So a run spans training sets as well as gammas,
+and the nested CV of one config makes two runs on small data.  A model holds
+the standardizer's column means and stds, the standardized training matrix
+(one array shared by every model of a fold), a class x row matrix of dual
 coefficients (zero off the support vectors) and per-class bias and converged
 vectors.  Prediction takes a group of models that share one training matrix
 and builds each kernel once per distinct support-vector set and gamma.
@@ -17,6 +20,7 @@ and builds each kernel once per distinct support-vector set and gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,9 +31,9 @@ MAX_SMO_ITER = 1_000_000
 DEFAULT_C_GRID = (0.1, 1.0, 10.0, 100.0)
 DEFAULT_GAMMA_GRID = (1.0, 0.1, 0.01, 0.001)
 _STD_FLOOR = 1e-12
-# most (problems x training rows) of one lockstep SMO run over several gammas:
-# 512 KiB per float64 state array.  Merging pays below it, where per-step
-# numpy overhead dominates, and costs above it.
+# most (problems x training rows) of one lockstep SMO run over several
+# (training set, gamma) groups: 512 KiB per float64 state array.  Merging pays
+# below it, where per-step numpy overhead dominates, and costs above it.
 _LOCKSTEP_BLOCK = 1 << 16
 
 
@@ -251,69 +255,111 @@ class MulticlassSvmModel:
     converged: np.ndarray  # (n_classes,) bool
 
 
-def train_ovr(x, labels, params: SvmHyperparams) -> MulticlassSvmModel:
-    """Train one binary problem per class on standardized features."""
-    return train_ovr_grid(x, labels, (params,))[params]
+def train_ovr(x, labels, folds):
+    """Yield {params: one-vs-rest model} for each (rows, grid) fold, in order.
 
-
-def train_ovr_grid(x, labels, grid) -> dict:
-    """{params: one-vs-rest model} for each distinct point of a grid.
-
-    Standardizer and squared distances are computed once; each distinct
-    gamma takes one Gram matrix.  Consecutive gammas share one lockstep SMO
-    over all their (C, class) problems while its problems x rows stay within
-    _LOCKSTEP_BLOCK; a gamma above it runs alone.  Points come grouped by
-    gamma, and all models share the one standardized training matrix and its
-    means and stds.
+    A fold trains on its rows of x and labels, once for each distinct point of
+    its grid.  The (C, class) problems of consecutive (fold, gamma) groups of
+    one training-set size share one lockstep SMO run while the run's problems
+    x rows stay within _LOCKSTEP_BLOCK; a group above it runs alone.  A fold
+    is prepared when its first run starts, and its models are yielded as soon
+    as its last run ends, after which nothing here refers to them.  Points
+    come grouped by gamma, and the models of a fold share its standardized
+    training matrix and its means and stds.
     """
+    x = np.asarray(x, dtype=float)
     labels = np.asarray(labels)
-    classes = tuple(sorted(set(labels.tolist())))
-    if len(classes) < 2:
-        raise TooFewClasses(f"need at least 2 classes, got {len(classes)}")
+    plans, runs = [], []  # per fold (rows, classes); each run: (fold, points) groups
+    n = problems = 0  # the last run's training-set size and problem count
+    for fold, (rows, grid) in enumerate(folds):
+        classes = tuple(sorted(set(labels[rows].tolist())))
+        if len(classes) < 2:
+            raise TooFewClasses(f"need at least 2 classes, got {len(classes)}")
+        by_gamma = {}
+        for p in dict.fromkeys(grid):
+            by_gamma.setdefault(p.gamma, []).append(p)
+        if not by_gamma:
+            raise ValueError(f"fold {fold} has an empty grid")
+        plans.append((rows, classes))
+        for group in by_gamma.values():
+            more = len(group) * len(classes)
+            if len(rows) == n and (problems + more) * n <= _LOCKSTEP_BLOCK:
+                runs[-1].append((fold, group))
+                problems += more
+            else:
+                runs.append([(fold, group)])
+                n, problems = len(rows), more
+    prepared, models = {}, {}  # the folds of the current run
+    for r, run in enumerate(runs):
+        for fold, _ in run:
+            if fold not in prepared:
+                rows, classes = plans[fold]
+                prepared[fold] = _prepare_fold(x[rows], labels[rows], classes)
+                models[fold] = {}
+        _solve_run(run, prepared, models)
+        # only a run's last fold can go on into the next run
+        going_on = runs[r + 1][0][0] if r + 1 < len(runs) else None
+        for fold in [fold for fold in prepared if fold != going_on]:
+            del prepared[fold]
+            yield models.pop(fold)
+
+
+class _Fold(NamedTuple):
+    """One training set, ready for its runs."""
+
+    classes: tuple
+    means: np.ndarray
+    stds: np.ndarray
+    xs: np.ndarray  # (n, d) standardized rows
+    sq: np.ndarray  # (n, n) squared distances between them
+    ys: np.ndarray  # (n_classes, n) one-vs-rest targets
+
+
+def _prepare_fold(x, labels, classes) -> _Fold:
     means, stds = fit_standardizer(x)
     xs = apply_standardizer(means, stds, x)
-    sq = _sq_dist(xs, xs)
     ys = np.array([np.where(labels == cls, 1.0, -1.0) for cls in classes])
-    n, n_classes = sq.shape[0], len(classes)
-    by_gamma = {}
-    for p in dict.fromkeys(grid):
-        by_gamma.setdefault(p.gamma, []).append(p)
-    runs = []  # each run: the point groups of consecutive gammas
-    for group in by_gamma.values():
-        if runs and (sum(map(len, runs[-1])) + len(group)) * n_classes * n <= _LOCKSTEP_BLOCK:
-            runs[-1].append(group)
-        else:
-            runs.append([group])
-    models = {}
-    for run in runs:
-        kernel = np.empty((len(run) * n, n))
-        for g, group in enumerate(run):
-            block = kernel[g * n:(g + 1) * n]
-            np.multiply(sq, -group[0].gamma, out=block)
-            np.exp(block, out=block)
-        # problem rows are point-major, class-minor; each point takes the
-        # next n_classes rows and its gamma's Gram matrix
-        points = [p for group in run for p in group]
-        y = np.tile(ys, (len(points), 1))
-        base = np.repeat(np.arange(len(run)) * n, [len(group) * n_classes for group in run])
-        alphas, f, converged = _smo(kernel, base, y,
-                                    np.repeat([p.c for p in points], n_classes))
-        coef = np.where(alphas > 1e-12, alphas * y, 0.0)
-        for k, params in enumerate(points):
-            rows = slice(k * n_classes, (k + 1) * n_classes)
+    return _Fold(classes, means, stds, xs, _sq_dist(xs, xs), ys)
+
+
+def _solve_run(run, prepared, models):
+    """Solve one lockstep run of (fold, points) groups and add each point's
+    model to models[fold].
+
+    Problem rows are group-major, then point-major, class-minor; each group
+    takes the next Gram matrix of the stack, built from its fold's squared
+    distances and its gamma.
+    """
+    n = len(prepared[run[0][0]].xs)
+    kernel = np.empty((len(run) * n, n))
+    for g, (fold, group) in enumerate(run):
+        block = kernel[g * n:(g + 1) * n]
+        np.multiply(prepared[fold].sq, -group[0].gamma, out=block)
+        np.exp(block, out=block)
+    y = np.vstack([np.tile(prepared[fold].ys, (len(group), 1)) for fold, group in run])
+    base = np.repeat(np.arange(len(run)) * n,
+                     [len(group) * len(prepared[fold].classes) for fold, group in run])
+    c = np.concatenate([np.repeat([p.c for p in group], len(prepared[fold].classes))
+                        for fold, group in run])
+    alphas, f, converged = _smo(kernel, base, y, c)
+    coef = np.where(alphas > 1e-12, alphas * y, 0.0)
+    k = 0
+    for fold, group in run:
+        prep = prepared[fold]
+        for params in group:
+            rows = slice(k, k + len(prep.classes))
             bias = np.array([_bias(*problem, params.c)
                              for problem in zip(y[rows], alphas[rows], f[rows])])
-            models[params] = MulticlassSvmModel(classes, means, stds, params, xs,
-                                                coef[rows], bias, converged[rows])
-        # the next run's solve needs none of this run's solver state
-        del kernel, y, alphas, f
-    return models
+            models[fold][params] = MulticlassSvmModel(prep.classes, prep.means, prep.stds,
+                                                      params, prep.xs, coef[rows], bias,
+                                                      converged[rows])
+            k += len(prep.classes)
 
 
 def predict_batch(models, x) -> list:
     """One prediction list per model, for models that share one training
-    matrix and its means and stds, such as the models of one `train_ovr_grid`
-    call."""
+    matrix and its means and stds, such as the models of one fold of a
+    `train_ovr` call."""
     return [[m.classes[int(i)] for i in np.argmax(v, axis=1)]
             for m, v in zip(models, _decision_values(models, x))]
 

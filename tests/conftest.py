@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eegid import svm
 from eegid.io_ingest import EegRecording
 
 
@@ -22,3 +23,14 @@ def make_recording(data, fs=128.0, subject="S000", dataset="test",
         dataset_id=dataset,
         condition=condition,
     )
+
+
+def train_grid(x, labels, grid):
+    """{params: model} of one svm.train_ovr fold over every row of x."""
+    [models] = svm.train_ovr(x, labels, [(np.arange(len(labels)), grid)])
+    return models
+
+
+def train_one(x, labels, params):
+    """The one-vs-rest model of one grid point, trained on every row of x."""
+    return train_grid(x, labels, (params,))[params]

@@ -14,6 +14,7 @@ import pytest
 
 from eegid import cli, connectivity, dsp, evaluation as ev, graph, io_ingest, svm
 
+from conftest import train_one
 from edf_tools import save_matrix
 from oracles import (
     betweenness_loop,
@@ -119,7 +120,7 @@ def test_criterion_3_svm_kkt_and_ovr(capsys):
         x.append(np.array(center) + 0.2 * rng.standard_normal((12, 2)))
         labels.extend([f"c{k}"] * 12)
     x = np.vstack(x)
-    ovr = svm.train_ovr(x, labels, svm.SvmHyperparams(c=10.0, gamma=0.5))
+    ovr = train_one(x, labels, svm.SvmHyperparams(c=10.0, gamma=0.5))
     ok &= svm.predict_batch([ovr], x) == [labels]
     elapsed = time.monotonic() - start
     ok &= elapsed < 120.0

@@ -1,5 +1,6 @@
 import filecmp
 import importlib.metadata as md
+import importlib.util
 import json
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegid import cli, dsp, svm
+from eegid import cli, dsp, io_ingest, svm
 from eegid.evaluation import preprocessed
 from eegid.io_ingest import build_corpus, load_manifest
 
@@ -59,6 +60,18 @@ def _manifest_doc(**changes):
     second = {**_GOOD_ENTRY, "subject_id": "s2", **changes}
     return {"target_rate_hz": 128.0, "channel_policy": ["C3"],
             "entries": [_GOOD_ENTRY, {k: v for k, v in second.items() if v is not None}]}
+
+
+def _bench_inputs(name, seed, out_dir):
+    """The manifest path of the benchmark's inputs for one workload and seed,
+    written by bench/workloads.py."""
+    workloads = sys.modules.get("bench_workloads")
+    if workloads is None:
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = sys.modules["bench_workloads"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    return workloads.write_inputs(workloads.WORKLOADS[name], seed, out_dir)["manifest"]
 
 
 def _workspace_doc(workspace):
@@ -265,6 +278,51 @@ class TestIngest:
         assert (cli._corpus_hash(load_manifest(base))
                 != cli._corpus_hash(load_manifest(changed)))
 
+    def test_edf_entry_matrix_keys_leave_hash(self, tmp_path):
+        # the EDF loader reads rate and channels from the file, so the
+        # manifest's matrix-only keys on an EDF entry change nothing
+        manifest = _bench_inputs("cv_fc", 0, tmp_path / "inputs")
+        base = cli._corpus_hash(load_manifest(manifest))
+        doc = json.loads(manifest.read_text())
+        doc["entries"][1].update(sampling_rate_hz=999.0, channel_names=["C3"])
+        manifest.write_text(json.dumps(doc))
+        assert cli._corpus_hash(load_manifest(manifest)) == base
+
+    def test_benchmark_corpus_hashes_are_stable(self, tmp_path):
+        # existing corpus caches of the benchmark's inputs keep hitting
+        want = {
+            "cv_fc": ["e3828448ff2866c1", "709c33569c2900e3", "ef8eef434ac468d7",
+                      "9eee4beede2f594a", "4e24a01e9de13e74"],
+            "cv_graph": ["aa3ccc40ac20e137", "8b734c65c6ce90fe", "5fd6f9a0e0c3975e",
+                         "9c4c899ab31a7682", "61d283a4147c434f"],
+            "feature_sweep": ["15a66990e619f351", "4b57d0515a8dc73e", "1392963d6f9b824a",
+                              "86a1131036c0a9b4", "111711e3443a9887"],
+        }
+        got = {name: [cli._corpus_hash(load_manifest(_bench_inputs(
+                   name, seed, tmp_path / f"{name}{seed}"))) for seed in range(5)]
+               for name in want}
+        assert got == want
+
+    def test_unknown_format_rejected_before_any_file_is_read(self, tmp_path, monkeypatch,
+                                                             capsys):
+        manifest = _bench_inputs("cv_fc", 0, tmp_path / "inputs")
+        doc = json.loads(manifest.read_text())
+        doc["entries"][3]["format"] = "csv"
+        manifest.write_text(json.dumps(doc))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "manifest": str(manifest), "bands": ["gamma"], "metrics": ["COR"],
+            "epoch_lengths_s": [4.0], "k1": 10, "k2": 3,
+        }))
+        parsed = []
+        monkeypatch.setattr(io_ingest, "parse_edf", lambda *a, **k: parsed.append(a))
+        code = cli.main(["evaluate", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_DATA
+        assert "entry 3 key 'format' must be 'edf' or 'matrix', not 'csv'" in (
+            capsys.readouterr().err)
+        assert parsed == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("doc, named", [
         ([_manifest_doc()], "must be a JSON object, not list"),
         ({**_manifest_doc(), "entries": {"s1": _GOOD_ENTRY}}, "key 'entries'"),
@@ -282,10 +340,15 @@ class TestIngest:
          "entry 1 key 'channel_names' repeats a channel after normalization"),
         (_manifest_doc(channel_names="C3"), "entry 1 key 'channel_names'"),
         (_manifest_doc(subject_id=None), "entry 1 has no 'subject_id'"),
+        (_manifest_doc(format="csv"), "entry 1 key 'format' must be 'edf' or 'matrix', not 'csv'"),
+        (_manifest_doc(sampling_rate_hz=None), "entry 1 has format 'matrix', which needs"),
+        (_manifest_doc(sampling_rate_hz=0), "entry 1 has format 'matrix', which needs"),
+        (_manifest_doc(channel_names=[]), "entry 1 has format 'matrix', which needs"),
     ], ids=["top-level-list", "entries-object", "rate-list", "policy-number",
             "policy-empty", "entry-number", "path-number", "window-number", "window-strings",
             "condition-list", "condition-unknown", "channel-names-repeated",
-            "channel-names-string", "no-subject"])
+            "channel-names-string", "no-subject", "format-unknown", "matrix-no-rate",
+            "matrix-zero-rate", "matrix-no-channels"])
     def test_malformed_manifest_is_data_error(self, tmp_path, capsys, doc, named):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(doc))

@@ -14,7 +14,7 @@ from eegid.errors import (
     UnknownLabel,
 )
 
-from conftest import make_recording
+from conftest import make_recording, train_grid, train_one
 from oracles import decision_values, smo_scalar
 import synth
 
@@ -155,6 +155,13 @@ def grid(cs, gammas):
     return tuple(svm.SvmHyperparams(c=c, gamma=g) for c in cs for g in gammas)
 
 
+def search_all_rows(x, labels, k2, seed):
+    """(best, audit) of a grid search over every row of x, with inner seed `seed`."""
+    [(best, audit, _)] = ev.grid_search(x, labels, [(np.arange(len(labels)), None)], k2,
+                                        seed - 1)
+    return best, audit
+
+
 class TestGridSearch:
     @pytest.mark.parametrize("points", [
         ev.GRID,
@@ -166,7 +173,7 @@ class TestGridSearch:
     def test_equals_per_point_scalar_loop(self, rng, monkeypatch, points):
         x, labels = cluster_features(rng, 4, 9, dim=6, spread=1.5)
         monkeypatch.setattr(ev, "GRID", points)
-        best, audit = ev.grid_search(x, labels, k2=3, seed=5)
+        best, audit = search_all_rows(x, labels, k2=3, seed=5)
         best_ref, audit_ref = grid_search_per_point(x, labels, 3, points, seed=5)
         assert list(audit.items()) == list(audit_ref.items())
         assert best == best_ref
@@ -174,10 +181,10 @@ class TestGridSearch:
     def test_grid_models_equal_single_point_models(self, rng):
         x, labels = cluster_features(rng, 3, 8, dim=5, spread=1.0)
         points = ev.GRID[::-1]
-        models = svm.train_ovr_grid(x, labels, points)
+        models = train_grid(x, labels, points)
         assert set(models) == set(points)
         for params in points:
-            one, many = svm.train_ovr(x, labels, params), models[params]
+            one, many = train_one(x, labels, params), models[params]
             assert one.classes == many.classes
             assert np.array_equal(one.means, many.means)
             assert np.array_equal(one.stds, many.stds)
@@ -197,7 +204,7 @@ class TestGridSearch:
         # one training matrix, the standardizer's means and stds, and the
         # float coefficient, float bias and bool converged arrays
         bound = x.nbytes + 2 * d * 8 + n_classes * (n * 8 + 8 + 1)
-        models = list(svm.train_ovr_grid(x, labels, ev.GRID).values())
+        models = list(train_grid(x, labels, ev.GRID).values())
         for model in models:
             assert sum(a.nbytes for a in model_arrays(model)) <= bound
         shared = models[0].train
@@ -205,16 +212,18 @@ class TestGridSearch:
         assert all(np.shares_memory(model.train, shared) for model in models)
 
     def test_one_distance_block_per_support_set_and_fold(self, rng, monkeypatch):
-        # per inner fold: the training block, then one validation block per
-        # distinct support-vector row set of the fold's 16 models
+        # every inner fold's training block as their one run starts, then per
+        # inner fold one validation block per distinct support-vector row set
+        # of the fold's 16 models
         x, labels = cluster_features(rng, 4, 9, dim=6, spread=1.5)
-        want, folds = [], ev.fold_splits(labels, 3, 5)
+        training, validation, folds = [], [], ev.fold_splits(labels, 3, 5)
         for train_idx, val_idx in folds:
-            models = svm.train_ovr_grid(x[train_idx], labels[train_idx], ev.GRID).values()
+            models = train_grid(x[train_idx], labels[train_idx], ev.GRID).values()
             sets = {sv.tobytes() for m in models for sv in m.dual_coef != 0.0}
             assert len(sets) < sum(len(m.classes) for m in models)
-            want.append((len(train_idx), True))
-            want.extend([(len(val_idx), False)] * len(sets))
+            training.append((len(train_idx), True))
+            validation.extend([(len(val_idx), False)] * len(sets))
+        want = training + validation
         calls, predictions = [], []
         sq_dist, predict_batch = svm._sq_dist, svm.predict_batch
         monkeypatch.setattr(svm, "_sq_dist",
@@ -222,7 +231,7 @@ class TestGridSearch:
         monkeypatch.setattr(svm, "predict_batch",
                             lambda models, v: predictions.append(len(v))
                             or predict_batch(models, v))
-        ev.grid_search(x, labels, k2=3, seed=5)
+        search_all_rows(x, labels, k2=3, seed=5)
         assert calls == want
         assert predictions == [len(val_idx) for _, val_idx in folds]
 
@@ -247,7 +256,7 @@ class TestGridSearch:
 
     def test_audit_covers_sixteen_points(self, rng):
         x, labels = cluster_features(rng, 3, 12)
-        best, audit = ev.grid_search(x, labels, k2=3, seed=0)
+        best, audit = search_all_rows(x, labels, k2=3, seed=0)
         assert len(audit) == 16
         assert best in audit
         assert audit[best] == max(audit.values())
@@ -256,7 +265,7 @@ class TestGridSearch:
         # fully separable clusters: many grid points reach 100%, the
         # smallest C (then gamma) must win
         x, labels = cluster_features(rng, 3, 12, spread=0.01)
-        best, audit = ev.grid_search(x, labels, k2=3, seed=0)
+        best, audit = search_all_rows(x, labels, k2=3, seed=0)
         top = max(audit.values())
         winners = [p for p, a in audit.items() if a == top]
         expected = sorted(winners, key=lambda p: (p.c, p.gamma))[0]
@@ -267,7 +276,7 @@ class TestGridSearch:
         # so validation accuracy collapses; moderate gammas stay perfect.
         # check the search never returns an off-grid value and scores sanely
         x, labels = cluster_features(rng, 4, 9, spread=0.2)
-        best, audit = ev.grid_search(x, labels, k2=3, seed=0)
+        best, audit = search_all_rows(x, labels, k2=3, seed=0)
         assert best.c in svm.DEFAULT_C_GRID
         assert best.gamma in svm.DEFAULT_GAMMA_GRID
         assert audit[best] >= 0.9
@@ -338,6 +347,17 @@ class TestNestedCv:
         chance = 1.0 / 10
         spread = max(3 * report.standard_error, 0.08)
         assert abs(report.mean_accuracy - chance) <= spread
+
+    def test_two_solver_runs_per_config(self, rng, monkeypatch):
+        # every inner fold of the three outer folds in one lockstep run, then
+        # the three final fits in another
+        x, labels = cluster_features(rng, 4, 12, spread=1.0)
+        runs, smo = [], svm._smo
+        monkeypatch.setattr(svm, "_smo", lambda kernel, base, y, c:
+                            runs.append(y.shape) or smo(kernel, base, y, c))
+        report = ev.run_nested_cv(x, labels, k1=3, k2=2, seed=0)
+        assert runs == [(3 * 2 * 16 * 4, 16), (3 * 4, 32)]
+        assert len(report.fold_accuracies) == 3
 
     def test_no_leakage_between_folds(self):
         labels = np.repeat(["a", "b", "c"], 10)
@@ -493,8 +513,8 @@ class TestExperiment:
         report = ev.run_experiment(corpus, config)
         x_train, y_train = ev._features_cached(corpus, config, "resting")
         x_test, y_test = ev._features_cached(corpus, config, "task")
-        params, audit = ev.grid_search(x_train, y_train, k2=2, seed=4)
-        [preds] = svm.predict_batch([svm.train_ovr(x_train, y_train, params)], x_test)
+        params, audit = search_all_rows(x_train, y_train, k2=2, seed=4)
+        [preds] = svm.predict_batch([train_one(x_train, y_train, params)], x_test)
         truth = y_test.tolist()
         acc = sum(t == p for t, p in zip(truth, preds)) / len(truth)
         class_order = tuple(sorted(set(y_train.tolist())))

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eegid import svm
+from eegid import evaluation as ev, svm
 from eegid.errors import DimensionMismatch, SingleClassInput, TooFewClasses, TooFewRows
 
+from conftest import train_grid, train_one
 from oracles import decision_values, dual_objective, kkt_violations, rbf_loop, smo_scalar
 
 
@@ -305,7 +306,7 @@ class TestLockstepSmo:
 class TestOvr:
     def test_three_clusters_perfect(self, rng):
         x, labels = blobs(rng, [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)], per_class=12)
-        model = svm.train_ovr(x, labels, svm.SvmHyperparams(c=10.0, gamma=0.5))
+        model = train_one(x, labels, svm.SvmHyperparams(c=10.0, gamma=0.5))
         assert model.classes == ("a", "b", "c")
         assert svm.predict_batch([model], x) == [list(labels)]
 
@@ -314,7 +315,7 @@ class TestOvr:
         # thin sanity slice: many classes, few points, high dimension
         x = rng.standard_normal((30, 15))
         labels = np.repeat([f"s{i}" for i in range(10)], 3)
-        model = svm.train_ovr(x, labels, svm.SvmHyperparams(c=1.0, gamma=0.01))
+        model = train_one(x, labels, svm.SvmHyperparams(c=1.0, gamma=0.01))
         assert model.dual_coef.shape == (10, 30)
         assert model.bias.shape == model.converged.shape == (10,)
         [values] = svm._decision_values([model], x)
@@ -322,19 +323,19 @@ class TestOvr:
 
     def test_too_few_classes(self, rng):
         with pytest.raises(TooFewClasses):
-            svm.train_ovr(rng.standard_normal((6, 2)), ["a"] * 6,
-                          svm.SvmHyperparams(c=1.0, gamma=1.0))
+            train_one(rng.standard_normal((6, 2)), ["a"] * 6,
+                      svm.SvmHyperparams(c=1.0, gamma=1.0))
 
     def test_argmax_tie_break_first_class(self, rng):
         x, labels = blobs(rng, [(0.0,), (4.0,), (8.0,)], per_class=8)
-        model = svm.train_ovr(x, labels, svm.SvmHyperparams(c=1.0, gamma=0.1))
+        model = train_one(x, labels, svm.SvmHyperparams(c=1.0, gamma=0.1))
         values = np.array([[-0.2, 0.7, 0.7]])
         idx = int(np.argmax(values[0]))
         assert model.classes[idx] == "b"  # np.argmax returns the first max
 
     def test_predict_matches_batch(self, rng):
         x, labels = blobs(rng, [(0.0, 0.0), (3.0, 3.0)], per_class=10)
-        model = svm.train_ovr(x, labels, svm.SvmHyperparams(c=10.0, gamma=0.5))
+        model = train_one(x, labels, svm.SvmHyperparams(c=10.0, gamma=0.5))
         [batch] = svm.predict_batch([model], x)
         singles = [svm.predict_batch([model], row)[0][0] for row in x]
         assert batch == singles
@@ -344,20 +345,20 @@ class TestOvr:
     def test_training_accuracy_on_separated_blobs(self, seed):
         rng = np.random.default_rng(seed)
         x, labels = blobs(rng, [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0)], per_class=8)
-        model = svm.train_ovr(x, labels, svm.SvmHyperparams(c=10.0, gamma=0.5))
+        model = train_one(x, labels, svm.SvmHyperparams(c=10.0, gamma=0.5))
         assert svm.predict_batch([model], x) == [list(labels)]
 
 
 def grid_models(x, labels):
-    """The models of one train_ovr_grid call over the default 16-point grid."""
+    """The models of one train_ovr fold over the default 16-point grid."""
     grid = [svm.SvmHyperparams(c=c, gamma=g)
             for c in svm.DEFAULT_C_GRID for g in svm.DEFAULT_GAMMA_GRID]
-    return list(svm.train_ovr_grid(x, labels, grid).values())
+    return list(train_grid(x, labels, grid).values())
 
 
 class TestLockstepRuns:
-    """train_ovr_grid solves consecutive gammas in one _smo run while the
-    run's problems x rows stay within svm._LOCKSTEP_BLOCK."""
+    """train_ovr solves consecutive (fold, gamma) groups in one _smo run while
+    the run's problems x rows stay within svm._LOCKSTEP_BLOCK."""
 
     @staticmethod
     def spy_smo(monkeypatch):
@@ -394,7 +395,7 @@ class TestLockstepRuns:
                 [(1.0, 0.1), (10.0, 0.1), (1.0, 0.5), (0.1, 0.1), (1.0, 2.0), (10.0, 2.0)]]
         monkeypatch.setattr(svm, "_LOCKSTEP_BLOCK", 12 * 30)
         seen = self.spy_smo(monkeypatch)
-        models = svm.train_ovr_grid(x, labels, grid)
+        models = train_grid(x, labels, grid)
         assert seen == [(2, 12), (1, 6)]
         assert list(models) == [grid[i] for i in (0, 1, 3, 2, 4, 5)]
 
@@ -412,12 +413,87 @@ class TestLockstepRuns:
         for block in (0, 1 << 40):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(svm, "_LOCKSTEP_BLOCK", block)
-                results.append(svm.train_ovr_grid(x, labels, grid))
+                results.append(train_grid(x, labels, grid))
         alone, merged = results
         assert list(alone) == list(merged)
         for a, b in zip(alone.values(), merged.values()):
             for name in ("dual_coef", "bias", "converged"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def nested_folds(rng, grid):
+    """x, labels and the inner folds of a k1 = 3, k2 = 2 nested CV, as
+    evaluation.grid_search builds them, over four classes of 10-15 rows, so
+    the folds differ in size."""
+    counts = rng.integers(10, 16, size=4)
+    labels = np.repeat(list("abcd"), counts)
+    x = rng.standard_normal((len(labels), 5)) + 1.5 * np.repeat(np.eye(4, 5), counts, axis=0)
+    folds = []
+    for held, (outer, _) in enumerate(ev.fold_splits(labels, 3, 0)):
+        folds.extend((outer[inner], grid)
+                     for inner, _ in ev.fold_splits(labels[outer], 2, held + 1))
+    return x, labels, folds
+
+
+class TestFoldRuns:
+    """One train_ovr call over many folds gives each fold the models of a
+    call that trains that fold alone."""
+
+    GRID = [svm.SvmHyperparams(c=c, gamma=g)
+            for c in svm.DEFAULT_C_GRID for g in svm.DEFAULT_GAMMA_GRID]
+
+    # the fixture seed deals inner folds of 14, 18, 14, 18, 18 and 18 rows;
+    # a run is (problems, rows), and each fold has 4 gammas x 4 C x 4 classes
+    MERGED = [(64, 14), (64, 18), (64, 14), (192, 18)]
+
+    @pytest.mark.parametrize("block, max_iter, runs", [
+        (None, None, MERGED),
+        # the fourth run ends halfway through the fifth fold
+        (96 * 18, None, [(64, 14), (64, 18), (64, 14), (96, 18), (96, 18)]),
+        (0, None, [(16, n) for n in (14, 18, 14, 18, 18, 18) for _ in range(4)]),
+        (None, 12, MERGED),  # the step cap stops some problems short of KKT_TOL
+    ], ids=["default", "split", "alone", "nonconverged"])
+    def test_equals_one_fold_at_a_time(self, rng, monkeypatch, block, max_iter, runs):
+        x, labels, folds = nested_folds(rng, self.GRID)
+        if block is not None:
+            monkeypatch.setattr(svm, "_LOCKSTEP_BLOCK", block)
+        if max_iter is not None:
+            monkeypatch.setattr(svm, "MAX_SMO_ITER", max_iter)
+        seen, smo = [], svm._smo
+        monkeypatch.setattr(svm, "_smo", lambda kernel, base, y, c:
+                            seen.append(y.shape) or smo(kernel, base, y, c))
+        merged = list(svm.train_ovr(x, labels, folds))
+        assert seen == runs
+        flags = []
+        for got, (rows, grid) in zip(merged, folds, strict=True):
+            want = train_grid(x[rows], labels[rows], grid)
+            assert list(got) == list(want)
+            for a, b in zip(got.values(), want.values()):
+                assert np.array_equal(a.train, b.train)
+                for name in ("dual_coef", "bias", "converged"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name)), name
+                flags.extend(a.converged)
+            probe = x[np.setdiff1d(np.arange(len(x)), rows)]
+            for a, b in zip(svm._decision_values(got.values(), probe),
+                            svm._decision_values(want.values(), probe), strict=True):
+                assert np.array_equal(a, b)
+        if max_iter is not None:
+            assert any(flags) and not all(flags)
+
+    def test_each_fold_yielded_when_its_last_run_ends(self, rng, monkeypatch):
+        x, labels, folds = nested_folds(rng, self.GRID)
+        monkeypatch.setattr(svm, "_LOCKSTEP_BLOCK", 96 * 18)
+        events, smo = [], svm._smo
+        monkeypatch.setattr(svm, "_smo", lambda kernel, base, y, c:
+                            events.append("run") or smo(kernel, base, y, c))
+        for models in svm.train_ovr(x, labels, folds):
+            events.append(len(next(iter(models.values())).train))
+        assert events == ["run", 14, "run", 18, "run", 14, "run", 18, "run", 18, 18]
+
+    def test_empty_grid_rejected(self, rng):
+        x, labels, folds = nested_folds(rng, self.GRID)
+        with pytest.raises(ValueError, match="fold 1 has an empty grid"):
+            next(svm.train_ovr(x, labels, [folds[0], (folds[1][0], [])]))
 
 
 def support_sets(models):
@@ -472,7 +548,7 @@ class TestSharedPrediction:
 
     def test_single_model(self, rng):
         x, labels = blobs(rng, [(0.0, 0.0, 0.0), (2.0, 2.0, 0.0)], per_class=8, spread=1.0)
-        model = svm.train_ovr(x, labels, svm.SvmHyperparams(c=1.0, gamma=0.1))
+        model = train_one(x, labels, svm.SvmHyperparams(c=1.0, gamma=0.1))
         self.assert_matches_per_class([model], x)
         self.assert_matches_per_class([model], x[3])
 
@@ -491,7 +567,7 @@ class TestSharedPrediction:
     def test_models_of_two_grids_rejected(self, rng):
         x, labels = blobs(rng, [(0.0, 0.0), (3.0, 3.0)], per_class=5)
         params = svm.SvmHyperparams(c=1.0, gamma=0.1)
-        first, second = svm.train_ovr(x, labels, params), svm.train_ovr(x, labels, params)
+        first, second = train_one(x, labels, params), train_one(x, labels, params)
         with pytest.raises(ValueError, match="share"):
             svm.predict_batch([first, second], x)
         other = dataclasses.replace(first, means=second.means, stds=second.stds)
