@@ -21,10 +21,12 @@ from .errors import (
     EegIdError,
     EpochTooShort,
     NoConvergence,
+    RecordingTooShort,
     UnstableDesign,
 )
 from .channels import resolve_policy
-from .io_ingest import CONDITIONS, build_corpus, is_finite_number, load_json, load_manifest
+from .io_ingest import (CONDITIONS, build_corpus, corpus_layout, is_finite_number, load_json,
+                        load_manifest)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,6 +51,11 @@ def _corpus_hash(manifest) -> str:
     return h.hexdigest()[:16]
 
 
+def _with_policy(manifest, policy):
+    """The manifest with a run-config channel policy; None keeps its own."""
+    return manifest if policy is None else replace(manifest, channel_policy=policy)
+
+
 def _cached_corpus(manifest, cache_dir, filters, channel_policy=None):
     """Load the preprocessed corpus cache, or build and write it; returns
     (corpus, hash, was_cached).
@@ -58,8 +65,7 @@ def _cached_corpus(manifest, cache_dir, filters, channel_policy=None):
     `evaluation.preprocessed`.  On a miss the corpus is built from the loaded
     `manifest` and each recording is preprocessed as it is copied into them.
     """
-    if channel_policy is not None:
-        manifest = replace(manifest, channel_policy=channel_policy)
+    manifest = _with_policy(manifest, channel_policy)
     digest = _corpus_hash(manifest)
     path = Path(cache_dir) / f"preprocessed-{digest}-{evaluation.filter_tag(**filters)}.npz"
     corpus, cached = evaluation.load_or_build(
@@ -127,8 +133,8 @@ def cmd_features(args) -> int:
     )
     corpus, digest, _ = _cached_corpus(load_manifest(args.manifest), args.cache,
                                        config.filters)
-    epochs, labels, provenance = evaluation.band_epochs(corpus, config, args.condition)
-    features = evaluation.epoch_features(epochs, labels, args.metric, args.gb)
+    features, _, provenance = evaluation.epoch_features(
+        evaluation.band_epochs(corpus, config, args.condition), args.metric, args.gb)
     with open(args.out, "w", encoding="utf-8") as fh:
         n_feat = features.shape[1]
         fh.write("dataset_id,subject_id,condition," +
@@ -240,6 +246,22 @@ def _check_epoch_lengths(lengths, rate_hz, metrics):
                 f"need >= {connectivity.MIN_PHASE_SAMPLES}")
 
 
+def _check_recordings(manifest, doc):
+    """Raise unless every entry holds every channel of every run-config
+    channel policy, and every recording of a swept condition holds one epoch
+    of every epoch length.  Reads entry headers only (`corpus_layout`)."""
+    swept = {name for pair in doc["conditions"] for name in pair}
+    for policy in doc["channel_policies"]:
+        layout = corpus_layout(_with_policy(manifest, policy))
+        rate = float(layout["rate"])
+        for length in map(float, doc["epoch_lengths_s"]):
+            m = dsp.epoch_samples(rate, length)
+            for entry, n in zip(manifest.entries, np.diff(layout["ends"], prepend=0)):
+                if entry.condition in swept and n < m:
+                    raise RecordingTooShort(f"{entry.path}: {n} samples cannot hold one "
+                                            f"{length} s epoch at {rate} Hz")
+
+
 def cmd_evaluate(args) -> int:
     doc = _load_run_config(args.config)
     if problem := _run_config_problem(doc):
@@ -252,6 +274,7 @@ def cmd_evaluate(args) -> int:
     # relative paths resolve against the config's directory; absolute ones replace it
     manifest = load_manifest(base / doc["manifest"])
     _check_epoch_lengths(doc["epoch_lengths_s"], manifest.target_rate_hz, doc["metrics"])
+    _check_recordings(manifest, doc)
     cache_dir = base / doc.get("cache_dir", "cache")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

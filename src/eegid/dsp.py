@@ -115,23 +115,18 @@ def _polyphase_operator(up, down):
     return matrix, first, frame * down // up
 
 
-def _line_extended(x, start, stop):
-    """x[:, start:stop], reading outside the signal along the straight line
-    through its first and last samples."""
-    n = x.shape[1]
-    slope = (x[:, -1:] - x[:, :1]) / (n - 1)
-    left = np.arange(start, min(stop, 0))
-    right = np.arange(max(start, n), stop) - (n - 1)
-    return np.concatenate((x[:, :1] + left * slope,
-                           x[:, max(start, 0):min(stop, n)],
-                           x[:, -1:] + right * slope), axis=1)
+def resampled_length(n_samples, fs_hz, target_hz) -> int:
+    """Samples per row of `resample`'s output for n_samples at fs_hz."""
+    if not target_hz > 0:
+        raise ValueError("target_hz must be positive")
+    p, q = _rational_ratio(target_hz, fs_hz)
+    return n_samples * p // q
 
 
 def resample(data, fs_hz, target_hz) -> np.ndarray:
     """Polyphase rational resampling of every row from fs_hz to target_hz;
     `data` itself when the ratio is 1/1."""
-    if not target_hz > 0:
-        raise ValueError("target_hz must be positive")
+    n_out = resampled_length(data.shape[1], fs_hz, target_hz)
     p, q = _rational_ratio(target_hz, fs_hz)
     if p == q:
         return data
@@ -143,11 +138,17 @@ def resample(data, fs_hz, target_hz) -> np.ndarray:
     # the high-beta Kaiser window keeps passband ripple below 1e-6
     matrix, first, stride = _polyphase_operator(p, q)
     window, frame = matrix.shape
-    n_out = (data.shape[1] * p) // q
     n_frames = max(1, -(-n_out // frame))
-    x = _line_extended(data, first, first + (n_frames - 1) * stride + window)
-    frames = np.lib.stride_tricks.sliding_window_view(x, window, axis=1)[:, ::stride]
-    out = (frames.reshape(-1, window) @ matrix).reshape(len(x), -1)
+    # the input position of every frame sample, gathered in one copy; outside
+    # the signal, samples lie on the line through its first and last samples
+    n = data.shape[1]
+    at = first + stride * np.arange(n_frames)[:, None] + np.arange(window)
+    frames = np.take(data, np.clip(at, 0, n - 1), axis=1)  # C order, so reshape copies nothing
+    slope = (data[:, -1:] - data[:, :1]) / (n - 1)
+    before, after = at < 0, at > n - 1
+    frames[:, before] = data[:, :1] + at[before] * slope
+    frames[:, after] = data[:, -1:] + (at[after] - (n - 1)) * slope
+    out = (frames.reshape(-1, window) @ matrix).reshape(len(data), -1)
     return out[:, :n_out]
 
 
@@ -169,9 +170,9 @@ def design_notch(f0_hz, q, fs_hz) -> np.ndarray:
     return sos
 
 
-def notch(data, fs_hz, f0_hz, q=30.0) -> np.ndarray:
-    """Zero-phase notch filtering of every row."""
-    return filtfilt_matrix(design_notch(f0_hz, q, fs_hz), data)
+def notch(data, fs_hz, f0_hz, q=30.0, out=None) -> np.ndarray:
+    """Zero-phase notch filtering of every row, into `out` when given."""
+    return filtfilt_matrix(design_notch(f0_hz, q, fs_hz), data, out)
 
 
 def _butterworth_bandpass_sos(order, low_hz, high_hz, fs_hz):
@@ -308,7 +309,7 @@ def _filter_blocks(ops: _BlockOperators, blocks, state):
     return y.reshape(rows, -1)
 
 
-def filtfilt_matrix(sos: np.ndarray, data: np.ndarray) -> np.ndarray:
+def filtfilt_matrix(sos: np.ndarray, data: np.ndarray, out=None) -> np.ndarray:
     """Zero-phase filtering row-wise by the sections `sos`, each normalized
     to a0 = 1, with odd padding of 3 x order = 6 x sections samples.
 
@@ -318,7 +319,9 @@ def filtfilt_matrix(sos: np.ndarray, data: np.ndarray) -> np.ndarray:
     transients.  Each forward-backward pass is scipy.signal.sosfiltfilt's:
     odd padding, and each direction starts from the step steady state
     scaled by its first sample.  Rows and their time reversals are filtered
-    together, _ROW_CHUNK at a time.
+    together, _ROW_CHUNK at a time, into `out` (a new array by default).  A
+    chunk's rows are read before its output is written, so `out` may be
+    `data` itself.
     """
     padlen = 6 * len(sos)  # three samples per pole, two poles per section
     n = data.shape[1]
@@ -331,7 +334,8 @@ def filtfilt_matrix(sos: np.ndarray, data: np.ndarray) -> np.ndarray:
     m = n + 2 * padlen
     chunk = _ROW_CHUNK // 2
     buf = np.zeros((2 * chunk, -(-m // _BLOCK) * _BLOCK))
-    out = np.empty(data.shape)
+    if out is None:
+        out = np.empty(data.shape)
     for r in range(0, len(data), chunk):
         x = data[r:r + chunk]
         c = len(x)
@@ -351,9 +355,9 @@ def filtfilt_matrix(sos: np.ndarray, data: np.ndarray) -> np.ndarray:
     return out
 
 
-def bandpass(data, fs_hz, band: BandSpec, order=4) -> np.ndarray:
-    """Zero-phase Butterworth band-pass of every row."""
-    return filtfilt_matrix(design_butterworth_bandpass(band, fs_hz, order), data)
+def bandpass(data, fs_hz, band: BandSpec, order=4, out=None) -> np.ndarray:
+    """Zero-phase Butterworth band-pass of every row, into `out` when given."""
+    return filtfilt_matrix(design_butterworth_bandpass(band, fs_hz, order), data, out)
 
 
 def epoch_samples(fs_hz, epoch_length_s) -> int:
@@ -384,13 +388,15 @@ def split_epochs(data, fs_hz, epoch_length_s) -> np.ndarray:
     return np.ascontiguousarray(data.transpose(1, 0, 2))
 
 
-def preprocess(data, fs_hz, notch_hz=50.0, notch_q=30.0, order=4) -> np.ndarray:
-    """Standard cleanup of already-resampled (channels, samples) data.
+def preprocess(data, fs_hz, notch_hz=50.0, notch_q=30.0, order=4, out=None) -> np.ndarray:
+    """Standard cleanup of already-resampled (channels, samples) data, into
+    `out` when given.
 
     Notch at notch_hz (skipped when at/above Nyquist, e.g. 50 Hz at 128 Hz
     would still fit, but 60 Hz at 100 Hz would not), then broadband
-    0.5-45 Hz band-pass.
+    0.5-45 Hz band-pass.  Both steps write `out`, so no intermediate array
+    is allocated.
     """
     if notch_hz and 0 < notch_hz < fs_hz / 2:
-        data = notch(data, fs_hz, notch_hz, notch_q)
-    return bandpass(data, fs_hz, BROADBAND, order)
+        data = notch(data, fs_hz, notch_hz, notch_q, out)
+    return bandpass(data, fs_hz, BROADBAND, order, out)

@@ -217,24 +217,30 @@ def _cross_validate(x, labels, splits, k2, seed) -> CvReport:
 # --- feature extraction ---------------------------------------------------------
 
 
-def epoch_features(epochs: np.ndarray, labels, metric: str,
-                   gb_metric: str = None) -> np.ndarray:
-    """Feature matrix of an (epochs, channels, samples) band-filtered stack.
+def epoch_features(recordings, metric: str, gb_metric: str = None) -> tuple:
+    """(x, labels, provenance) of `band_epochs`' recordings.
 
-    Rows are the vectorized connectivity upper triangle, or per-node graph
-    scores when gb_metric is given.  `labels` name each epoch's recording in
-    error messages.
+    Each recording's (epochs, channels, samples) stack is featurized before
+    the next recording is band-filtered, and only the feature rows are
+    stacked.  Rows are the vectorized connectivity upper triangle, or
+    per-node graph scores when gb_metric is given; epochs are numbered in
+    error messages in the order of the rows, and named by their label.
     """
-    rows = []
-    for i, data in enumerate(epochs):
-        try:
-            values = connectivity.connectivity_matrix(data, metric)
-            rows.append(connectivity.vectorize_upper(values) if gb_metric is None else
-                        graph.node_scores(graph.from_connectivity(values, metric),
-                                          gb_metric))
-        except (DegenerateVariance, ZeroGraph, NoConvergence) as exc:
-            raise type(exc)(f"{exc} in epoch {i} [{labels[i]}]") from None
-    return np.vstack(rows)
+    rows, labels, provenance = [], [], []
+    for epochs, epoch_labels, epoch_provenance in recordings:
+        for data, label in zip(epochs, epoch_labels):
+            try:
+                values = connectivity.connectivity_matrix(data, metric)
+                rows.append(connectivity.vectorize_upper(values) if gb_metric is None else
+                            graph.node_scores(graph.from_connectivity(values, metric),
+                                              gb_metric))
+            except (DegenerateVariance, ZeroGraph, NoConvergence) as exc:
+                raise type(exc)(f"{exc} in epoch {len(rows)} [{label}]") from None
+        labels.append(epoch_labels)
+        provenance.append(epoch_provenance)
+        # the loop would hold this stack while the next recording is filtered
+        del epochs
+    return np.vstack(rows), np.concatenate(labels), np.concatenate(provenance)
 
 
 # --- experiment configs and runner ------------------------------------------------
@@ -293,30 +299,27 @@ class ExperimentReport:
 CORPUS_KEYS = ("data", "ends", "provenance", "rate", "filters")
 
 
-def preprocessed(recordings, notch_hz=50.0, notch_q=30.0, filter_order=4) -> dict:
-    """The corpus arrays of a list of recordings after `dsp.preprocess` (notch,
-    then the broadband band-pass) with the given filter settings,
-    `ExperimentConfig.filters`.
+def preprocessed(corpus, notch_hz=50.0, notch_q=30.0, filter_order=4) -> dict:
+    """The corpus arrays of `io_ingest.build_corpus`'s (layout, recordings)
+    after `dsp.preprocess` (notch, then the broadband band-pass) with the
+    given filter settings, `ExperimentConfig.filters`.
 
-    `data` holds the recordings side by side as (channels, total samples),
-    recording i ending at column `ends[i]`; `provenance` is an (R, 3) array
-    of dataset id, subject id and condition; `rate` and `filters` (the
-    `filter_tag`) are 0-d.  The list is consumed: each raw recording is
-    released once it has been copied, so a caller that reuses it passes a copy.
+    `data` is allocated once from the layout and holds the recordings side
+    by side as (channels, total samples), recording i ending at column
+    `ends[i]`.  Each recording is preprocessed into its columns before the
+    next is read.  `provenance` is an (R, 3) array of dataset id, subject id
+    and condition; `rate` and `filters` (the `filter_tag`) are 0-d.
     """
-    if len({(rec.n_channels, rec.sampling_rate_hz) for rec in recordings}) > 1:
-        raise ValueError("recordings differ in channel count or sampling rate")
-    rate = recordings[0].sampling_rate_hz
-    ends = np.cumsum([rec.n_samples for rec in recordings])
-    provenance = np.array([(rec.dataset_id, rec.subject_id, rec.condition)
-                           for rec in recordings])
-    data = np.empty((recordings[0].n_channels, ends[-1]))
-    for end in ends:
-        rec = recordings.pop(0)  # rebinding `rec` lets the previous raw samples go
-        data[:, end - rec.n_samples:end] = dsp.preprocess(
-            rec.data, rate, notch_hz=notch_hz, notch_q=notch_q, order=filter_order)
-    return {"data": data, "ends": ends, "provenance": provenance, "rate": np.array(rate),
-            "filters": np.array(filter_tag(notch_hz, notch_q, filter_order))}
+    layout, recordings = corpus
+    ends, rate = layout["ends"], float(layout["rate"])
+    data = np.empty((len(layout["channels"]), ends[-1]))
+    for start, end in zip(ends - np.diff(ends, prepend=0), ends):
+        # next() inside the call: no name holds a raw recording past its filtering
+        dsp.preprocess(next(recordings), rate, notch_hz=notch_hz, notch_q=notch_q,
+                       order=filter_order, out=data[:, start:end])
+    return {"data": data, "ends": ends, "provenance": layout["provenance"],
+            "rate": layout["rate"], "filters": np.array(filter_tag(notch_hz, notch_q,
+                                                                   filter_order))}
 
 
 def filter_tag(notch_hz, notch_q, filter_order) -> str:
@@ -324,12 +327,14 @@ def filter_tag(notch_hz, notch_q, filter_order) -> str:
     return f"order{filter_order}-notch{notch_hz:g}-q{notch_q:g}"
 
 
-def band_epochs(corpus, config: ExperimentConfig, condition: str) -> tuple:
+def band_epochs(corpus, config: ExperimentConfig, condition: str):
     """Band filter + epoch every recording of one condition of a `preprocessed` corpus.
 
-    Returns (epochs, labels, provenance): a C-contiguous (E, N, M) stack, the
-    "dataset/subject" label of each epoch, and an (E, 3) array of each
-    epoch's dataset id, subject id and condition.
+    Checks the corpus first, then returns an iterator that band-filters one
+    recording when it is reached and gives its (epochs, labels,
+    provenance): a C-contiguous (E, N, M) stack, the "dataset/subject"
+    label of each epoch, and an (E, 3) array of each epoch's dataset id,
+    subject id and condition.
     """
     band = dsp.BANDS[config.band]
     picked = np.flatnonzero(corpus["provenance"][:, 2] == condition)
@@ -343,20 +348,19 @@ def band_epochs(corpus, config: ExperimentConfig, condition: str) -> tuple:
     data, rate, ends = corpus["data"], float(corpus["rate"]), corpus["ends"]
     if len(data) < 2:
         raise ValueError(f"corpus has {len(data)} channel(s); connectivity needs at least 2")
-    lengths = np.diff(ends, prepend=0)
-    # the corpus shares one working rate, so every epoch has m samples
-    m = dsp.epoch_samples(rate, config.epoch_length_s)
-    counts = lengths[picked] // m
-    epochs = np.empty((counts.sum(), len(data), m))
-    pos = 0
-    for i, count in zip(picked, counts):
-        filtered = dsp.bandpass(data[:, ends[i] - lengths[i]:ends[i]], rate, band,
-                                config.filter_order)
-        epochs[pos:pos + count] = dsp.split_epochs(filtered, rate, config.epoch_length_s)
-        pos += count
+    starts = ends - np.diff(ends, prepend=0)
     rows = corpus["provenance"][picked]
     labels = np.array([f"{dataset}/{subject}" for dataset, subject, _ in rows.tolist()])
-    return epochs, np.repeat(labels, counts), np.repeat(rows, counts, axis=0)
+
+    def recording(k):
+        i = picked[k]
+        epochs = dsp.split_epochs(
+            dsp.bandpass(data[:, starts[i]:ends[i]], rate, band, config.filter_order),
+            rate, config.epoch_length_s)
+        return (epochs, labels[k:k + 1].repeat(len(epochs)),
+                rows[k:k + 1].repeat(len(epochs), axis=0))
+
+    return (recording(k) for k in range(len(picked)))
 
 
 def load_or_build(path, build, unpack):
@@ -397,9 +401,9 @@ def _features_cached(corpus, config: ExperimentConfig, condition,
     sweeps reuse the expensive connectivity computation.
     """
     def build():
-        epochs, labels, _ = band_epochs(corpus, config, condition)
-        return {"x": epoch_features(epochs, labels, config.metric, config.gb_metric),
-                "labels": labels}
+        x, labels, _ = epoch_features(band_epochs(corpus, config, condition),
+                                      config.metric, config.gb_metric)
+        return {"x": x, "labels": labels}
 
     unpack = operator.itemgetter("x", "labels")
     if not (cache_dir and cache_tag):

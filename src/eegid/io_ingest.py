@@ -6,9 +6,12 @@ silently dropped.  All remaining signals must share one sampling rate.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -68,10 +71,6 @@ class EegRecording:
     @property
     def n_samples(self):
         return self.data.shape[1]
-
-    @property
-    def duration_s(self):
-        return self.n_samples / self.sampling_rate_hz
 
 
 @dataclass(frozen=True)
@@ -246,25 +245,28 @@ def _integer(text: str, what: str) -> int:
     return int(value)
 
 
-def parse_edf(raw: bytes, subject_id="", dataset_id="", condition="resting") -> EegRecording:
-    """Decode a continuous EDF byte stream into an EegRecording.
+def read_edf_header(stream, size) -> dict:
+    """Decode the fixed-size header of a continuous EDF file of `size` bytes
+    from the binary `stream`, read from the file's start.
 
-    Samples are 16-bit little-endian two's complement, mapped to physical
-    units with the per-signal digital/physical min/max linear calibration.
-    Annotation signals are dropped.  Raises MalformedHeader,
+    Returns a dict: `labels`, the normalized labels of the signals kept
+    (annotation signals are dropped); `rate`; `samples`, each kept signal's
+    sample count (a record count of -1 is inferred from `size`); and the
+    layout `parse_edf` decodes the body with.  Raises MalformedHeader,
     MixedSamplingRates or TruncatedRecord on bad input, including numeric
-    header fields that are not finite, integer fields that are not
-    integral, and a header that leaves no complete data record.
+    fields that are not finite, integer fields that are not integral, and a
+    header that leaves no complete data record.
     """
-    if len(raw) < _EDF_HEADER_LEN:
+    head = stream.read(_EDF_HEADER_LEN)
+    if len(head) < _EDF_HEADER_LEN:
         raise MalformedHeader("input shorter than the 256-byte EDF header")
-    version = _ascii_field(raw, 0, 8)
+    version = _ascii_field(head, 0, 8)
     if version != "0":
         raise MalformedHeader(f"unsupported EDF version field {version!r}")
-    header_bytes = _integer(_ascii_field(raw, 184, 8), "header length field")
-    n_records = _integer(_ascii_field(raw, 236, 8), "record count field")
-    record_duration = _number(_ascii_field(raw, 244, 8), "record duration field")
-    n_signals = _integer(_ascii_field(raw, 252, 4), "signal count field")
+    header_bytes = _integer(_ascii_field(head, 184, 8), "header length field")
+    n_records = _integer(_ascii_field(head, 236, 8), "record count field")
+    record_duration = _number(_ascii_field(head, 244, 8), "record duration field")
+    n_signals = _integer(_ascii_field(head, 252, 4), "signal count field")
     if n_signals < 1:
         raise MalformedHeader("EDF declares no signals")
     expected_header = _EDF_HEADER_LEN + n_signals * _EDF_SIGNAL_HEADER_LEN
@@ -272,12 +274,12 @@ def parse_edf(raw: bytes, subject_id="", dataset_id="", condition="resting") -> 
         raise MalformedHeader(
             f"header length field {header_bytes} != 256 + 256 x {n_signals} signals"
         )
-    if len(raw) < expected_header:
+    if size < expected_header:
         raise MalformedHeader("input truncated inside the signal headers")
     if record_duration <= 0:
         raise MalformedHeader(f"non-positive data record duration {record_duration}")
 
-    sig = raw[_EDF_HEADER_LEN:expected_header]
+    sig = stream.read(expected_header - _EDF_HEADER_LEN)
 
     def sig_numeric(width, offset, what, parse=_number):
         # offset is the byte offset of the field block within the
@@ -321,47 +323,67 @@ def parse_edf(raw: bytes, subject_id="", dataset_id="", condition="resting") -> 
 
     record_samples = sum(samples_per_record)
     record_bytes = 2 * record_samples
-    body = raw[expected_header:]
+    body_bytes = size - expected_header
     if n_records < 0:
         # unknown record count: infer from the payload size
-        n_records = len(body) // record_bytes
-    if len(body) < n_records * record_bytes:
+        n_records = body_bytes // record_bytes
+    if body_bytes < n_records * record_bytes:
         raise TruncatedRecord(
-            f"expected {n_records} records of {record_bytes} bytes, got {len(body)} bytes"
+            f"expected {n_records} records of {record_bytes} bytes, got {body_bytes} bytes"
         )
     if n_records == 0:
         raise TruncatedRecord(f"no complete data record of {record_bytes} bytes")
-
-    flat = np.frombuffer(body[:n_records * record_bytes], dtype="<i2")
-    flat = flat.reshape(n_records, record_samples)
-    starts = np.cumsum([0] + samples_per_record)
-    channels, names = [], []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in keep:
-            digital = flat[:, starts[i]:starts[i + 1]].reshape(-1).astype(float)
-            gain = (phys_max[i] - phys_min[i]) / (dig_max[i] - dig_min[i])
-            channels.append((digital - dig_min[i]) * gain + phys_min[i])
-            names.append(normalize_label(labels[i]))
+    names = [normalize_label(labels[i]) for i in keep]
     if len(set(names)) != len(names):
         raise MalformedHeader("duplicate channel labels after normalization")
-    data = np.vstack(channels)
+    starts = np.cumsum([0] + samples_per_record)
+    return {
+        "labels": tuple(names),
+        "rate": rate,
+        "samples": n_records * samples_per_record[keep[0]],
+        "offset": expected_header,
+        "records": (n_records, record_samples),
+        # per kept signal: its columns of a record and its calibration
+        "columns": [(starts[i], starts[i + 1]) for i in keep],
+        "calibration": [((phys_max[i] - phys_min[i]) / (dig_max[i] - dig_min[i]),
+                         dig_min[i], phys_min[i]) for i in keep],
+    }
+
+
+def parse_edf(raw: bytes) -> EegRecording:
+    """Decode a continuous EDF byte stream into an EegRecording.
+
+    The header is `read_edf_header`'s.  Samples are 16-bit little-endian
+    two's complement, mapped to physical units with the per-signal
+    digital/physical min/max linear calibration.  Annotation signals are
+    dropped.  Raises what `read_edf_header` raises, and MalformedHeader when
+    the calibration maps a sample outside the floating-point range.
+    """
+    header = read_edf_header(io.BytesIO(raw), len(raw))
+    n_records, record_samples = header["records"]
+    flat = np.frombuffer(raw, dtype="<i2", count=n_records * record_samples,
+                         offset=header["offset"]).reshape(n_records, record_samples)
+    # filled row by row, so that one channel at a time is a temporary
+    data = np.empty((len(header["labels"]), header["samples"]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, (start, stop), (gain, dig_min, phys_min) in zip(
+                data, header["columns"], header["calibration"]):
+            row[:] = (flat[:, start:stop].reshape(-1).astype(float) - dig_min) * gain + phys_min
     if not np.isfinite(data).all():
         raise MalformedHeader("calibration maps samples outside the floating-point range")
 
-    return EegRecording(
-        channel_names=tuple(names),
-        sampling_rate_hz=rate,
-        data=data,
-        subject_id=subject_id,
-        dataset_id=dataset_id,
-        condition=condition,
-    )
+    return EegRecording(channel_names=header["labels"], sampling_rate_hz=header["rate"],
+                        data=data)
 
 
 # --- plain matrix format ---------------------------------------------------
 
-def load_matrix(stream, sampling_rate_hz, channel_names,
-                subject_id="", dataset_id="", condition="resting") -> EegRecording:
+def _cells(line):
+    """The cells of one matrix line: commas and whitespace both delimit."""
+    return line.replace(",", " ").split()
+
+
+def load_matrix(stream, sampling_rate_hz, channel_names) -> EegRecording:
     """Read a delimiter-separated numeric matrix, one channel per line.
 
     `stream` is an iterable of text lines (an open file works).  Commas and
@@ -371,7 +393,7 @@ def load_matrix(stream, sampling_rate_hz, channel_names,
     rows = []
     width = None
     for lineno, line in enumerate(stream, start=1):
-        parts = line.replace(",", " ").split()
+        parts = _cells(line)
         if not parts:
             continue
         values = []
@@ -392,74 +414,127 @@ def load_matrix(stream, sampling_rate_hz, channel_names,
     names = tuple(normalize_label(n) for n in channel_names)
     if len(names) != len(rows):
         raise RaggedRows(f"{len(names)} channel names for {len(rows)} data rows")
-    return EegRecording(
-        channel_names=names,
-        sampling_rate_hz=sampling_rate_hz,
-        data=np.array(rows, dtype=float),
-        subject_id=subject_id,
-        dataset_id=dataset_id,
-        condition=condition,
-    )
+    return EegRecording(channel_names=names, sampling_rate_hz=sampling_rate_hz,
+                        data=np.array(rows, dtype=float))
 
 
 # --- channel selection and corpus assembly ---------------------------------
 
-def select_channels(rec: EegRecording, channel_set: ChannelSet) -> EegRecording:
-    """Reorder/restrict a recording to a channel set's canonical order."""
-    index = {name: i for i, name in enumerate(rec.channel_names)}
-    rows = []
+def _channel_rows(channel_names, channel_set: ChannelSet) -> list:
+    """The row of each channel of a channel set, in its canonical order."""
+    index = {name: i for i, name in enumerate(channel_names)}
     for name in channel_set:
         if name not in index:
             raise MissingChannel(name)
-        rows.append(index[name])
+    return [index[name] for name in channel_set]
+
+
+def select_channels(rec: EegRecording, channel_set: ChannelSet) -> EegRecording:
+    """Reorder/restrict a recording to a channel set's canonical order."""
+    rows = _channel_rows(rec.channel_names, channel_set)
     return replace(rec, channel_names=tuple(channel_set), data=rec.data[rows])
+
+
+def _window_columns(start_s, end_s, rate_hz, n_samples) -> tuple:
+    """The columns [i0, i1) of the window [start_s, end_s) s of n_samples at rate_hz."""
+    start, end = start_s * rate_hz, end_s * rate_hz
+    # a loose bound first: int() overflows on a huge or infinite sample
+    # position, such as the end of a 1e308 s window
+    inside = -1 <= start < end <= n_samples + 1
+    if inside:
+        i0, i1 = int(round(start)), int(round(end))
+        inside = 0 <= i0 < i1 <= n_samples
+    if not inside:
+        raise WindowOutOfRange(
+            f"window [{start_s}, {end_s}] s outside recording of {n_samples / rate_hz:.3f} s"
+        )
+    return i0, i1
 
 
 def window_recording(rec: EegRecording, start_s, end_s) -> EegRecording:
     """Cut [start_s, end_s) out of a recording."""
-    start, end = start_s * rec.sampling_rate_hz, end_s * rec.sampling_rate_hz
-    # a loose bound first: int() overflows on a huge or infinite sample
-    # position, such as the end of a 1e308 s window
-    inside = -1 <= start < end <= rec.n_samples + 1
-    if inside:
-        i0, i1 = int(round(start)), int(round(end))
-        inside = 0 <= i0 < i1 <= rec.n_samples
-    if not inside:
-        raise WindowOutOfRange(
-            f"window [{start_s}, {end_s}] s outside recording of {rec.duration_s:.3f} s"
-        )
+    i0, i1 = _window_columns(start_s, end_s, rec.sampling_rate_hz, rec.n_samples)
     return replace(rec, data=rec.data[:, i0:i1])
 
 
-def _load_entry(entry: ManifestEntry) -> EegRecording:
+@contextmanager
+def _naming(entry: ManifestEntry):
+    """Prefix the message of a pipeline error raised inside with the entry's path."""
+    try:
+        yield
+    except EegIdError as exc:
+        exc.args = (f"{entry.path}: {exc}",)
+        raise
+
+
+def _entry_header(entry: ManifestEntry) -> tuple:
+    """(channel names, rate, samples) of a manifest entry, decoding no
+    samples: an EDF entry's from its header, a matrix entry's names and rate
+    from the manifest and its sample count from the cells of its first data
+    row."""
     if entry.format == "edf":
-        raw = Path(entry.path).read_bytes()
-        try:
-            return parse_edf(raw, subject_id=entry.subject_id,
-                             dataset_id=entry.dataset_id, condition=entry.condition)
-        except EegIdError as exc:
-            raise type(exc)(f"{entry.path}: {exc}") from None
+        with open(entry.path, "rb") as fh:
+            header = read_edf_header(fh, os.fstat(fh.fileno()).st_size)
+        return header["labels"], header["rate"], header["samples"]
+    names = tuple(normalize_label(name) for name in entry.channel_names)
     with open(entry.path, "r", encoding="utf-8") as fh:
-        return load_matrix(fh, entry.sampling_rate_hz, entry.channel_names,
-                           subject_id=entry.subject_id,
-                           dataset_id=entry.dataset_id,
-                           condition=entry.condition)
+        for line in fh:
+            if parts := _cells(line):
+                return names, entry.sampling_rate_hz, len(parts)
+    raise RaggedRows("matrix stream contains no data rows")
 
 
-def build_corpus(manifest: DatasetManifest) -> list:
-    """Load, window, channel-select and resample every manifest entry.
+def corpus_layout(manifest: DatasetManifest) -> dict:
+    """What `build_corpus` will hand over, sized from headers alone.
 
-    Each dataset's recordings are resampled independently to the manifest
-    target rate, mirroring the pooling protocol for heterogeneous sources.
+    Returns a dict: `channels`, the channel set's names; `ends`, the column
+    at which each entry ends once the entries sit side by side at the target
+    rate; `provenance`, an (R, 3) array of dataset id, subject id and
+    condition; and `rate`, 0-d.  A missing channel, a window outside its
+    recording or a rate that cannot be resampled to the target raises here,
+    naming the entry's path, before any entry is decoded.
     """
     channel_set = manifest.channel_set
-    corpus = []
+    lengths = []
     for entry in manifest.entries:
-        rec = _load_entry(entry)
-        rec = window_recording(rec, *entry.window_s)
-        rec = select_channels(rec, channel_set)
-        rec = replace(rec, sampling_rate_hz=float(manifest.target_rate_hz),
-                      data=dsp.resample(rec.data, rec.sampling_rate_hz,
-                                        manifest.target_rate_hz))
-        corpus.append(rec)
-    return corpus
+        with _naming(entry):
+            names, rate, samples = _entry_header(entry)
+            _channel_rows(names, channel_set)
+            i0, i1 = _window_columns(*entry.window_s, rate, samples)
+            lengths.append(dsp.resampled_length(i1 - i0, rate, manifest.target_rate_hz))
+    return {
+        "channels": np.array(channel_set.names),
+        "ends": np.cumsum(lengths, dtype=np.int64),
+        "provenance": np.array([(entry.dataset_id, entry.subject_id, entry.condition)
+                                for entry in manifest.entries]),
+        "rate": np.array(float(manifest.target_rate_hz)),
+    }
+
+
+def _entry_samples(entry: ManifestEntry, channel_set, target_rate_hz) -> np.ndarray:
+    """One entry decoded, windowed, channel-selected and resampled."""
+    with _naming(entry):
+        if entry.format == "edf":
+            rec = parse_edf(Path(entry.path).read_bytes())
+        else:
+            with open(entry.path, "r", encoding="utf-8") as fh:
+                rec = load_matrix(fh, entry.sampling_rate_hz, entry.channel_names)
+        # rebinding `rec` releases the decoded recording once its channels are copied
+        rec = select_channels(window_recording(rec, *entry.window_s), channel_set)
+        return dsp.resample(rec.data, rec.sampling_rate_hz, target_rate_hz)
+
+
+def build_corpus(manifest: DatasetManifest) -> tuple:
+    """(layout, recordings): the `corpus_layout` of a manifest, and an
+    iterator that loads, windows, channel-selects and resamples one entry
+    at a time, in manifest order, when it is reached.
+
+    Each recording is a (channels, samples) array at the manifest target
+    rate whose sample count the layout gives.  Each dataset's recordings
+    are resampled independently to that rate, mirroring the pooling
+    protocol for heterogeneous sources.
+    """
+    channel_set = manifest.channel_set
+    layout = corpus_layout(manifest)
+    return layout, (_entry_samples(entry, channel_set, manifest.target_rate_hz)
+                    for entry in manifest.entries)

@@ -2,15 +2,21 @@
 
 These deliberately avoid the code paths they check: plain loops, direct
 formula transcription and exhaustive enumeration only.  The signal
-processing references are scipy.signal, a test-only dependency.
+processing references are scipy.signal, a test-only dependency.  The
+whole-stack corpus references at the end check the streaming structure of
+ingest and featurization, not its numerics: they run the package's own steps,
+but on every recording at once.
 """
 
 import heapq
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy import signal
+
+from eegid import connectivity, dsp, evaluation, graph, io_ingest
 
 
 # --- dsp --------------------------------------------------------------------
@@ -404,3 +410,63 @@ def smo_scalar(kernel, y, c, tol=1e-3, max_iter=1_000_000):
         lo = np.min(np.where(low, g, np.inf))
         bias = float((hi + lo) / 2.0)
     return alphas, f, bias, converged
+
+
+# --- whole-stack corpus and features --------------------------------------------
+
+
+def decoded_list(manifest):
+    """Every manifest entry decoded, windowed, channel-selected and resampled
+    into one list before anything is preprocessed."""
+    recordings = []
+    for entry in manifest.entries:
+        if entry.format == "edf":
+            rec = io_ingest.parse_edf(Path(entry.path).read_bytes())
+        else:
+            with open(entry.path, encoding="utf-8") as fh:
+                rec = io_ingest.load_matrix(fh, entry.sampling_rate_hz, entry.channel_names)
+        rec = io_ingest.select_channels(io_ingest.window_recording(rec, *entry.window_s),
+                                        manifest.channel_set)
+        recordings.append(dsp.resample(rec.data, rec.sampling_rate_hz,
+                                       manifest.target_rate_hz))
+    return recordings
+
+
+def preprocessed_whole(manifest, notch_hz=50.0, notch_q=30.0, filter_order=4):
+    """The corpus arrays from a list of every decoded recording, concatenated
+    after preprocessing."""
+    recordings = decoded_list(manifest)
+    rate = float(manifest.target_rate_hz)
+    data = np.concatenate([dsp.preprocess(samples, rate, notch_hz=notch_hz, notch_q=notch_q,
+                                          order=filter_order)
+                           for samples in recordings], axis=1)
+    return {"data": data,
+            "ends": np.cumsum([samples.shape[1] for samples in recordings]),
+            "provenance": np.array([(entry.dataset_id, entry.subject_id, entry.condition)
+                                    for entry in manifest.entries]),
+            "rate": np.array(rate),
+            "filters": np.array(evaluation.filter_tag(notch_hz, notch_q, filter_order))}
+
+
+def features_whole(corpus, config, condition):
+    """(x, labels, provenance) of one condition from its whole (E, N, M)
+    epoch stack, band-filtered before any epoch is featurized."""
+    rate, ends = float(corpus["rate"]), corpus["ends"]
+    starts = ends - np.diff(ends, prepend=0)
+    picked = np.flatnonzero(corpus["provenance"][:, 2] == condition)
+    stacks = [dsp.split_epochs(dsp.bandpass(corpus["data"][:, starts[i]:ends[i]], rate,
+                                            dsp.BANDS[config.band], config.filter_order),
+                               rate, config.epoch_length_s)
+              for i in picked]
+    counts = [len(stack) for stack in stacks]
+    epochs = np.concatenate(stacks)
+    rows = []
+    for data in epochs:
+        values = connectivity.connectivity_matrix(data, config.metric)
+        rows.append(connectivity.vectorize_upper(values) if config.gb_metric is None else
+                    graph.node_scores(graph.from_connectivity(values, config.metric),
+                                      config.gb_metric))
+    provenance = corpus["provenance"][picked]
+    labels = np.array([f"{dataset}/{subject}" for dataset, subject, _ in provenance.tolist()])
+    return (np.vstack(rows), np.repeat(labels, counts),
+            np.repeat(provenance, counts, axis=0))

@@ -65,3 +65,16 @@ def synthetic_corpus(n_subjects=12, n_channels=8, duration_s=60.0, fs=128.0,
             condition=condition,
         ))
     return corpus
+
+
+def as_built(recordings) -> tuple:
+    """A list of recordings that share one rate and channel list, in
+    `io_ingest.build_corpus`'s (layout, recordings) shape."""
+    layout = {
+        "channels": np.array(recordings[0].channel_names),
+        "ends": np.cumsum([rec.n_samples for rec in recordings]),
+        "provenance": np.array([(rec.dataset_id, rec.subject_id, rec.condition)
+                                for rec in recordings]),
+        "rate": np.array(recordings[0].sampling_rate_hz),
+    }
+    return layout, (rec.data for rec in recordings)

@@ -154,7 +154,8 @@ def test_criterion_5_synthetic_identification(capsys):
                                     duration_s=60.0, seed=1)
     config = ev.ExperimentConfig(metric="PLV", band="gamma",
                                  epoch_length_s=4.0, seed=0)
-    report = ev.run_experiment(ev.preprocessed(corpus, **config.filters), config)
+    report = ev.run_experiment(ev.preprocessed(synth.as_built(corpus), **config.filters),
+                               config)
     elapsed = time.monotonic() - start
     ok = (report.cv.mean_accuracy >= 0.95 and report.n_epochs == 12 * 15
           and elapsed < 300.0)
@@ -222,8 +223,8 @@ def _physionet_manifest(root, n_subjects):
 def test_criterion_8_epoch_sweep(capsys):
     """Epoch lengths 2/3/4/5/6 s over 60 s recordings yield exactly
     30/20/15/12/10 epochs per subject, all with finite accuracies."""
-    corpus = ev.preprocessed(synth.synthetic_corpus(n_subjects=4, n_channels=6,
-                                                    duration_s=60.0, seed=2))
+    corpus = ev.preprocessed(synth.as_built(synth.synthetic_corpus(
+        n_subjects=4, n_channels=6, duration_s=60.0, seed=2)))
     expected = {2.0: 30, 3.0: 20, 4.0: 15, 5.0: 12, 6.0: 10}
     counts = {}
     accs = {}

@@ -323,6 +323,66 @@ class TestIngest:
         assert parsed == []
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def _evaluate_cv_fc(tmp_path, monkeypatch, edit_entries=None, **run_config):
+        """Evaluate the cv_fc seed-0 inputs (k1 = 3, k2 = 2) with a run-config
+        edit; returns the exit code and the EDF files parsed."""
+        manifest = _bench_inputs("cv_fc", 0, tmp_path / "inputs")
+        if edit_entries:
+            doc = json.loads(manifest.read_text())
+            edit_entries(doc["entries"])
+            manifest.write_text(json.dumps(doc))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "manifest": str(manifest), "bands": ["gamma"], "metrics": ["COR"],
+            "k1": 3, "k2": 2, **run_config,
+        }))
+        parse_edf, parsed = io_ingest.parse_edf, []
+
+        def parsing(raw, *args, **kwargs):
+            parsed.append(len(raw))
+            return parse_edf(raw, *args, **kwargs)
+
+        monkeypatch.setattr(io_ingest, "parse_edf", parsing)
+        code = cli.main(["evaluate", "--config", str(config), "--out", str(tmp_path / "out")])
+        return code, parsed
+
+    def test_missing_policy_channel_rejected_before_any_work(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # the null policy would run first and write its report
+        code, parsed = self._evaluate_cv_fc(tmp_path, monkeypatch,
+                                            channel_policies=[None, ["FC5", "XX1"]])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "S001R01.edf: channel not present in recording: 'XX1'" in err, err
+        assert parsed == []
+        assert not (tmp_path / "out").exists()
+
+    def test_recording_too_short_for_an_epoch_length_rejected_before_any_work(
+            self, tmp_path, monkeypatch, capsys):
+        # 3.5 s at 128 Hz holds 1 s epochs but no 4 s epoch; the 1 s config
+        # would run first and write its report
+        def cut_last(entries):
+            entries[-1]["window_s"] = [0.0, 3.5]
+
+        code, parsed = self._evaluate_cv_fc(tmp_path, monkeypatch, cut_last,
+                                            epoch_lengths_s=[1, 4])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "S004R01.edf: 448 samples cannot hold one 4.0 s epoch at 128.0 Hz" in err, err
+        assert parsed == []
+        assert not (tmp_path / "out").exists()
+
+    def test_unswept_condition_needs_no_epoch(self, tmp_path, monkeypatch, capsys):
+        # a task recording too short for any epoch is never epoched when
+        # only resting/resting is swept
+        def short_task(entries):
+            entries[-1].update(condition="task", window_s=[0.0, 0.5])
+
+        code, _ = self._evaluate_cv_fc(tmp_path, monkeypatch, short_task,
+                                       epoch_lengths_s=[1], k1=2)
+        assert code == cli.EXIT_OK, capsys.readouterr().err
+
     @pytest.mark.parametrize("doc, named", [
         ([_manifest_doc()], "must be a JSON object, not list"),
         ({**_manifest_doc(), "entries": {"s1": _GOOD_ENTRY}}, "key 'entries'"),
@@ -472,11 +532,17 @@ class TestFeatures:
             self, workspace, tmp_path, monkeypatch):
         root, manifest = workspace
         build_corpus, preprocess, built, calls = cli.build_corpus, dsp.preprocess, [], []
+        layouts = []
 
         def building(*args, **kwargs):
-            corpus = build_corpus(*args, **kwargs)
-            built.extend(corpus)
-            return corpus
+            layout, recordings = build_corpus(*args, **kwargs)
+            layouts.append(layout)
+
+            def recording():
+                for data in recordings:
+                    built.append(data)
+                    yield data
+            return layout, recording()
 
         def counting(data, *args, **kwargs):
             calls.append(data)
@@ -487,10 +553,13 @@ class TestFeatures:
         for band, metric in (("gamma", "PLV"), ("alpha", "COR"), ("gamma", "PLI")):
             assert self._features(manifest, tmp_path / "cache", tmp_path / f"{band}_{metric}.csv",
                                   band=band, metric=metric) == cli.EXIT_OK
-        assert [rec.subject_id for rec in built] == ["S000", "S001", "S002"]
+        [layout] = layouts
+        assert [subject for _, subject, _ in layout["provenance"].tolist()] == [
+            "S000", "S001", "S002"]
+        assert len(built) == 3
         # one call per built recording, each on that recording's own samples
         assert len(calls) == len(built)
-        assert all(data is rec.data for data, rec in zip(calls, built))
+        assert all(data is rec for data, rec in zip(calls, built))
 
     @pytest.mark.parametrize("flags", [("--notch-hz", "40"), ("--filter-order", "2")])
     def test_filter_flags_key_the_preprocessed_cache(self, workspace, tmp_path, capsys,

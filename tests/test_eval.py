@@ -390,20 +390,22 @@ def raw_corpus():
 @pytest.fixture(scope="module")
 def small_corpus(raw_corpus):
     """raw_corpus preprocessed with the default filter settings."""
-    return ev.preprocessed(list(raw_corpus))
+    return ev.preprocessed(synth.as_built(raw_corpus))
 
 
 class TestExperiment:
     def test_epoch_features_shapes(self, small_corpus):
         config = ev.ExperimentConfig(metric="PLV", band="gamma")
-        epochs, labels, provenance = ev.band_epochs(small_corpus, config, "resting")
-        assert epochs.shape == (4 * 7, 6, 512)  # 30 s / 4 s = 7 per subject
-        assert epochs.flags.c_contiguous
+        recordings = list(ev.band_epochs(small_corpus, config, "resting"))
+        assert len(recordings) == 4
+        for epochs, _, _ in recordings:
+            assert epochs.shape == (7, 6, 512)  # 30 s / 4 s = 7 per subject
+            assert epochs.flags.c_contiguous
+        x, labels, provenance = ev.epoch_features(recordings, "PLV")
         assert labels.shape == (28,)
         assert provenance.shape == (28, 3)
-        x = ev.epoch_features(epochs, labels, "PLV")
         assert x.shape == (28, 6 * 5 // 2)
-        x_gb = ev.epoch_features(epochs, labels, "PLV", "ND")
+        x_gb, _, _ = ev.epoch_features(recordings, "PLV", "ND")
         assert x_gb.shape == (28, 6)
 
     def test_band_epochs_provenance(self, rng):
@@ -412,9 +414,11 @@ class TestExperiment:
                   make_recording(rng.standard_normal((2, 512)), subject="S8",
                                  dataset="d3", condition="task")]
         config = ev.ExperimentConfig(metric="PLV", band="gamma")
-        corpus = ev.preprocessed(corpus, **config.filters)
-        epochs, labels, provenance = ev.band_epochs(corpus, config, "task")
-        assert epochs.shape == (3, 2, 512)
+        corpus = ev.preprocessed(synth.as_built(corpus), **config.filters)
+        recordings = list(ev.band_epochs(corpus, config, "task"))
+        assert [epochs.shape for epochs, _, _ in recordings] == [(2, 2, 512), (1, 2, 512)]
+        labels = np.concatenate([labels for _, labels, _ in recordings])
+        provenance = np.concatenate([provenance for _, _, provenance in recordings])
         assert labels.tolist() == ["d2/S7", "d2/S7", "d3/S8"]
         assert [tuple(p) for p in provenance.tolist()] == [
             ("d2", "S7", "task"), ("d2", "S7", "task"), ("d3", "S8", "task")]
@@ -423,28 +427,21 @@ class TestExperiment:
         corpus = [make_recording(rng.standard_normal((1, 1024)), subject=f"S{i}")
                   for i in range(2)]
         config = ev.ExperimentConfig(metric="COR", band="gamma")
-        corpus = ev.preprocessed(corpus, **config.filters)
+        corpus = ev.preprocessed(synth.as_built(corpus), **config.filters)
         with pytest.raises(ValueError, match=r"corpus has 1 channel\(s\)"):
             ev.band_epochs(corpus, config, "resting")
 
-    @pytest.mark.parametrize("channels, fs", [(2, 160.0), (3, 128.0)], ids=["rate", "channels"])
-    def test_preprocessed_needs_one_rate_and_channel_count(self, rng, channels, fs):
-        corpus = [make_recording(rng.standard_normal((2, 1024))),
-                  make_recording(rng.standard_normal((channels, 1024)), fs=fs, subject="S1")]
-        with pytest.raises(ValueError, match="differ in channel count or sampling rate"):
-            ev.preprocessed(corpus)
-
     def test_degenerate_epoch_names_recording(self, small_corpus):
         config = ev.ExperimentConfig(metric="COR", band="gamma")
-        epochs, labels, _ = ev.band_epochs(small_corpus, config, "resting")
-        epochs[9, 2] = 0.0
+        recordings = list(ev.band_epochs(small_corpus, config, "resting"))
+        recordings[1][0][2, 2] = 0.0  # epoch 9 overall: 7 per subject
         with pytest.raises(DegenerateVariance, match=r"\[2\] in epoch 9 \[synth/S001\]"):
-            ev.epoch_features(epochs, labels, "COR")
+            ev.epoch_features(recordings, "COR")
 
     @pytest.mark.parametrize("filters", [{"notch_hz": 40.0}], ids=["other-notch"])
     def test_band_epochs_refuses_other_preprocessing(self, raw_corpus, filters):
         config = ev.ExperimentConfig(metric="PLV", band="gamma")
-        corpus = ev.preprocessed(list(raw_corpus), **filters)
+        corpus = ev.preprocessed(synth.as_built(raw_corpus), **filters)
         with pytest.raises(ValueError, match="preprocessed as"):
             ev.band_epochs(corpus, config, "resting")
 
@@ -493,7 +490,8 @@ class TestExperiment:
                                      epoch_length_s=2.0,
                                      train_condition="resting",
                                      test_condition="task", k2=2, seed=0)
-        report = ev.run_experiment(ev.preprocessed(rest + task, **config.filters), config)
+        report = ev.run_experiment(ev.preprocessed(synth.as_built(rest + task),
+                                                   **config.filters), config)
         assert report.mismatched
         assert len(report.cv.fold_accuracies) == 1
         assert report.cv.standard_error == 0.0
@@ -509,7 +507,7 @@ class TestExperiment:
         config = ev.ExperimentConfig(metric="COR", band="alpha", epoch_length_s=2.0,
                                      train_condition="resting", test_condition="task",
                                      k2=2, seed=3)
-        corpus = ev.preprocessed(corpus, **config.filters)
+        corpus = ev.preprocessed(synth.as_built(corpus), **config.filters)
         report = ev.run_experiment(corpus, config)
         x_train, y_train = ev._features_cached(corpus, config, "resting")
         x_test, y_test = ev._features_cached(corpus, config, "task")
@@ -543,7 +541,8 @@ class TestExperiment:
                                      train_condition="resting",
                                      test_condition="task", k2=2)
         with pytest.raises(MissingCondition):
-            ev.run_experiment(ev.preprocessed(rest + task, **config.filters), config)
+            ev.run_experiment(ev.preprocessed(synth.as_built(rest + task), **config.filters),
+                              config)
 
     def test_feature_cache_roundtrip(self, small_corpus, tmp_path):
         config = ev.ExperimentConfig(metric="PLV", band="gamma",
@@ -563,7 +562,7 @@ class TestExperiment:
                                    epoch_length_s=2.0)
         changed = ev.ExperimentConfig(metric="COR", band="gamma",
                                       epoch_length_s=2.0, **{field: value})
-        corpus = {config: ev.preprocessed(list(raw_corpus), **config.filters)
+        corpus = {config: ev.preprocessed(synth.as_built(raw_corpus), **config.filters)
                   for config in (base, changed)}
         x_base, _ = ev._features_cached(corpus[base], base, "resting",
                                         cache_dir=tmp_path, cache_tag="t1")

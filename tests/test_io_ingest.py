@@ -32,6 +32,7 @@ from eegid.io_ingest import (
     load_manifest,
     load_matrix,
     parse_edf,
+    read_edf_header,
     select_channels,
     window_recording,
 )
@@ -164,11 +165,38 @@ class TestParseEdf:
         raw = bytearray(_FUZZ_EDF)
         for offset, patch in edits:
             raw[offset:offset + len(patch)] = patch
+        raw = bytes(raw)
         try:
-            rec = parse_edf(bytes(raw))
-        except EegIdError:
+            header = read_edf_header(io.BytesIO(raw), len(raw))
+        except EegIdError as exc:
+            # both entry points raise the same error
+            with pytest.raises(type(exc)) as parsed:
+                parse_edf(raw)
+            assert str(parsed.value) == str(exc)
+            return
+        try:
+            rec = parse_edf(raw)
+        except EegIdError as exc:
+            # past a good header only the calibrated samples can fail
+            assert isinstance(exc, MalformedHeader) and "calibration" in str(exc)
             return
         assert isinstance(rec, EegRecording)
+        assert rec.channel_names == header["labels"]
+        assert rec.sampling_rate_hz == header["rate"]
+        assert rec.n_samples == header["samples"]
+
+    def test_header_infers_record_count_from_size(self):
+        raw = bytearray(_FUZZ_EDF)
+        raw[236:244] = b"-1      "
+        header = read_edf_header(io.BytesIO(bytes(raw)), len(raw))
+        assert header["samples"] == parse_edf(bytes(raw)).n_samples == 20
+        # only the header is read: the record count comes from the length
+        # given, here one 40-byte record longer than these bytes
+        longer = read_edf_header(io.BytesIO(bytes(raw)), len(raw) + 40)
+        assert longer["samples"] == 30
+        raw[236:244] = b"3       "
+        with pytest.raises(TruncatedRecord):
+            read_edf_header(io.BytesIO(bytes(raw)), len(raw))
 
 
 class TestLoadMatrix:
@@ -236,8 +264,10 @@ class TestSelectChannels:
                               window_s=(0.0, 1.0))
         manifest = DatasetManifest(entries=(entry,), target_rate_hz=128.0,
                                    channel_policy="bci2000_64")
-        [rec] = build_corpus(manifest)
-        assert rec.channel_names == policy.names
+        layout, recordings = build_corpus(manifest)
+        [data] = list(recordings)
+        assert tuple(layout["channels"].tolist()) == policy.names
+        assert data.shape == (64, 128)
 
     def test_64_to_56(self, rng):
         rec = make_recording(rng.standard_normal((64, 10)), names=BCI2000_64.names)
@@ -287,16 +317,20 @@ class TestBuildCorpus:
                                channel_policy=["C3", "C4"])
 
     def test_three_entries_sixty_seconds(self, tmp_path):
-        corpus = build_corpus(self._manifest(tmp_path))
+        layout, recordings = build_corpus(self._manifest(tmp_path))
+        corpus = list(recordings)
         assert len(corpus) == 3
-        for rec in corpus:
-            assert rec.n_samples == 7680
-            assert rec.sampling_rate_hz == 128.0
+        for data in corpus:
+            assert data.shape[1] == 7680
+        assert layout["ends"].tolist() == [7680, 2 * 7680, 3 * 7680]
+        assert layout["rate"] == 128.0
 
     def test_empty_manifest(self):
         manifest = DatasetManifest(entries=(), target_rate_hz=128.0,
                                    channel_policy="common_56")
-        assert build_corpus(manifest) == []
+        layout, recordings = build_corpus(manifest)
+        assert list(recordings) == []
+        assert layout["ends"].size == layout["provenance"].size == 0
 
     def test_window_out_of_range(self, tmp_path):
         manifest = self._manifest(tmp_path, n_entries=1, window=(0.0, 120.0))
@@ -324,8 +358,9 @@ class TestBuildCorpus:
         loaded = load_manifest(path)
         assert loaded.target_rate_hz == 128.0
         assert len(loaded.entries) == 1
-        corpus = build_corpus(loaded)
-        assert corpus[0].sampling_rate_hz == 128.0
+        layout, recordings = build_corpus(loaded)
+        assert layout["rate"] == 128.0
+        assert [data.shape for data in recordings] == [(2, 7680)]
 
     def test_duplicate_entry_rejected(self, tmp_path):
         entry = ManifestEntry(path="x", format="matrix", subject_id="S0",
