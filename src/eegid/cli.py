@@ -20,6 +20,8 @@ from . import connectivity, dsp, evaluation, graph
 from .errors import (
     EegIdError,
     EpochTooShort,
+    InsufficientEpochs,
+    MissingCondition,
     NoConvergence,
     RecordingTooShort,
     UnstableDesign,
@@ -39,21 +41,23 @@ def _log(msg):
 
 
 def _corpus_hash(manifest) -> str:
+    """Digest of a `load_manifest` document and the bytes of its files."""
     h = hashlib.sha256()
-    h.update(repr((manifest.target_rate_hz, manifest.channel_policy)).encode())
-    for entry in manifest.entries:
-        if entry.format == "edf":  # its loader reads the rate and channels from the file
-            entry = replace(entry, sampling_rate_hz=0.0, channel_names=())
-        h.update(repr((entry.subject_id, entry.dataset_id, entry.condition,
-                       entry.window_s, entry.format, entry.sampling_rate_hz,
-                       entry.channel_names)).encode())
-        h.update(Path(entry.path).read_bytes())
+    h.update(repr((manifest["target_rate_hz"], manifest["channel_policy"])).encode())
+    for entry in manifest["entries"]:
+        # an EDF entry's loader reads the rate and channels from the file
+        matrix = entry["format"] == "matrix"
+        h.update(repr((entry["subject_id"], entry["dataset_id"], entry["condition"],
+                       tuple(entry["window_s"]), entry["format"],
+                       entry["sampling_rate_hz"] if matrix else 0.0,
+                       tuple(entry["channel_names"]) if matrix else ())).encode())
+        h.update(Path(entry["path"]).read_bytes())
     return h.hexdigest()[:16]
 
 
 def _with_policy(manifest, policy):
     """The manifest with a run-config channel policy; None keeps its own."""
-    return manifest if policy is None else replace(manifest, channel_policy=policy)
+    return manifest if policy is None else {**manifest, "channel_policy": policy}
 
 
 def _cached_corpus(manifest, cache_dir, filters, channel_policy=None):
@@ -248,18 +252,47 @@ def _check_epoch_lengths(lengths, rate_hz, metrics):
 
 def _check_recordings(manifest, doc):
     """Raise unless every entry holds every channel of every run-config
-    channel policy, and every recording of a swept condition holds one epoch
-    of every epoch length.  Reads entry headers only (`corpus_layout`)."""
-    swept = {name for pair in doc["conditions"] for name in pair}
+    channel policy, every swept condition has recordings, each of them holds
+    one epoch of every epoch length, and every condition pair has the epochs
+    its folds need at every length: k1 per subject when matched; when
+    mismatched, k2 for some training subject and training epochs for every
+    test subject.  Reads entry headers only (`corpus_layout`)."""
     for policy in doc["channel_policies"]:
         layout = corpus_layout(_with_policy(manifest, policy))
-        rate = float(layout["rate"])
-        for length in map(float, doc["epoch_lengths_s"]):
-            m = dsp.epoch_samples(rate, length)
-            for entry, n in zip(manifest.entries, np.diff(layout["ends"], prepend=0)):
-                if entry.condition in swept and n < m:
-                    raise RecordingTooShort(f"{entry.path}: {n} samples cannot hold one "
-                                            f"{length} s epoch at {rate} Hz")
+    if not doc["channel_policies"]:  # an empty sweep runs nothing
+        return
+    # sample counts and provenance do not depend on the channel policy
+    rate, samples = float(layout["rate"]), np.diff(layout["ends"], prepend=0)
+    # (dataset, subject, condition) is unique: one recording per subject and condition
+    recordings = {}  # condition -> {class label: samples}
+    for (dataset, subject, condition), n in zip(layout["provenance"].tolist(), samples.tolist()):
+        recordings.setdefault(condition, {})[f"{dataset}/{subject}"] = n
+    swept = sorted({name for pair in doc["conditions"] for name in pair})
+    for name in swept:
+        if name not in recordings:
+            raise MissingCondition(f"corpus has no recordings with condition {name!r}")
+    k1, k2 = doc["k1"], doc["k2"]
+    for length in map(float, doc["epoch_lengths_s"]):
+        m = dsp.epoch_samples(rate, length)
+        for entry, n in zip(manifest["entries"], samples):
+            if entry["condition"] in swept and n < m:
+                raise RecordingTooShort(f"{entry['path']}: {n} samples cannot hold one "
+                                        f"{length} s epoch at {rate} Hz")
+        for train, test in doc["conditions"]:
+            epochs = {label: n // m for label, n in recordings[train].items()}
+            if train == test:
+                for label, n in epochs.items():
+                    if n < k1:
+                        raise InsufficientEpochs(
+                            f"subject {label!r} has fewer epochs than outer folds: {n} "
+                            f"{train} epochs of {length} s for k1 = {k1}")
+            elif max(epochs.values()) < k2:
+                raise InsufficientEpochs(
+                    f"{k2} folds need a subject with at least {k2} epochs, but the most any "
+                    f"subject has is {max(epochs.values())} ({train} epochs of {length} s)")
+            elif missing := sorted(recordings[test].keys() - epochs.keys()):
+                raise MissingCondition(f"test-condition subjects absent from training data: "
+                                       f"{missing[:5]} ({test} against {train})")
 
 
 def cmd_evaluate(args) -> int:
@@ -273,7 +306,7 @@ def cmd_evaluate(args) -> int:
     base = Path(args.config).parent
     # relative paths resolve against the config's directory; absolute ones replace it
     manifest = load_manifest(base / doc["manifest"])
-    _check_epoch_lengths(doc["epoch_lengths_s"], manifest.target_rate_hz, doc["metrics"])
+    _check_epoch_lengths(doc["epoch_lengths_s"], manifest["target_rate_hz"], doc["metrics"])
     _check_recordings(manifest, doc)
     cache_dir = base / doc.get("cache_dir", "cache")
     out_dir = Path(args.out)

@@ -1,5 +1,9 @@
 """EEG file ingestion: EDF and plain-matrix parsing, manifests, corpora.
 
+A manifest is a checked JSON document (`load_manifest`); the parsers return
+(data, rate_hz, channel_names), data a (channels, samples) float array; and
+`build_corpus` hands over arrays, one recording at a time.
+
 Only continuous EDF is supported (no EDF+D); "EDF Annotations" signals are
 silently dropped.  All remaining signals must share one sampling rate.
 """
@@ -12,7 +16,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,82 +36,6 @@ from .errors import (
 CONDITIONS = ("resting", "task")
 
 
-@dataclass(frozen=True)
-class EegRecording:
-    """A channels-by-samples block of EEG with its provenance.
-
-    Rows of `data` follow `channel_names`.  Units are conventionally
-    microvolts but not enforced.
-    """
-
-    channel_names: tuple
-    sampling_rate_hz: float
-    data: np.ndarray
-    subject_id: str = ""
-    dataset_id: str = ""
-    condition: str = "resting"
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        if data.ndim != 2 or data.shape[1] < 1:
-            raise ValueError("data must be a 2-D N_ch x N_samples matrix")
-        names = tuple(self.channel_names)
-        if len(names) != data.shape[0]:
-            raise ValueError("channel_names length must match data rows")
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate channel names")
-        if not self.sampling_rate_hz > 0:
-            raise ValueError("sampling_rate_hz must be positive")
-        if self.condition not in CONDITIONS:
-            raise ValueError(f"condition must be one of {CONDITIONS}")
-        object.__setattr__(self, "channel_names", names)
-        object.__setattr__(self, "data", data)
-
-    @property
-    def n_channels(self):
-        return self.data.shape[0]
-
-    @property
-    def n_samples(self):
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class ManifestEntry:
-    path: str
-    format: str  # "edf" | "matrix"
-    subject_id: str
-    dataset_id: str
-    condition: str
-    window_s: tuple  # (start, end) in seconds
-    sampling_rate_hz: float = 0.0  # matrix entries only
-    channel_names: tuple = ()      # matrix entries only
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    entries: tuple
-    target_rate_hz: float
-    channel_policy: object  # "common_56" | "ten_twenty_21" | explicit list
-
-    def __post_init__(self):
-        if not self.target_rate_hz > 0:
-            raise ValueError("target_rate_hz must be positive")
-        seen = set()
-        for e in self.entries:
-            start, end = e.window_s
-            if start < 0 or not start < end:
-                raise ValueError(f"bad segment window {e.window_s} for {e.path}")
-            key = (e.dataset_id, e.subject_id, e.condition)
-            if key in seen:
-                raise ValueError(f"duplicate manifest entry for {key}")
-            seen.add(key)
-
-    @property
-    def channel_set(self) -> ChannelSet:
-        return resolve_policy(self.channel_policy)
-
-
 def is_finite_number(value):
     """A finite JSON number that fits a float: not a bool, NaN, an infinity
     or an integer too large for a float."""
@@ -116,13 +43,21 @@ def is_finite_number(value):
             and abs(value) <= sys.float_info.max)
 
 
-# each manifest entry key's type check and the type it names
+def _is_id(value):
+    """An id whose text can sit in a feature-CSV cell: no comma or line break."""
+    return not {",", "\n", "\r"} & set(str(value))
+
+
+# each manifest entry key's check and what it asks for
 _ENTRY_TYPES = {
     "path": (lambda v: isinstance(v, str), "a path string"),
     "format": (lambda v: v in ("edf", "matrix"), "'edf' or 'matrix'"),
+    "subject_id": (_is_id, "text without ',' or a line break"),
+    "dataset_id": (_is_id, "text without ',' or a line break"),
     "condition": (lambda v: v in CONDITIONS, " or ".join(map(repr, CONDITIONS))),
     "window_s": (lambda v: isinstance(v, list) and len(v) == 2
-                 and all(map(is_finite_number, v)), "[start, end] in seconds"),
+                 and all(map(is_finite_number, v)) and 0 <= v[0] < v[1],
+                 "[start, end] in seconds with 0 <= start < end"),
     "sampling_rate_hz": (is_finite_number, "a finite number"),
     "channel_names": (lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
                       "a list of channel labels"),
@@ -136,15 +71,16 @@ def _manifest_problem(doc):
         return f"manifest must be a JSON object, not {type(doc).__name__}"
     if not isinstance(doc.get("entries"), list) or not doc["entries"]:
         return f"manifest key 'entries' must be a non-empty list, not {doc.get('entries')!r}"
-    if not is_finite_number(doc.get("target_rate_hz")):
-        return (f"manifest key 'target_rate_hz' must be a finite number, "
-                f"not {doc.get('target_rate_hz')!r}")
+    rate = doc.get("target_rate_hz")
+    if not is_finite_number(rate) or not rate > 0:
+        return f"manifest key 'target_rate_hz' must be a positive finite number, not {rate!r}"
     policy = doc.get("channel_policy", "common_56")
     if not (isinstance(policy, str) or isinstance(policy, list) and policy
             and all(isinstance(name, str) for name in policy)):
         return (f"manifest key 'channel_policy' must be a name or a non-empty list of "
                 f"channel labels, not {policy!r}")
     owners = {}  # class label -> (entry index, (dataset, subject))
+    first = {}  # (dataset, subject, condition) -> entry index
     for i, raw in enumerate(doc["entries"]):
         if not isinstance(raw, dict):
             return f"manifest entry {i} must be an object, not {raw!r}"
@@ -166,11 +102,16 @@ def _manifest_problem(doc):
         # so ("d", "a/b") and ("d/a", "b") would make two subjects one class
         who = (str(raw["dataset_id"]), str(raw["subject_id"]))
         label = "/".join(who)
-        j, first = owners.setdefault(label, (i, who))
-        if first != who:
+        j, owner = owners.setdefault(label, (i, who))
+        if owner != who:
             return (f"manifest entries {j} and {i} give two subjects the class label "
-                    f"{label!r}: dataset {first[0]!r} subject {first[1]!r}, and dataset "
+                    f"{label!r}: dataset {owner[0]!r} subject {owner[1]!r}, and dataset "
                     f"{who[0]!r} subject {who[1]!r}")
+        condition = raw.get("condition", "resting")
+        j = first.setdefault((*who, condition), i)
+        if j != i:
+            return (f"manifest entries {j} and {i} are both dataset {who[0]!r} subject "
+                    f"{who[1]!r} in condition {condition!r}")
     return None
 
 
@@ -184,33 +125,27 @@ def load_json(path):
             raise ValueError(f"{path}: {exc}") from exc
 
 
-def load_manifest(path) -> DatasetManifest:
+def load_manifest(path) -> dict:
     """Read a JSON manifest file (schema documented in the README).  A
-    document of the wrong shape raises ValueError naming the entry and key."""
+    document of the wrong shape raises ValueError naming the entry and key.
+
+    Returns the document with `channel_policy` and each entry's `condition`
+    defaulted, entry paths resolved against the manifest's directory, ids as
+    text and rates as floats; `window_s` and `channel_names` stay as parsed.
+    """
     doc = load_json(path)
     if problem := _manifest_problem(doc):
         raise ValueError(problem)
     base = Path(path).parent
-    entries = []
-    for raw in doc["entries"]:
-        p = Path(raw["path"])
-        if not p.is_absolute():
-            p = base / p
-        entries.append(ManifestEntry(
-            path=str(p),
-            format=raw["format"],
-            subject_id=str(raw["subject_id"]),
-            dataset_id=str(raw["dataset_id"]),
-            condition=raw.get("condition", "resting"),
-            window_s=tuple(raw["window_s"]),
-            sampling_rate_hz=float(raw.get("sampling_rate_hz", 0.0)),
-            channel_names=tuple(raw.get("channel_names", ())),
-        ))
-    return DatasetManifest(
-        entries=tuple(entries),
-        target_rate_hz=float(doc["target_rate_hz"]),
-        channel_policy=doc.get("channel_policy", "common_56"),
-    )
+    doc.setdefault("channel_policy", "common_56")
+    doc["target_rate_hz"] = float(doc["target_rate_hz"])
+    for entry in doc["entries"]:
+        # an absolute entry path replaces the base
+        entry.update(path=str(base / entry["path"]), subject_id=str(entry["subject_id"]),
+                     dataset_id=str(entry["dataset_id"]),
+                     condition=entry.get("condition", "resting"),
+                     sampling_rate_hz=float(entry.get("sampling_rate_hz", 0.0)))
+    return doc
 
 
 # --- EDF parsing -----------------------------------------------------------
@@ -350,8 +285,9 @@ def read_edf_header(stream, size) -> dict:
     }
 
 
-def parse_edf(raw: bytes) -> EegRecording:
-    """Decode a continuous EDF byte stream into an EegRecording.
+def parse_edf(raw: bytes) -> tuple:
+    """Decode a continuous EDF byte stream into (data, rate_hz, channel_names):
+    a (channels, samples) float array whose rows follow the normalized labels.
 
     The header is `read_edf_header`'s.  Samples are 16-bit little-endian
     two's complement, mapped to physical units with the per-signal
@@ -371,9 +307,7 @@ def parse_edf(raw: bytes) -> EegRecording:
             row[:] = (flat[:, start:stop].reshape(-1).astype(float) - dig_min) * gain + phys_min
     if not np.isfinite(data).all():
         raise MalformedHeader("calibration maps samples outside the floating-point range")
-
-    return EegRecording(channel_names=header["labels"], sampling_rate_hz=header["rate"],
-                        data=data)
+    return data, header["rate"], header["labels"]
 
 
 # --- plain matrix format ---------------------------------------------------
@@ -383,8 +317,9 @@ def _cells(line):
     return line.replace(",", " ").split()
 
 
-def load_matrix(stream, sampling_rate_hz, channel_names) -> EegRecording:
-    """Read a delimiter-separated numeric matrix, one channel per line.
+def load_matrix(stream, sampling_rate_hz, channel_names) -> tuple:
+    """Read a delimiter-separated numeric matrix, one channel per line, into
+    (data, rate_hz, channel_names), the names normalized.
 
     `stream` is an iterable of text lines (an open file works).  Commas and
     whitespace both act as delimiters.  A cell that is not a finite number
@@ -414,8 +349,7 @@ def load_matrix(stream, sampling_rate_hz, channel_names) -> EegRecording:
     names = tuple(normalize_label(n) for n in channel_names)
     if len(names) != len(rows):
         raise RaggedRows(f"{len(names)} channel names for {len(rows)} data rows")
-    return EegRecording(channel_names=names, sampling_rate_hz=sampling_rate_hz,
-                        data=np.array(rows, dtype=float))
+    return np.array(rows, dtype=float), sampling_rate_hz, names
 
 
 # --- channel selection and corpus assembly ---------------------------------
@@ -427,12 +361,6 @@ def _channel_rows(channel_names, channel_set: ChannelSet) -> list:
         if name not in index:
             raise MissingChannel(name)
     return [index[name] for name in channel_set]
-
-
-def select_channels(rec: EegRecording, channel_set: ChannelSet) -> EegRecording:
-    """Reorder/restrict a recording to a channel set's canonical order."""
-    rows = _channel_rows(rec.channel_names, channel_set)
-    return replace(rec, channel_names=tuple(channel_set), data=rec.data[rows])
 
 
 def _window_columns(start_s, end_s, rate_hz, n_samples) -> tuple:
@@ -451,41 +379,36 @@ def _window_columns(start_s, end_s, rate_hz, n_samples) -> tuple:
     return i0, i1
 
 
-def window_recording(rec: EegRecording, start_s, end_s) -> EegRecording:
-    """Cut [start_s, end_s) out of a recording."""
-    i0, i1 = _window_columns(start_s, end_s, rec.sampling_rate_hz, rec.n_samples)
-    return replace(rec, data=rec.data[:, i0:i1])
-
-
 @contextmanager
-def _naming(entry: ManifestEntry):
+def _naming(entry):
     """Prefix the message of a pipeline error raised inside with the entry's path."""
     try:
         yield
     except EegIdError as exc:
-        exc.args = (f"{entry.path}: {exc}",)
+        exc.args = (f"{entry['path']}: {exc}",)
         raise
 
 
-def _entry_header(entry: ManifestEntry) -> tuple:
+def _entry_header(entry) -> tuple:
     """(channel names, rate, samples) of a manifest entry, decoding no
     samples: an EDF entry's from its header, a matrix entry's names and rate
     from the manifest and its sample count from the cells of its first data
     row."""
-    if entry.format == "edf":
-        with open(entry.path, "rb") as fh:
+    if entry["format"] == "edf":
+        with open(entry["path"], "rb") as fh:
             header = read_edf_header(fh, os.fstat(fh.fileno()).st_size)
         return header["labels"], header["rate"], header["samples"]
-    names = tuple(normalize_label(name) for name in entry.channel_names)
-    with open(entry.path, "r", encoding="utf-8") as fh:
+    names = tuple(normalize_label(name) for name in entry["channel_names"])
+    with open(entry["path"], "r", encoding="utf-8") as fh:
         for line in fh:
             if parts := _cells(line):
-                return names, entry.sampling_rate_hz, len(parts)
+                return names, entry["sampling_rate_hz"], len(parts)
     raise RaggedRows("matrix stream contains no data rows")
 
 
-def corpus_layout(manifest: DatasetManifest) -> dict:
-    """What `build_corpus` will hand over, sized from headers alone.
+def corpus_layout(manifest) -> dict:
+    """What `build_corpus` will hand over for a `load_manifest` document,
+    sized from headers alone.
 
     Returns a dict: `channels`, the channel set's names; `ends`, the column
     at which each entry ends once the entries sit side by side at the target
@@ -494,47 +417,51 @@ def corpus_layout(manifest: DatasetManifest) -> dict:
     recording or a rate that cannot be resampled to the target raises here,
     naming the entry's path, before any entry is decoded.
     """
-    channel_set = manifest.channel_set
+    channel_set = resolve_policy(manifest["channel_policy"])
+    entries, target = manifest["entries"], manifest["target_rate_hz"]
     lengths = []
-    for entry in manifest.entries:
+    for entry in entries:
         with _naming(entry):
             names, rate, samples = _entry_header(entry)
             _channel_rows(names, channel_set)
-            i0, i1 = _window_columns(*entry.window_s, rate, samples)
-            lengths.append(dsp.resampled_length(i1 - i0, rate, manifest.target_rate_hz))
+            i0, i1 = _window_columns(*entry["window_s"], rate, samples)
+            lengths.append(dsp.resampled_length(i1 - i0, rate, target))
     return {
         "channels": np.array(channel_set.names),
         "ends": np.cumsum(lengths, dtype=np.int64),
-        "provenance": np.array([(entry.dataset_id, entry.subject_id, entry.condition)
-                                for entry in manifest.entries]),
-        "rate": np.array(float(manifest.target_rate_hz)),
+        "provenance": np.array([(entry["dataset_id"], entry["subject_id"], entry["condition"])
+                                for entry in entries]),
+        "rate": np.array(target),
     }
 
 
-def _entry_samples(entry: ManifestEntry, channel_set, target_rate_hz) -> np.ndarray:
+def _entry_samples(entry, channel_set, target_rate_hz) -> np.ndarray:
     """One entry decoded, windowed, channel-selected and resampled."""
     with _naming(entry):
-        if entry.format == "edf":
-            rec = parse_edf(Path(entry.path).read_bytes())
+        if entry["format"] == "edf":
+            data, rate, names = parse_edf(Path(entry["path"]).read_bytes())
         else:
-            with open(entry.path, "r", encoding="utf-8") as fh:
-                rec = load_matrix(fh, entry.sampling_rate_hz, entry.channel_names)
-        # rebinding `rec` releases the decoded recording once its channels are copied
-        rec = select_channels(window_recording(rec, *entry.window_s), channel_set)
-        return dsp.resample(rec.data, rec.sampling_rate_hz, target_rate_hz)
+            with open(entry["path"], "r", encoding="utf-8") as fh:
+                data, rate, names = load_matrix(fh, entry["sampling_rate_hz"],
+                                                entry["channel_names"])
+        i0, i1 = _window_columns(*entry["window_s"], rate, data.shape[1])
+        # one copy of the window's rows of the channel set; rebinding `data`
+        # releases the decoded recording
+        data = data[_channel_rows(names, channel_set), i0:i1]
+        return dsp.resample(data, rate, target_rate_hz)
 
 
-def build_corpus(manifest: DatasetManifest) -> tuple:
-    """(layout, recordings): the `corpus_layout` of a manifest, and an
-    iterator that loads, windows, channel-selects and resamples one entry
-    at a time, in manifest order, when it is reached.
+def build_corpus(manifest) -> tuple:
+    """(layout, recordings): the `corpus_layout` of a `load_manifest`
+    document, and an iterator that loads, windows, channel-selects and
+    resamples one entry at a time, in manifest order, when it is reached.
 
     Each recording is a (channels, samples) array at the manifest target
     rate whose sample count the layout gives.  Each dataset's recordings
     are resampled independently to that rate, mirroring the pooling
     protocol for heterogeneous sources.
     """
-    channel_set = manifest.channel_set
+    channel_set = resolve_policy(manifest["channel_policy"])
     layout = corpus_layout(manifest)
-    return layout, (_entry_samples(entry, channel_set, manifest.target_rate_hz)
-                    for entry in manifest.entries)
+    return layout, (_entry_samples(entry, channel_set, manifest["target_rate_hz"])
+                    for entry in manifest["entries"])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from eegid import svm
-from eegid.io_ingest import EegRecording
 
 
 @pytest.fixture
@@ -12,17 +11,13 @@ def rng():
 
 def make_recording(data, fs=128.0, subject="S000", dataset="test",
                    condition="resting", names=None):
+    """A recording as `synth.synthetic_corpus` gives one: a manifest entry's
+    keys, with its samples under `data` in place of a path."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if names is None:
         names = tuple(f"CH{i:02d}" for i in range(data.shape[0]))
-    return EegRecording(
-        channel_names=tuple(names),
-        sampling_rate_hz=fs,
-        data=data,
-        subject_id=subject,
-        dataset_id=dataset,
-        condition=condition,
-    )
+    return {"data": data, "sampling_rate_hz": fs, "channel_names": tuple(names),
+            "subject_id": subject, "dataset_id": dataset, "condition": condition}
 
 
 def train_grid(x, labels, grid):

@@ -67,8 +67,9 @@ def decode_calibrated(digital, phys_min, phys_max, dig_min, dig_max):
     return (digital - dig_min) / (dig_max - dig_min) * (phys_max - phys_min) + phys_min
 
 
-def save_matrix(rec, fh):
-    """Write a recording in the plain matrix format that load_matrix reads."""
-    for row in rec.data:
+def save_matrix(data, fh):
+    """Write a (channels, samples) array in the plain matrix format that
+    load_matrix reads."""
+    for row in data:
         fh.write(" ".join(repr(float(v)) for v in row))
         fh.write("\n")

@@ -17,6 +17,7 @@ import numpy as np
 from scipy import signal
 
 from eegid import connectivity, dsp, evaluation, graph, io_ingest
+from eegid.channels import resolve_policy
 
 
 # --- dsp --------------------------------------------------------------------
@@ -418,17 +419,18 @@ def smo_scalar(kernel, y, c, tol=1e-3, max_iter=1_000_000):
 def decoded_list(manifest):
     """Every manifest entry decoded, windowed, channel-selected and resampled
     into one list before anything is preprocessed."""
+    channel_set = resolve_policy(manifest["channel_policy"])
     recordings = []
-    for entry in manifest.entries:
-        if entry.format == "edf":
-            rec = io_ingest.parse_edf(Path(entry.path).read_bytes())
+    for entry in manifest["entries"]:
+        if entry["format"] == "edf":
+            data, rate, names = io_ingest.parse_edf(Path(entry["path"]).read_bytes())
         else:
-            with open(entry.path, encoding="utf-8") as fh:
-                rec = io_ingest.load_matrix(fh, entry.sampling_rate_hz, entry.channel_names)
-        rec = io_ingest.select_channels(io_ingest.window_recording(rec, *entry.window_s),
-                                        manifest.channel_set)
-        recordings.append(dsp.resample(rec.data, rec.sampling_rate_hz,
-                                       manifest.target_rate_hz))
+            with open(entry["path"], encoding="utf-8") as fh:
+                data, rate, names = io_ingest.load_matrix(fh, entry["sampling_rate_hz"],
+                                                          entry["channel_names"])
+        i0, i1 = io_ingest._window_columns(*entry["window_s"], rate, data.shape[1])
+        window = data[:, i0:i1][io_ingest._channel_rows(names, channel_set)]
+        recordings.append(dsp.resample(window, rate, manifest["target_rate_hz"]))
     return recordings
 
 
@@ -436,14 +438,14 @@ def preprocessed_whole(manifest, notch_hz=50.0, notch_q=30.0, filter_order=4):
     """The corpus arrays from a list of every decoded recording, concatenated
     after preprocessing."""
     recordings = decoded_list(manifest)
-    rate = float(manifest.target_rate_hz)
+    rate = float(manifest["target_rate_hz"])
     data = np.concatenate([dsp.preprocess(samples, rate, notch_hz=notch_hz, notch_q=notch_q,
                                           order=filter_order)
                            for samples in recordings], axis=1)
     return {"data": data,
             "ends": np.cumsum([samples.shape[1] for samples in recordings]),
-            "provenance": np.array([(entry.dataset_id, entry.subject_id, entry.condition)
-                                    for entry in manifest.entries]),
+            "provenance": np.array([(entry["dataset_id"], entry["subject_id"],
+                                     entry["condition"]) for entry in manifest["entries"]]),
             "rate": np.array(rate),
             "filters": np.array(evaluation.filter_tag(notch_hz, notch_q, filter_order))}
 

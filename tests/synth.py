@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from eegid.io_ingest import EegRecording
-
 
 def _oscillator_phases(n_samples, fs, freq_hz, jitter_rad, rng):
     t = np.arange(n_samples) / fs
@@ -39,6 +37,9 @@ def synthetic_corpus(n_subjects=12, n_channels=8, duration_s=60.0, fs=128.0,
                      condition="resting", dataset_id="synth") -> list:
     """A corpus of identifiable synthetic subjects, one recording each.
 
+    Each recording is a dict of a manifest entry's keys (`subject_id`,
+    `dataset_id`, `condition`, `sampling_rate_hz`, `channel_names`) with its
+    (channels, samples) array under `data` in place of a path.
     Channel-to-oscillator assignments are drawn without repetition across
     subjects so every subject has a distinct coupling pattern.
     """
@@ -56,14 +57,9 @@ def synthetic_corpus(n_subjects=12, n_channels=8, duration_s=60.0, fs=128.0,
         lags = rng.uniform(-np.pi, np.pi, size=n_channels)
         data = synthetic_subject(assignment, lags, n_samples, fs,
                                  noise_scale=noise_scale, rng=rng)
-        corpus.append(EegRecording(
-            channel_names=channel_names,
-            sampling_rate_hz=fs,
-            data=data,
-            subject_id=f"S{s:03d}",
-            dataset_id=dataset_id,
-            condition=condition,
-        ))
+        corpus.append({"data": data, "sampling_rate_hz": fs, "channel_names": channel_names,
+                       "subject_id": f"S{s:03d}", "dataset_id": dataset_id,
+                       "condition": condition})
     return corpus
 
 
@@ -71,10 +67,10 @@ def as_built(recordings) -> tuple:
     """A list of recordings that share one rate and channel list, in
     `io_ingest.build_corpus`'s (layout, recordings) shape."""
     layout = {
-        "channels": np.array(recordings[0].channel_names),
-        "ends": np.cumsum([rec.n_samples for rec in recordings]),
-        "provenance": np.array([(rec.dataset_id, rec.subject_id, rec.condition)
+        "channels": np.array(recordings[0]["channel_names"]),
+        "ends": np.cumsum([rec["data"].shape[1] for rec in recordings]),
+        "provenance": np.array([(rec["dataset_id"], rec["subject_id"], rec["condition"])
                                 for rec in recordings]),
-        "rate": np.array(recordings[0].sampling_rate_hz),
+        "rate": np.array(recordings[0]["sampling_rate_hz"]),
     }
-    return layout, (rec.data for rec in recordings)
+    return layout, (rec["data"] for rec in recordings)

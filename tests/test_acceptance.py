@@ -206,18 +206,17 @@ def test_criterion_7_full_dataset(capsys):
 
 
 def _physionet_manifest(root, n_subjects):
+    """The first 60 s of each subject's first run, as `io_ingest.load_manifest`
+    returns a manifest."""
     from pathlib import Path
 
     entries = []
     for s in range(1, n_subjects + 1):
         sid = f"S{s:03d}"
         path = Path(root) / sid / f"{sid}R01.edf"
-        entries.append(io_ingest.ManifestEntry(
-            path=str(path), format="edf", subject_id=sid, dataset_id="d1",
-            condition="resting", window_s=(0.0, 60.0)))
-    return io_ingest.DatasetManifest(entries=tuple(entries),
-                                     target_rate_hz=128.0,
-                                     channel_policy="common_56")
+        entries.append({"path": str(path), "format": "edf", "subject_id": sid,
+                        "dataset_id": "d1", "condition": "resting", "window_s": [0.0, 60.0]})
+    return {"target_rate_hz": 128.0, "channel_policy": "common_56", "entries": entries}
 
 
 def test_criterion_8_epoch_sweep(capsys):
@@ -249,19 +248,19 @@ def test_criterion_9_determinism(capsys, tmp_path):
                                     duration_s=30.0, seed=5)
     entries = []
     for rec in corpus:
-        path = tmp_path / f"{rec.subject_id}.txt"
+        path = tmp_path / f"{rec['subject_id']}.txt"
         with open(path, "w", encoding="utf-8") as fh:
-            save_matrix(rec, fh)
+            save_matrix(rec["data"], fh)
         entries.append({
             "path": path.name, "format": "matrix",
-            "subject_id": rec.subject_id, "dataset_id": "synth",
+            "subject_id": rec["subject_id"], "dataset_id": "synth",
             "condition": "resting", "window_s": [0.0, 30.0],
             "sampling_rate_hz": 128.0,
-            "channel_names": list(rec.channel_names),
+            "channel_names": list(rec["channel_names"]),
         })
     (tmp_path / "manifest.json").write_text(json.dumps({
         "target_rate_hz": 128.0,
-        "channel_policy": list(corpus[0].channel_names),
+        "channel_policy": list(corpus[0]["channel_names"]),
         "entries": entries,
     }))
     (tmp_path / "run.json").write_text(json.dumps({

@@ -27,23 +27,23 @@ def workspace(tmp_path_factory):
                                     duration_s=30.0, seed=5)
     entries = []
     for rec in corpus:
-        path = root / f"{rec.subject_id}.txt"
+        path = root / f"{rec['subject_id']}.txt"
         with open(path, "w", encoding="utf-8") as fh:
-            save_matrix(rec, fh)
+            save_matrix(rec["data"], fh)
         entries.append({
             "path": path.name,
             "format": "matrix",
-            "subject_id": rec.subject_id,
+            "subject_id": rec["subject_id"],
             "dataset_id": "synth",
             "condition": "resting",
             "window_s": [0.0, 30.0],
             "sampling_rate_hz": 128.0,
-            "channel_names": list(rec.channel_names),
+            "channel_names": list(rec["channel_names"]),
         })
     manifest = root / "manifest.json"
     manifest.write_text(json.dumps({
         "target_rate_hz": 128.0,
-        "channel_policy": list(corpus[0].channel_names),
+        "channel_policy": list(corpus[0]["channel_names"]),
         "entries": entries,
     }))
     return root, manifest
@@ -72,6 +72,24 @@ def _bench_inputs(name, seed, out_dir):
         workloads = sys.modules["bench_workloads"] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
     return workloads.write_inputs(workloads.WORKLOADS[name], seed, out_dir)["manifest"]
+
+
+def _task_copies(entries):
+    """Give every subject of the manifest entries a task recording too."""
+    entries += [{**entry, "condition": "task"} for entry in entries]
+
+
+def _short_resting(entries):
+    """Task copies, and 4 s of resting per subject of the cv_fc inputs."""
+    _task_copies(entries)
+    for entry in entries[:4]:
+        entry["window_s"] = [0.0, 4.0]
+
+
+def _no_resting_s004(entries):
+    """Task copies, and no resting recording of the cv_fc inputs' S004."""
+    _task_copies(entries)
+    del entries[3]
 
 
 def _workspace_doc(workspace):
@@ -303,6 +321,33 @@ class TestIngest:
                for name in want}
         assert got == want
 
+    def test_mixed_corpus_hashes_are_stable(self, tmp_path):
+        # matrix entries with integer windows and rates, an entry without a
+        # condition and an integer subject id, under the manifest's label-list
+        # policy and two run-config policies
+        names = ["C3", "C4", "CZ"]
+        (tmp_path / "a.edf").write_bytes(write_edf(
+            names, np.arange(3 * 256).reshape(3, 256) % 97, 128.0))
+        (tmp_path / "b.txt").write_text("1 2 3 4 5 6\n6,5,4,3,2,1\n0 1 0 1 0 1\n")
+        (tmp_path / "c.txt").write_text("\n0.5 1.5 2.5 3.5\n4 3 2 1\n9 9 9 9\n")
+        entries = [
+            {"path": "a.edf", "format": "edf", "subject_id": "S1", "dataset_id": "d1",
+             "window_s": [0.5, 2.0], "sampling_rate_hz": 64.0, "channel_names": ["X"]},
+            {"path": "b.txt", "format": "matrix", "subject_id": 7, "dataset_id": "d2",
+             "condition": "task", "window_s": [0, 1], "sampling_rate_hz": 4,
+             "channel_names": ["cz.", "C4", "c3"]},
+            {"path": str(tmp_path / "c.txt"), "format": "matrix", "subject_id": "S1",
+             "dataset_id": "d1", "condition": "task", "window_s": [0.25, 1],
+             "sampling_rate_hz": 4.0, "channel_names": ["C3", "C4", "CZ"]},
+        ]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"target_rate_hz": 4, "channel_policy": names,
+                                        "entries": entries}))
+        loaded = load_manifest(manifest)
+        got = [cli._corpus_hash(cli._with_policy(loaded, policy))
+               for policy in (None, "common_56", ["C3", "CZ"])]
+        assert got == ["d1ccc5961ebef3a3", "e1d1aaf490b3f28c", "429ebd80d1772905"]
+
     def test_unknown_format_rejected_before_any_file_is_read(self, tmp_path, monkeypatch,
                                                              capsys):
         manifest = _bench_inputs("cv_fc", 0, tmp_path / "inputs")
@@ -383,6 +428,28 @@ class TestIngest:
                                        epoch_lengths_s=[1], k1=2)
         assert code == cli.EXIT_OK, capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, run_config, named", [
+        (None, {"epoch_lengths_s": [2, 5]},
+         "subject 'pn/S001' has fewer epochs than outer folds"),
+        (None, {"conditions": [["resting", "resting"], ["resting", "task"]]},
+         "corpus has no recordings with condition 'task'"),
+        (_short_resting, {"conditions": [["task", "task"], ["resting", "task"]],
+                          "epoch_lengths_s": [2]},
+         "3 folds need a subject with at least 3 epochs, but the most any subject has is 2"),
+        (_no_resting_s004, {"conditions": [["task", "task"], ["resting", "task"]]},
+         "test-condition subjects absent from training data: ['pn/S004']"),
+    ], ids=["matched-below-k1", "condition-without-recordings", "mismatched-below-k2",
+            "test-subject-not-trained"])
+    def test_config_short_of_epochs_rejected_before_any_work(self, tmp_path, monkeypatch,
+                                                             capsys, edit, run_config, named):
+        # the first config of each sweep would run and write its report
+        code, parsed = self._evaluate_cv_fc(tmp_path, monkeypatch, edit, k1=10, k2=3,
+                                            **run_config)
+        assert code == cli.EXIT_DATA
+        assert named in capsys.readouterr().err
+        assert parsed == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("doc, named", [
         ([_manifest_doc()], "must be a JSON object, not list"),
         ({**_manifest_doc(), "entries": {"s1": _GOOD_ENTRY}}, "key 'entries'"),
@@ -404,11 +471,25 @@ class TestIngest:
         (_manifest_doc(sampling_rate_hz=None), "entry 1 has format 'matrix', which needs"),
         (_manifest_doc(sampling_rate_hz=0), "entry 1 has format 'matrix', which needs"),
         (_manifest_doc(channel_names=[]), "entry 1 has format 'matrix', which needs"),
+        ({**_manifest_doc(), "target_rate_hz": 0},
+         "key 'target_rate_hz' must be a positive finite number, not 0"),
+        ({**_manifest_doc(), "target_rate_hz": -128}, "key 'target_rate_hz'"),
+        (_manifest_doc(window_s=[-0.001, 1.0]),
+         "entry 1 key 'window_s' must be [start, end] in seconds with 0 <= start < end"),
+        (_manifest_doc(window_s=[1.0, 1.0]), "entry 1 key 'window_s'"),
+        (_manifest_doc(subject_id="S,001"),
+         "entry 1 key 'subject_id' must be text without ',' or a line break, not 'S,001'"),
+        (_manifest_doc(subject_id="S\n001"), "entry 1 key 'subject_id'"),
+        (_manifest_doc(dataset_id="d\r1"), "entry 1 key 'dataset_id'"),
+        (_manifest_doc(subject_id="s1"),
+         "manifest entries 0 and 1 are both dataset 'd1' subject 's1' in condition 'resting'"),
     ], ids=["top-level-list", "entries-object", "rate-list", "policy-number",
             "policy-empty", "entry-number", "path-number", "window-number", "window-strings",
             "condition-list", "condition-unknown", "channel-names-repeated",
             "channel-names-string", "no-subject", "format-unknown", "matrix-no-rate",
-            "matrix-zero-rate", "matrix-no-channels"])
+            "matrix-zero-rate", "matrix-no-channels", "rate-zero", "rate-negative",
+            "window-negative-start", "window-empty", "subject-comma", "subject-newline",
+            "dataset-carriage-return", "duplicate-entry"])
     def test_malformed_manifest_is_data_error(self, tmp_path, capsys, doc, named):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(doc))
@@ -852,7 +933,7 @@ class TestEvaluate:
         corpus_hash, calls = cli._corpus_hash, []
 
         def counting(manifest):
-            calls.append(manifest.channel_policy)
+            calls.append(manifest["channel_policy"])
             return corpus_hash(manifest)
 
         monkeypatch.setattr(cli, "_corpus_hash", counting)
@@ -874,6 +955,11 @@ class TestEvaluate:
                          "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_USAGE
         assert "empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["channel_policies", "epoch_lengths_s", "conditions"])
+    def test_empty_list_key_writes_an_empty_rollup(self, workspace, tmp_path, key):
+        assert self._evaluate(workspace, tmp_path, **{key: []}) == cli.EXIT_OK
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["rollup.csv"]
 
     @staticmethod
     def _evaluate(workspace, tmp_path, **keys):

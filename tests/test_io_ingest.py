@@ -25,19 +25,15 @@ from eegid.errors import (
     WindowOutOfRange,
 )
 from eegid.io_ingest import (
-    DatasetManifest,
-    EegRecording,
-    ManifestEntry,
+    _channel_rows,
+    _window_columns,
     build_corpus,
     load_manifest,
     load_matrix,
     parse_edf,
     read_edf_header,
-    select_channels,
-    window_recording,
 )
 
-from conftest import make_recording
 from edf_tools import decode_calibrated, save_matrix, write_edf
 
 
@@ -58,11 +54,11 @@ class TestParseEdf:
         # digital 0 on [-32768, 32767] -> [-1, 1] maps to 1/65535
         digital = np.zeros((1, 10), dtype=np.int16)
         raw = write_edf(["C3"], digital, 10.0, phys_min=-1.0, phys_max=1.0)
-        rec = parse_edf(raw)
+        data, _, _ = parse_edf(raw)
         expected = decode_calibrated(0, -1.0, 1.0, -32768, 32767)
         assert expected == pytest.approx(1.5259e-5, rel=1e-4)
-        assert rec.n_samples == 10
-        np.testing.assert_allclose(rec.data, expected, rtol=0, atol=1e-15)
+        assert data.shape == (1, 10)
+        np.testing.assert_allclose(data, expected, rtol=0, atol=1e-15)
 
     def test_empty_stream_is_malformed(self):
         with pytest.raises(MalformedHeader):
@@ -71,15 +67,16 @@ class TestParseEdf:
     def test_label_normalization_and_rate(self):
         digital = np.zeros((2, 20), dtype=np.int16)
         raw = write_edf(["Fc5.", "Cz.."], digital, 10.0, record_duration=2.0)
-        rec = parse_edf(raw)
-        assert rec.channel_names == ("FC5", "CZ")
-        assert rec.sampling_rate_hz == 10.0
+        _, rate, names = parse_edf(raw)
+        assert names == ("FC5", "CZ")
+        assert rate == 10.0
 
     def test_annotation_channel_dropped(self):
         raw = write_edf(["C3", "EDF Annotations"],
                         np.zeros((2, 10), dtype=np.int16), 10.0)
-        rec = parse_edf(raw)
-        assert rec.channel_names == ("C3",)
+        data, _, names = parse_edf(raw)
+        assert names == ("C3",)
+        assert data.shape == (1, 10)
 
     def test_mixed_rates_rejected(self):
         raw = bytearray(write_edf(["C3", "C4"], np.zeros((2, 10), dtype=np.int16), 10.0))
@@ -113,10 +110,10 @@ class TestParseEdf:
         names = [f"CH{i}" for i in range(n_ch)]
         raw = write_edf(names, digital.astype(np.int16), float(spr),
                         phys_min=-200.0, phys_max=200.0)
-        rec = parse_edf(raw)
+        data, _, _ = parse_edf(raw)
         expected = decode_calibrated(digital, -200.0, 200.0, -32768, 32767)
         step = 400.0 / 65535
-        assert np.max(np.abs(rec.data - expected)) <= step
+        assert np.max(np.abs(data - expected)) <= step
 
     @pytest.mark.parametrize("offset, width, text", [
         (184, 8, "inf"),    # header length
@@ -175,21 +172,21 @@ class TestParseEdf:
             assert str(parsed.value) == str(exc)
             return
         try:
-            rec = parse_edf(raw)
+            data, rate, names = parse_edf(raw)
         except EegIdError as exc:
             # past a good header only the calibrated samples can fail
             assert isinstance(exc, MalformedHeader) and "calibration" in str(exc)
             return
-        assert isinstance(rec, EegRecording)
-        assert rec.channel_names == header["labels"]
-        assert rec.sampling_rate_hz == header["rate"]
-        assert rec.n_samples == header["samples"]
+        assert data.dtype == np.float64 and np.isfinite(data).all()
+        assert names == header["labels"]
+        assert rate == header["rate"]
+        assert data.shape == (len(names), header["samples"])
 
     def test_header_infers_record_count_from_size(self):
         raw = bytearray(_FUZZ_EDF)
         raw[236:244] = b"-1      "
         header = read_edf_header(io.BytesIO(bytes(raw)), len(raw))
-        assert header["samples"] == parse_edf(bytes(raw)).n_samples == 20
+        assert header["samples"] == parse_edf(bytes(raw))[0].shape[1] == 20
         # only the header is read: the record count comes from the length
         # given, here one 40-byte record longer than these bytes
         longer = read_edf_header(io.BytesIO(bytes(raw)), len(raw) + 40)
@@ -201,9 +198,10 @@ class TestParseEdf:
 
 class TestLoadMatrix:
     def test_zeros(self):
-        rec = load_matrix(io.StringIO("0 0 0 0\n0,0,0,0\n"), 128.0, ["A", "B"])
-        assert rec.n_channels == 2 and rec.n_samples == 4
-        assert rec.sampling_rate_hz == 128.0
+        data, rate, names = load_matrix(io.StringIO("0 0 0 0\n0,0,0,0\n"), 128.0, ["a", "B."])
+        assert data.shape == (2, 4)
+        assert rate == 128.0
+        assert names == ("A", "B")
 
     def test_ragged_rows(self):
         with pytest.raises(RaggedRows):
@@ -229,21 +227,21 @@ class TestLoadMatrix:
     def test_fuzz_raises_only_pipeline_errors(self, lines):
         names = [f"CH{i}" for i in range(len(lines))]
         try:
-            rec = load_matrix(lines, 128.0, names)
+            data, _, _ = load_matrix(lines, 128.0, names)
         except EegIdError:
             return
-        assert np.isfinite(rec.data).all()
+        assert np.isfinite(data).all()
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_write_read_roundtrip(self, seed):
         rng = np.random.default_rng(seed)
-        rec = make_recording(rng.standard_normal((3, 17)))
+        data = rng.standard_normal((3, 17))
         buf = io.StringIO()
-        save_matrix(rec, buf)
+        save_matrix(data, buf)
         buf.seek(0)
-        back = load_matrix(buf, rec.sampling_rate_hz, rec.channel_names)
-        np.testing.assert_array_equal(back.data, rec.data)
+        back, _, _ = load_matrix(buf, 128.0, ["C3", "C4", "CZ"])
+        np.testing.assert_array_equal(back, data)
 
 
 class TestSelectChannels:
@@ -259,47 +257,41 @@ class TestSelectChannels:
         labels = [name.capitalize().ljust(4, ".") for name in policy.names]
         path = tmp_path / "S001R01.edf"
         path.write_bytes(write_edf(labels, np.zeros((64, 160), dtype=np.int16), 160.0))
-        entry = ManifestEntry(path=str(path), format="edf", subject_id="S001",
-                              dataset_id="pn", condition="resting",
-                              window_s=(0.0, 1.0))
-        manifest = DatasetManifest(entries=(entry,), target_rate_hz=128.0,
-                                   channel_policy="bci2000_64")
-        layout, recordings = build_corpus(manifest)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "target_rate_hz": 128.0, "channel_policy": "bci2000_64",
+            "entries": [{"path": path.name, "format": "edf", "subject_id": "S001",
+                         "dataset_id": "pn", "window_s": [0.0, 1.0]}]}))
+        layout, recordings = build_corpus(load_manifest(manifest))
         [data] = list(recordings)
         assert tuple(layout["channels"].tolist()) == policy.names
         assert data.shape == (64, 128)
 
-    def test_64_to_56(self, rng):
-        rec = make_recording(rng.standard_normal((64, 10)), names=BCI2000_64.names)
-        sub = select_channels(rec, COMMON_56)
-        assert sub.n_channels == 56
-        assert sub.channel_names == COMMON_56.names
+    def test_64_to_56(self):
+        rows = _channel_rows(BCI2000_64.names, COMMON_56)
+        assert len(rows) == 56
+        assert tuple(BCI2000_64.names[row] for row in rows) == COMMON_56.names
 
-    def test_identity_on_canonical_order(self, rng):
+    def test_identity_on_canonical_order(self):
         names = ("A1", "B2", "C3")
-        rec = make_recording(rng.standard_normal((3, 5)), names=names)
-        out = select_channels(rec, ChannelSet(names))
-        np.testing.assert_array_equal(out.data, rec.data)
-        assert out.channel_names == names
+        assert _channel_rows(names, ChannelSet(names)) == [0, 1, 2]
 
-    def test_missing_channel(self, rng):
-        rec = make_recording(rng.standard_normal((2, 5)), names=("A1", "B2"))
+    def test_missing_channel(self):
         with pytest.raises(MissingChannel):
-            select_channels(rec, ChannelSet(("A1", "XX")))
+            _channel_rows(("A1", "B2"), ChannelSet(("A1", "XX")))
 
-    def test_idempotent(self, rng):
-        rec = make_recording(rng.standard_normal((4, 6)),
-                             names=("D4", "A1", "C3", "B2"))
+    def test_idempotent(self):
+        names = ("D4", "A1", "C3", "B2")
         cs = ChannelSet(("B2", "D4", "A1"))
-        once = select_channels(rec, cs)
-        twice = select_channels(once, cs)
-        np.testing.assert_array_equal(once.data, twice.data)
-        assert once.channel_names == twice.channel_names
+        once = [names[row] for row in _channel_rows(names, cs)]
+        assert once == list(cs)
+        assert _channel_rows(once, cs) == [0, 1, 2]
 
 
 class TestBuildCorpus:
     def _manifest(self, tmp_path, n_entries=3, duration_s=60.0, fs=160.0,
                   window=(0.0, 60.0)):
+        """The loaded manifest of n_entries two-channel matrix files."""
         entries = []
         rng = np.random.default_rng(7)
         for i in range(n_entries):
@@ -308,13 +300,14 @@ class TestBuildCorpus:
             with open(path, "w") as fh:
                 for row in data:
                     fh.write(" ".join(map(str, row)) + "\n")
-            entries.append(ManifestEntry(
-                path=str(path), format="matrix", subject_id=f"S{i}",
-                dataset_id="d1", condition="resting", window_s=window,
-                sampling_rate_hz=fs, channel_names=("C3", "C4"),
-            ))
-        return DatasetManifest(entries=tuple(entries), target_rate_hz=128.0,
-                               channel_policy=["C3", "C4"])
+            entries.append({"path": path.name, "format": "matrix", "subject_id": f"S{i}",
+                            "dataset_id": "d1", "condition": "resting",
+                            "window_s": list(window), "sampling_rate_hz": fs,
+                            "channel_names": ["C3", "C4"]})
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"target_rate_hz": 128.0, "channel_policy": ["C3", "C4"],
+                                    "entries": entries}))
+        return load_manifest(path)
 
     def test_three_entries_sixty_seconds(self, tmp_path):
         layout, recordings = build_corpus(self._manifest(tmp_path))
@@ -326,8 +319,7 @@ class TestBuildCorpus:
         assert layout["rate"] == 128.0
 
     def test_empty_manifest(self):
-        manifest = DatasetManifest(entries=(), target_rate_hz=128.0,
-                                   channel_policy="common_56")
+        manifest = {"target_rate_hz": 128.0, "channel_policy": "common_56", "entries": []}
         layout, recordings = build_corpus(manifest)
         assert list(recordings) == []
         assert layout["ends"].size == layout["provenance"].size == 0
@@ -337,58 +329,83 @@ class TestBuildCorpus:
         with pytest.raises(WindowOutOfRange):
             build_corpus(manifest)
 
+    def test_window_of_the_selected_channels(self, tmp_path):
+        # the manifest lists the channels in another order than the policy,
+        # and the window starts past the first sample
+        data = np.random.default_rng(3).standard_normal((3, 640))
+        with open(tmp_path / "m.txt", "w", encoding="utf-8") as fh:
+            save_matrix(data, fh)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "target_rate_hz": 128.0, "channel_policy": ["C3", "C4"],
+            "entries": [{"path": "m.txt", "format": "matrix", "subject_id": "S0",
+                         "dataset_id": "d1", "window_s": [1, 3], "sampling_rate_hz": 128,
+                         "channel_names": ["c4", "T7", "C3."]}]}))
+        layout, recordings = build_corpus(load_manifest(manifest))
+        [got] = list(recordings)
+        assert layout["ends"].tolist() == [256]
+        np.testing.assert_array_equal(got, data[[2, 0], 128:384])
+
     def test_manifest_json_roundtrip(self, tmp_path):
-        manifest = self._manifest(tmp_path, n_entries=1)
+        first = self._manifest(tmp_path, n_entries=1)["entries"][0]["path"]
         doc = {
-            "target_rate_hz": 128.0,
-            "channel_policy": ["C3", "C4"],
+            "target_rate_hz": 128,
             "entries": [{
-                "path": manifest.entries[0].path,
+                "path": first,
                 "format": "matrix",
-                "subject_id": "S0",
+                "subject_id": 7,
                 "dataset_id": "d1",
-                "condition": "resting",
                 "window_s": [0, 60],
-                "sampling_rate_hz": 160.0,
+                "sampling_rate_hz": 160,
                 "channel_names": ["C3", "C4"],
             }],
         }
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(doc))
         loaded = load_manifest(path)
-        assert loaded.target_rate_hz == 128.0
-        assert len(loaded.entries) == 1
+        # defaults filled in, ids as text, rates as floats, the window as parsed
+        assert loaded == {
+            "target_rate_hz": 128.0, "channel_policy": "common_56",
+            "entries": [{**doc["entries"][0], "subject_id": "7", "condition": "resting",
+                         "sampling_rate_hz": 160.0}],
+        }
+        entry = loaded["entries"][0]
+        assert type(loaded["target_rate_hz"]) is type(entry["sampling_rate_hz"]) is float
+        assert type(entry["window_s"][1]) is int
+        loaded["channel_policy"] = ["C3", "C4"]
         layout, recordings = build_corpus(loaded)
         assert layout["rate"] == 128.0
+        assert layout["provenance"].tolist() == [["d1", "7", "resting"]]
         assert [data.shape for data in recordings] == [(2, 7680)]
 
     def test_duplicate_entry_rejected(self, tmp_path):
-        entry = ManifestEntry(path="x", format="matrix", subject_id="S0",
-                              dataset_id="d1", condition="resting",
-                              window_s=(0.0, 60.0))
-        with pytest.raises(ValueError):
-            DatasetManifest(entries=(entry, entry), target_rate_hz=128.0,
-                            channel_policy="common_56")
+        self._manifest(tmp_path)
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        # entry 2 repeats entry 0's dataset, subject and (default) condition
+        doc["entries"][2].update(subject_id="S0")
+        del doc["entries"][2]["condition"]
+        path = tmp_path / "duplicate.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="manifest entries 0 and 2 are both dataset "
+                                             "'d1' subject 'S0' in condition 'resting'"):
+            load_manifest(path)
 
 
-def test_window_recording_basic(rng):
-    rec = make_recording(rng.standard_normal((2, 1280)))
-    cut = window_recording(rec, 1.0, 3.0)
-    assert cut.n_samples == 256
-    np.testing.assert_array_equal(cut.data, rec.data[:, 128:384])
+def test_window_recording_basic():
+    assert _window_columns(1.0, 3.0, 128.0, 1280) == (128, 384)
 
 
 @pytest.mark.parametrize("window", [(0.0, 1e308), (1e307, 1e308), (0.0, float("inf"))])
-def test_window_far_past_the_end_is_out_of_range(rng, window):
+def test_window_far_past_the_end_is_out_of_range(window):
     # the sample index of such an end overflows int()
-    rec = make_recording(rng.standard_normal((2, 1280)))
     with pytest.raises(WindowOutOfRange):
-        window_recording(rec, *window)
+        _window_columns(*window, 128.0, 1280)
 
 
-def test_only_io_ingest_names_eeg_recording():
-    """Past ingestion the corpus is arrays: no other package module names
-    EegRecording, as an import, a name or an attribute."""
+def test_no_module_names_a_record_type():
+    """Ingest hands over arrays and the checked manifest document: no
+    package module names EegRecording, ManifestEntry or DatasetManifest, as
+    a class, an import, a name or an attribute."""
     package = Path(__file__).resolve().parents[1] / "src" / "eegid"
     naming = []
     for path in sorted(package.glob("*.py")):
@@ -398,8 +415,7 @@ def test_only_io_ingest_names_eeg_recording():
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-            elif isinstance(node, ast.alias):
+            elif isinstance(node, (ast.alias, ast.ClassDef)):
                 names.add(node.name.rsplit(".", 1)[-1])
-        if "EegRecording" in names:
-            naming.append(path.name)
-    assert naming == ["io_ingest.py"]
+        naming += sorted(names & {"EegRecording", "ManifestEntry", "DatasetManifest"})
+    assert naming == []

@@ -26,9 +26,9 @@ def test_make_physionet_manifest(tmp_path):
                        "--out", "manifest.json", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     manifest = load_manifest(tmp_path / "manifest.json")
-    assert manifest.channel_policy == "common_56"
-    assert manifest.target_rate_hz == 128.0
-    assert [(e.subject_id, e.format, e.window_s) for e in manifest.entries] == [
-        ("S001", "edf", (0.0, 60.0)), ("S002", "edf", (0.0, 60.0))]
-    assert [Path(e.path) for e in manifest.entries] == [
+    assert manifest["channel_policy"] == "common_56"
+    assert manifest["target_rate_hz"] == 128.0
+    assert [(e["subject_id"], e["format"], e["window_s"]) for e in manifest["entries"]] == [
+        ("S001", "edf", [0.0, 60.0]), ("S002", "edf", [0.0, 60.0])]
+    assert [Path(e["path"]) for e in manifest["entries"]] == [
         tmp_path / "S001" / "S001R01.edf", tmp_path / "S002" / "S002R01.edf"]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from eegid import cli, evaluation as ev, io_ingest
-from eegid.channels import COMMON_56
+from eegid.channels import COMMON_56, resolve_policy
 from eegid.errors import MissingChannel, WindowOutOfRange
 from eegid.io_ingest import build_corpus, load_manifest, parse_edf
 
@@ -81,7 +81,7 @@ def test_corpus_equals_the_whole_stack_reference(mixed, filters):
     for key in ev.CORPUS_KEYS:
         _assert_identical(corpus[key], want[key])
     assert corpus["data"].shape[0] == len(_POLICY)
-    assert len(set(np.diff(corpus["ends"], prepend=0).tolist())) == len(mixed.entries)
+    assert len(set(np.diff(corpus["ends"], prepend=0).tolist())) == len(mixed["entries"])
 
 
 @pytest.mark.parametrize("metric, gb_metric", [("COR", None), ("PLV", "ND"), ("PLI", None)])
@@ -109,7 +109,8 @@ def test_layout_sizes_each_entry_before_any_is_decoded(mixed, monkeypatch):
     _assert_identical(layout["ends"], want["ends"])
     _assert_identical(layout["provenance"], want["provenance"])
     assert layout["rate"] == 128.0
-    assert layout["channels"].tolist() == list(mixed.channel_set) == sorted(_POLICY)
+    assert (layout["channels"].tolist() == list(resolve_policy(mixed["channel_policy"]))
+            == sorted(_POLICY))
 
 
 @pytest.mark.parametrize("edit, error", [
@@ -160,8 +161,8 @@ def test_peak_memory_is_the_corpus_plus_one_recording(tmp_path):
     """A whole-corpus step would hold a second corpus-sized array (about
     eight recordings here) on top of the corpus."""
     manifest = _edf_corpus(tmp_path)
-    first = load_manifest(manifest).entries[0].path
-    recording = parse_edf(Path(first).read_bytes()).data.nbytes
+    first = load_manifest(manifest)["entries"][0]["path"]
+    recording = parse_edf(Path(first).read_bytes())[0].nbytes
     corpus, peak = _traced_peak(lambda: ev.preprocessed(build_corpus(load_manifest(manifest))))
     bound = corpus["data"].nbytes + 3 * recording
     assert peak < bound, (peak, corpus["data"].nbytes, recording)
