@@ -254,9 +254,10 @@ def _check_recordings(manifest, doc):
     """Raise unless every entry holds every channel of every run-config
     channel policy, every swept condition has recordings, each of them holds
     one epoch of every epoch length, and every condition pair has the epochs
-    its folds need at every length: k1 per subject when matched; when
-    mismatched, k2 for some training subject and training epochs for every
-    test subject.  Reads entry headers only (`corpus_layout`)."""
+    its folds need at every length: when matched, k1 per subject and k2 for
+    some subject in the training part of every outer fold; when mismatched,
+    k2 for some training subject and training epochs for every test subject.
+    Reads entry headers only (`corpus_layout`)."""
     for policy in doc["channel_policies"]:
         layout = corpus_layout(_with_policy(manifest, policy))
     if not doc["channel_policies"]:  # an empty sweep runs nothing
@@ -286,11 +287,17 @@ def _check_recordings(manifest, doc):
                         raise InsufficientEpochs(
                             f"subject {label!r} has fewer epochs than outer folds: {n} "
                             f"{train} epochs of {length} s for k1 = {k1}")
-            elif max(epochs.values()) < k2:
+                # the grid search deals each outer fold's training epochs into
+                # k2 folds; outer fold 0 holds ceil(n / k1) of a subject's n
+                # epochs, the most any fold holds, so it trains on the fewest
+                inner = [n - -(-n // k1) for n in epochs.values()]
+            else:
+                inner = list(epochs.values())
+            if max(inner) < k2:
                 raise InsufficientEpochs(
                     f"{k2} folds need a subject with at least {k2} epochs, but the most any "
-                    f"subject has is {max(epochs.values())} ({train} epochs of {length} s)")
-            elif missing := sorted(recordings[test].keys() - epochs.keys()):
+                    f"subject has is {max(inner)} ({train} epochs of {length} s)")
+            if train != test and (missing := sorted(recordings[test].keys() - epochs.keys())):
                 raise MissingCondition(f"test-condition subjects absent from training data: "
                                        f"{missing[:5]} ({test} against {train})")
 

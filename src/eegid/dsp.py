@@ -125,7 +125,13 @@ def resampled_length(n_samples, fs_hz, target_hz) -> int:
 
 def resample(data, fs_hz, target_hz) -> np.ndarray:
     """Polyphase rational resampling of every row from fs_hz to target_hz;
-    `data` itself when the ratio is 1/1."""
+    `data` itself when the ratio is 1/1.
+
+    Rows are resampled _ROW_CHUNK at a time, each chunk's product written
+    straight into the output, so the input frames of one chunk exist at
+    once.  A one-row remainder joins the chunk before it: numpy multiplies a
+    lone frame row by a vector routine, which may round differently.
+    """
     n_out = resampled_length(data.shape[1], fs_hz, target_hz)
     p, q = _rational_ratio(target_hz, fs_hz)
     if p == q:
@@ -139,16 +145,22 @@ def resample(data, fs_hz, target_hz) -> np.ndarray:
     matrix, first, stride = _polyphase_operator(p, q)
     window, frame = matrix.shape
     n_frames = max(1, -(-n_out // frame))
-    # the input position of every frame sample, gathered in one copy; outside
-    # the signal, samples lie on the line through its first and last samples
+    # the input position of every frame sample; outside the signal, samples
+    # lie on the line through the first and last samples
     n = data.shape[1]
     at = first + stride * np.arange(n_frames)[:, None] + np.arange(window)
-    frames = np.take(data, np.clip(at, 0, n - 1), axis=1)  # C order, so reshape copies nothing
-    slope = (data[:, -1:] - data[:, :1]) / (n - 1)
+    inside = np.clip(at, 0, n - 1)
     before, after = at < 0, at > n - 1
-    frames[:, before] = data[:, :1] + at[before] * slope
-    frames[:, after] = data[:, -1:] + (at[after] - (n - 1)) * slope
-    out = (frames.reshape(-1, window) @ matrix).reshape(len(data), -1)
+    out = np.empty((len(data), n_frames * frame))
+    edges = list(range(_ROW_CHUNK, len(data) - 1, _ROW_CHUNK))
+    for x, y in zip(np.split(data, edges), np.split(out, edges)):
+        # the chunk's frames, gathered in one copy (C order, so reshape copies nothing)
+        frames = np.take(x, inside, axis=1)
+        slope = (x[:, -1:] - x[:, :1]) / (n - 1)
+        frames[:, before] = x[:, :1] + at[before] * slope
+        frames[:, after] = x[:, -1:] + (at[after] - (n - 1)) * slope
+        np.matmul(frames.reshape(-1, window), matrix, out=y.reshape(-1, frame))
+        del frames  # before the next chunk's are gathered
     return out[:, :n_out]
 
 

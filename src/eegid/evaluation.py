@@ -238,8 +238,9 @@ def epoch_features(recordings, metric: str, gb_metric: str = None) -> tuple:
                 raise type(exc)(f"{exc} in epoch {len(rows)} [{label}]") from None
         labels.append(epoch_labels)
         provenance.append(epoch_provenance)
-        # the loop would hold this stack while the next recording is filtered
-        del epochs
+        # both would hold this stack (data is a view of its last epoch) while
+        # the next recording is filtered
+        del epochs, data
     return np.vstack(rows), np.concatenate(labels), np.concatenate(provenance)
 
 
@@ -368,7 +369,10 @@ def load_or_build(path, build, unpack):
 
     A missing file is written from `build()`, a dict of arrays, to a temporary
     file that is renamed over `path`; one that cannot be read or unpacked is
-    logged and rewritten.  Object arrays are refused, so loading runs no code.
+    logged and rewritten.  Each array goes to its own uncompressed `.npy`
+    member straight from its buffer (`_write_npz`), so writing copies no
+    array; files that `np.savez` wrote load the same way.  Object arrays are
+    refused, so loading runs no code.
     """
     if path.exists():
         try:
@@ -382,12 +386,26 @@ def load_or_build(path, build, unpack):
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **arrays)
+            _write_npz(fh, arrays)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
     return unpack(arrays), False
+
+
+def _write_npz(fh, arrays):
+    """Write a dict of arrays as the npz file `np.savez` would: one stored
+    (uncompressed) `<name>.npy` member per array, holding the `.npy` header
+    and then the C-order bytes, here written from the array's own buffer."""
+    with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as archive:
+        for name, array in arrays.items():
+            # the header must describe the bytes: C order, copied only if not already
+            array = np.asarray(array, order="C")
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(
+                    member, np.lib.format.header_data_from_array_1_0(array))
+                member.write(array.reshape(-1).view(np.uint8).data)
 
 
 def _features_cached(corpus, config: ExperimentConfig, condition,

@@ -9,12 +9,15 @@ solved by one working-set SMO run in lockstep while the run's problems x
 rows stay within 2^16 (a larger group runs alone): each step moves every
 unfinished problem's maximal KKT-violating pair analytically, reading that
 problem's own Gram matrix.  So a run spans training sets as well as gammas,
-and the nested CV of one config makes two runs on small data.  A model holds
-the standardizer's column means and stds, the standardized training matrix
-(one array shared by every model of a fold), a class x row matrix of dual
-coefficients (zero off the support vectors) and per-class bias and converged
-vectors.  Prediction takes a group of models that share one training matrix
-and builds each kernel once per distinct support-vector set and gamma.
+and the nested CV of one config makes two runs on small data.  A run holds
+each of its folds' squared distances, means, stds and targets, not their
+standardized rows: a fold's rows are standardized again, to the same bits,
+only when its models are yielded.  A model holds the standardizer's column
+means and stds, the standardized training matrix (one array shared by every
+model of a fold), a class x row matrix of dual coefficients (zero off the
+support vectors) and per-class bias and converged vectors.  Prediction takes
+a group of models that share one training matrix and builds each kernel once
+per distinct support-vector set and gamma.
 """
 
 from __future__ import annotations
@@ -262,10 +265,13 @@ def train_ovr(x, labels, folds):
     its grid.  The (C, class) problems of consecutive (fold, gamma) groups of
     one training-set size share one lockstep SMO run while the run's problems
     x rows stay within _LOCKSTEP_BLOCK; a group above it runs alone.  A fold
-    is prepared when its first run starts, and its models are yielded as soon
-    as its last run ends, after which nothing here refers to them.  Points
-    come grouped by gamma, and the models of a fold share its standardized
-    training matrix and its means and stds.
+    is prepared when its first run starts, keeping its means and stds, the
+    (n, n) squared distances between its standardized rows and its targets,
+    but not those rows.  Its models are yielded as soon as its last run ends,
+    after which nothing here refers to them; only then are its rows
+    standardized again, to the same bits, into the one training matrix that
+    all its models share.  Points come grouped by gamma, and the models of a
+    fold share its means and stds too.
     """
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels)
@@ -289,19 +295,20 @@ def train_ovr(x, labels, folds):
             else:
                 runs.append([(fold, group)])
                 n, problems = len(rows), more
-    prepared, models = {}, {}  # the folds of the current run
+    # the folds of the current run, and each point's (dual_coef, bias, converged)
+    prepared, solved = {}, {}
     for r, run in enumerate(runs):
         for fold, _ in run:
             if fold not in prepared:
                 rows, classes = plans[fold]
                 prepared[fold] = _prepare_fold(x[rows], labels[rows], classes)
-                models[fold] = {}
-        _solve_run(run, prepared, models)
+                solved[fold] = {}
+        _solve_run(run, prepared, solved)
         # only a run's last fold can go on into the next run
         going_on = runs[r + 1][0][0] if r + 1 < len(runs) else None
         for fold in [fold for fold in prepared if fold != going_on]:
-            del prepared[fold]
-            yield models.pop(fold)
+            # no name here holds the models or their rows once they are yielded
+            yield _fold_models(prepared.pop(fold), solved.pop(fold), x[plans[fold][0]])
 
 
 class _Fold(NamedTuple):
@@ -310,8 +317,7 @@ class _Fold(NamedTuple):
     classes: tuple
     means: np.ndarray
     stds: np.ndarray
-    xs: np.ndarray  # (n, d) standardized rows
-    sq: np.ndarray  # (n, n) squared distances between them
+    sq: np.ndarray  # (n, n) squared distances between the standardized rows
     ys: np.ndarray  # (n_classes, n) one-vs-rest targets
 
 
@@ -319,18 +325,27 @@ def _prepare_fold(x, labels, classes) -> _Fold:
     means, stds = fit_standardizer(x)
     xs = apply_standardizer(means, stds, x)
     ys = np.array([np.where(labels == cls, 1.0, -1.0) for cls in classes])
-    return _Fold(classes, means, stds, xs, _sq_dist(xs, xs), ys)
+    return _Fold(classes, means, stds, _sq_dist(xs, xs), ys)
 
 
-def _solve_run(run, prepared, models):
+def _fold_models(prep: _Fold, solved, x) -> dict:
+    """{params: model} of one fold from its solved points, over one
+    standardization of its rows x."""
+    train = apply_standardizer(prep.means, prep.stds, x)
+    return {params: MulticlassSvmModel(prep.classes, prep.means, prep.stds, params, train,
+                                       *result)
+            for params, result in solved.items()}
+
+
+def _solve_run(run, prepared, solved):
     """Solve one lockstep run of (fold, points) groups and add each point's
-    model to models[fold].
+    (dual_coef, bias, converged) to solved[fold].
 
     Problem rows are group-major, then point-major, class-minor; each group
     takes the next Gram matrix of the stack, built from its fold's squared
     distances and its gamma.
     """
-    n = len(prepared[run[0][0]].xs)
+    n = len(prepared[run[0][0]].sq)
     kernel = np.empty((len(run) * n, n))
     for g, (fold, group) in enumerate(run):
         block = kernel[g * n:(g + 1) * n]
@@ -350,9 +365,7 @@ def _solve_run(run, prepared, models):
             rows = slice(k, k + len(prep.classes))
             bias = np.array([_bias(*problem, params.c)
                              for problem in zip(y[rows], alphas[rows], f[rows])])
-            models[fold][params] = MulticlassSvmModel(prep.classes, prep.means, prep.stds,
-                                                      params, prep.xs, coef[rows], bias,
-                                                      converged[rows])
+            solved[fold][params] = (coef[rows], bias, converged[rows])
             k += len(prep.classes)
 
 

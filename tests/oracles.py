@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy import signal
 
-from eegid import connectivity, dsp, evaluation, graph, io_ingest
+from eegid import connectivity, dsp, evaluation, graph, io_ingest, svm
 from eegid.channels import resolve_policy
 
 
@@ -53,6 +53,25 @@ def resample_poly_line(data, up, down):
     out = signal.resample_poly(data, up, down, axis=1, padtype="line",
                                window=("kaiser", 14.0))
     return out[:, :data.shape[1] * up // down]
+
+
+def resample_whole(data, fs_hz, target_hz):
+    """`dsp.resample` with the frames of every row gathered in one copy and
+    multiplied in one matrix product: the whole-array form that the
+    row-chunked resampler must equal bit for bit."""
+    n_out = dsp.resampled_length(data.shape[1], fs_hz, target_hz)
+    matrix, first, stride = dsp._polyphase_operator(*dsp._rational_ratio(target_hz, fs_hz))
+    window, frame = matrix.shape
+    n_frames = max(1, -(-n_out // frame))
+    n = data.shape[1]
+    at = first + stride * np.arange(n_frames)[:, None] + np.arange(window)
+    frames = np.take(data, np.clip(at, 0, n - 1), axis=1)
+    slope = (data[:, -1:] - data[:, :1]) / (n - 1)
+    before, after = at < 0, at > n - 1
+    frames[:, before] = data[:, :1] + at[before] * slope
+    frames[:, after] = data[:, -1:] + (at[after] - (n - 1)) * slope
+    out = (frames.reshape(-1, window) @ matrix).reshape(len(data), -1)
+    return out[:, :n_out]
 
 
 # --- connectivity ---------------------------------------------------------
@@ -411,6 +430,38 @@ def smo_scalar(kernel, y, c, tol=1e-3, max_iter=1_000_000):
         lo = np.min(np.where(low, g, np.inf))
         bias = float((hi + lo) / 2.0)
     return alphas, f, bias, converged
+
+
+def train_ovr_kept_rows(x, labels, folds):
+    """{params: (train, dual_coef, bias, converged)} per (rows, grid) fold,
+    as `svm.train_ovr` gave them when a fold kept its standardized rows from
+    its preparation through its solves: the rows are standardized once and
+    every point of the fold shares that array.  Each (fold, gamma) group is
+    solved alone, which a lockstep run matches problem by problem."""
+    results = []
+    for rows, grid in folds:
+        fold_labels = labels[rows]
+        classes = sorted(set(fold_labels.tolist()))
+        means, stds = svm.fit_standardizer(x[rows])
+        train = svm.apply_standardizer(means, stds, x[rows])
+        sq = svm._sq_dist(train, train)
+        targets = np.array([np.where(fold_labels == cls, 1.0, -1.0) for cls in classes])
+        by_gamma = {}
+        for params in dict.fromkeys(grid):
+            by_gamma.setdefault(params.gamma, []).append(params)
+        models = {}
+        for gamma, group in by_gamma.items():
+            y = np.tile(targets, (len(group), 1))
+            c = np.repeat([params.c for params in group], len(classes))
+            alphas, f, converged = svm._smo(np.exp(sq * -gamma), np.zeros(len(y), int), y, c)
+            for k, params in enumerate(group):
+                own = slice(k * len(classes), (k + 1) * len(classes))
+                coef = np.where(alphas[own] > 1e-12, alphas[own] * y[own], 0.0)
+                bias = np.array([svm._bias(*problem, params.c)
+                                 for problem in zip(y[own], alphas[own], f[own])])
+                models[params] = (train, coef, bias, converged[own])
+        results.append(models)
+    return results
 
 
 # --- whole-stack corpus and features --------------------------------------------

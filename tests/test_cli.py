@@ -438,13 +438,18 @@ class TestIngest:
          "3 folds need a subject with at least 3 epochs, but the most any subject has is 2"),
         (_no_resting_s004, {"conditions": [["task", "task"], ["resting", "task"]]},
          "test-condition subjects absent from training data: ['pn/S004']"),
+        # outer fold 0 trains on 18 of a subject's 20 epochs of 2 s, but on 9
+        # of its 10 epochs of 4 s
+        (None, {"epoch_lengths_s": [2, 4], "k2": 10},
+         "10 folds need a subject with at least 10 epochs, but the most any subject has "
+         "is 9 (resting epochs of 4.0 s)"),
     ], ids=["matched-below-k1", "condition-without-recordings", "mismatched-below-k2",
-            "test-subject-not-trained"])
+            "test-subject-not-trained", "matched-inner-below-k2"])
     def test_config_short_of_epochs_rejected_before_any_work(self, tmp_path, monkeypatch,
                                                              capsys, edit, run_config, named):
         # the first config of each sweep would run and write its report
-        code, parsed = self._evaluate_cv_fc(tmp_path, monkeypatch, edit, k1=10, k2=3,
-                                            **run_config)
+        code, parsed = self._evaluate_cv_fc(tmp_path, monkeypatch, edit,
+                                            **{"k1": 10, "k2": 3, **run_config})
         assert code == cli.EXIT_DATA
         assert named in capsys.readouterr().err
         assert parsed == []

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,42 @@ class TestResample:
         back = dsp.resample(dsp.resample(x[None], 128.0, 160.0), 160.0, 128.0)[0]
         n = min(len(back), len(x))
         assert rms(back[:n] - x[:n]) / rms(x) < 1e-3
+
+
+class TestResampleRowChunks:
+    """resample goes through _ROW_CHUNK rows at a time; the whole-array form
+    in tests/oracles.py gathers every row's frames at once."""
+
+    @pytest.mark.parametrize("up, down", [(4, 5), (1, 2), (5, 4), (32, 125)])
+    @pytest.mark.parametrize("rows", [1, 15, 16, 17, 49, 56])
+    @pytest.mark.parametrize("n", [2, 40, 1000, 4000])
+    def test_equal_to_the_whole_array(self, up, down, rows, n, rng):
+        data = 40.0 * rng.standard_normal((rows, n)) + np.linspace(5, -2, n)
+        out = dsp.resample(data, 100.0 * down, 100.0 * up)
+        ref = oracles.resample_whole(data, 100.0 * down, 100.0 * up)
+        assert out.shape == ref.shape
+        if dsp._polyphase_operator(up, down)[0].shape[1] % 64 == 0:
+            assert np.array_equal(out, ref)
+        else:
+            # a frame of 65 outputs: OpenBLAS multiplies a product of fewer
+            # rows by another kernel, whose last column rounds differently
+            np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12 * np.max(np.abs(data)))
+
+    def test_frames_of_one_chunk_at_a_time(self, rng):
+        """A 56-channel 75 s recording at 160 Hz: gathering every row's
+        frames at once would hold 3.5 chunks of them beside the output."""
+        data = rng.standard_normal((56, 12000))
+        dsp.resample(data[:2], 160.0, 128.0)  # the operator is built and cached
+        window, frame = dsp._polyphase_operator(4, 5)[0].shape
+        n_frames = -(-12000 * 4 // 5 // frame)
+        chunk = dsp._ROW_CHUNK * n_frames * window * 8
+        tracemalloc.start()
+        try:
+            out = dsp.resample(data, 160.0, 128.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 2 * chunk, (peak, out.nbytes, chunk)
 
 
 class TestNotch:

@@ -4,11 +4,13 @@
 decoded, `preprocessed` fills one preallocated array entry by entry, and
 `band_epochs` hands `epoch_features` one recording's epochs at a time.  The
 arrays must equal the whole-stack references of tests/oracles.py, and peak
-memory must stay near the corpus array plus one recording.
+memory must stay near the corpus array plus one recording, also while a
+cold command writes the corpus cache.
 """
 
 import json
 import tracemalloc
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -174,3 +176,84 @@ def test_peak_memory_is_the_corpus_plus_one_recording(tmp_path):
         "--out", str(tmp_path / "f.csv"), "--band", "gamma", "--metric", "COR"]))
     assert code == cli.EXIT_OK
     assert peak < bound, (peak, corpus["data"].nbytes, recording)
+
+
+def test_featurizing_holds_one_recording_at_a_time(tmp_path):
+    """Featurizing holds one band-filtered recording, its epoch stack, the
+    filter's row buffers and the feature rows; a name left on the previous
+    recording's stack (or a view of one of its epochs) adds a recording."""
+    corpus = ev.preprocessed(build_corpus(load_manifest(_edf_corpus(tmp_path))))
+    recording = corpus["data"].nbytes // len(corpus["ends"])
+    config = ev.ExperimentConfig(metric="COR", band="gamma")
+    ev.epoch_features(ev.band_epochs(corpus, config, "resting"), "COR", None)  # warm designs
+    (x, _, _), peak = _traced_peak(
+        lambda: ev.epoch_features(ev.band_epochs(corpus, config, "resting"), "COR", None))
+    assert peak < 2.5 * recording + x.nbytes, (peak, recording, x.nbytes)
+
+
+def test_cold_commands_peak_below_the_corpus_plus_three_recordings(tmp_path):
+    """A cold `ingest` and a cold `features` command each build the corpus and
+    write its cache; writing through `np.savez` copied the whole corpus."""
+    manifest = _edf_corpus(tmp_path)
+    first = load_manifest(manifest)["entries"][0]["path"]
+    recording = parse_edf(Path(first).read_bytes())[0].nbytes
+    corpus = oracles.preprocessed_whole(load_manifest(manifest))["data"].nbytes
+    for command in (["ingest", "--out", str(tmp_path / "ingest")],
+                    ["features", "--cache", str(tmp_path / "features"),
+                     "--out", str(tmp_path / "f.csv"), "--band", "gamma", "--metric", "COR"]):
+        code, peak = _traced_peak(lambda: cli.main([command[0], "--manifest", str(manifest),
+                                                    *command[1:]]))
+        assert code == cli.EXIT_OK
+        assert peak < corpus + 3 * recording, (command[0], peak, corpus, recording)
+
+
+_CACHE_ARRAYS = {
+    "data": np.arange(24.0).reshape(4, 6) / 7, "ends": np.array([2, 6]),
+    "provenance": np.array([["d", "S1", "resting"], ["d", "S22", "task"]]),
+    "rate": np.array(128.0), "filters": np.array("order4-notch50-q30"),
+    "empty": np.zeros((0, 3)), "flags": np.array([True, False]),
+}
+
+
+def test_cache_file_holds_what_np_savez_would(tmp_path):
+    """Same member names, and each member byte for byte what `np.savez`
+    writes for a C-order array; loading needs no pickles."""
+    path = tmp_path / "c.npz"
+    _, cached = ev.load_or_build(path, lambda: _CACHE_ARRAYS, dict)
+    assert not cached
+    np.savez(tmp_path / "ref.npz", **_CACHE_ARRAYS)
+    with zipfile.ZipFile(path) as mine, zipfile.ZipFile(tmp_path / "ref.npz") as ref:
+        assert mine.namelist() == ref.namelist() == [f"{k}.npy" for k in _CACHE_ARRAYS]
+        for name in ref.namelist():
+            assert mine.getinfo(name).compress_type == zipfile.ZIP_STORED
+            assert mine.read(name) == ref.read(name), name
+    with np.load(path, allow_pickle=False) as blob:
+        for key, want in _CACHE_ARRAYS.items():
+            got = blob[key]
+            assert got.dtype == want.dtype and got.shape == want.shape, key
+            assert np.array_equal(got, want), key
+    # a Fortran-order array is written in C order, under a header that says so
+    want = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+    ev.load_or_build(tmp_path / "f.npz", lambda: {"f": want}, dict)
+    with np.load(tmp_path / "f.npz", allow_pickle=False) as blob:
+        assert np.array_equal(blob["f"], want)
+
+
+def test_cache_written_by_np_savez_still_hits(tmp_path):
+    path = tmp_path / "c.npz"
+    np.savez(path, **_CACHE_ARRAYS)
+
+    def build():
+        raise AssertionError("a np.savez file was rebuilt")
+
+    arrays, cached = ev.load_or_build(path, build, lambda blob: {k: blob[k] for k in blob})
+    assert cached
+    assert sorted(arrays) == sorted(_CACHE_ARRAYS)
+    for key, want in _CACHE_ARRAYS.items():
+        assert arrays[key].dtype == want.dtype and np.array_equal(arrays[key], want), key
+
+
+def test_cache_write_copies_no_array(tmp_path):
+    arrays = {"data": np.ones((64, 16384)), "ends": np.array([16384])}
+    _, peak = _traced_peak(lambda: ev.load_or_build(tmp_path / "c.npz", lambda: arrays, dict))
+    assert peak < arrays["data"].nbytes // 8, (peak, arrays["data"].nbytes)

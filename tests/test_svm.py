@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from eegid import evaluation as ev, svm
 from eegid.errors import DimensionMismatch, SingleClassInput, TooFewClasses, TooFewRows
 
 from conftest import train_grid, train_one
-from oracles import decision_values, dual_objective, kkt_violations, rbf_loop, smo_scalar
+from oracles import (decision_values, dual_objective, kkt_violations, rbf_loop, smo_scalar,
+                     train_ovr_kept_rows)
 
 
 def blobs(rng, centers, per_class=10, spread=0.1):
@@ -494,6 +496,60 @@ class TestFoldRuns:
         x, labels, folds = nested_folds(rng, self.GRID)
         with pytest.raises(ValueError, match="fold 1 has an empty grid"):
             next(svm.train_ovr(x, labels, [folds[0], (folds[1][0], [])]))
+
+
+class TestFoldRows:
+    """A run keeps each fold's distances, not its standardized rows; a fold's
+    rows are standardized again only when its models are yielded."""
+
+    @pytest.mark.parametrize("block", [None, 96 * 18, 0], ids=["merged", "split", "alone"])
+    def test_models_equal_the_kept_rows_reference(self, rng, monkeypatch, block):
+        x, labels, folds = nested_folds(rng, TestFoldRuns.GRID)
+        if block is not None:
+            monkeypatch.setattr(svm, "_LOCKSTEP_BLOCK", block)
+        merged = list(svm.train_ovr(x, labels, folds))
+        for got, want in zip(merged, train_ovr_kept_rows(x, labels, folds),
+                             strict=True):
+            assert list(got) == list(want)
+            first = next(iter(got.values()))
+            for params, (train, coef, bias, converged) in want.items():
+                model = got[params]
+                # one training matrix per fold, as predict_batch requires
+                assert model.train is first.train
+                for mine, ref in ((model.train, train), (model.dual_coef, coef),
+                                  (model.bias, bias), (model.converged, converged)):
+                    assert mine.dtype == ref.dtype and np.array_equal(mine, ref)
+
+    def test_one_run_holds_one_fold_of_rows(self, monkeypatch):
+        """24 folds of 24 rows x 2000 features in one run.  Keeping every
+        fold's standardized rows until its models are yielded holds 24 x 375
+        KiB of them at once."""
+        rng = np.random.default_rng(3)
+        n_folds, n, d = 24, 24, 2000
+        labels = np.repeat(list("abcd"), 12)
+        x = rng.standard_normal((len(labels), d)) + np.repeat(np.eye(4, d), 12, axis=0)
+        grid = [svm.SvmHyperparams(c=1.0, gamma=0.01), svm.SvmHyperparams(c=10.0, gamma=0.01)]
+        folds = [(np.sort(rng.permutation(len(labels))[:n]), grid) for _ in range(n_folds)]
+        runs, smo = [], svm._smo
+        monkeypatch.setattr(svm, "_smo", lambda kernel, base, y, c:
+                            runs.append(y.shape) or smo(kernel, base, y, c))
+        n_classes = 4
+        problems = n_folds * len(grid) * n_classes
+        rows = n * d * 8
+        # what each fold keeps for its runs (means, stds, distances, targets),
+        # the run's Gram stack, and a generous 16 of _smo's (problems, n) arrays
+        solver = 8 * (n_folds * (2 * d + n * n + n_classes * n) + n_folds * n * n
+                      + 16 * problems * n)
+        tracemalloc.start()
+        try:
+            for models in svm.train_ovr(x, labels, folds):
+                assert len(models) == len(grid)
+                del models
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert runs == [(problems, n)]
+        assert peak < 3 * rows + solver, (peak, rows, solver)
 
 
 def support_sets(models):
