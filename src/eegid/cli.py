@@ -61,21 +61,28 @@ def _with_policy(manifest, policy):
 
 
 def _cached_corpus(manifest, cache_dir, filters, channel_policy=None):
-    """Load the preprocessed corpus cache, or build and write it; returns
-    (corpus, hash, was_cached).
+    """Open the preprocessed corpus cache, or build and write it first;
+    returns (corpus, hash, was_cached), corpus being an open
+    `evaluation.PreprocessedCorpus` for the caller to close.
 
-    The file is keyed by the corpus hash and the filter settings `filters`
-    (`ExperimentConfig.filters`), and holds the arrays of
-    `evaluation.preprocessed`.  On a miss the corpus is built from the loaded
-    `manifest` and each recording is preprocessed as it is copied into them.
+    The file is keyed by the corpus hash, the filter settings `filters`
+    (`ExperimentConfig.filters`) and `evaluation.CORPUS_LAYOUT`.  On a miss
+    the corpus is built from the loaded `manifest`, and each recording is
+    preprocessed and written to the file before the next is read.  A file of
+    an earlier layout, named without the layout tag, is not read: it is
+    rebuilt once in this layout and then removed.
     """
     manifest = _with_policy(manifest, channel_policy)
     digest = _corpus_hash(manifest)
-    path = Path(cache_dir) / f"preprocessed-{digest}-{evaluation.filter_tag(**filters)}.npz"
+    stem = f"preprocessed-{digest}-{evaluation.filter_tag(**filters)}"
+    path = Path(cache_dir) / f"{stem}-{evaluation.CORPUS_LAYOUT}.npz"
+    old = path.with_name(f"{stem}.npz")
+    if old.exists() and not path.exists():
+        _log(f"rebuilding cache {old.name} of an earlier layout as {path.name}")
     corpus, cached = evaluation.load_or_build(
-        path, lambda: evaluation.preprocessed(build_corpus(manifest), **filters),
-        # a file without one of the arrays raises KeyError here, and is rebuilt
-        lambda arrays: {key: arrays[key] for key in evaluation.CORPUS_KEYS})
+        path, evaluation.PreprocessedCorpus,
+        lambda fh: evaluation.write_preprocessed(fh, build_corpus(manifest), **filters))
+    old.unlink(missing_ok=True)
     if cached:
         _log(f"cache hit: {path.name} (no recompute)")
     return corpus, digest, cached
@@ -108,10 +115,10 @@ def _epoch_length_problem(length):
 def cmd_ingest(args) -> int:
     corpus, digest, _ = _cached_corpus(load_manifest(args.manifest), args.out,
                                        _filters(args))
-    provenance = corpus["provenance"]
-    subjects = {(dataset, subject) for dataset, subject, _ in provenance.tolist()}
-    _log(f"corpus {digest}: {len(provenance)} recordings, {len(subjects)} subjects, "
-         f"rates {[float(corpus['rate'])]} Hz")
+    corpus.close()
+    subjects = {(dataset, subject) for dataset, subject, _ in corpus.provenance.tolist()}
+    _log(f"corpus {digest}: {len(corpus.provenance)} recordings, {len(subjects)} subjects, "
+         f"rates {[corpus.rate]} Hz")
     return EXIT_OK
 
 
@@ -137,8 +144,9 @@ def cmd_features(args) -> int:
     )
     corpus, digest, _ = _cached_corpus(load_manifest(args.manifest), args.cache,
                                        config.filters)
-    features, _, provenance = evaluation.epoch_features(
-        evaluation.band_epochs(corpus, config, args.condition), args.metric, args.gb)
+    with corpus:
+        features, _, provenance = evaluation.epoch_features(
+            evaluation.band_epochs(corpus, config, args.condition), args.metric, args.gb)
     with open(args.out, "w", encoding="utf-8") as fh:
         n_feat = features.shape[1]
         fh.write("dataset_id,subject_id,condition," +
@@ -320,27 +328,27 @@ def cmd_evaluate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
     for policy, configs in grid:
-        # one policy's corpus is loaded once and held only while its configs run
+        # one policy's corpus file is opened once and read per config
         corpus, digest, _ = _cached_corpus(manifest, cache_dir, filters, channel_policy=policy)
         name = _policy_name(policy)
-        for config in configs:
-            _log(f"running {config.name()} [{name or 'manifest policy'}]")
-            report = replace(evaluation.run_experiment(
-                corpus, config, feature_cache_dir=cache_dir,
-                cache_tag=f"{digest}-{name or 'manifest'}",
-            ), policy=name or "default")
-            stem = f"{report.policy}_{config.name()}"
-            with open(out_dir / f"{stem}.json", "w", encoding="utf-8") as fh:
-                fh.write(evaluation.report_to_json(report))
-                fh.write("\n")
-            with open(out_dir / f"{stem}_confusion.csv", "w", encoding="utf-8") as fh:
-                evaluation.confusion_to_csv(report.cv.confusion, report.cv.class_order, fh)
-            with open(out_dir / f"{stem}_confusion.pgm", "wb") as fh:
-                evaluation.confusion_to_pgm(report.cv.confusion, fh)
-            reports.append(report.to_dict())
-            _log(f"  accuracy {report.cv.mean_accuracy:.4f} "
-                 f"+/- {report.cv.standard_error:.4f}")
-        del corpus
+        with corpus:
+            for config in configs:
+                _log(f"running {config.name()} [{name or 'manifest policy'}]")
+                report = replace(evaluation.run_experiment(
+                    corpus, config, feature_cache_dir=cache_dir,
+                    cache_tag=f"{digest}-{name or 'manifest'}",
+                ), policy=name or "default")
+                stem = f"{report.policy}_{config.name()}"
+                with open(out_dir / f"{stem}.json", "w", encoding="utf-8") as fh:
+                    fh.write(evaluation.report_to_json(report))
+                    fh.write("\n")
+                with open(out_dir / f"{stem}_confusion.csv", "w", encoding="utf-8") as fh:
+                    evaluation.confusion_to_csv(report.cv.confusion, report.cv.class_order, fh)
+                with open(out_dir / f"{stem}_confusion.pgm", "wb") as fh:
+                    evaluation.confusion_to_pgm(report.cv.confusion, fh)
+                reports.append(report.to_dict())
+                _log(f"  accuracy {report.cv.mean_accuracy:.4f} "
+                     f"+/- {report.cv.standard_error:.4f}")
     _write_rollup(out_dir, reports)
     return EXIT_OK
 

@@ -4,8 +4,8 @@
 - Resampling is rational and polyphase: a Kaiser-windowed (beta 14) sinc
   low-pass, with the signal extended along the line through its first and
   last samples.  The input-to-output map repeats every `up` outputs, so it
-  is one (window x frame) matrix per ratio, applied by one matrix product
-  over strided input frames.
+  is one (window x frame) matrix per ratio, zero-padded to a multiple of 64
+  columns and applied by one matrix product over strided input frames.
 - Butterworth band-passes come from the analog prototype poles, the
   pre-warped band-pass transform and the bilinear map, paired into
   second-order sections nearest-pole-first; the notch is the closed-form
@@ -41,7 +41,8 @@ _MAX_RESAMPLE_FACTOR = 256
 # resampling low-pass: 2 x 10 x max(up, down) + 1 taps, Kaiser beta 14
 _RESAMPLE_HALF_TAPS = 10
 _KAISER_BETA = 14.0
-# outputs per resampling frame, before rounding up to a multiple of `up`
+# outputs per resampling frame, before rounding up to a multiple of `up`;
+# the frame's matrix is padded to a multiple of this many columns
 _FRAME_OUTPUTS = 64
 # samples per block of the state-space filter, and rows filtered together
 _BLOCK = 64
@@ -92,8 +93,13 @@ def _polyphase_operator(up, down):
     outputs dropped so that output 0 sits on input 0.  Shifting i by `up`
     shifts j by `down`, so a frame of `frame` outputs (a multiple of `up`)
     reads `window` inputs that start `stride` inputs after the previous
-    frame's, the first at input `first`.  Returns (matrix, first, stride),
-    matrix being (window, frame).
+    frame's, the first at input `first`.  Returns (matrix, first, stride,
+    frame), matrix being (window, columns): the frame's columns, then zero
+    columns up to a multiple of _FRAME_OUTPUTS.  OpenBLAS multiplies a
+    product of few rows by its small-matrix kernel, which rounds the columns
+    past the last whole block of 64 otherwise than the kernel for many rows;
+    without the padding a frame of 65 outputs gave one channel values that
+    depended on how many rows were resampled with it.
     """
     max_rate = max(up, down)
     half = _RESAMPLE_HALF_TAPS * max_rate
@@ -111,8 +117,9 @@ def _polyphase_operator(up, down):
            - (first + np.arange(window))[:, None] * up)
     inside = (lag >= 0) & (lag <= 2 * half)
     matrix = np.where(inside, taps[np.clip(lag, 0, 2 * half)], 0.0)
+    matrix = np.pad(matrix, ((0, 0), (0, -frame % _FRAME_OUTPUTS)))
     matrix.setflags(write=False)  # shared by every caller through the cache
-    return matrix, first, frame * down // up
+    return matrix, first, frame * down // up, frame
 
 
 def resampled_length(n_samples, fs_hz, target_hz) -> int:
@@ -142,8 +149,8 @@ def resample(data, fs_hz, target_hz) -> np.ndarray:
         )
     # linear boundary extension avoids edge transients on non-zero-mean data;
     # the high-beta Kaiser window keeps passband ripple below 1e-6
-    matrix, first, stride = _polyphase_operator(p, q)
-    window, frame = matrix.shape
+    matrix, first, stride, frame = _polyphase_operator(p, q)
+    window, columns = matrix.shape
     n_frames = max(1, -(-n_out // frame))
     # the input position of every frame sample; outside the signal, samples
     # lie on the line through the first and last samples
@@ -151,7 +158,7 @@ def resample(data, fs_hz, target_hz) -> np.ndarray:
     at = first + stride * np.arange(n_frames)[:, None] + np.arange(window)
     inside = np.clip(at, 0, n - 1)
     before, after = at < 0, at > n - 1
-    out = np.empty((len(data), n_frames * frame))
+    out = np.empty((len(data), n_frames, columns))
     edges = list(range(_ROW_CHUNK, len(data) - 1, _ROW_CHUNK))
     for x, y in zip(np.split(data, edges), np.split(out, edges)):
         # the chunk's frames, gathered in one copy (C order, so reshape copies nothing)
@@ -159,9 +166,10 @@ def resample(data, fs_hz, target_hz) -> np.ndarray:
         slope = (x[:, -1:] - x[:, :1]) / (n - 1)
         frames[:, before] = x[:, :1] + at[before] * slope
         frames[:, after] = x[:, -1:] + (at[after] - (n - 1)) * slope
-        np.matmul(frames.reshape(-1, window), matrix, out=y.reshape(-1, frame))
+        np.matmul(frames.reshape(-1, window), matrix, out=y.reshape(-1, columns))
         del frames  # before the next chunk's are gathered
-    return out[:, :n_out]
+    # a view, unless the frame has zero columns to drop
+    return out[:, :, :frame].reshape(len(data), -1)[:, :n_out]
 
 
 @lru_cache(maxsize=64)

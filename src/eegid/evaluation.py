@@ -11,11 +11,11 @@ outer fold, the other makes every final fit.
 from __future__ import annotations
 
 import json
-import operator
 import os
 import sys
 import tempfile
 import zipfile
+import zlib
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -270,7 +270,7 @@ class ExperimentConfig:
 
     @property
     def filters(self):
-        """The filter settings, as keyword arguments of preprocessed and filter_tag."""
+        """The filter settings, as keyword arguments of write_preprocessed and filter_tag."""
         return {"notch_hz": self.notch_hz, "notch_q": self.notch_q,
                 "filter_order": self.filter_order}
 
@@ -296,31 +296,134 @@ class ExperimentReport:
         return d
 
 
-# the arrays of a corpus, as preprocessed returns them and its cache file holds them
-CORPUS_KEYS = ("data", "ends", "provenance", "rate", "filters")
+# the cache-file name tag of the corpus layout below: each recording's
+# preprocessed (channels, samples) block, one after another in `data.npy`
+CORPUS_LAYOUT = "blocks"
+# bytes per read of the pass that checks the data member's CRC-32
+_CRC_CHUNK = 1 << 20
 
 
-def preprocessed(corpus, notch_hz=50.0, notch_q=30.0, filter_order=4) -> dict:
-    """The corpus arrays of `io_ingest.build_corpus`'s (layout, recordings)
-    after `dsp.preprocess` (notch, then the broadband band-pass) with the
-    given filter settings, `ExperimentConfig.filters`.
+def write_preprocessed(fh, corpus, notch_hz=50.0, notch_q=30.0, filter_order=4):
+    """Write the corpus cache file of `io_ingest.build_corpus`'s (layout,
+    recordings) after `dsp.preprocess` (notch, then the broadband band-pass)
+    with the given filter settings, `ExperimentConfig.filters`, to the binary
+    file fh.
 
-    `data` is allocated once from the layout and holds the recordings side
-    by side as (channels, total samples), recording i ending at column
-    `ends[i]`.  Each recording is preprocessed into its columns before the
-    next is read.  `provenance` is an (R, 3) array of dataset id, subject id
-    and condition; `rate` and `filters` (the `filter_tag`) are 0-d.
+    Each recording is preprocessed in place and written, row after row, as
+    its C-order (channels, samples) block before the next one is read.  The
+    blocks follow one another in the float64 member `data`, whose header is
+    sized from the layout; `channels` names the rows of every block, `ends`
+    gives the column at which each recording ends, `provenance` is an (R, 3)
+    array of dataset id, subject id and condition, and `rate` and `filters`
+    (the `filter_tag`) are 0-d.
     """
     layout, recordings = corpus
     ends, rate = layout["ends"], float(layout["rate"])
-    data = np.empty((len(layout["channels"]), ends[-1]))
-    for start, end in zip(ends - np.diff(ends, prepend=0), ends):
-        # next() inside the call: no name holds a raw recording past its filtering
-        dsp.preprocess(next(recordings), rate, notch_hz=notch_hz, notch_q=notch_q,
-                       order=filter_order, out=data[:, start:end])
-    return {"data": data, "ends": ends, "provenance": layout["provenance"],
-            "rate": layout["rate"], "filters": np.array(filter_tag(notch_hz, notch_q,
-                                                                   filter_order))}
+
+    def fill(member):
+        for _ in ends:
+            data = next(recordings)
+            dsp.preprocess(data, rate, notch_hz=notch_hz, notch_q=notch_q,
+                           order=filter_order, out=data)
+            # row by row: each row is contiguous, the recording need not be
+            member.writelines(row.view(np.uint8).data for row in data)
+            del data  # before the next recording is decoded
+
+    _write_npz(fh, {
+        "data": ((len(layout["channels"]) * int(ends[-1]),), fill),
+        "channels": layout["channels"], "ends": ends, "provenance": layout["provenance"],
+        "rate": layout["rate"],
+        "filters": np.array(filter_tag(notch_hz, notch_q, filter_order)),
+    })
+
+
+class PreprocessedCorpus:
+    """A corpus cache file of `write_preprocessed`, read one recording at a time.
+
+    `channels`, `ends`, `provenance`, `rate` and `filters` are held in
+    memory, with `n_channels`; `recording(i)` reads recording i's (channels,
+    samples) block from the file with one seek and one `readinto`, and the
+    file stays open until `close`.  Opening checks the `data` member's
+    dtype, shape and stored size, and its zip CRC-32 in _CRC_CHUNK reads
+    (the checks `np.load` makes on a member it reads whole); a file that
+    fails them raises ValueError, KeyError, EOFError or zipfile.BadZipFile.
+    Object arrays are refused, so opening runs no code.
+    """
+
+    def __init__(self, path):
+        self._fh = open(path, "rb")
+        try:
+            self._check()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def _check(self):
+        fh = self._fh
+        arrays = {}
+        with zipfile.ZipFile(fh) as archive:
+            for name in ("channels", "ends", "provenance", "rate", "filters"):
+                with archive.open(f"{name}.npy") as member:
+                    arrays[name] = np.lib.format.read_array(member, allow_pickle=False)
+            info = archive.getinfo("data.npy")
+        self.channels, self.ends = arrays["channels"], arrays["ends"]
+        self.provenance = arrays["provenance"]
+        self.rate, self.filters = float(arrays["rate"]), str(arrays["filters"])
+        self.n_channels = len(self.channels)
+        if (self.channels.ndim != 1 or self.ends.ndim != 1 or not self.ends.size
+                or self.provenance.shape != (self.ends.size, 3)):
+            raise ValueError(f"channels {self.channels.shape}, ends {self.ends.shape} and "
+                             f"provenance {self.provenance.shape} do not describe one corpus")
+        if info.compress_type != zipfile.ZIP_STORED:
+            raise ValueError("data member is compressed")
+        # the member's bytes follow its local header, whose name and extra
+        # field lengths sit at offsets 26 and 28
+        fh.seek(info.header_offset)
+        local = fh.read(30)
+        if len(local) < 30 or local[:4] != b"PK\x03\x04":
+            raise zipfile.BadZipFile("bad local header of data.npy")
+        offset = (info.header_offset + 30 + int.from_bytes(local[26:28], "little")
+                  + int.from_bytes(local[28:30], "little"))
+        fh.seek(offset)
+        if np.lib.format.read_magic(fh) != (1, 0):
+            raise ValueError("data member is not a version 1.0 .npy array")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        self._start = fh.tell()
+        want = (self.n_channels * int(self.ends[-1]),)
+        if dtype != np.dtype(float) or fortran_order or shape != want:
+            raise ValueError(f"data member is {dtype} {shape}, not float64 {want}")
+        size = self._start - offset + dtype.itemsize * want[0]
+        if info.file_size != size:
+            raise ValueError(f"data member stores {info.file_size} bytes, but its header "
+                             f"describes {size}")
+        fh.seek(offset)
+        crc, left, chunk = 0, info.file_size, memoryview(bytearray(_CRC_CHUNK))
+        while left:
+            n = fh.readinto(chunk[:min(left, _CRC_CHUNK)])
+            if not n:
+                raise EOFError(f"data member ends {left} bytes early")
+            crc = zlib.crc32(chunk[:n], crc)
+            left -= n
+        if crc != info.CRC:
+            raise zipfile.BadZipFile("Bad CRC-32 for file 'data.npy'")
+
+    def recording(self, i) -> np.ndarray:
+        """Recording i's preprocessed (channels, samples) block, read into a new array."""
+        start = int(self.ends[i - 1]) if i else 0
+        block = np.empty((self.n_channels, int(self.ends[i]) - start))
+        self._fh.seek(self._start + start * self.n_channels * block.itemsize)
+        if self._fh.readinto(block) != block.nbytes:
+            raise EOFError(f"recording {i} ends early in {self._fh.name}")
+        return block
+
+    def close(self):
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
 
 def filter_tag(notch_hz, notch_q, filter_order) -> str:
@@ -329,83 +432,86 @@ def filter_tag(notch_hz, notch_q, filter_order) -> str:
 
 
 def band_epochs(corpus, config: ExperimentConfig, condition: str):
-    """Band filter + epoch every recording of one condition of a `preprocessed` corpus.
+    """Band filter + epoch every recording of one condition of a `PreprocessedCorpus`.
 
-    Checks the corpus first, then returns an iterator that band-filters one
-    recording when it is reached and gives its (epochs, labels,
-    provenance): a C-contiguous (E, N, M) stack, the "dataset/subject"
-    label of each epoch, and an (E, 3) array of each epoch's dataset id,
-    subject id and condition.
+    Checks the corpus first, then returns an iterator that reads and
+    band-filters one recording when it is reached and gives its (epochs,
+    labels, provenance): a C-contiguous (E, N, M) stack, the
+    "dataset/subject" label of each epoch, and an (E, 3) array of each
+    epoch's dataset id, subject id and condition.
     """
     band = dsp.BANDS[config.band]
-    picked = np.flatnonzero(corpus["provenance"][:, 2] == condition)
+    picked = np.flatnonzero(corpus.provenance[:, 2] == condition)
     if not picked.size:
         raise MissingCondition(f"corpus has no recordings with condition {condition!r}")
     tag = filter_tag(**config.filters)
-    if corpus["filters"] != tag:
-        raise ValueError(f"corpus is preprocessed as {str(corpus['filters'])!r}, but the "
-                         f"config needs {tag!r}: pass its recordings through "
-                         "preprocessed(recordings, **config.filters)")
-    data, rate, ends = corpus["data"], float(corpus["rate"]), corpus["ends"]
-    if len(data) < 2:
-        raise ValueError(f"corpus has {len(data)} channel(s); connectivity needs at least 2")
-    starts = ends - np.diff(ends, prepend=0)
-    rows = corpus["provenance"][picked]
+    if corpus.filters != tag:
+        raise ValueError(f"corpus is preprocessed as {corpus.filters!r}, but the config "
+                         f"needs {tag!r}: pass its recordings through "
+                         "write_preprocessed(fh, recordings, **config.filters)")
+    if corpus.n_channels < 2:
+        raise ValueError(f"corpus has {corpus.n_channels} channel(s); connectivity needs "
+                         "at least 2")
+    rate = corpus.rate
+    rows = corpus.provenance[picked]
     labels = np.array([f"{dataset}/{subject}" for dataset, subject, _ in rows.tolist()])
 
     def recording(k):
-        i = picked[k]
-        epochs = dsp.split_epochs(
-            dsp.bandpass(data[:, starts[i]:ends[i]], rate, band, config.filter_order),
-            rate, config.epoch_length_s)
+        data = corpus.recording(picked[k])
+        epochs = dsp.split_epochs(dsp.bandpass(data, rate, band, config.filter_order, out=data),
+                                  rate, config.epoch_length_s)
         return (epochs, labels[k:k + 1].repeat(len(epochs)),
                 rows[k:k + 1].repeat(len(epochs), axis=0))
 
     return (recording(k) for k in range(len(picked)))
 
 
-def load_or_build(path, build, unpack):
-    """(unpack(arrays), was_cached) for the npz cache file `path` (a Path).
+def load_or_build(path, load, write):
+    """(load(path), was_cached) for the npz cache file `path` (a Path).
 
-    A missing file is written from `build()`, a dict of arrays, to a temporary
-    file that is renamed over `path`; one that cannot be read or unpacked is
-    logged and rewritten.  Each array goes to its own uncompressed `.npy`
-    member straight from its buffer (`_write_npz`), so writing copies no
-    array; files that `np.savez` wrote load the same way.  Object arrays are
-    refused, so loading runs no code.
+    A missing file is written by `write(fh)` to a temporary file that is
+    renamed over `path`, and then loaded; one that `load` cannot read is
+    logged and rewritten the same way.
     """
     if path.exists():
         try:
-            with np.load(path, allow_pickle=False) as blob:
-                return unpack(blob), True
+            return load(path), True
         # what a damaged, truncated or foreign npz file raises
         except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
             print(f"rebuilding unreadable cache {path.name}: {exc!r}", file=sys.stderr)
-    arrays = build()
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            _write_npz(fh, arrays)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
-    return unpack(arrays), False
+    return load(path), False
 
 
-def _write_npz(fh, arrays):
-    """Write a dict of arrays as the npz file `np.savez` would: one stored
-    (uncompressed) `<name>.npy` member per array, holding the `.npy` header
-    and then the C-order bytes, here written from the array's own buffer."""
+def _write_npz(fh, members):
+    """Write an npz file as `np.savez` would: one stored (uncompressed)
+    `<name>.npy` member per entry of `members`, holding the `.npy` header
+    and then the C-order bytes, written from each array's own buffer.  An
+    entry is an array, or a (shape, fill) pair: a float64 array of that
+    shape whose C-order bytes `fill(member)` writes to the open member, so
+    that the whole array never exists at once."""
     with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as archive:
-        for name, array in arrays.items():
-            # the header must describe the bytes: C order, copied only if not already
-            array = np.asarray(array, order="C")
-            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
-                np.lib.format.write_array_header_1_0(
-                    member, np.lib.format.header_data_from_array_1_0(array))
-                member.write(array.reshape(-1).view(np.uint8).data)
+        for name, member in members.items():
+            if isinstance(member, tuple):
+                shape, fill = member
+                header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+                          "fortran_order": False, "shape": shape}
+            else:
+                # the header must describe the bytes: C order, copied only if not already
+                array = np.asarray(member, order="C")
+                header = np.lib.format.header_data_from_array_1_0(array)
+                fill = lambda out: out.write(array.reshape(-1).view(np.uint8).data)
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as out:
+                np.lib.format.write_array_header_1_0(out, header)
+                fill(out)
 
 
 def _features_cached(corpus, config: ExperimentConfig, condition,
@@ -419,17 +525,23 @@ def _features_cached(corpus, config: ExperimentConfig, condition,
     sweeps reuse the expensive connectivity computation.
     """
     def build():
-        x, labels, _ = epoch_features(band_epochs(corpus, config, condition),
-                                      config.metric, config.gb_metric)
-        return {"x": x, "labels": labels}
+        return epoch_features(band_epochs(corpus, config, condition),
+                              config.metric, config.gb_metric)[:2]
 
-    unpack = operator.itemgetter("x", "labels")
+    def load(path):
+        with np.load(path, allow_pickle=False) as blob:
+            return blob["x"], blob["labels"]
+
+    def write(fh):
+        x, labels = build()
+        _write_npz(fh, {"x": x, "labels": labels})
+
     if not (cache_dir and cache_tag):
-        return unpack(build())
+        return build()
     key = (f"features-{cache_tag}-{config.band}-{config.metric}-"
            f"{config.gb_metric or 'fc'}-{config.epoch_length_s:g}s-{condition}-"
            f"{filter_tag(**config.filters)}")
-    return load_or_build(Path(cache_dir) / f"{key}.npz", build, unpack)[0]
+    return load_or_build(Path(cache_dir) / f"{key}.npz", load, write)[0]
 
 
 def run_experiment(corpus, config: ExperimentConfig,

@@ -60,8 +60,9 @@ def resample_whole(data, fs_hz, target_hz):
     multiplied in one matrix product: the whole-array form that the
     row-chunked resampler must equal bit for bit."""
     n_out = dsp.resampled_length(data.shape[1], fs_hz, target_hz)
-    matrix, first, stride = dsp._polyphase_operator(*dsp._rational_ratio(target_hz, fs_hz))
-    window, frame = matrix.shape
+    matrix, first, stride, frame = dsp._polyphase_operator(
+        *dsp._rational_ratio(target_hz, fs_hz))
+    window = len(matrix)
     n_frames = max(1, -(-n_out // frame))
     n = data.shape[1]
     at = first + stride * np.arange(n_frames)[:, None] + np.arange(window)
@@ -70,8 +71,8 @@ def resample_whole(data, fs_hz, target_hz):
     before, after = at < 0, at > n - 1
     frames[:, before] = data[:, :1] + at[before] * slope
     frames[:, after] = data[:, -1:] + (at[after] - (n - 1)) * slope
-    out = (frames.reshape(-1, window) @ matrix).reshape(len(data), -1)
-    return out[:, :n_out]
+    out = (frames.reshape(-1, window) @ matrix).reshape(len(data), n_frames, -1)
+    return out[:, :, :frame].reshape(len(data), -1)[:, :n_out]
 
 
 # --- connectivity ---------------------------------------------------------

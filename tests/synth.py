@@ -9,7 +9,12 @@ noise; different subjects get different patterns.
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
+
+from eegid import evaluation
 
 
 def _oscillator_phases(n_samples, fs, freq_hz, jitter_rad, rng):
@@ -74,3 +79,14 @@ def as_built(recordings) -> tuple:
         "rate": np.array(recordings[0]["sampling_rate_hz"]),
     }
     return layout, (rec["data"] for rec in recordings)
+
+
+def preprocessed(corpus, **filters):
+    """An open `evaluation.PreprocessedCorpus` of a (layout, recordings)
+    pair, preprocessed with `filters` into a file that is gone once the
+    handle is closed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.npz"
+        with open(path, "wb") as fh:
+            evaluation.write_preprocessed(fh, corpus, **filters)
+        return evaluation.PreprocessedCorpus(path)

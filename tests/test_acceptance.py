@@ -154,7 +154,7 @@ def test_criterion_5_synthetic_identification(capsys):
                                     duration_s=60.0, seed=1)
     config = ev.ExperimentConfig(metric="PLV", band="gamma",
                                  epoch_length_s=4.0, seed=0)
-    report = ev.run_experiment(ev.preprocessed(synth.as_built(corpus), **config.filters),
+    report = ev.run_experiment(synth.preprocessed(synth.as_built(corpus), **config.filters),
                                config)
     elapsed = time.monotonic() - start
     ok = (report.cv.mean_accuracy >= 0.95 and report.n_epochs == 12 * 15
@@ -179,7 +179,7 @@ def test_criterion_6_physionet_subset(capsys):
     manifest = _physionet_manifest(root, n_subjects=20)
     corpus = io_ingest.build_corpus(manifest)
     config = ev.ExperimentConfig(metric="PLV", band="gamma", seed=0)
-    report = ev.run_experiment(ev.preprocessed(corpus, **config.filters), config)
+    report = ev.run_experiment(synth.preprocessed(corpus, **config.filters), config)
     ok = report.cv.mean_accuracy >= 0.90
     _report(capsys, 6,
             f"20-subject subset accuracy {report.cv.mean_accuracy:.3f}", ok)
@@ -194,7 +194,7 @@ def test_criterion_7_full_dataset(capsys):
               "needs EEGID_PHYSIONET_DIR and EEGID_FULL_RUN; no dataset "
               "access here")
     manifest = _physionet_manifest(root, n_subjects=109)
-    corpus = ev.preprocessed(io_ingest.build_corpus(manifest))  # default filters
+    corpus = synth.preprocessed(io_ingest.build_corpus(manifest))  # default filters
     gamma_cfg = ev.ExperimentConfig(metric="PLV", band="gamma", seed=0)
     delta_cfg = ev.ExperimentConfig(metric="PLI", band="delta", seed=0)
     gamma_acc = ev.run_experiment(corpus, gamma_cfg).cv.mean_accuracy
@@ -222,7 +222,7 @@ def _physionet_manifest(root, n_subjects):
 def test_criterion_8_epoch_sweep(capsys):
     """Epoch lengths 2/3/4/5/6 s over 60 s recordings yield exactly
     30/20/15/12/10 epochs per subject, all with finite accuracies."""
-    corpus = ev.preprocessed(synth.as_built(synth.synthetic_corpus(
+    corpus = synth.preprocessed(synth.as_built(synth.synthetic_corpus(
         n_subjects=4, n_channels=6, duration_s=60.0, seed=2)))
     expected = {2.0: 30, 3.0: 20, 4.0: 15, 5.0: 12, 6.0: 10}
     counts = {}

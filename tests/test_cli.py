@@ -1,21 +1,23 @@
 import filecmp
 import importlib.metadata as md
 import importlib.util
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eegid import cli, dsp, io_ingest, svm
-from eegid.evaluation import preprocessed
+from eegid import cli, dsp, evaluation, io_ingest, svm
 from eegid.io_ingest import build_corpus, load_manifest
 
 from edf_tools import save_matrix, write_edf
+import oracles
 import synth
 
 
@@ -128,18 +130,25 @@ class TestIngest:
         cache = tmp_path / "cache"
         assert cli.main(["ingest", "--manifest", str(manifest),
                          "--out", str(cache)]) == cli.EXIT_OK
-        name = f"preprocessed-{cli._corpus_hash(load_manifest(manifest))}-order4-notch50-q30.npz"
+        name = (f"preprocessed-{cli._corpus_hash(load_manifest(manifest))}"
+                "-order4-notch50-q30-blocks.npz")
         assert sorted(p.name for p in cache.iterdir()) == [name]
-        fresh = preprocessed(build_corpus(load_manifest(manifest)))
+        whole = oracles.preprocessed_whole(load_manifest(manifest))
+        # the (6, 3840) block of each recording in turn
+        blocks = np.concatenate(np.split(whole["data"], whole["ends"][:-1], axis=1), axis=None)
         with np.load(cache / name, allow_pickle=False) as blob:
-            assert sorted(blob.files) == sorted(fresh)
-            for key, want in fresh.items():
-                assert blob[key].dtype == want.dtype and np.array_equal(blob[key], want), key
-        assert fresh["data"].dtype == np.float64 and fresh["data"].shape == (6, 3 * 30 * 128)
-        assert fresh["ends"].tolist() == [3840, 7680, 11520]
-        assert fresh["provenance"].tolist() == [["synth", f"S00{i}", "resting"] for i in range(3)]
-        assert fresh["rate"].shape == () and fresh["rate"] == 128.0
-        assert fresh["filters"].shape == () and fresh["filters"] == "order4-notch50-q30"
+            assert sorted(blob.files) == sorted([*whole, "channels"])
+            assert blob["channels"].tolist() == list(load_manifest(manifest)["channel_policy"])
+            assert blob["data"].dtype == np.float64 and blob["data"].shape == (6 * 3 * 30 * 128,)
+            assert np.array_equal(blob["data"], blocks)
+            for key in ("ends", "provenance", "rate", "filters"):
+                assert blob[key].dtype == whole[key].dtype, key
+                assert np.array_equal(blob[key], whole[key]), key
+            assert blob["ends"].tolist() == [3840, 7680, 11520]
+            assert blob["provenance"].tolist() == [["synth", f"S00{i}", "resting"]
+                                                   for i in range(3)]
+            assert blob["rate"].shape == () and blob["rate"] == 128.0
+            assert blob["filters"].shape == () and blob["filters"] == "order4-notch50-q30"
         capsys.readouterr()
         assert cli.main(["ingest", "--manifest", str(manifest),
                          "--out", str(cache)]) == cli.EXIT_OK
@@ -148,7 +157,7 @@ class TestIngest:
     @staticmethod
     def _corpus_file(cache, manifest):
         digest = cli._corpus_hash(load_manifest(manifest))
-        return cache / f"preprocessed-{digest}-order4-notch50-q30.npz"
+        return cache / f"preprocessed-{digest}-order4-notch50-q30-blocks.npz"
 
     def test_object_array_cache_is_rebuilt_not_unpickled(self, workspace, tmp_path,
                                                          capsys):
@@ -164,7 +173,8 @@ class TestIngest:
         assert (tmp_path / "probe-fired").is_dir()
         marker = tmp_path / "unpickled"
         # every key a corpus file holds, so only the object array is refused
-        booby_trapped = {"data": np.array([_Tripwire(str(marker))]), "ends": np.array([1]),
+        booby_trapped = {"data": np.array([_Tripwire(str(marker))]),
+                         "channels": np.array(["C3"]), "ends": np.array([1]),
                          "provenance": np.array([["d", "s", "resting"]]),
                          "rate": np.array(128.0), "filters": np.array("order4-notch50-q30")}
         np.savez(cache_file, **booby_trapped)
@@ -173,7 +183,7 @@ class TestIngest:
                          "--out", str(cache)]) == cli.EXIT_OK
         err = capsys.readouterr().err
         assert f"rebuilding unreadable cache {cache_file.name}" in err
-        assert "Object arrays cannot be loaded" in err
+        assert "data member is object" in err
         assert "cache hit" not in err
         assert not marker.exists()
         with np.load(cache_file, allow_pickle=False) as blob:
@@ -220,7 +230,108 @@ class TestIngest:
         assert err.count("cache hit") == 1
         assert len(builds) == 1
         with np.load(cache_file, allow_pickle=False) as blob:
-            assert sorted(blob.files) == ["data", "ends", "filters", "provenance", "rate"]
+            assert sorted(blob.files) == ["channels", "data", "ends", "filters", "provenance",
+                                          "rate"]
+
+    @staticmethod
+    def _damage(path, fault):
+        """Rewrite the corpus cache file `path` with one fault."""
+        if fault == "flipped-byte":
+            with evaluation.PreprocessedCorpus(path) as corpus:
+                # a byte of the second recording's fourth sample of channel 0
+                at = corpus._start + 8 * (corpus.n_channels * int(corpus.ends[0]) + 3) + 2
+            raw = bytearray(path.read_bytes())
+            raw[at] ^= 0x10
+            path.write_bytes(bytes(raw))
+            return
+        with zipfile.ZipFile(path) as archive:
+            members = {name: archive.read(name) for name in archive.namelist()}
+        with np.load(path, allow_pickle=False) as blob:
+            data = blob["data"]
+            samples = int(blob["ends"][-1])
+        if fault == "truncated-data":
+            members["data.npy"] = members["data.npy"][:-800]
+        elif fault.startswith("missing-"):
+            del members[f"{fault[len('missing-'):]}.npy"]
+        else:
+            wrong = {"float32-data": data.astype(np.float32),
+                     "2d-data": data.reshape(-1, samples),
+                     "short-data": data[:-samples]}[fault]
+            out = io.BytesIO()
+            np.save(out, wrong)
+            members["data.npy"] = out.getvalue()
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
+            for name, raw in members.items():
+                archive.writestr(name, raw)
+
+    @pytest.mark.parametrize("fault", ["flipped-byte", "truncated-data", "missing-data",
+                                       "missing-ends", "float32-data", "2d-data",
+                                       "short-data"])
+    def test_damaged_corpus_cache_is_rebuilt_before_any_work(self, workspace, tmp_path,
+                                                            capsys, monkeypatch, fault):
+        root, manifest = workspace
+        cache = tmp_path / "cache"
+        clean = tmp_path / "clean.csv"
+        assert self._features_csv(manifest, cache, clean) == cli.EXIT_OK
+        self._damage(self._corpus_file(cache, manifest), fault)
+        events = self._watch_build_and_featurize(monkeypatch)
+        capsys.readouterr()
+        assert self._features_csv(manifest, cache, tmp_path / "f.csv") == cli.EXIT_OK
+        err = capsys.readouterr().err
+        assert err.count("rebuilding unreadable cache") == 1
+        assert f"rebuilding unreadable cache {self._corpus_file(cache, manifest).name}" in err
+        assert events == ["build", "featurize"]
+        assert (tmp_path / "f.csv").read_bytes() == clean.read_bytes()
+        assert self._features_csv(manifest, cache, tmp_path / "g.csv") == cli.EXIT_OK
+        assert "cache hit" in capsys.readouterr().err
+        assert events == ["build", "featurize", "featurize"]
+
+    def test_cache_of_the_whole_array_layout_is_rebuilt_once(self, workspace, tmp_path,
+                                                             capsys, monkeypatch):
+        """A file written before the layout tag (one (channels, samples)
+        array of every recording side by side) is rebuilt in the tagged
+        layout and removed."""
+        root, manifest = workspace
+        cache = tmp_path / "cache"
+        clean = tmp_path / "clean.csv"
+        assert self._features_csv(manifest, tmp_path / "fresh", clean) == cli.EXIT_OK
+        cache.mkdir()
+        new = self._corpus_file(cache, manifest)
+        old = new.with_name(new.name.replace("-blocks.npz", ".npz"))
+        np.savez(old, **oracles.preprocessed_whole(load_manifest(manifest)))
+        events = self._watch_build_and_featurize(monkeypatch)
+        capsys.readouterr()
+        for out in ("f.csv", "g.csv"):
+            assert self._features_csv(manifest, cache, tmp_path / out) == cli.EXIT_OK
+            assert (tmp_path / out).read_bytes() == clean.read_bytes()
+        err = capsys.readouterr().err
+        assert err.count(f"rebuilding cache {old.name} of an earlier layout") == 1
+        assert err.count("rebuilding") == 1 and err.count("cache hit") == 1
+        assert events == ["build", "featurize", "featurize"]
+        assert sorted(cache.iterdir()) == [new]
+
+    @staticmethod
+    def _features_csv(manifest, cache, out):
+        return cli.main(["features", "--manifest", str(manifest), "--out", str(out),
+                         "--cache", str(cache), "--band", "gamma", "--metric", "PLV"])
+
+    @staticmethod
+    def _watch_build_and_featurize(monkeypatch):
+        """The order of corpus builds and band_epochs calls, as a list that grows."""
+        events = []
+        build, band_epochs = cli.build_corpus, evaluation.band_epochs
+
+        def building(*args):
+            events.append("build")
+            return build(*args)
+
+        def featurizing(*args):
+            events.append("featurize")
+            return band_epochs(*args)
+
+        monkeypatch.setattr(cli, "build_corpus", building)
+        monkeypatch.setattr(evaluation, "band_epochs", featurizing)
+        return events
 
     @pytest.mark.parametrize("flags", [(), ("--notch-hz", "40", "--filter-order", "2")])
     def test_ingest_warms_the_cache_features_reads(self, workspace, tmp_path, capsys,

@@ -71,7 +71,8 @@ class TestResampleRowChunks:
     """resample goes through _ROW_CHUNK rows at a time; the whole-array form
     in tests/oracles.py gathers every row's frames at once."""
 
-    @pytest.mark.parametrize("up, down", [(4, 5), (1, 2), (5, 4), (32, 125)])
+    @pytest.mark.parametrize("up, down", [(4, 5), (1, 2), (5, 4), (32, 125), (3, 2),
+                                          (3, 4), (17, 16)])
     @pytest.mark.parametrize("rows", [1, 15, 16, 17, 49, 56])
     @pytest.mark.parametrize("n", [2, 40, 1000, 4000])
     def test_equal_to_the_whole_array(self, up, down, rows, n, rng):
@@ -79,12 +80,20 @@ class TestResampleRowChunks:
         out = dsp.resample(data, 100.0 * down, 100.0 * up)
         ref = oracles.resample_whole(data, 100.0 * down, 100.0 * up)
         assert out.shape == ref.shape
-        if dsp._polyphase_operator(up, down)[0].shape[1] % 64 == 0:
-            assert np.array_equal(out, ref)
-        else:
-            # a frame of 65 outputs: OpenBLAS multiplies a product of fewer
-            # rows by another kernel, whose last column rounds differently
-            np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12 * np.max(np.abs(data)))
+        assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("up, down", [(5, 4), (3, 2), (3, 4), (17, 16), (4, 5),
+                                          (32, 125)])
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_a_channel_does_not_depend_on_its_neighbours(self, up, down, n, rng):
+        """Frames of 65, 66 and 68 outputs gave 2 rows resampled alone other
+        last bits than the same rows inside 56 (OpenBLAS's small-matrix kernel)."""
+        data = 40.0 * rng.standard_normal((56, n)) + np.linspace(5, -2, n)
+        whole = dsp.resample(data, 100.0 * down, 100.0 * up)
+        for rows in (1, 2, 15, 16, 17):
+            for first in (0, 3, 56 - rows):
+                part = dsp.resample(data[first:first + rows], 100.0 * down, 100.0 * up)
+                assert np.array_equal(part, whole[first:first + rows]), (rows, first)
 
     def test_frames_of_one_chunk_at_a_time(self, rng):
         """A 56-channel 75 s recording at 160 Hz: gathering every row's

@@ -390,7 +390,7 @@ def raw_corpus():
 @pytest.fixture(scope="module")
 def small_corpus(raw_corpus):
     """raw_corpus preprocessed with the default filter settings."""
-    return ev.preprocessed(synth.as_built(raw_corpus))
+    return synth.preprocessed(synth.as_built(raw_corpus))
 
 
 class TestExperiment:
@@ -414,7 +414,7 @@ class TestExperiment:
                   make_recording(rng.standard_normal((2, 512)), subject="S8",
                                  dataset="d3", condition="task")]
         config = ev.ExperimentConfig(metric="PLV", band="gamma")
-        corpus = ev.preprocessed(synth.as_built(corpus), **config.filters)
+        corpus = synth.preprocessed(synth.as_built(corpus), **config.filters)
         recordings = list(ev.band_epochs(corpus, config, "task"))
         assert [epochs.shape for epochs, _, _ in recordings] == [(2, 2, 512), (1, 2, 512)]
         labels = np.concatenate([labels for _, labels, _ in recordings])
@@ -427,7 +427,7 @@ class TestExperiment:
         corpus = [make_recording(rng.standard_normal((1, 1024)), subject=f"S{i}")
                   for i in range(2)]
         config = ev.ExperimentConfig(metric="COR", band="gamma")
-        corpus = ev.preprocessed(synth.as_built(corpus), **config.filters)
+        corpus = synth.preprocessed(synth.as_built(corpus), **config.filters)
         with pytest.raises(ValueError, match=r"corpus has 1 channel\(s\)"):
             ev.band_epochs(corpus, config, "resting")
 
@@ -441,7 +441,7 @@ class TestExperiment:
     @pytest.mark.parametrize("filters", [{"notch_hz": 40.0}], ids=["other-notch"])
     def test_band_epochs_refuses_other_preprocessing(self, raw_corpus, filters):
         config = ev.ExperimentConfig(metric="PLV", band="gamma")
-        corpus = ev.preprocessed(synth.as_built(raw_corpus), **filters)
+        corpus = synth.preprocessed(synth.as_built(raw_corpus), **filters)
         with pytest.raises(ValueError, match="preprocessed as"):
             ev.band_epochs(corpus, config, "resting")
 
@@ -490,8 +490,8 @@ class TestExperiment:
                                      epoch_length_s=2.0,
                                      train_condition="resting",
                                      test_condition="task", k2=2, seed=0)
-        report = ev.run_experiment(ev.preprocessed(synth.as_built(rest + task),
-                                                   **config.filters), config)
+        report = ev.run_experiment(synth.preprocessed(synth.as_built(rest + task),
+                                                      **config.filters), config)
         assert report.mismatched
         assert len(report.cv.fold_accuracies) == 1
         assert report.cv.standard_error == 0.0
@@ -507,7 +507,7 @@ class TestExperiment:
         config = ev.ExperimentConfig(metric="COR", band="alpha", epoch_length_s=2.0,
                                      train_condition="resting", test_condition="task",
                                      k2=2, seed=3)
-        corpus = ev.preprocessed(synth.as_built(corpus), **config.filters)
+        corpus = synth.preprocessed(synth.as_built(corpus), **config.filters)
         report = ev.run_experiment(corpus, config)
         x_train, y_train = ev._features_cached(corpus, config, "resting")
         x_test, y_test = ev._features_cached(corpus, config, "task")
@@ -541,7 +541,7 @@ class TestExperiment:
                                      train_condition="resting",
                                      test_condition="task", k2=2)
         with pytest.raises(MissingCondition):
-            ev.run_experiment(ev.preprocessed(synth.as_built(rest + task), **config.filters),
+            ev.run_experiment(synth.preprocessed(synth.as_built(rest + task), **config.filters),
                               config)
 
     def test_feature_cache_roundtrip(self, small_corpus, tmp_path):
@@ -562,7 +562,7 @@ class TestExperiment:
                                    epoch_length_s=2.0)
         changed = ev.ExperimentConfig(metric="COR", band="gamma",
                                       epoch_length_s=2.0, **{field: value})
-        corpus = {config: ev.preprocessed(synth.as_built(raw_corpus), **config.filters)
+        corpus = {config: synth.preprocessed(synth.as_built(raw_corpus), **config.filters)
                   for config in (base, changed)}
         x_base, _ = ev._features_cached(corpus[base], base, "resting",
                                         cache_dir=tmp_path, cache_tag="t1")

@@ -32,3 +32,18 @@ def test_make_physionet_manifest(tmp_path):
         ("S001", "edf", [0.0, 60.0]), ("S002", "edf", [0.0, 60.0])]
     assert [Path(e["path"]) for e in manifest["entries"]] == [
         tmp_path / "S001" / "S001R01.edf", tmp_path / "S002" / "S002R01.edf"]
+
+
+def test_memory_probe(tmp_path):
+    done = _run_script("memory_probe.py", "--subjects", "3", "--seconds", "10", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["cold ingest",
+                                                          "warm features gamma COR"]
+    assert all(", VmHWM " in line and "FAILED" not in line for line in lines[:2])
+    assert lines[-1] == "3 subjects x 10 s: ok"
+    # no interpreter with numpy stays under 1 MB
+    done = _run_script("memory_probe.py", "--subjects", "2", "--seconds", "10",
+                       "--limit-mb", "1", cwd=tmp_path)
+    assert done.returncode == 1
+    assert done.stdout.count("FAILED") == 2

@@ -1,11 +1,13 @@
 """Ingest and featurization stream the corpus one recording at a time.
 
 `build_corpus` sizes every entry from its header before any entry is
-decoded, `preprocessed` fills one preallocated array entry by entry, and
-`band_epochs` hands `epoch_features` one recording's epochs at a time.  The
-arrays must equal the whole-stack references of tests/oracles.py, and peak
-memory must stay near the corpus array plus one recording, also while a
-cold command writes the corpus cache.
+decoded, `write_preprocessed` writes each recording's preprocessed block to
+the cache file before the next is read, and `band_epochs` reads one block
+from a `PreprocessedCorpus` when it reaches it and hands `epoch_features`
+that recording's epochs.  The arrays must equal the whole-stack references
+of tests/oracles.py, and no command may hold more than about three
+recordings: not a cold one that writes the corpus cache, nor one that reads
+it.
 """
 
 import json
@@ -23,6 +25,7 @@ from eegid.io_ingest import build_corpus, load_manifest, parse_edf
 
 from edf_tools import write_edf
 import oracles
+import synth
 
 _POLICY = ["C3", "C4", "CZ", "FC5", "P3", "O1"]
 # EDF spellings of the policy's channels plus two more, in another order
@@ -76,27 +79,41 @@ def _assert_identical(got, want):
 
 @pytest.mark.parametrize("filters", [{}, {"notch_hz": 0.0, "filter_order": 2}],
                          ids=["default", "no-notch"])
-def test_corpus_equals_the_whole_stack_reference(mixed, filters):
-    corpus = ev.preprocessed(build_corpus(mixed), **filters)
+def test_corpus_equals_the_whole_stack_reference(mixed, filters, tmp_path):
+    path = tmp_path / "corpus.npz"
+    with open(path, "wb") as fh:
+        ev.write_preprocessed(fh, build_corpus(mixed), **filters)
     want = oracles.preprocessed_whole(mixed, **filters)
-    assert sorted(corpus) == sorted(want) == sorted(ev.CORPUS_KEYS)
-    for key in ev.CORPUS_KEYS:
-        _assert_identical(corpus[key], want[key])
-    assert corpus["data"].shape[0] == len(_POLICY)
-    assert len(set(np.diff(corpus["ends"], prepend=0).tolist())) == len(mixed["entries"])
+    with ev.PreprocessedCorpus(path) as corpus:
+        _assert_identical(corpus.ends, want["ends"])
+        _assert_identical(corpus.provenance, want["provenance"])
+        assert corpus.rate == want["rate"] and corpus.filters == want["filters"]
+        assert corpus.n_channels == len(want["data"]) == len(_POLICY)
+        starts = want["ends"] - np.diff(want["ends"], prepend=0)
+        blocks = [want["data"][:, start:end] for start, end in zip(starts, want["ends"])]
+        for i, block in enumerate(blocks):
+            _assert_identical(corpus.recording(i), block)
+    assert len(set(np.diff(want["ends"], prepend=0).tolist())) == len(mixed["entries"])
+    # an npz file: the data member is the blocks' C-order bytes, one after another
+    with np.load(path, allow_pickle=False) as blob:
+        assert sorted(blob.files) == ["channels", "data", "ends", "filters", "provenance",
+                                      "rate"]
+        assert blob["channels"].tolist() == sorted(_POLICY)
+        _assert_identical(blob["data"], np.concatenate([b.ravel() for b in blocks]))
 
 
 @pytest.mark.parametrize("metric, gb_metric", [("COR", None), ("PLV", "ND"), ("PLI", None)])
 @pytest.mark.parametrize("condition", ["resting", "task"])
 def test_feature_rows_equal_the_whole_stack_reference(mixed, metric, gb_metric, condition):
-    corpus = ev.preprocessed(build_corpus(mixed))
+    corpus = synth.preprocessed(build_corpus(mixed))
     config = ev.ExperimentConfig(metric=metric, band="alpha", gb_metric=gb_metric,
                                  epoch_length_s=1.5)
     got = ev.epoch_features(ev.band_epochs(corpus, config, condition), metric, gb_metric)
-    want = oracles.features_whole(corpus, config, condition)
+    want = oracles.features_whole(oracles.preprocessed_whole(mixed), config, condition)
     for mine, ref in zip(got, want):
         _assert_identical(mine, ref)
     x, labels = ev._features_cached(corpus, config, condition)
+    corpus.close()
     _assert_identical(x, want[0])
     _assert_identical(labels, want[1])
 
@@ -159,52 +176,129 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_peak_memory_is_the_corpus_plus_one_recording(tmp_path):
-    """A whole-corpus step would hold a second corpus-sized array (about
-    eight recordings here) on top of the corpus."""
-    manifest = _edf_corpus(tmp_path)
+def _recording_bytes(manifest):
+    """Bytes of the first entry's decoded EDF samples, the unit of the bounds below."""
     first = load_manifest(manifest)["entries"][0]["path"]
-    recording = parse_edf(Path(first).read_bytes())[0].nbytes
-    corpus, peak = _traced_peak(lambda: ev.preprocessed(build_corpus(load_manifest(manifest))))
-    bound = corpus["data"].nbytes + 3 * recording
-    assert peak < bound, (peak, corpus["data"].nbytes, recording)
-    # one features command on the corpus cache that ingest writes
+    return parse_edf(Path(first).read_bytes())[0].nbytes
+
+
+def _features(manifest, cache, out):
+    return cli.main(["features", "--manifest", str(manifest), "--cache", str(cache),
+                     "--out", str(out), "--band", "gamma", "--metric", "COR"])
+
+
+def test_warm_features_peak_below_three_recordings(tmp_path):
+    """A `features` command on the corpus cache that `ingest` wrote reads one
+    recording at a time; loading the cache whole held the corpus, about
+    eleven recordings here."""
+    manifest = _edf_corpus(tmp_path)
+    recording = _recording_bytes(manifest)
     cache = tmp_path / "cache"
     assert cli.main(["ingest", "--manifest", str(manifest), "--out", str(cache)]) == 0
-    code, peak = _traced_peak(lambda: cli.main([
-        "features", "--manifest", str(manifest), "--cache", str(cache),
-        "--out", str(tmp_path / "f.csv"), "--band", "gamma", "--metric", "COR"]))
+    _features(manifest, cache, tmp_path / "warm-designs.csv")
+    code, peak = _traced_peak(lambda: _features(manifest, cache, tmp_path / "f.csv"))
     assert code == cli.EXIT_OK
-    assert peak < bound, (peak, corpus["data"].nbytes, recording)
+    assert peak < 3 * recording, (peak, recording)
 
 
 def test_featurizing_holds_one_recording_at_a_time(tmp_path):
     """Featurizing holds one band-filtered recording, its epoch stack, the
     filter's row buffers and the feature rows; a name left on the previous
     recording's stack (or a view of one of its epochs) adds a recording."""
-    corpus = ev.preprocessed(build_corpus(load_manifest(_edf_corpus(tmp_path))))
-    recording = corpus["data"].nbytes // len(corpus["ends"])
+    corpus = synth.preprocessed(build_corpus(load_manifest(_edf_corpus(tmp_path))))
+    recording = corpus.n_channels * int(corpus.ends[0]) * 8
     config = ev.ExperimentConfig(metric="COR", band="gamma")
     ev.epoch_features(ev.band_epochs(corpus, config, "resting"), "COR", None)  # warm designs
     (x, _, _), peak = _traced_peak(
         lambda: ev.epoch_features(ev.band_epochs(corpus, config, "resting"), "COR", None))
+    corpus.close()
     assert peak < 2.5 * recording + x.nbytes, (peak, recording, x.nbytes)
 
 
-def test_cold_commands_peak_below_the_corpus_plus_three_recordings(tmp_path):
+def test_cold_commands_peak_below_three_recordings(tmp_path):
     """A cold `ingest` and a cold `features` command each build the corpus and
-    write its cache; writing through `np.savez` copied the whole corpus."""
+    write its cache one recording at a time; filling a corpus array first
+    held all of it."""
     manifest = _edf_corpus(tmp_path)
-    first = load_manifest(manifest)["entries"][0]["path"]
-    recording = parse_edf(Path(first).read_bytes())[0].nbytes
-    corpus = oracles.preprocessed_whole(load_manifest(manifest))["data"].nbytes
+    recording = _recording_bytes(manifest)
     for command in (["ingest", "--out", str(tmp_path / "ingest")],
                     ["features", "--cache", str(tmp_path / "features"),
                      "--out", str(tmp_path / "f.csv"), "--band", "gamma", "--metric", "COR"]):
         code, peak = _traced_peak(lambda: cli.main([command[0], "--manifest", str(manifest),
                                                     *command[1:]]))
         assert code == cli.EXIT_OK
-        assert peak < corpus + 3 * recording, (command[0], peak, corpus, recording)
+        assert peak < 3 * recording, (command[0], peak, recording)
+
+
+class _Featurized(Exception):
+    """Raised in place of the model selection once a config is featurized."""
+
+
+def test_evaluate_featurizes_a_config_below_three_recordings(tmp_path, monkeypatch):
+    """From opening the corpus cache to the feature cache written and read
+    back, one `evaluate` config holds about one recording; the corpus that
+    was loaded whole per channel policy was about eleven.  Node degrees keep
+    the feature rows small beside a recording."""
+    manifest = _edf_corpus(tmp_path)
+    recording = _recording_bytes(manifest)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"manifest": str(manifest), "bands": ["gamma"],
+                                  "metrics": ["COR"], "gb_metrics": ["ND"],
+                                  "epoch_lengths_s": [1.0], "k1": 2, "k2": 2}))
+    assert cli.main(["ingest", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "cache")]) == 0
+    peaks = []
+
+    def featurize(corpus, config, feature_cache_dir=None, cache_tag=""):
+        ev._features_cached(corpus, config, config.train_condition, feature_cache_dir,
+                            cache_tag)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        raise _Featurized
+
+    monkeypatch.setattr(ev, "run_experiment", featurize)
+    with pytest.raises(_Featurized):
+        _traced_peak(lambda: cli.main(["evaluate", "--config", str(config),
+                                       "--out", str(tmp_path / "out")]))
+    assert list((tmp_path / "cache").glob("features-*.npz"))
+    [peak] = peaks
+    assert peak < 3 * recording, (peak, recording)
+
+
+def test_a_corpus_handle_never_reads_the_data_member_whole(tmp_path, monkeypatch):
+    """Opening reads the data member in _CRC_CHUNK pieces, and a recording
+    is one read of its own block."""
+    path = tmp_path / "corpus.npz"
+    with open(path, "wb") as fh:
+        ev.write_preprocessed(fh, build_corpus(load_manifest(_edf_corpus(tmp_path))))
+    reads = []
+
+    class Spy:
+        def __init__(self, fh):
+            self._fh = fh
+
+        def __getattr__(self, name):
+            return getattr(self._fh, name)
+
+        def read(self, n=-1):
+            data = self._fh.read(n)
+            reads.append(len(data))
+            return data
+
+        def readinto(self, buffer):
+            n = self._fh.readinto(buffer)
+            reads.append(n)
+            return n
+
+    monkeypatch.setattr(ev, "open", lambda *args: Spy(open(*args)), raising=False)
+    with ev.PreprocessedCorpus(path) as corpus:
+        block = corpus.n_channels * int(corpus.ends[0]) * 8
+        opened = len(reads)
+        recordings = [corpus.recording(i) for i in range(len(corpus.ends))]
+    data = sum(r.nbytes for r in recordings)
+    assert data > 4 * max(ev._CRC_CHUNK, block)
+    # every byte of the member was checked, in pieces
+    assert sum(reads[:opened]) > data and max(reads[:opened]) <= ev._CRC_CHUNK
+    assert reads[opened:] == [block] * len(recordings)
 
 
 _CACHE_ARRAYS = {
@@ -215,11 +309,16 @@ _CACHE_ARRAYS = {
 }
 
 
+def _load_all(path):
+    with np.load(path, allow_pickle=False) as blob:
+        return {key: blob[key] for key in blob}
+
+
 def test_cache_file_holds_what_np_savez_would(tmp_path):
     """Same member names, and each member byte for byte what `np.savez`
     writes for a C-order array; loading needs no pickles."""
     path = tmp_path / "c.npz"
-    _, cached = ev.load_or_build(path, lambda: _CACHE_ARRAYS, dict)
+    _, cached = ev.load_or_build(path, _load_all, lambda fh: ev._write_npz(fh, _CACHE_ARRAYS))
     assert not cached
     np.savez(tmp_path / "ref.npz", **_CACHE_ARRAYS)
     with zipfile.ZipFile(path) as mine, zipfile.ZipFile(tmp_path / "ref.npz") as ref:
@@ -234,7 +333,7 @@ def test_cache_file_holds_what_np_savez_would(tmp_path):
             assert np.array_equal(got, want), key
     # a Fortran-order array is written in C order, under a header that says so
     want = np.asfortranarray(np.arange(6.0).reshape(2, 3))
-    ev.load_or_build(tmp_path / "f.npz", lambda: {"f": want}, dict)
+    ev.load_or_build(tmp_path / "f.npz", _load_all, lambda fh: ev._write_npz(fh, {"f": want}))
     with np.load(tmp_path / "f.npz", allow_pickle=False) as blob:
         assert np.array_equal(blob["f"], want)
 
@@ -243,10 +342,10 @@ def test_cache_written_by_np_savez_still_hits(tmp_path):
     path = tmp_path / "c.npz"
     np.savez(path, **_CACHE_ARRAYS)
 
-    def build():
+    def write(fh):
         raise AssertionError("a np.savez file was rebuilt")
 
-    arrays, cached = ev.load_or_build(path, build, lambda blob: {k: blob[k] for k in blob})
+    arrays, cached = ev.load_or_build(path, _load_all, write)
     assert cached
     assert sorted(arrays) == sorted(_CACHE_ARRAYS)
     for key, want in _CACHE_ARRAYS.items():
@@ -255,5 +354,6 @@ def test_cache_written_by_np_savez_still_hits(tmp_path):
 
 def test_cache_write_copies_no_array(tmp_path):
     arrays = {"data": np.ones((64, 16384)), "ends": np.array([16384])}
-    _, peak = _traced_peak(lambda: ev.load_or_build(tmp_path / "c.npz", lambda: arrays, dict))
+    _, peak = _traced_peak(lambda: ev.load_or_build(tmp_path / "c.npz", lambda path: None,
+                                                    lambda fh: ev._write_npz(fh, arrays)))
     assert peak < arrays["data"].nbytes // 8, (peak, arrays["data"].nbytes)
