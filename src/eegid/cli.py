@@ -20,7 +20,6 @@ from . import connectivity, dsp, evaluation, graph
 from .errors import (
     EegIdError,
     EpochTooShort,
-    InsufficientEpochs,
     MissingCondition,
     NoConvergence,
     RecordingTooShort,
@@ -261,53 +260,36 @@ def _check_epoch_lengths(lengths, rate_hz, metrics):
 def _check_recordings(manifest, doc):
     """Raise unless every entry holds every channel of every run-config
     channel policy, every swept condition has recordings, each of them holds
-    one epoch of every epoch length, and every condition pair has the epochs
-    its folds need at every length: when matched, k1 per subject and k2 for
-    some subject in the training part of every outer fold; when mismatched,
-    k2 for some training subject and training epochs for every test subject.
-    Reads entry headers only (`corpus_layout`)."""
+    one epoch of every epoch length, and `evaluation.fold_problem` passes
+    every condition pair's per-subject epoch counts at every length.  Reads
+    entry headers only (`corpus_layout`)."""
     for policy in doc["channel_policies"]:
         layout = corpus_layout(_with_policy(manifest, policy))
     if not doc["channel_policies"]:  # an empty sweep runs nothing
         return
     # sample counts and provenance do not depend on the channel policy
-    rate, samples = float(layout["rate"]), np.diff(layout["ends"], prepend=0)
-    # (dataset, subject, condition) is unique: one recording per subject and condition
-    recordings = {}  # condition -> {class label: samples}
-    for (dataset, subject, condition), n in zip(layout["provenance"].tolist(), samples.tolist()):
-        recordings.setdefault(condition, {})[f"{dataset}/{subject}"] = n
+    rate, ends = float(layout["rate"]), layout["ends"]
+    conditions = layout["provenance"][:, 2].tolist()
     swept = sorted({name for pair in doc["conditions"] for name in pair})
     for name in swept:
-        if name not in recordings:
+        if name not in conditions:
             raise MissingCondition(f"corpus has no recordings with condition {name!r}")
-    k1, k2 = doc["k1"], doc["k2"]
+    # (dataset, subject, condition) is unique: one recording per subject and condition
+    labels = [f"{dataset}/{subject}" for dataset, subject, _ in layout["provenance"].tolist()]
     for length in map(float, doc["epoch_lengths_s"]):
-        m = dsp.epoch_samples(rate, length)
-        for entry, n in zip(manifest["entries"], samples):
-            if entry["condition"] in swept and n < m:
+        counts = {}  # condition -> {class label: epochs}
+        for entry, label, condition, n, epochs in zip(
+                manifest["entries"], labels, conditions, np.diff(ends, prepend=0).tolist(),
+                evaluation.epoch_counts(ends, rate, length).tolist()):
+            if condition in swept and not epochs:
                 raise RecordingTooShort(f"{entry['path']}: {n} samples cannot hold one "
                                         f"{length} s epoch at {rate} Hz")
+            counts.setdefault(condition, {})[label] = epochs
         for train, test in doc["conditions"]:
-            epochs = {label: n // m for label, n in recordings[train].items()}
-            if train == test:
-                for label, n in epochs.items():
-                    if n < k1:
-                        raise InsufficientEpochs(
-                            f"subject {label!r} has fewer epochs than outer folds: {n} "
-                            f"{train} epochs of {length} s for k1 = {k1}")
-                # the grid search deals each outer fold's training epochs into
-                # k2 folds; outer fold 0 holds ceil(n / k1) of a subject's n
-                # epochs, the most any fold holds, so it trains on the fewest
-                inner = [n - -(-n // k1) for n in epochs.values()]
-            else:
-                inner = list(epochs.values())
-            if max(inner) < k2:
-                raise InsufficientEpochs(
-                    f"{k2} folds need a subject with at least {k2} epochs, but the most any "
-                    f"subject has is {max(inner)} ({train} epochs of {length} s)")
-            if train != test and (missing := sorted(recordings[test].keys() - epochs.keys())):
-                raise MissingCondition(f"test-condition subjects absent from training data: "
-                                       f"{missing[:5]} ({test} against {train})")
+            if problem := evaluation.fold_problem(counts[train], doc["k1"], doc["k2"],
+                                                  None if train == test else counts[test]):
+                raise type(problem)(f"{problem} ({train} epochs of {length} s"
+                                    f"{'' if train == test else ', tested on ' + test})")
 
 
 def cmd_evaluate(args) -> int:

@@ -16,6 +16,7 @@ import sys
 import tempfile
 import zipfile
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import connectivity, dsp, graph, svm
 from .errors import (DegenerateVariance, InsufficientEpochs, MissingCondition, NoConvergence,
-                     UnknownLabel, ZeroGraph)
+                     TooFewClasses, UnknownLabel, ZeroGraph)
 
 GRID = tuple(
     svm.SvmHyperparams(c=c, gamma=g)
@@ -39,16 +40,14 @@ def fold_splits(labels, k, seed):
     """Round-robin k-fold splits of epochs grouped per subject.
 
     Subject by subject in sorted order, the subject's epochs are shuffled by
-    `np.random.default_rng(seed)` and dealt to the folds in turn.  Returns one
-    (train_idx, test_idx) pair of sorted index arrays per fold.  Fold h is
-    empty unless some subject has more than h epochs, so a k above every
-    subject's epoch count raises InsufficientEpochs.
+    `np.random.default_rng(seed)` and dealt to the folds in turn (`_held`).
+    Returns one (train_idx, test_idx) pair of sorted index arrays per fold.
+    Fold h is empty unless some subject has more than h epochs, so a k above
+    every subject's epoch count raises InsufficientEpochs.
     """
     labels = np.asarray(labels)
-    largest = int(np.unique(labels, return_counts=True)[1].max(initial=0))
-    if largest < k:
-        raise InsufficientEpochs(f"{k} folds need a subject with at least {k} epochs, "
-                                 f"but the most any subject has is {largest}")
+    if problem := _too_few_for_folds(k, Counter(labels.tolist()).values()):
+        raise problem
     rng = np.random.default_rng(seed)
     fold_of = np.empty(labels.shape[0], dtype=int)
     for subject in sorted(set(labels.tolist())):
@@ -57,6 +56,62 @@ def fold_splits(labels, k, seed):
         fold_of[idx] = np.arange(idx.size) % k
     return [(np.flatnonzero(fold_of != held), np.flatnonzero(fold_of == held))
             for held in range(k)]
+
+
+def _held(n, k, fold):
+    """How many of a subject's n epochs `fold_splits` deals to fold `fold` of k."""
+    return n // k + (fold < n % k)
+
+
+def _too_few_for_folds(k, counts):
+    """InsufficientEpochs if k folds of these per-subject counts leave one empty."""
+    if (largest := max(counts, default=0)) < k:
+        return InsufficientEpochs(f"{k} folds need a subject with at least {k} epochs, "
+                                  f"but the most any subject has is {largest}")
+    return None
+
+
+def _untrained(train_subjects, test_subjects):
+    """MissingCondition if a test subject is not among the training subjects."""
+    if missing := sorted(set(test_subjects) - set(train_subjects)):
+        return MissingCondition(f"test-condition subjects absent from training data: "
+                                f"{missing[:5]}")
+    return None
+
+
+def fold_problem(train_counts, k1, k2, test_counts=None):
+    """The first problem that the fold loop meets on these {subject: epochs}
+    counts, as the EegIdError it would raise, or None.
+
+    Without test_counts the loop is `run_nested_cv`'s; with them, that of a
+    mismatched run's one split, which trains on all of train_counts.  In the
+    loop's order: a subject below k1 (matched; a policy, as the loop would
+    run), a test subject with no training epochs (mismatched), k2 above
+    every count of an outer training set, and an inner training set of
+    fewer than two subjects; every outer and final-fit set holds its inner
+    ones.  `_held` gives every set's counts.
+    """
+    if test_counts is None:
+        for subject, n in sorted(train_counts.items()):
+            if n < k1:
+                return InsufficientEpochs(f"subject {subject!r} has fewer epochs than outer "
+                                          f"folds: {n} for k1 = {k1}")
+        first = _too_few_for_folds(k1, train_counts.values())
+        outer = [{s: n - _held(n, k1, h) for s, n in train_counts.items()} for h in range(k1)]
+    else:
+        first, outer = _untrained(train_counts, test_counts), [train_counts]
+    if first:
+        return first
+    for counts in outer:
+        if problem := _too_few_for_folds(k2, counts.values()):
+            return problem
+    for h, counts in enumerate(outer):
+        for inner in range(k2):
+            trained = sum(n > _held(n, k2, inner) for n in counts.values())
+            if trained < 2:
+                return TooFewClasses(f"inner fold {inner} of outer fold {h} trains on "
+                                     f"{trained} subject(s); a classifier needs 2")
+    return None
 
 
 # --- grid search and nested CV -------------------------------------------------
@@ -160,8 +215,8 @@ def run_nested_cv(x, labels, k1=10, k2=3, seed=0) -> CvReport:
     """Outer k1-fold evaluation with an inner k2-fold grid search per fold.
 
     The standardizer and hyperparameters for each outer fold are fitted on
-    that fold's training epochs only.  Every subject needs at least k1
-    epochs, so that it appears in every outer fold.
+    that fold's training epochs only.  The label counts must pass
+    `fold_problem`, so every subject appears in every outer fold.
     """
     if k1 < 2:
         raise ValueError("k1 must be at least 2 (need held-out data)")
@@ -171,19 +226,20 @@ def run_nested_cv(x, labels, k1=10, k2=3, seed=0) -> CvReport:
     labels = np.asarray(labels)
     if x.shape[0] != labels.shape[0]:
         raise ValueError("features and labels disagree in size")
-    subjects, counts = np.unique(labels, return_counts=True)
-    for subject, count in zip(subjects.tolist(), counts.tolist()):
-        if count < k1:
-            raise InsufficientEpochs(f"subject {subject!r} has fewer epochs than outer folds")
+    if problem := fold_problem(Counter(labels.tolist()), k1, k2):
+        raise problem
     return _cross_validate(x, labels, fold_splits(labels, k1, seed), k2, seed)
 
 
 def _cross_validate(x, labels, splits, k2, seed) -> CvReport:
     """Score each (train_idx, test_idx) split of the rows of x: an inner
     grid search on the training rows, a final fit with the chosen
-    hyperparameters, and predictions on the test rows.  The final fits share
-    one `svm.train_ovr` call; stderr gets each split's grid-search warning,
-    then its final-fit warning."""
+    hyperparameters, and predictions on the test rows of subjects it trains
+    on.  The final fits share one `svm.train_ovr` call; stderr gets each
+    split's grid-search warning, then its final-fit warning."""
+    for train_idx, test_idx in splits:
+        if problem := _untrained(labels[train_idx].tolist(), labels[test_idx].tolist()):
+            raise problem
     class_order = tuple(sorted(set(labels.tolist())))
     fold_accs, chosen, audits = [], [], []
     all_truth, all_pred = [], []
@@ -218,30 +274,36 @@ def _cross_validate(x, labels, splits, k2, seed) -> CvReport:
 
 
 def epoch_features(recordings, metric: str, gb_metric: str = None) -> tuple:
-    """(x, labels, provenance) of `band_epochs`' recordings.
+    """(x, labels, provenance) of `band_epochs`' recordings, or of a list of them.
 
     Each recording's (epochs, channels, samples) stack is featurized before
-    the next recording is band-filtered, and only the feature rows are
-    stacked.  Rows are the vectorized connectivity upper triangle, or
-    per-node graph scores when gb_metric is given; epochs are numbered in
-    error messages in the order of the rows, and named by their label.
+    the next recording is band-filtered, and each row is written into one
+    (epochs, features) matrix, sized by the recordings' `n_epochs`.  Rows are
+    the vectorized connectivity upper triangle, or per-node graph scores
+    when gb_metric is given; epochs are numbered in error messages in the
+    order of the rows, and named by their label.
     """
-    rows, labels, provenance = [], [], []
+    n_epochs = (recordings.n_epochs if isinstance(recordings, _Recordings) else
+                sum(len(epoch_labels) for _, epoch_labels, _ in recordings))
+    x, row, labels, provenance = None, 0, [], []
     for epochs, epoch_labels, epoch_provenance in recordings:
         for data, label in zip(epochs, epoch_labels):
             try:
                 values = connectivity.connectivity_matrix(data, metric)
-                rows.append(connectivity.vectorize_upper(values) if gb_metric is None else
-                            graph.node_scores(graph.from_connectivity(values, metric),
-                                              gb_metric))
+                values = (connectivity.vectorize_upper(values) if gb_metric is None else
+                          graph.node_scores(graph.from_connectivity(values, metric), gb_metric))
             except (DegenerateVariance, ZeroGraph, NoConvergence) as exc:
-                raise type(exc)(f"{exc} in epoch {len(rows)} [{label}]") from None
+                raise type(exc)(f"{exc} in epoch {row} [{label}]") from None
+            if x is None:
+                x = np.empty((n_epochs, values.size))
+            x[row] = values
+            row += 1
         labels.append(epoch_labels)
         provenance.append(epoch_provenance)
         # both would hold this stack (data is a view of its last epoch) while
         # the next recording is filtered
         del epochs, data
-    return np.vstack(rows), np.concatenate(labels), np.concatenate(provenance)
+    return x, np.concatenate(labels), np.concatenate(provenance)
 
 
 # --- experiment configs and runner ------------------------------------------------
@@ -434,11 +496,12 @@ def filter_tag(notch_hz, notch_q, filter_order) -> str:
 def band_epochs(corpus, config: ExperimentConfig, condition: str):
     """Band filter + epoch every recording of one condition of a `PreprocessedCorpus`.
 
-    Checks the corpus first, then returns an iterator that reads and
+    Checks the corpus first, then returns an iterable that reads and
     band-filters one recording when it is reached and gives its (epochs,
     labels, provenance): a C-contiguous (E, N, M) stack, the
     "dataset/subject" label of each epoch, and an (E, 3) array of each
-    epoch's dataset id, subject id and condition.
+    epoch's dataset id, subject id and condition.  Its `n_epochs` is the
+    number of epochs of all of them, from the corpus layout.
     """
     band = dsp.BANDS[config.band]
     picked = np.flatnonzero(corpus.provenance[:, 2] == condition)
@@ -463,7 +526,23 @@ def band_epochs(corpus, config: ExperimentConfig, condition: str):
         return (epochs, labels[k:k + 1].repeat(len(epochs)),
                 rows[k:k + 1].repeat(len(epochs), axis=0))
 
-    return (recording(k) for k in range(len(picked)))
+    return _Recordings(recording, len(picked), int(
+        epoch_counts(corpus.ends, rate, config.epoch_length_s)[picked].sum()))
+
+
+class _Recordings:
+    """`band_epochs`' recordings, made one at a time as they are iterated."""
+
+    def __init__(self, recording, n, n_epochs):
+        self._recording, self._n, self.n_epochs = recording, n, n_epochs
+
+    def __iter__(self):
+        return map(self._recording, range(self._n))
+
+
+def epoch_counts(ends, rate, epoch_length_s) -> np.ndarray:
+    """`dsp.split_epochs`' epoch count of each recording of a corpus layout."""
+    return np.diff(ends, prepend=0) // dsp.epoch_samples(rate, epoch_length_s)
 
 
 def load_or_build(path, load, write):
@@ -551,7 +630,8 @@ def run_experiment(corpus, config: ExperimentConfig,
     Matched conditions run nested CV.  Mismatched conditions run the same
     fold loop on one split: train on all train-condition epochs (grid search
     by inner folds of the training side only), test on all test-condition
-    epochs, and report that single accuracy.
+    epochs, and report that single accuracy.  The label counts must pass
+    `fold_problem` first.
     """
     x, labels = _features_cached(
         corpus, config, config.train_condition, feature_cache_dir, cache_tag)
@@ -561,11 +641,9 @@ def run_experiment(corpus, config: ExperimentConfig,
     else:
         x_test, y_test = _features_cached(
             corpus, config, config.test_condition, feature_cache_dir, cache_tag)
-        missing = set(y_test.tolist()) - set(labels.tolist())
-        if missing:
-            raise MissingCondition(
-                f"test-condition subjects absent from training data: {sorted(missing)[:5]}"
-            )
+        if problem := fold_problem(Counter(labels.tolist()), config.k1, config.k2,
+                                   Counter(y_test.tolist())):
+            raise problem
         split = (np.arange(len(labels)), np.arange(len(labels), len(labels) + len(y_test)))
         x, labels = np.vstack((x, x_test)), np.concatenate((labels, y_test))
         cv = _cross_validate(x, labels, [split], config.k2, config.seed)

@@ -113,9 +113,9 @@ def train_binary_smo(x, y, params: SvmHyperparams):
         raise SingleClassInput("training labels contain a single class")
     if not np.all(np.abs(y) == 1):
         raise ValueError("y must be -1/+1")
-    alphas, f, converged = _smo(_rbf_cross(x, x, params.gamma), np.zeros(1, int),
-                                y[None, :], np.array([params.c]))
-    return alphas[0], _bias(y, alphas[0], f[0], params.c), bool(converged[0])
+    y, c = y[None, :], np.array([params.c])
+    alphas, f, converged = _smo(_rbf_cross(x, x, params.gamma), np.zeros(1, int), y, c)
+    return alphas[0], float(_biases(y, alphas, f, c)[0]), bool(converged[0])
 
 
 def _pair_update(kernel, base, y, c, alphas, f, i, j) -> np.ndarray:
@@ -227,18 +227,23 @@ def _smo(kernel, base, y, c):
     return alphas, f, converged
 
 
-def _bias(y, alphas, f, c) -> float:
-    """Bias of one solved problem: the mean of y - f over free alphas, else
-    the midpoint of the KKT bounds."""
+def _biases(y, alphas, f, c) -> np.ndarray:
+    """Bias of each solved problem, a row of y, alphas and f with its c: the
+    mean of y - f over its free alphas, else the midpoint of its KKT bounds.
+    Rows with L free alphas are summed together by `np.add.reduce` over axis
+    1, which sums each row as `np.mean` sums it alone, and divided by L."""
+    g = y - f
+    c = c[:, None]
     free = (alphas > 1e-12) & (alphas < c - 1e-12)
-    if np.any(free):
-        return float(np.mean((y - f)[free]))
+    n_free = np.count_nonzero(free, axis=1)
     up = ((y > 0) & (alphas < c)) | ((y < 0) & (alphas > 0))
     low = ((y < 0) & (alphas < c)) | ((y > 0) & (alphas > 0))
-    g = y - f
-    hi = np.max(np.where(up, g, -np.inf))
-    lo = np.min(np.where(low, g, np.inf))
-    return float((hi + lo) / 2.0)
+    bias = (np.max(np.where(up, g, -np.inf), axis=1)
+            + np.min(np.where(low, g, np.inf), axis=1)) / 2.0
+    for n in np.unique(n_free[n_free > 0]).tolist():
+        rows = np.flatnonzero(n_free == n)
+        bias[rows] = np.add.reduce(g[rows][free[rows]].reshape(len(rows), n), axis=1) / n
+    return bias
 
 
 # --- one-vs-rest multiclass --------------------------------------------------
@@ -359,13 +364,12 @@ def _solve_run(run, prepared, solved):
     alphas, f, converged = _smo(kernel, base, y, c)
     coef = np.where(alphas > 1e-12, alphas * y, 0.0)
     k = 0
+    bias = _biases(y, alphas, f, c)
     for fold, group in run:
         prep = prepared[fold]
         for params in group:
             rows = slice(k, k + len(prep.classes))
-            bias = np.array([_bias(*problem, params.c)
-                             for problem in zip(y[rows], alphas[rows], f[rows])])
-            solved[fold][params] = (coef[rows], bias, converged[rows])
+            solved[fold][params] = (coef[rows], bias[rows], converged[rows])
             k += len(prep.classes)
 
 

@@ -420,17 +420,21 @@ def smo_scalar(kernel, y, c, tol=1e-3, max_iter=1_000_000):
             # no violating pair can move: a fixed point short of the tolerance
             break
 
+    return alphas, f, bias_scalar(y, alphas, f, c), converged
+
+
+def bias_scalar(y, alphas, f, c) -> float:
+    """Bias of one solved binary problem: the mean of y - f over free
+    alphas, else the midpoint of the KKT bounds."""
     free = (alphas > 1e-12) & (alphas < c - 1e-12)
     if np.any(free):
-        bias = float(np.mean((y - f)[free]))
-    else:
-        up = ((y > 0) & (alphas < c)) | ((y < 0) & (alphas > 0))
-        low = ((y < 0) & (alphas < c)) | ((y > 0) & (alphas > 0))
-        g = y - f
-        hi = np.max(np.where(up, g, -np.inf))
-        lo = np.min(np.where(low, g, np.inf))
-        bias = float((hi + lo) / 2.0)
-    return alphas, f, bias, converged
+        return float(np.mean((y - f)[free]))
+    up = ((y > 0) & (alphas < c)) | ((y < 0) & (alphas > 0))
+    low = ((y < 0) & (alphas < c)) | ((y > 0) & (alphas > 0))
+    g = y - f
+    hi = np.max(np.where(up, g, -np.inf))
+    lo = np.min(np.where(low, g, np.inf))
+    return float((hi + lo) / 2.0)
 
 
 def train_ovr_kept_rows(x, labels, folds):
@@ -458,7 +462,7 @@ def train_ovr_kept_rows(x, labels, folds):
             for k, params in enumerate(group):
                 own = slice(k * len(classes), (k + 1) * len(classes))
                 coef = np.where(alphas[own] > 1e-12, alphas[own] * y[own], 0.0)
-                bias = np.array([svm._bias(*problem, params.c)
+                bias = np.array([bias_scalar(*problem, params.c)
                                  for problem in zip(y[own], alphas[own], f[own])])
                 models[params] = (train, coef, bias, converged[own])
         results.append(models)

@@ -566,6 +566,23 @@ class TestIngest:
         assert parsed == []
         assert not (tmp_path / "out").exists()
 
+    def test_condition_with_one_subject_rejected_before_any_work(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # only S001 has a task recording: every task training set holds one
+        # subject, which the resting config, run first, would not show
+        def task_s001(entries):
+            entries.append({**entries[0], "condition": "task"})
+
+        code, parsed = self._evaluate_cv_fc(
+            tmp_path, monkeypatch, task_s001,
+            conditions=[["resting", "resting"], ["task", "task"]])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert ("inner fold 0 of outer fold 0 trains on 1 subject(s); a classifier needs 2 "
+                "(task epochs of 4.0 s)") in err, err
+        assert parsed == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("doc, named", [
         ([_manifest_doc()], "must be a JSON object, not list"),
         ({**_manifest_doc(), "entries": {"s1": _GOOD_ENTRY}}, "key 'entries'"),

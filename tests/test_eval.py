@@ -4,13 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eegid import evaluation as ev
 from eegid import svm
 from eegid.errors import (
     DegenerateVariance,
+    EegIdError,
     InsufficientEpochs,
     MissingCondition,
+    TooFewClasses,
     UnknownLabel,
 )
 
@@ -105,6 +108,107 @@ class TestFoldPlan:
             [1, 4, 5, 6, 7, 9], [0, 1, 2, 3, 6, 7, 8, 10], [0, 2, 3, 4, 5, 8, 9, 10]]
         for train, test in splits:
             assert train.dtype == test.dtype == np.intp
+
+
+def _loop_error(train_counts, k1, k2, test_counts=None):
+    """The EegIdError that run_experiment's fold loop raises on tiny random
+    features with these {subject: epochs} counts, with fold_problem stubbed
+    out, or None if the loop runs through.  The loop's guards sit in
+    fold_splits, train_ovr's fold planning and _cross_validate; to keep
+    the examples fast the grid has one point, and SMO stops at once, with
+    every alpha 0 (its models predict the first class)."""
+    rng = np.random.default_rng(0)
+    features = {condition: (rng.standard_normal((sum(counts.values()), 2)),
+                            np.repeat(list(counts), list(counts.values())))
+                for condition, counts in (("resting", train_counts), ("task", test_counts))
+                if counts is not None}
+    config = ev.ExperimentConfig(metric="COR", band="gamma", k1=k1, k2=k2,
+                                 test_condition="resting" if test_counts is None else "task")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ev, "fold_problem", lambda *args: None)
+        patch.setattr(ev, "GRID", (svm.SvmHyperparams(c=1.0, gamma=0.5),))
+        patch.setattr(svm, "_smo", lambda kernel, base, y, c: (
+            np.zeros(y.shape), np.zeros(y.shape), np.ones(len(y), bool)))
+        patch.setattr(ev, "_features_cached", lambda corpus, config, condition, *args:
+                      features[condition])
+        try:
+            ev.run_experiment(None, config)
+        except EegIdError as exc:
+            return exc
+    return None
+
+
+class TestFoldProblem:
+    """ev.fold_problem predicts from epoch counts alone what the fold loop meets."""
+
+    def test_held_counts_what_fold_splits_deals(self):
+        for n in range(1, 31):
+            labels = np.array(["a"] * n + ["b"] * 10)
+            for k in range(2, 11):
+                dealt = [int(np.count_nonzero(labels[test] == "a"))
+                         for _, test in ev.fold_splits(labels, k, n)]
+                assert dealt == [ev._held(n, k, h) for h in range(k)], (n, k)
+
+    def test_subject_below_k1(self):
+        problem = ev.fold_problem({"a": 10, "c": 2, "b": 3}, 10, 3)
+        assert isinstance(problem, InsufficientEpochs)
+        assert str(problem) == "subject 'b' has fewer epochs than outer folds: 3 for k1 = 10"
+
+    def test_k2_above_every_outer_training_count(self):
+        # outer fold 0 holds 2 of 10 epochs, so it trains on 8 of each subject's
+        assert ev.fold_problem({"a": 10, "b": 10}, 5, 8) is None
+        assert str(ev.fold_problem({"a": 10, "b": 10}, 5, 9)) == (
+            "9 folds need a subject with at least 9 epochs, but the most any subject has is 8")
+
+    def test_untrained_test_subject(self):
+        problem = ev.fold_problem({"a": 5, "b": 5}, 10, 2, {"a": 1, "d": 2, "c": 1})
+        assert isinstance(problem, MissingCondition)
+        assert str(problem) == "test-condition subjects absent from training data: ['c', 'd']"
+        assert ev.fold_problem({"a": 5, "b": 5}, 10, 2, {"b": 3}) is None
+
+    def test_inner_training_set_with_one_subject(self):
+        # outer fold 0 trains on 2 of A's epochs and 1 of B's; inner fold 0
+        # holds B's one epoch, so it trains on A alone
+        problem = ev.fold_problem({"A": 4, "B": 2}, 2, 2)
+        assert isinstance(problem, TooFewClasses)
+        assert str(problem) == ("inner fold 0 of outer fold 0 trains on 1 subject(s); "
+                                "a classifier needs 2")
+        assert isinstance(ev.fold_problem({"A": 4}, 2, 2, {"A": 1}), TooFewClasses)
+
+    def test_paper_scale_passes(self):
+        counts = {f"d/S{i:03d}": 150 for i in range(184)}
+        assert ev.fold_problem(counts, 10, 3) is None
+        assert ev.fold_problem(counts, 10, 3, counts) is None
+
+    def test_run_nested_cv_refuses_before_training(self, monkeypatch):
+        def train_ovr(*args):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(svm, "train_ovr", train_ovr)
+        labels = np.array(["A"] * 4 + ["B"] * 2)
+        with pytest.raises(TooFewClasses, match="inner fold 0 of outer fold 0 trains on 1"):
+            ev.run_nested_cv(np.random.default_rng(0).standard_normal((6, 2)), labels,
+                             k1=2, k2=2)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(counts=st.lists(st.integers(1, 30), min_size=1, max_size=6),
+           k1=st.integers(2, 10), k2=st.integers(2, 10), mismatched=st.booleans(),
+           test=st.lists(st.integers(0, 3), min_size=1, max_size=6).filter(any))
+    def test_predicts_the_fold_loop(self, counts, k1, k2, mismatched, test):
+        # test epochs of subjects d/S0, d/S1, ...; 0 leaves a subject out
+        train_counts = {f"d/S{i}": n for i, n in enumerate(counts)}
+        test_counts = {f"d/S{i}": n for i, n in enumerate(test) if n} if mismatched else None
+        problem = ev.fold_problem(train_counts, k1, k2, test_counts)
+        if not mismatched and min(counts) < k1:
+            # a policy: the loop would run with a subject missing from some folds
+            first = next(s for s, n in sorted(train_counts.items()) if n < k1)
+            assert isinstance(problem, InsufficientEpochs)
+            assert str(problem).startswith(f"subject {first!r} has fewer epochs")
+            return
+        loop = _loop_error(train_counts, k1, k2, test_counts)
+        assert type(loop) is type(problem), (loop, problem)
+        if isinstance(problem, (InsufficientEpochs, MissingCondition)):
+            assert str(loop) == str(problem)
 
 
 def train_ovr_scalar(x, labels, params):

@@ -215,6 +215,21 @@ def test_featurizing_holds_one_recording_at_a_time(tmp_path):
     assert peak < 2.5 * recording + x.nbytes, (peak, recording, x.nbytes)
 
 
+def test_featurizing_many_short_epochs_holds_the_matrix_once(tmp_path):
+    """With 1/16 s epochs the feature matrix is several recordings large;
+    featurizing writes each row into it, where a list of rows stacked at the
+    end held it twice."""
+    corpus = synth.preprocessed(build_corpus(load_manifest(_edf_corpus(tmp_path, 4))))
+    recording = corpus.n_channels * int(corpus.ends[0]) * 8
+    config = ev.ExperimentConfig(metric="COR", band="gamma", epoch_length_s=0.0625)
+    ev.epoch_features(ev.band_epochs(corpus, config, "resting"), "COR", None)  # warm designs
+    (x, _, _), peak = _traced_peak(
+        lambda: ev.epoch_features(ev.band_epochs(corpus, config, "resting"), "COR", None))
+    corpus.close()
+    assert x.nbytes > 8 * recording, (x.nbytes, recording)
+    assert peak < 2.5 * recording + x.nbytes, (peak, recording, x.nbytes)
+
+
 def test_cold_commands_peak_below_three_recordings(tmp_path):
     """A cold `ingest` and a cold `features` command each build the corpus and
     write its cache one recording at a time; filling a corpus array first

@@ -10,8 +10,8 @@ from eegid import evaluation as ev, svm
 from eegid.errors import DimensionMismatch, SingleClassInput, TooFewClasses, TooFewRows
 
 from conftest import train_grid, train_one
-from oracles import (decision_values, dual_objective, kkt_violations, rbf_loop, smo_scalar,
-                     train_ovr_kept_rows)
+from oracles import (bias_scalar, decision_values, dual_objective, kkt_violations, rbf_loop,
+                     smo_scalar, train_ovr_kept_rows)
 
 
 def blobs(rng, centers, per_class=10, spread=0.1):
@@ -172,13 +172,14 @@ def assert_matches_scalar(kernels, y, c, which=None):
     which = np.zeros(len(y), int) if which is None else np.asarray(which)
     n = y.shape[1]
     alphas, f, converged = svm._smo(kernels.reshape(-1, n), which * n, y, c)
+    biases = svm._biases(y, alphas, f, np.asarray(c, dtype=float))
     for p in range(len(y)):
         a_ref, f_ref, bias_ref, conv_ref = smo_scalar(kernels[which[p]], y[p], c[p],
                                                       max_iter=svm.MAX_SMO_ITER)
         assert np.array_equal(alphas[p], a_ref), f"row {p}"
         assert np.array_equal(f[p], f_ref), f"row {p}"
         assert converged[p] == conv_ref, f"row {p}"
-        assert svm._bias(y[p], alphas[p], f[p], float(c[p])) == bias_ref, f"row {p}"
+        assert biases[p] == bias_ref, f"row {p}"
     return converged
 
 
@@ -186,6 +187,60 @@ def random_labels(rng, p, n):
     y = np.where(rng.uniform(size=(p, n)) < rng.uniform(0.1, 0.9), 1.0, -1.0)
     y[:, 0], y[:, 1] = 1.0, -1.0
     return y
+
+
+class TestBiases:
+    """svm._biases over many problems equals oracles.bias_scalar row by row,
+    to the bit and the sign of zero."""
+
+    @staticmethod
+    def problems(rng, free_counts, n):
+        """One row per free count: that many alphas strictly inside (0, c),
+        the rest at 0 or c, with both classes present."""
+        p = len(free_counts)
+        y = random_labels(rng, p, n)
+        c = rng.choice([0.1, 1.0, 10.0, 100.0], size=p)
+        alphas = np.where(rng.uniform(size=(p, n)) < 0.5, 0.0, c[:, None])
+        for row, count in enumerate(free_counts):
+            free = rng.permutation(n)[:count]
+            alphas[row, free] = c[row] * rng.uniform(0.01, 0.99, count)
+        return y, alphas, rng.standard_normal((p, n)) * 3.0, c
+
+    def assert_equal_to_scalar(self, y, alphas, f, c):
+        got = svm._biases(y, alphas, f, c)
+        want = np.array([bias_scalar(*row, float(cr)) for *row, cr in zip(y, alphas, f, c)])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    # numpy sums pairwise in blocks of 8 and 128 elements: counts on both
+    # sides of each, repeated so that rows share a group
+    @pytest.mark.parametrize("free_counts", [
+        [1, 2, 5, 7, 7, 3], [8, 9, 31, 64, 127, 128, 9, 127], [129, 200, 255, 300, 129],
+        [0, 0, 4, 0, 130, 0], [0] * 5,
+    ], ids=["below-8", "8-to-128", "above-128", "mixed-with-no-free", "no-free"])
+    def test_equals_scalar(self, rng, free_counts):
+        for _ in range(5):
+            self.assert_equal_to_scalar(*self.problems(rng, free_counts, 320))
+
+    def test_exactly_zero_biases(self):
+        # a free mean of 0.25 and -0.25, and a bounds midpoint of 0.5 and -0.5
+        y = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
+        f = y - np.array([[0.25, -0.25, 2.0, -2.0], [0.5, -0.5, 0.5, -0.5]])
+        alphas = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        for sign in (1.0, -1.0):
+            self.assert_equal_to_scalar(sign * y, alphas, sign * f, np.array([1.0, 1.0]))
+        assert not svm._biases(y, alphas, f, np.array([1.0, 1.0])).any()
+
+    def test_solved_problems(self, rng):
+        for _ in range(8):
+            n = int(rng.integers(2, 140))
+            p = int(rng.integers(1, 8))
+            x = rng.standard_normal((n, 3))
+            y = random_labels(rng, p, n)
+            c = rng.choice([0.1, 1.0, 10.0, 100.0], size=p)
+            alphas, f, _ = svm._smo(svm._rbf_cross(x, x, float(rng.choice([1.0, 0.01]))),
+                                    np.zeros(p, int), y, c)
+            self.assert_equal_to_scalar(y, alphas, f, c)
 
 
 class TestLockstepSmo:
