@@ -11,7 +11,7 @@ import hashlib
 import itertools
 import json
 import sys
-from dataclasses import replace
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +146,7 @@ def cmd_features(args) -> int:
     with corpus:
         features, _, provenance = evaluation.epoch_features(
             evaluation.band_epochs(corpus, config, args.condition), args.metric, args.gb)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with evaluation.atomic_open(Path(args.out), "w") as fh:
         n_feat = features.shape[1]
         fh.write("dataset_id,subject_id,condition," +
                  ",".join(f"f{i}" for i in range(n_feat)) + "\n")
@@ -229,11 +229,11 @@ def _run_config_problem(doc):
     for length in doc["epoch_lengths_s"]:
         if problem := _epoch_length_problem(length):
             return problem
-    for key in ("seed", "k1", "k2"):
+    for key, least in (("seed", 0), ("k1", 2), ("k2", 2)):
         if type(doc[key]) is not int:
             return f"run-config key {key!r} must be an integer, not {doc[key]!r}"
-        if key != "seed" and doc[key] < 2:
-            return f"run-config key {key!r} must be at least 2, not {doc[key]}"
+        if doc[key] < least:
+            return f"run-config key {key!r} must be at least {least}, not {doc[key]}"
     return _unknown_name(doc["bands"], doc["metrics"], doc["gb_metrics"])
 
 
@@ -243,6 +243,11 @@ def _policy_name(policy):
     if isinstance(policy, list):
         return "labels-" + hashlib.sha256(json.dumps(policy).encode()).hexdigest()[:12]
     return policy
+
+
+def _report_stem(policy, config):
+    """`<policy>_<config name>`, the start of a config's report file names."""
+    return f"{_policy_name(policy) or 'default'}_{config.name()}"
 
 
 def _check_epoch_lengths(lengths, rate_hz, metrics):
@@ -300,6 +305,10 @@ def cmd_evaluate(args) -> int:
     # build every config first, so that no bad value is met mid-sweep
     filters = _filters(args)
     grid = _grid_configs(doc, filters)
+    stems = Counter(_report_stem(policy, c) for policy, configs in grid for c in configs)
+    if twice := [stem for stem, n in stems.items() if n > 1]:
+        _log(f"{stems[twice[0]]} configs of the sweep share the report name {twice[0]!r}")
+        return EXIT_USAGE
     base = Path(args.config).parent
     # relative paths resolve against the config's directory; absolute ones replace it
     manifest = load_manifest(base / doc["manifest"])
@@ -316,21 +325,19 @@ def cmd_evaluate(args) -> int:
         with corpus:
             for config in configs:
                 _log(f"running {config.name()} [{name or 'manifest policy'}]")
-                report = replace(evaluation.run_experiment(
-                    corpus, config, feature_cache_dir=cache_dir,
-                    cache_tag=f"{digest}-{name or 'manifest'}",
-                ), policy=name or "default")
-                stem = f"{report.policy}_{config.name()}"
-                with open(out_dir / f"{stem}.json", "w", encoding="utf-8") as fh:
-                    fh.write(evaluation.report_to_json(report))
-                    fh.write("\n")
-                with open(out_dir / f"{stem}_confusion.csv", "w", encoding="utf-8") as fh:
-                    evaluation.confusion_to_csv(report.cv.confusion, report.cv.class_order, fh)
-                with open(out_dir / f"{stem}_confusion.pgm", "wb") as fh:
-                    evaluation.confusion_to_pgm(report.cv.confusion, fh)
-                reports.append(report.to_dict())
-                _log(f"  accuracy {report.cv.mean_accuracy:.4f} "
-                     f"+/- {report.cv.standard_error:.4f}")
+                report = evaluation.run_experiment(corpus, config, feature_cache_dir=cache_dir,
+                                                   cache_tag=f"{digest}-{name or 'manifest'}")
+                report["policy"] = name or "default"
+                stem = _report_stem(policy, config)
+                with evaluation.atomic_open(out_dir / f"{stem}.json", "w") as fh:
+                    fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+                with evaluation.atomic_open(out_dir / f"{stem}_confusion.csv", "w") as fh:
+                    evaluation.confusion_to_csv(report["confusion"], report["class_order"], fh)
+                with evaluation.atomic_open(out_dir / f"{stem}_confusion.pgm") as fh:
+                    evaluation.confusion_to_pgm(report["confusion"], fh)
+                reports.append(report)
+                _log(f"  accuracy {report['mean_accuracy']:.4f} "
+                     f"+/- {report['standard_error']:.4f}")
     _write_rollup(out_dir, reports)
     return EXIT_OK
 
@@ -382,7 +389,7 @@ def _write_rollup(out_dir: Path, report_dicts):
                cfg["train_condition"], cfg["test_condition"], d.get("policy", "default"))
         cell = f"{100 * d['mean_accuracy']:.1f}+/-{100 * d['standard_error']:.1f}"
         rows.setdefault(key, {})[cfg["band"]] = cell
-    with open(out_dir / "rollup.csv", "w", encoding="utf-8") as fh:
+    with evaluation.atomic_open(out_dir / "rollup.csv", "w") as fh:
         fh.write("metric,gb_metric,epoch_s,train,test,policy," + ",".join(bands) + "\n")
         for key in sorted(rows):
             cells = [rows[key].get(b, "") for b in bands]

@@ -10,14 +10,13 @@ outer fold, the other makes every final fit.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
-import tempfile
 import zipfile
 import zlib
 from collections import Counter
-from dataclasses import dataclass, field, asdict
+from contextlib import contextmanager
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -167,29 +166,6 @@ def _report_nonconverged(converged, where):
               f"SVMs ({where})", file=sys.stderr)
 
 
-@dataclass
-class CvReport:
-    fold_accuracies: list
-    mean_accuracy: float
-    standard_error: float
-    chosen_params: list  # (c, gamma) per outer fold
-    confusion: np.ndarray
-    class_order: tuple
-    seed: int
-    grid_audits: list = field(default_factory=list, repr=False)
-
-    def to_dict(self):
-        return {
-            "fold_accuracies": [float(a) for a in self.fold_accuracies],
-            "mean_accuracy": float(self.mean_accuracy),
-            "standard_error": float(self.standard_error),
-            "chosen_params": [{"c": c, "gamma": g} for c, g in self.chosen_params],
-            "confusion": self.confusion.tolist(),
-            "class_order": list(self.class_order),
-            "seed": self.seed,
-        }
-
-
 def confusion_matrix(truth, predictions, class_order) -> np.ndarray:
     """counts[t][p] over the provided class order."""
     if len(truth) != len(predictions):
@@ -211,8 +187,9 @@ def standard_error(fold_accuracies) -> float:
     return float(np.std(accs) / np.sqrt(accs.size))
 
 
-def run_nested_cv(x, labels, k1=10, k2=3, seed=0) -> CvReport:
-    """Outer k1-fold evaluation with an inner k2-fold grid search per fold.
+def run_nested_cv(x, labels, k1=10, k2=3, seed=0) -> dict:
+    """Outer k1-fold evaluation with an inner k2-fold grid search per fold,
+    as the cross-validation keys of the report document (`_cross_validate`).
 
     The standardizer and hyperparameters for each outer fold are fitted on
     that fold's training epochs only.  The label counts must pass
@@ -231,22 +208,23 @@ def run_nested_cv(x, labels, k1=10, k2=3, seed=0) -> CvReport:
     return _cross_validate(x, labels, fold_splits(labels, k1, seed), k2, seed)
 
 
-def _cross_validate(x, labels, splits, k2, seed) -> CvReport:
+def _cross_validate(x, labels, splits, k2, seed) -> dict:
     """Score each (train_idx, test_idx) split of the rows of x: an inner
     grid search on the training rows, a final fit with the chosen
     hyperparameters, and predictions on the test rows of subjects it trains
     on.  The final fits share one `svm.train_ovr` call; stderr gets each
-    split's grid-search warning, then its final-fit warning."""
+    split's grid-search warning, then its final-fit warning.  Returns the
+    report keys of the scores, in JSON types (README: Evaluation)."""
     for train_idx, test_idx in splits:
         if problem := _untrained(labels[train_idx].tolist(), labels[test_idx].tolist()):
             raise problem
-    class_order = tuple(sorted(set(labels.tolist())))
-    fold_accs, chosen, audits = [], [], []
+    class_order = sorted(set(labels.tolist()))
+    fold_accs = []
     all_truth, all_pred = [], []
     searches = grid_search(x, labels, splits, k2, seed)
     fits = svm.train_ovr(x, labels, [(train_idx, (params,)) for (train_idx, _), (params, _, _)
                                      in zip(splits, searches)])
-    for held, ((_, test_idx), (params, audit, converged), models) in enumerate(
+    for held, ((_, test_idx), (params, _, converged), models) in enumerate(
             zip(splits, searches, fits)):
         _report_nonconverged(converged, "grid search")
         model = models[params]
@@ -254,20 +232,13 @@ def _cross_validate(x, labels, splits, k2, seed) -> CvReport:
         [preds] = svm.predict_batch([model], x[test_idx])
         truth = labels[test_idx].tolist()
         fold_accs.append(_accuracy(truth, preds))
-        chosen.append((params.c, params.gamma))
-        audits.append(audit)
         all_truth.extend(truth)
         all_pred.extend(preds)
-    return CvReport(
-        fold_accuracies=fold_accs,
-        mean_accuracy=float(np.mean(fold_accs)),
-        standard_error=standard_error(fold_accs),
-        chosen_params=chosen,
-        confusion=confusion_matrix(all_truth, all_pred, class_order),
-        class_order=class_order,
-        seed=seed,
-        grid_audits=audits,
-    )
+    return {"fold_accuracies": fold_accs, "mean_accuracy": float(np.mean(fold_accs)),
+            "standard_error": standard_error(fold_accs),
+            "chosen_params": [{"c": p.c, "gamma": p.gamma} for p, _, _ in searches],
+            "confusion": confusion_matrix(all_truth, all_pred, class_order).tolist(),
+            "class_order": class_order, "seed": seed}
 
 
 # --- feature extraction ---------------------------------------------------------
@@ -335,27 +306,6 @@ class ExperimentConfig:
         """The filter settings, as keyword arguments of write_preprocessed and filter_tag."""
         return {"notch_hz": self.notch_hz, "notch_q": self.notch_q,
                 "filter_order": self.filter_order}
-
-
-@dataclass
-class ExperimentReport:
-    config: ExperimentConfig
-    cv: CvReport
-    n_epochs: int
-    n_subjects: int
-    mismatched: bool = False
-    policy: str = "default"  # file-name text of the corpus's channel policy
-
-    def to_dict(self):
-        d = {
-            "config": asdict(self.config),
-            "n_epochs": self.n_epochs,
-            "n_subjects": self.n_subjects,
-            "mismatched": self.mismatched,
-            "policy": self.policy,
-        }
-        d.update(self.cv.to_dict())
-        return d
 
 
 # the cache-file name tag of the corpus layout below: each recording's
@@ -545,12 +495,32 @@ def epoch_counts(ends, rate, epoch_length_s) -> np.ndarray:
     return np.diff(ends, prepend=0) // dsp.epoch_samples(rate, epoch_length_s)
 
 
+@contextmanager
+def atomic_open(path, mode="wb"):
+    """`open(path, mode)` ("wb", or "w" for UTF-8 text) through a new
+    temporary file beside `path` (a Path), renamed over it when the block
+    ends: a kill or an exception leaves `path` as it was, an exception
+    removes the temporary file, and the file gets the mode `open` gives."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        fh = open(tmp, mode.replace("w", "x"), encoding=None if "b" in mode else "utf-8")
+    except OSError as exc:  # name the output, not the temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def load_or_build(path, load, write):
     """(load(path), was_cached) for the npz cache file `path` (a Path).
 
-    A missing file is written by `write(fh)` to a temporary file that is
-    renamed over `path`, and then loaded; one that `load` cannot read is
-    logged and rewritten the same way.
+    A missing file is written by `write(fh)` through `atomic_open`, and
+    then loaded; one that `load` cannot read is logged and rewritten the
+    same way.
     """
     if path.exists():
         try:
@@ -559,14 +529,8 @@ def load_or_build(path, load, write):
         except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
             print(f"rebuilding unreadable cache {path.name}: {exc!r}", file=sys.stderr)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with atomic_open(path) as fh:
+        write(fh)
     return load(path), False
 
 
@@ -624,14 +588,15 @@ def _features_cached(corpus, config: ExperimentConfig, condition,
 
 
 def run_experiment(corpus, config: ExperimentConfig,
-                   feature_cache_dir=None, cache_tag="") -> ExperimentReport:
+                   feature_cache_dir=None, cache_tag="") -> dict:
     """Full pipeline for one experiment configuration on a preprocessed corpus.
 
     Matched conditions run nested CV.  Mismatched conditions run the same
     fold loop on one split: train on all train-condition epochs (grid search
     by inner folds of the training side only), test on all test-condition
     epochs, and report that single accuracy.  The label counts must pass
-    `fold_problem` first.
+    `fold_problem` first.  Returns the report document, its `policy`
+    "default" until `eegid evaluate` names the corpus's channel policy.
     """
     x, labels = _features_cached(
         corpus, config, config.train_condition, feature_cache_dir, cache_tag)
@@ -647,8 +612,9 @@ def run_experiment(corpus, config: ExperimentConfig,
         split = (np.arange(len(labels)), np.arange(len(labels), len(labels) + len(y_test)))
         x, labels = np.vstack((x, x_test)), np.concatenate((labels, y_test))
         cv = _cross_validate(x, labels, [split], config.k2, config.seed)
-    return ExperimentReport(config=config, cv=cv, n_epochs=len(labels),
-                            n_subjects=len(cv.class_order), mismatched=mismatched)
+    return {"config": asdict(config), "n_epochs": len(labels),
+            "n_subjects": len(cv["class_order"]), "mismatched": mismatched,
+            "policy": "default", **cv}
 
 
 # --- report emission ---------------------------------------------------------------
@@ -671,6 +637,3 @@ def confusion_to_csv(counts: np.ndarray, class_order, fh):
     for cls, row in zip(class_order, counts):
         fh.write(str(cls) + "," + ",".join(str(int(v)) for v in row) + "\n")
 
-
-def report_to_json(report: ExperimentReport) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True)

@@ -138,11 +138,11 @@ def test_criterion_4_null_experiment(capsys):
     rng.shuffle(shuffled)
     report = ev.run_nested_cv(x, shuffled, k1=4, k2=2, seed=0)
     chance = 0.1
-    spread = max(3 * report.standard_error, 0.08)
+    spread = max(3 * report["standard_error"], 0.08)
     elapsed = time.monotonic() - start
-    ok = abs(report.mean_accuracy - chance) <= spread and elapsed < 120.0
+    ok = abs(report["mean_accuracy"] - chance) <= spread and elapsed < 120.0
     _report(capsys, 4,
-            f"null accuracy {report.mean_accuracy:.3f} vs chance 0.1 "
+            f"null accuracy {report['mean_accuracy']:.3f} vs chance 0.1 "
             f"(+/- {spread:.3f}, {elapsed:.1f}s)", ok)
 
 
@@ -157,11 +157,11 @@ def test_criterion_5_synthetic_identification(capsys):
     report = ev.run_experiment(synth.preprocessed(synth.as_built(corpus), **config.filters),
                                config)
     elapsed = time.monotonic() - start
-    ok = (report.cv.mean_accuracy >= 0.95 and report.n_epochs == 12 * 15
+    ok = (report["mean_accuracy"] >= 0.95 and report["n_epochs"] == 12 * 15
           and elapsed < 300.0)
     _report(capsys, 5,
             f"synthetic 12-subject PLV-gamma accuracy "
-            f"{report.cv.mean_accuracy:.3f} ({elapsed:.1f}s)", ok)
+            f"{report['mean_accuracy']:.3f} ({elapsed:.1f}s)", ok)
 
 
 def _physionet_dir():
@@ -180,9 +180,9 @@ def test_criterion_6_physionet_subset(capsys):
     corpus = io_ingest.build_corpus(manifest)
     config = ev.ExperimentConfig(metric="PLV", band="gamma", seed=0)
     report = ev.run_experiment(synth.preprocessed(corpus, **config.filters), config)
-    ok = report.cv.mean_accuracy >= 0.90
+    ok = report["mean_accuracy"] >= 0.90
     _report(capsys, 6,
-            f"20-subject subset accuracy {report.cv.mean_accuracy:.3f}", ok)
+            f"20-subject subset accuracy {report['mean_accuracy']:.3f}", ok)
 
 
 def test_criterion_7_full_dataset(capsys):
@@ -197,8 +197,8 @@ def test_criterion_7_full_dataset(capsys):
     corpus = synth.preprocessed(io_ingest.build_corpus(manifest))  # default filters
     gamma_cfg = ev.ExperimentConfig(metric="PLV", band="gamma", seed=0)
     delta_cfg = ev.ExperimentConfig(metric="PLI", band="delta", seed=0)
-    gamma_acc = ev.run_experiment(corpus, gamma_cfg).cv.mean_accuracy
-    delta_acc = ev.run_experiment(corpus, delta_cfg).cv.mean_accuracy
+    gamma_acc = ev.run_experiment(corpus, gamma_cfg)["mean_accuracy"]
+    delta_acc = ev.run_experiment(corpus, delta_cfg)["mean_accuracy"]
     ok = abs(gamma_acc - 0.994) <= 0.025 and gamma_acc > delta_acc
     _report(capsys, 7,
             f"full corpus PLV-gamma {gamma_acc:.3f}, PLI-delta {delta_acc:.3f}",
@@ -232,8 +232,8 @@ def test_criterion_8_epoch_sweep(capsys):
         config = ev.ExperimentConfig(metric="PLV", band="gamma",
                                      epoch_length_s=length, k1=5, k2=2, seed=0)
         report = ev.run_experiment(corpus, config)
-        counts[length] = report.n_epochs // 4
-        accs[length] = report.cv.mean_accuracy
+        counts[length] = report["n_epochs"] // 4
+        accs[length] = report["mean_accuracy"]
         ok &= counts[length] == per_subject
         ok &= np.isfinite(accs[length]) and 0.0 <= accs[length] <= 1.0
     _report(capsys, 8,

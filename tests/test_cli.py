@@ -1126,6 +1126,7 @@ class TestEvaluate:
         ("epoch_lengths_s", [2.0, "4"], "epoch length '4'"),
         ("epoch_lengths_s", [2.0, 10 ** 400], "epoch length 1000"),
         ("seed", "0", "'seed'"),
+        ("seed", -1, "'seed' must be at least 0, not -1"),
         ("k1", 1, "'k1'"),
         ("k2", 2.5, "'k2'"),
         ("conditions", "resting", "'conditions'"),
@@ -1137,7 +1138,7 @@ class TestEvaluate:
         ("manifest", 5, "'manifest'"),
         ("cache_dir", 5, "'cache_dir'"),
     ], ids=["short-pair", "unknown-condition", "zero-length", "string-length", "huge-length",
-            "string-seed", "k1-below-2", "fractional-k2", "conditions-not-a-list",
+            "string-seed", "negative-seed", "k1-below-2", "fractional-k2", "conditions-not-a-list",
             "unknown-channel-policy", "non-label-channel-policy", "number-channel-policy",
             "one-channel-policy", "missing-manifest", "number-manifest", "number-cache-dir"])
     def test_bad_value_rejected_before_any_work(self, workspace, tmp_path, capsys,
@@ -1145,6 +1146,56 @@ class TestEvaluate:
         assert self._evaluate(workspace, tmp_path, **{key: value}) == cli.EXIT_USAGE
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("keys, named", [
+        ({"bands": ["gamma", "gamma"]}, "2 configs of the sweep share the report name "
+                                        "'default_plv_fc_gamma_2s_resting'"),
+        ({"epoch_lengths_s": [4, 4.0]}, "'default_plv_fc_gamma_4s_resting'"),
+        ({"channel_policies": [None, None], "bands": ["beta2", "gamma"]},
+         "2 configs of the sweep share the report name 'default_plv_fc_beta2_2s_resting'"),
+    ], ids=["repeated-band", "equal-lengths", "repeated-policy"])
+    def test_configs_sharing_a_report_name_rejected_before_any_work(
+            self, workspace, tmp_path, capsys, keys, named):
+        # each would overwrite the other's report files
+        assert self._evaluate(workspace, tmp_path, cache_dir=str(tmp_path / "cache"),
+                              **keys) == cli.EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("writer, partial", [
+        ("confusion_to_csv", "true\\pred,"), ("confusion_to_pgm", b"P5\n")], ids=["csv", "pgm"])
+    def test_writer_that_raises_leaves_the_earlier_outputs(
+            self, workspace, run_config, tmp_path, monkeypatch, capsys, writer, partial):
+        out = tmp_path / "reports"
+        assert cli.main(["evaluate", "--config", str(run_config),
+                         "--out", str(out)]) == cli.EXIT_OK
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        def interrupted(*args):
+            args[-1].write(partial)
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(evaluation, writer, interrupted)
+        assert cli.main(["evaluate", "--config", str(run_config),
+                         "--out", str(out)]) == cli.EXIT_DATA
+        assert "No space left on device" in capsys.readouterr().err
+        # every file as it was, and no temporary file left beside them
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_outputs_and_caches_get_the_mode_open_gives(self, workspace, run_config,
+                                                        tmp_path):
+        root, _ = workspace
+        out = tmp_path / "reports"
+        assert cli.main(["evaluate", "--config", str(run_config),
+                         "--out", str(out)]) == cli.EXIT_OK
+        with open(tmp_path / "plain", "w", encoding="utf-8"):
+            pass
+        mode = (tmp_path / "plain").stat().st_mode
+        written = sorted(out.iterdir()) + sorted((root / "cache").glob("*.npz"))
+        assert len(written) > 4
+        assert {path.name: path.stat().st_mode for path in written} == {
+            path.name: mode for path in written}
 
     @pytest.mark.parametrize("metrics, lengths, named", [
         (["COR"], [2.0, 0.001], "0.001 s epoch is shorter than one sample at 128.0 Hz"),

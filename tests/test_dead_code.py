@@ -5,6 +5,9 @@ A public name counts as used when it appears as a name, an attribute or an
 imported name anywhere in src/eegid or scripts/.  A defaulted parameter
 counts as passed when a call in src/eegid or scripts/ to a function of that
 name passes it by keyword or by position, or passes *args or **kwargs there.
+Every annotated field of a class in src/eegid is read as an attribute
+somewhere in src/eegid or scripts/: a field that is only stored is state
+nobody uses.
 Tests do not count: code that only tests call belongs in tests/oracles.py,
 tests/edf_tools.py or tests/synth.py, and a knob that only tests set is an
 option nobody uses.
@@ -127,12 +130,37 @@ def unpassed_defaults():
     )
 
 
+def _annotated_fields(tree, module):
+    """(qualified name, field name) of the annotated fields of every class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{module}.{node.name}.{item.target.id}", item.target.id
+
+
+def unread_fields():
+    trees = _parsed_callers()
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(
+        qualified
+        for path, tree in trees.items() if path.parent == PACKAGE
+        for qualified, name in _annotated_fields(tree, path.stem)
+        if name not in read
+    )
+
+
 def test_every_public_name_has_a_caller():
     assert unreferenced_names() == []
 
 
 def test_every_defaulted_parameter_is_passed():
     assert unpassed_defaults() == []
+
+
+def test_every_field_is_read():
+    assert unread_fields() == []
 
 
 def test_allowed_names_still_exist():

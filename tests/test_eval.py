@@ -82,7 +82,7 @@ class TestFoldPlan:
         with pytest.raises(InsufficientEpochs, match="9 folds .* is 8$"):
             ev.run_nested_cv(x, labels, k1=5, k2=9)
         report = ev.run_nested_cv(x, labels, k1=5, k2=8)
-        assert len(report.fold_accuracies) == 5
+        assert len(report["fold_accuracies"]) == 5
 
     def test_rows_and_labels_must_agree(self):
         labels = np.repeat(["a", "b"], 10)
@@ -434,13 +434,41 @@ class TestConfusionMatrix:
         assert lines == ["true\\pred,a,b", "a,4,0", "b,1,3"]
 
 
+class TestAtomicOpen:
+    def test_writer_that_raises_leaves_the_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("{}\n")
+        with pytest.raises(RuntimeError, match="killed"):
+            with ev.atomic_open(path, "w") as fh:
+                fh.write('{"mean_accuracy": 0.')
+                raise RuntimeError("killed")
+        assert path.read_text() == "{}\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_replaces_the_file_when_the_block_ends(self, tmp_path):
+        path = tmp_path / "confusion.pgm"
+        path.write_bytes(b"old")
+        with ev.atomic_open(path) as fh:
+            fh.write(b"P5\n")
+            assert path.read_bytes() == b"old"
+        assert path.read_bytes() == b"P5\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_error_names_the_file_not_the_temporary_one(self, tmp_path):
+        path = tmp_path / "missing" / "features.csv"
+        with pytest.raises(FileNotFoundError) as info:
+            with ev.atomic_open(path, "w"):
+                pass
+        assert info.value.filename == str(path)
+
+
 class TestNestedCv:
     def test_separable_is_perfect(self, rng):
         x, labels = cluster_features(rng, 4, 20)
         report = ev.run_nested_cv(x, labels, k1=5, k2=3, seed=0)
-        assert report.mean_accuracy == 1.0
-        assert report.standard_error == 0.0
-        assert np.trace(report.confusion) == 80
+        assert report["mean_accuracy"] == 1.0
+        assert report["standard_error"] == 0.0
+        assert np.trace(report["confusion"]) == 80
 
     def test_shuffled_labels_hit_chance(self, rng):
         # destroy the feature-label link: accuracy must sit near 1/n_classes
@@ -449,8 +477,8 @@ class TestNestedCv:
         rng.shuffle(shuffled)
         report = ev.run_nested_cv(x, shuffled, k1=4, k2=2, seed=0)
         chance = 1.0 / 10
-        spread = max(3 * report.standard_error, 0.08)
-        assert abs(report.mean_accuracy - chance) <= spread
+        spread = max(3 * report["standard_error"], 0.08)
+        assert abs(report["mean_accuracy"] - chance) <= spread
 
     def test_two_solver_runs_per_config(self, rng, monkeypatch):
         # every inner fold of the three outer folds in one lockstep run, then
@@ -461,7 +489,7 @@ class TestNestedCv:
                             runs.append(y.shape) or smo(kernel, base, y, c))
         report = ev.run_nested_cv(x, labels, k1=3, k2=2, seed=0)
         assert runs == [(3 * 2 * 16 * 4, 16), (3 * 4, 32)]
-        assert len(report.fold_accuracies) == 3
+        assert len(report["fold_accuracies"]) == 3
 
     def test_no_leakage_between_folds(self):
         labels = np.repeat(["a", "b", "c"], 10)
@@ -471,18 +499,18 @@ class TestNestedCv:
     def test_report_roundtrips_to_json(self, rng):
         x, labels = cluster_features(rng, 3, 10)
         report = ev.run_nested_cv(x, labels, k1=5, k2=2, seed=0)
-        d = report.to_dict()
-        again = json.loads(json.dumps(d))
-        assert again["mean_accuracy"] == report.mean_accuracy
-        assert len(again["fold_accuracies"]) == 5
-        assert len(again["chosen_params"]) == 5
+        assert json.loads(json.dumps(report)) == report
+        assert len(report["fold_accuracies"]) == 5
+        assert len(report["chosen_params"]) == 5
+        assert {type(v) for v in report["fold_accuracies"]} == {float}
+        assert type(report["mean_accuracy"]) is type(report["standard_error"]) is float
 
     def test_deterministic_given_seed(self, rng):
         x, labels = cluster_features(rng, 3, 10, spread=0.8)
         r1 = ev.run_nested_cv(x, labels, k1=5, k2=2, seed=11)
         r2 = ev.run_nested_cv(x, labels, k1=5, k2=2, seed=11)
-        assert r1.fold_accuracies == r2.fold_accuracies
-        assert r1.chosen_params == r2.chosen_params
+        assert r1["fold_accuracies"] == r2["fold_accuracies"]
+        assert r1["chosen_params"] == r2["chosen_params"]
 
 
 @pytest.fixture(scope="module")
@@ -558,10 +586,10 @@ class TestExperiment:
         config = ev.ExperimentConfig(metric="PLV", band="gamma",
                                      epoch_length_s=2.0, k1=5, k2=2, seed=0)
         report = ev.run_experiment(small_corpus, config)
-        assert report.n_subjects == 4
-        assert report.n_epochs == 4 * 15
-        assert not report.mismatched
-        assert report.cv.mean_accuracy >= 0.9  # strongly identifiable corpus
+        assert report["n_subjects"] == 4
+        assert report["n_epochs"] == 4 * 15
+        assert not report["mismatched"]
+        assert report["mean_accuracy"] >= 0.9  # strongly identifiable corpus
 
     def test_matched_report_is_nested_cv_of_the_features(self, small_corpus):
         # nested CV of the cached train-condition features, with the config's
@@ -571,17 +599,9 @@ class TestExperiment:
         report = ev.run_experiment(small_corpus, config)
         x, labels = ev._features_cached(small_corpus, config, "resting")
         cv = ev.run_nested_cv(x, labels, config.k1, config.k2, config.seed)
-        assert report.config == config
-        assert not report.mismatched
-        assert report.n_epochs == len(labels) == 4 * 15
-        assert report.n_subjects == 4
-        assert report.policy == "default"
-        for f in dataclasses.fields(ev.CvReport):
-            mine, ref = getattr(report.cv, f.name), getattr(cv, f.name)
-            if f.name == "confusion":
-                np.testing.assert_array_equal(mine, ref)
-            else:
-                assert mine == ref, f.name
+        assert report == {"config": dataclasses.asdict(config), "mismatched": False,
+                          "n_epochs": len(labels), "n_subjects": 4, "policy": "default", **cv}
+        assert len(labels) == 4 * 15
 
     def test_mismatched_conditions(self):
         rest = synth.synthetic_corpus(n_subjects=3, n_channels=6,
@@ -596,10 +616,10 @@ class TestExperiment:
                                      test_condition="task", k2=2, seed=0)
         report = ev.run_experiment(synth.preprocessed(synth.as_built(rest + task),
                                                       **config.filters), config)
-        assert report.mismatched
-        assert len(report.cv.fold_accuracies) == 1
-        assert report.cv.standard_error == 0.0
-        assert 0.0 <= report.cv.mean_accuracy <= 1.0
+        assert report["mismatched"]
+        assert len(report["fold_accuracies"]) == 1
+        assert report["standard_error"] == 0.0
+        assert 0.0 <= report["mean_accuracy"] <= 1.0
 
     def test_mismatched_report_is_one_train_test_split(self):
         # grid search on the train condition with seed + 1, a final fit, and
@@ -619,19 +639,23 @@ class TestExperiment:
         [preds] = svm.predict_batch([train_one(x_train, y_train, params)], x_test)
         truth = y_test.tolist()
         acc = sum(t == p for t, p in zip(truth, preds)) / len(truth)
-        class_order = tuple(sorted(set(y_train.tolist())))
-        assert report.mismatched
-        assert report.n_epochs == len(y_train) + len(y_test)
-        assert report.n_subjects == 3
-        assert report.cv.fold_accuracies == [acc]
-        assert report.cv.mean_accuracy == acc
-        assert report.cv.standard_error == 0.0
-        assert report.cv.chosen_params == [(params.c, params.gamma)]
-        assert report.cv.class_order == class_order
-        np.testing.assert_array_equal(report.cv.confusion,
-                                      ev.confusion_matrix(truth, preds, class_order))
-        assert report.cv.seed == 3
-        assert report.cv.grid_audits == [audit]
+        class_order = sorted(set(y_train.tolist()))
+        assert report["mismatched"]
+        assert report["n_epochs"] == len(y_train) + len(y_test)
+        assert report["n_subjects"] == 3
+        assert report["fold_accuracies"] == [acc]
+        assert report["mean_accuracy"] == acc
+        assert report["standard_error"] == 0.0
+        assert report["chosen_params"] == [{"c": params.c, "gamma": params.gamma}]
+        assert report["class_order"] == class_order
+        assert report["confusion"] == ev.confusion_matrix(truth, preds, class_order).tolist()
+        assert report["seed"] == 3
+        # the search the run made on the training side, audit and all
+        all_train = np.arange(len(y_train))
+        [(best, run_audit, _)] = ev.grid_search(np.vstack((x_train, x_test)),
+                                                np.concatenate((y_train, y_test)),
+                                                [(all_train, None)], 2, 3)
+        assert (best, run_audit) == (params, audit)
 
     def test_mismatched_missing_subjects_rejected(self):
         rest = synth.synthetic_corpus(n_subjects=2, n_channels=6,
@@ -656,7 +680,7 @@ class TestExperiment:
         assert list(tmp_path.glob("features-*.npz"))
         second = ev.run_experiment(small_corpus, config,
                                    feature_cache_dir=tmp_path, cache_tag="t1")
-        assert ev.report_to_json(first) == ev.report_to_json(second)
+        assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
     @pytest.mark.parametrize("field, value", [
         ("filter_order", 2), ("notch_hz", 0.0), ("notch_q", 10.0)])
