@@ -92,10 +92,8 @@ def connectivity_matrix(data: np.ndarray, metric: str) -> np.ndarray:
             values[m, m + 1:] = np.abs(lead - lag) / mm
     # mirror the strict upper triangle exactly, so symmetry holds bit for bit
     # and the diagonal is zero
-    iu = np.triu_indices(n, k=1)
-    sym = np.zeros((n, n))
-    sym[iu] = values[iu]
-    return sym + sym.T
+    upper = np.triu(values, 1)
+    return upper + upper.T
 
 
 def vectorize_upper(values: np.ndarray) -> np.ndarray:

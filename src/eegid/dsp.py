@@ -5,7 +5,7 @@
   low-pass, with the signal extended along the line through its first and
   last samples.  The input-to-output map repeats every `up` outputs, so it
   is one (window x frame) matrix per ratio, zero-padded to a multiple of 64
-  columns and applied by one matrix product over strided input frames.
+  columns and applied by matrix products over strided input frames.
 - Butterworth band-passes come from the analog prototype poles, the
   pre-warped band-pass transform and the bilinear map, paired into
   second-order sections nearest-pole-first; the notch is the closed-form
@@ -44,6 +44,11 @@ _KAISER_BETA = 14.0
 # outputs per resampling frame, before rounding up to a multiple of `up`;
 # the frame's matrix is padded to a multiple of this many columns
 _FRAME_OUTPUTS = 64
+# most frame inputs per matrix product: OpenBLAS sums a longer product for a
+# few rows otherwise than for many, so that 1000 Hz and faster sources (649
+# to 1297 inputs per frame at 128 Hz) gave a channel other bits with other
+# channels beside it.  512 Hz's frame, 333 inputs, is still one product.
+_FRAME_PIECE = 333
 # samples per block of the state-space filter, and rows filtered together
 _BLOCK = 64
 _ROW_CHUNK = 16
@@ -136,8 +141,10 @@ def resample(data, fs_hz, target_hz) -> np.ndarray:
 
     Rows are resampled _ROW_CHUNK at a time, each chunk's product written
     straight into the output, so the input frames of one chunk exist at
-    once.  A one-row remainder joins the chunk before it: numpy multiplies a
-    lone frame row by a vector routine, which may round differently.
+    once.  At least two frames are gathered, even for a short signal: numpy
+    multiplies a lone frame row by a vector routine, which may round
+    differently.  A frame longer than _FRAME_PIECE inputs is multiplied in
+    pieces of at most that many, summed in order.
     """
     n_out = resampled_length(data.shape[1], fs_hz, target_hz)
     p, q = _rational_ratio(target_hz, fs_hz)
@@ -151,7 +158,7 @@ def resample(data, fs_hz, target_hz) -> np.ndarray:
     # the high-beta Kaiser window keeps passband ripple below 1e-6
     matrix, first, stride, frame = _polyphase_operator(p, q)
     window, columns = matrix.shape
-    n_frames = max(1, -(-n_out // frame))
+    n_frames = max(2, -(-n_out // frame))
     # the input position of every frame sample; outside the signal, samples
     # lie on the line through the first and last samples
     n = data.shape[1]
@@ -159,14 +166,17 @@ def resample(data, fs_hz, target_hz) -> np.ndarray:
     inside = np.clip(at, 0, n - 1)
     before, after = at < 0, at > n - 1
     out = np.empty((len(data), n_frames, columns))
-    edges = list(range(_ROW_CHUNK, len(data) - 1, _ROW_CHUNK))
+    edges = list(range(_ROW_CHUNK, len(data), _ROW_CHUNK))
     for x, y in zip(np.split(data, edges), np.split(out, edges)):
         # the chunk's frames, gathered in one copy (C order, so reshape copies nothing)
         frames = np.take(x, inside, axis=1)
         slope = (x[:, -1:] - x[:, :1]) / (n - 1)
         frames[:, before] = x[:, :1] + at[before] * slope
         frames[:, after] = x[:, -1:] + (at[after] - (n - 1)) * slope
-        np.matmul(frames.reshape(-1, window), matrix, out=y.reshape(-1, columns))
+        frames, y = frames.reshape(-1, window), y.reshape(-1, columns)
+        np.matmul(frames[:, :_FRAME_PIECE], matrix[:_FRAME_PIECE], out=y)
+        for k in range(_FRAME_PIECE, window, _FRAME_PIECE):
+            y += frames[:, k:k + _FRAME_PIECE] @ matrix[k:k + _FRAME_PIECE]
         del frames  # before the next chunk's are gathered
     # a view, unless the frame has zero columns to drop
     return out[:, :, :frame].reshape(len(data), -1)[:, :n_out]
@@ -359,18 +369,21 @@ def filtfilt_matrix(sos: np.ndarray, data: np.ndarray, out=None) -> np.ndarray:
     for r in range(0, len(data), chunk):
         x = data[r:r + chunk]
         c = len(x)
-        ext, rev = buf[:c, :m], buf[c:2 * c, :m]
+        # a short last chunk still runs on every buffer row, its rows where a
+        # full chunk's would be: on fewer rows the block products round
+        # otherwise, and a channel would depend on the channel count
+        ext, rev = buf[:c, :m], buf[chunk:chunk + c, :m]
         ext[:, :padlen] = 2 * x[:, :1] - x[:, padlen:0:-1]
         ext[:, padlen:padlen + n] = x
         ext[:, padlen + n:] = 2 * x[:, -1:] - x[:, -2:-padlen - 2:-1]
         rev[:] = ext[:, ::-1]
-        y = _filter_blocks(ops, buf[:2 * c], buf[:2 * c, :1] * ops.step_state)
-        buf[:2 * c, :m] = y[:, m - 1::-1]
-        y = _filter_blocks(ops, buf[:2 * c], buf[:2 * c, :1] * ops.step_state)
+        y = _filter_blocks(ops, buf, buf[:, :1] * ops.step_state)
+        buf[:, :m] = y[:, m - 1::-1]
+        y = _filter_blocks(ops, buf, buf[:, :1] * ops.step_state)
         # the backward pass left both halves time-reversed; the reversed
         # copy's result needs reversing once more, which cancels
         out[r:r + c] = y[:c, m - 1 - padlen:padlen - 1:-1]
-        out[r:r + c] += y[c:2 * c, padlen:padlen + n]
+        out[r:r + c] += y[chunk:chunk + c, padlen:padlen + n]
         out[r:r + c] *= 0.5
     return out
 

@@ -129,7 +129,7 @@ def grid_search(x, labels, splits, k2, seed):
     Split `held` deals its training rows into inner folds with seed
     `seed + held + 1`.  One `svm.train_ovr` call trains the whole grid on
     every inner fold of every split, and each inner fold predicts with all
-    its models in one `svm.predict_batch` call.  Returns one (best_params,
+    its grid in one `svm.predict_batch` call.  Returns one (best_params,
     audit, converged) per split: audit maps each grid point to its mean
     inner-validation accuracy, and converged lists the flags of the split's
     binary SVMs.
@@ -143,10 +143,10 @@ def grid_search(x, labels, splits, k2, seed):
     converged = [[] for _ in splits]
     for (held, val_idx), models in zip(validation, svm.train_ovr(x, labels, folds)):
         truth = labels[val_idx].tolist()
-        for params, preds in zip(models, svm.predict_batch(models.values(), x[val_idx])):
+        for params, preds in zip(models.points, svm.predict_batch(models, x[val_idx])):
             accs[held][params].append(_accuracy(truth, preds))
-        converged[held].extend(flag for model in models.values() for flag in model.converged)
-        # the next fold's solve needs none of this fold's models
+        converged[held].extend(models.converged.flat)
+        # the next fold's solve needs none of this fold's grid
         del models
     searches = []
     for split_accs, split_converged in zip(accs, converged):
@@ -224,12 +224,10 @@ def _cross_validate(x, labels, splits, k2, seed) -> dict:
     searches = grid_search(x, labels, splits, k2, seed)
     fits = svm.train_ovr(x, labels, [(train_idx, (params,)) for (train_idx, _), (params, _, _)
                                      in zip(splits, searches)])
-    for held, ((_, test_idx), (params, _, converged), models) in enumerate(
-            zip(splits, searches, fits)):
+    for held, ((_, test_idx), (_, _, converged), fit) in enumerate(zip(splits, searches, fits)):
         _report_nonconverged(converged, "grid search")
-        model = models[params]
-        _report_nonconverged(model.converged, f"final fit, outer fold {held}")
-        [preds] = svm.predict_batch([model], x[test_idx])
+        _report_nonconverged(fit.converged[0], f"final fit, outer fold {held}")
+        [preds] = svm.predict_batch(fit, x[test_idx])
         truth = labels[test_idx].tolist()
         fold_accs.append(_accuracy(truth, preds))
         all_truth.extend(truth)

@@ -1,23 +1,22 @@
 """One-vs-rest RBF-kernel SVM trained by sequential minimal optimization.
 
 `train_ovr` is the one trainer: it takes training sets (folds), each a set
-of rows with its grid, and yields one {params: model} mapping per fold.
-Each fold is standardized once and its squared-distance matrix built once;
-each (fold, gamma) then takes one full Gram matrix.  The (C, class) binary
-problems of consecutive (fold, gamma) groups of one training-set size are
-solved by one working-set SMO run in lockstep while the run's problems x
-rows stay within 2^16 (a larger group runs alone): each step moves every
-unfinished problem's maximal KKT-violating pair analytically, reading that
-problem's own Gram matrix.  So a run spans training sets as well as gammas,
-and the nested CV of one config makes two runs on small data.  A run holds
-each of its folds' squared distances, means, stds and targets, not their
+of rows with its grid, and yields one `OvrGrid` per fold.  Each fold is
+standardized once and its squared-distance matrix built once; each (fold,
+gamma) then takes one full Gram matrix.  The (C, class) binary problems of
+consecutive (fold, gamma) groups of one training-set size are solved by one
+working-set SMO run in lockstep while the run's problems x rows stay within
+2^16 (a larger group runs alone): each step moves every unfinished
+problem's maximal KKT-violating pair analytically, reading that problem's
+own Gram matrix.  So a run spans training sets as well as gammas, and the
+nested CV of one config makes two runs on small data.  A run holds each of
+its folds' squared distances, means, stds and targets, not their
 standardized rows: a fold's rows are standardized again, to the same bits,
-only when its models are yielded.  A model holds the standardizer's column
-means and stds, the standardized training matrix (one array shared by every
-model of a fold), a class x row matrix of dual coefficients (zero off the
-support vectors) and per-class bias and converged vectors.  Prediction takes
-a group of models that share one training matrix and builds each kernel once
-per distinct support-vector set and gamma.
+only when its grid is yielded.  A grid holds the standardizer's column means
+and stds, the standardized training matrix, and for each grid point a class
+x row matrix of dual coefficients (zero off the support vectors) and
+per-class bias and converged flags.  Prediction builds each kernel of a grid
+once per distinct support-vector set and gamma.
 """
 
 from __future__ import annotations
@@ -249,38 +248,37 @@ def _biases(y, alphas, f, c) -> np.ndarray:
 # --- one-vs-rest multiclass --------------------------------------------------
 
 
-@dataclass
-class MulticlassSvmModel:
-    """Class k decides by sum_i dual_coef[k, i] k(train_i, .) + bias[k]."""
+class OvrGrid(NamedTuple):
+    """One training set's one-vs-rest models at each of its grid points: class k
+    at point p decides by sum_i dual_coef[p, k, i] k(train_i, .) + bias[p, k]."""
 
-    classes: tuple  # sorted label order; also the tie-break order
+    classes: tuple         # sorted label order; also the tie-break order
+    points: tuple          # SvmHyperparams in solve order, grouped by gamma
     means: np.ndarray      # (d,) standardizer column means
     stds: np.ndarray       # (d,) standardizer column stds
-    params: SvmHyperparams
-    train: np.ndarray      # (n, d) standardized training rows, shared by a grid
-    dual_coef: np.ndarray  # (n_classes, n) alpha_i y_i, 0 where alpha_i <= 1e-12
-    bias: np.ndarray       # (n_classes,)
-    converged: np.ndarray  # (n_classes,) bool
+    train: np.ndarray      # (n, d) standardized training rows
+    dual_coef: np.ndarray  # (points, classes, n) alpha_i y_i, 0 where alpha_i <= 1e-12
+    bias: np.ndarray       # (points, classes)
+    converged: np.ndarray  # (points, classes) bool
 
 
 def train_ovr(x, labels, folds):
-    """Yield {params: one-vs-rest model} for each (rows, grid) fold, in order.
+    """Yield one `OvrGrid` for each (rows, grid) fold, in order.
 
     A fold trains on its rows of x and labels, once for each distinct point of
     its grid.  The (C, class) problems of consecutive (fold, gamma) groups of
     one training-set size share one lockstep SMO run while the run's problems
     x rows stay within _LOCKSTEP_BLOCK; a group above it runs alone.  A fold
-    is prepared when its first run starts, keeping its means and stds, the
-    (n, n) squared distances between its standardized rows and its targets,
-    but not those rows.  Its models are yielded as soon as its last run ends,
-    after which nothing here refers to them; only then are its rows
-    standardized again, to the same bits, into the one training matrix that
-    all its models share.  Points come grouped by gamma, and the models of a
-    fold share its means and stds too.
+    is prepared when its first run starts (`_prepare_fold`), and each run
+    writes its grid's arrays in place.  The grid is yielded as soon as the
+    fold's last run ends, after which nothing here refers to it; only then
+    are its rows standardized again, to the same bits, into its training
+    matrix.
     """
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels)
-    plans, runs = [], []  # per fold (rows, classes); each run: (fold, points) groups
+    # per fold (rows, classes, points); each run: (fold, slice of its points) groups
+    plans, runs = [], []
     n = problems = 0  # the last run's training-set size and problem count
     for fold, (rows, grid) in enumerate(folds):
         classes = tuple(sorted(set(labels[rows].tolist())))
@@ -291,100 +289,93 @@ def train_ovr(x, labels, folds):
             by_gamma.setdefault(p.gamma, []).append(p)
         if not by_gamma:
             raise ValueError(f"fold {fold} has an empty grid")
-        plans.append((rows, classes))
+        plans.append((rows, classes, [p for group in by_gamma.values() for p in group]))
+        start = 0
         for group in by_gamma.values():
+            points = slice(start, start + len(group))
+            start = points.stop
             more = len(group) * len(classes)
             if len(rows) == n and (problems + more) * n <= _LOCKSTEP_BLOCK:
-                runs[-1].append((fold, group))
+                runs[-1].append((fold, points))
                 problems += more
             else:
-                runs.append([(fold, group)])
+                runs.append([(fold, points)])
                 n, problems = len(rows), more
-    # the folds of the current run, and each point's (dual_coef, bias, converged)
-    prepared, solved = {}, {}
+    prepared = {}  # the folds of the current run: (grid without train, sq, targets)
     for r, run in enumerate(runs):
         for fold, _ in run:
             if fold not in prepared:
-                rows, classes = plans[fold]
-                prepared[fold] = _prepare_fold(x[rows], labels[rows], classes)
-                solved[fold] = {}
-        _solve_run(run, prepared, solved)
+                rows, classes, points = plans[fold]
+                prepared[fold] = _prepare_fold(x[rows], labels[rows], classes, points)
+        _solve_run(run, prepared)
         # only a run's last fold can go on into the next run
         going_on = runs[r + 1][0][0] if r + 1 < len(runs) else None
         for fold in [fold for fold in prepared if fold != going_on]:
-            # no name here holds the models or their rows once they are yielded
-            yield _fold_models(prepared.pop(fold), solved.pop(fold), x[plans[fold][0]])
+            # no name here holds the grid or its rows once it is yielded
+            yield _with_rows(prepared.pop(fold)[0], x[plans[fold][0]])
 
 
-class _Fold(NamedTuple):
-    """One training set, ready for its runs."""
-
-    classes: tuple
-    means: np.ndarray
-    stds: np.ndarray
-    sq: np.ndarray  # (n, n) squared distances between the standardized rows
-    ys: np.ndarray  # (n_classes, n) one-vs-rest targets
-
-
-def _prepare_fold(x, labels, classes) -> _Fold:
+def _prepare_fold(x, labels, classes, points):
+    """(grid, sq, targets) of one training set: its grid with unsolved arrays
+    and no training rows, the (n, n) squared distances between its
+    standardized rows and its (classes, n) one-vs-rest targets."""
     means, stds = fit_standardizer(x)
     xs = apply_standardizer(means, stds, x)
+    sq = _sq_dist(xs, xs)
+    del xs  # before the grid's arrays are allocated
     ys = np.array([np.where(labels == cls, 1.0, -1.0) for cls in classes])
-    return _Fold(classes, means, stds, _sq_dist(xs, xs), ys)
+    shape = (len(points), len(classes))
+    grid = OvrGrid(classes, tuple(points), means, stds, None, np.empty(shape + (len(x),)),
+                   np.empty(shape), np.empty(shape, dtype=bool))
+    return grid, sq, ys
 
 
-def _fold_models(prep: _Fold, solved, x) -> dict:
-    """{params: model} of one fold from its solved points, over one
-    standardization of its rows x."""
-    train = apply_standardizer(prep.means, prep.stds, x)
-    return {params: MulticlassSvmModel(prep.classes, prep.means, prep.stds, params, train,
-                                       *result)
-            for params, result in solved.items()}
+def _with_rows(grid: OvrGrid, x) -> OvrGrid:
+    """The solved grid with its rows x standardized into its training matrix."""
+    return grid._replace(train=apply_standardizer(grid.means, grid.stds, x))
 
 
-def _solve_run(run, prepared, solved):
-    """Solve one lockstep run of (fold, points) groups and add each point's
-    (dual_coef, bias, converged) to solved[fold].
-
-    Problem rows are group-major, then point-major, class-minor; each group
-    takes the next Gram matrix of the stack, built from its fold's squared
-    distances and its gamma.
-    """
-    n = len(prepared[run[0][0]].sq)
+def _solve_run(run, prepared):
+    """Solve one lockstep run of (fold, point slice) groups into their folds'
+    grids.  Problem rows are group-major, then point-major, class-minor; each
+    group takes the next Gram matrix of the stack, built from its fold's
+    squared distances and its gamma."""
+    n = len(prepared[run[0][0]][1])
     kernel = np.empty((len(run) * n, n))
-    for g, (fold, group) in enumerate(run):
+    y, c = [], []
+    for g, (fold, points) in enumerate(run):
+        grid, sq, ys = prepared[fold]
         block = kernel[g * n:(g + 1) * n]
-        np.multiply(prepared[fold].sq, -group[0].gamma, out=block)
+        np.multiply(sq, -grid.points[points.start].gamma, out=block)
         np.exp(block, out=block)
-    y = np.vstack([np.tile(prepared[fold].ys, (len(group), 1)) for fold, group in run])
-    base = np.repeat(np.arange(len(run)) * n,
-                     [len(group) * len(prepared[fold].classes) for fold, group in run])
-    c = np.concatenate([np.repeat([p.c for p in group], len(prepared[fold].classes))
-                        for fold, group in run])
+        y.append(np.tile(ys, (points.stop - points.start, 1)))
+        c.append(np.repeat([p.c for p in grid.points[points]], len(grid.classes)))
+    base = np.repeat(np.arange(len(run)) * n, [len(part) for part in y])
+    y, c = np.vstack(y), np.concatenate(c)
     alphas, f, converged = _smo(kernel, base, y, c)
-    coef = np.where(alphas > 1e-12, alphas * y, 0.0)
-    k = 0
     bias = _biases(y, alphas, f, c)
-    for fold, group in run:
-        prep = prepared[fold]
-        for params in group:
-            rows = slice(k, k + len(prep.classes))
-            solved[fold][params] = (coef[rows], bias[rows], converged[rows])
-            k += len(prep.classes)
+    k = 0
+    for fold, points in run:
+        grid = prepared[fold][0]
+        coef = grid.dual_coef[points].reshape(-1, n)
+        own = slice(k, k + len(coef))
+        np.multiply(alphas[own], y[own], out=coef)
+        coef[alphas[own] <= 1e-12] = 0.0
+        grid.bias[points] = bias[own].reshape(-1, len(grid.classes))
+        grid.converged[points] = converged[own].reshape(-1, len(grid.classes))
+        k = own.stop
 
 
-def predict_batch(models, x) -> list:
-    """One prediction list per model, for models that share one training
-    matrix and its means and stds, such as the models of one fold of a
-    `train_ovr` call."""
-    return [[m.classes[int(i)] for i in np.argmax(v, axis=1)]
-            for m, v in zip(models, _decision_values(models, x))]
+def predict_batch(models: OvrGrid, x) -> list:
+    """One prediction list per point of a `train_ovr` grid, in its order."""
+    return [[models.classes[int(i)] for i in row]
+            for row in np.argmax(_decision_values(models, x), axis=2)]
 
 
-def _decision_values(models, x) -> list:
-    """(n, n_classes) decision values of each model; see `predict_batch`.
+def _decision_values(grid: OvrGrid, x) -> np.ndarray:
+    """(points, rows, classes) decision values of a grid; see `predict_batch`.
 
-    Class k of a model decides by its kernel against its own support-vector
+    Class k at a point decides by its kernel against its own support-vector
     rows, the rows where its coefficient is nonzero.  The rows of x are
     standardized once; squared distances to a support-vector row set are
     computed once per distinct set, and their kernel once per (set, gamma).
@@ -392,28 +383,22 @@ def _decision_values(models, x) -> list:
     still takes its own matvec, so every value has the bits that a kernel
     built for that class alone gives.
     """
-    models = list(models)
-    first = models[0]
-    if any(m.train is not first.train or m.means is not first.means
-           or m.stds is not first.stds for m in models):
-        raise ValueError("models do not share one training matrix, means and stds")
-    xs = apply_standardizer(first.means, first.stds,
+    xs = apply_standardizer(grid.means, grid.stds,
                             np.atleast_2d(np.asarray(x, dtype=float)))
-    values = [np.empty((xs.shape[0], len(m.classes))) for m in models]
-    # support-vector mask bytes -> {gamma: [(model, class) indices]}
+    values = np.empty((len(grid.points), xs.shape[0], len(grid.classes)))
+    # support-vector mask bytes -> {gamma: [(point, class) indices]}
     by_set = {}
-    for m_idx, model in enumerate(models):
-        for k, sv in enumerate(model.dual_coef != 0.0):
+    for p, params in enumerate(grid.points):
+        for k, sv in enumerate(grid.dual_coef[p] != 0.0):
             by_gamma = by_set.setdefault(sv.tobytes(), {})
-            by_gamma.setdefault(model.params.gamma, []).append((m_idx, k))
+            by_gamma.setdefault(params.gamma, []).append((p, k))
     for key, by_gamma in by_set.items():
         sv = np.frombuffer(key, dtype=bool)
-        sq = _sq_dist(xs, first.train[sv])
+        sq = _sq_dist(xs, grid.train[sv])
         for gamma, columns in by_gamma.items():
             kernel = np.exp(-gamma * sq)
-            for m_idx, k in columns:
-                model = models[m_idx]
-                values[m_idx][:, k] = kernel @ model.dual_coef[k][sv] + model.bias[k]
+            for p, k in columns:
+                values[p, :, k] = kernel @ grid.dual_coef[p, k][sv] + grid.bias[p, k]
             del kernel
         del sq
     return values

@@ -21,11 +21,11 @@ def make_recording(data, fs=128.0, subject="S000", dataset="test",
 
 
 def train_grid(x, labels, grid):
-    """{params: model} of one svm.train_ovr fold over every row of x."""
+    """The `svm.OvrGrid` of one svm.train_ovr fold over every row of x."""
     [models] = svm.train_ovr(x, labels, [(np.arange(len(labels)), grid)])
     return models
 
 
 def train_one(x, labels, params):
-    """The one-vs-rest model of one grid point, trained on every row of x."""
-    return train_grid(x, labels, (params,))[params]
+    """The one-point `svm.OvrGrid` of params, trained on every row of x."""
+    return train_grid(x, labels, (params,))

@@ -57,13 +57,14 @@ def resample_poly_line(data, up, down):
 
 def resample_whole(data, fs_hz, target_hz):
     """`dsp.resample` with the frames of every row gathered in one copy and
-    multiplied in one matrix product: the whole-array form that the
-    row-chunked resampler must equal bit for bit."""
+    multiplied in one matrix product per piece of at most dsp._FRAME_PIECE
+    inputs: the whole-array form that the row-chunked resampler must equal
+    bit for bit."""
     n_out = dsp.resampled_length(data.shape[1], fs_hz, target_hz)
     matrix, first, stride, frame = dsp._polyphase_operator(
         *dsp._rational_ratio(target_hz, fs_hz))
     window = len(matrix)
-    n_frames = max(1, -(-n_out // frame))
+    n_frames = max(2, -(-n_out // frame))
     n = data.shape[1]
     at = first + stride * np.arange(n_frames)[:, None] + np.arange(window)
     frames = np.take(data, np.clip(at, 0, n - 1), axis=1)
@@ -71,7 +72,12 @@ def resample_whole(data, fs_hz, target_hz):
     before, after = at < 0, at > n - 1
     frames[:, before] = data[:, :1] + at[before] * slope
     frames[:, after] = data[:, -1:] + (at[after] - (n - 1)) * slope
-    out = (frames.reshape(-1, window) @ matrix).reshape(len(data), n_frames, -1)
+    frames = frames.reshape(-1, window)
+    piece = dsp._FRAME_PIECE
+    out = frames[:, :piece] @ matrix[:piece]
+    for k in range(piece, window, piece):
+        out += frames[:, k:k + piece] @ matrix[k:k + piece]
+    out = out.reshape(len(data), n_frames, -1)
     return out[:, :, :frame].reshape(len(data), -1)[:, :n_out]
 
 
@@ -292,23 +298,27 @@ def rbf_loop(a, b, gamma):
     return out
 
 
-def decision_values(model, x):
-    """(n, n_classes) decision values, one fresh kernel per class.
+def decision_values(grid, x):
+    """(points, n, n_classes) decision values of an `svm.OvrGrid`, one fresh
+    kernel per point and class.
 
     The per-class prediction path, transcribed term by term: class k's
     kernel spans only its own support vectors, the rows where its coefficient
     is nonzero, so the shared path must match it bit for bit.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    xs = (x - model.means) / model.stds
-    columns = []
-    for coef, bias, sv in zip(model.dual_coef, model.bias, model.dual_coef != 0.0):
-        t = model.train[sv]
-        sq = (np.sum(xs * xs, axis=1)[:, None] + np.sum(t * t, axis=1)[None, :]
-              - 2.0 * (xs @ t.T))
-        np.clip(sq, 0.0, None, out=sq)
-        columns.append(np.exp(-model.params.gamma * sq) @ coef[sv] + bias)
-    return np.column_stack(columns)
+    xs = (x - grid.means) / grid.stds
+    values = []
+    for params, coefs, biases in zip(grid.points, grid.dual_coef, grid.bias):
+        columns = []
+        for coef, bias, sv in zip(coefs, biases, coefs != 0.0):
+            t = grid.train[sv]
+            sq = (np.sum(xs * xs, axis=1)[:, None] + np.sum(t * t, axis=1)[None, :]
+                  - 2.0 * (xs @ t.T))
+            np.clip(sq, 0.0, None, out=sq)
+            columns.append(np.exp(-params.gamma * sq) @ coef[sv] + bias)
+        values.append(np.column_stack(columns))
+    return np.array(values)
 
 
 def kkt_violations(x, y, alphas, bias, c, gamma):

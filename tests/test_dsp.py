@@ -72,7 +72,7 @@ class TestResampleRowChunks:
     in tests/oracles.py gathers every row's frames at once."""
 
     @pytest.mark.parametrize("up, down", [(4, 5), (1, 2), (5, 4), (32, 125), (3, 2),
-                                          (3, 4), (17, 16)])
+                                          (3, 4), (17, 16), (16, 125), (1, 8), (8, 125)])
     @pytest.mark.parametrize("rows", [1, 15, 16, 17, 49, 56])
     @pytest.mark.parametrize("n", [2, 40, 1000, 4000])
     def test_equal_to_the_whole_array(self, up, down, rows, n, rng):
@@ -83,11 +83,13 @@ class TestResampleRowChunks:
         assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("up, down", [(5, 4), (3, 2), (3, 4), (17, 16), (4, 5),
-                                          (32, 125)])
-    @pytest.mark.parametrize("n", [1000, 4000])
+                                          (32, 125), (16, 125), (1, 8), (8, 125)])
+    @pytest.mark.parametrize("n", [40, 1000, 4000])
     def test_a_channel_does_not_depend_on_its_neighbours(self, up, down, n, rng):
         """Frames of 65, 66 and 68 outputs gave 2 rows resampled alone other
-        last bits than the same rows inside 56 (OpenBLAS's small-matrix kernel)."""
+        last bits than the same rows inside 56 (OpenBLAS's small-matrix kernel);
+        so did a lone row of one frame (n = 40) and frames of 649 to 1297
+        inputs, 1000, 1024 and 2000 Hz to 128 Hz."""
         data = 40.0 * rng.standard_normal((56, n)) + np.linspace(5, -2, n)
         whole = dsp.resample(data, 100.0 * down, 100.0 * up)
         for rows in (1, 2, 15, 16, 17):
@@ -247,6 +249,19 @@ class TestFiltfilt:
         forward = filtfilt(sos, x[::-1])[::-1]
         backward = filtfilt(sos, x)
         np.testing.assert_allclose(forward, backward, atol=1e-9)
+
+    @pytest.mark.parametrize("sos", [dsp.design_notch(50.0, 30.0, 128.0),
+                                     dsp.design_butterworth_bandpass(dsp.GAMMA, 128.0, 4),
+                                     dsp.design_butterworth_bandpass(dsp.ALPHA, 128.0, 8)],
+                             ids=["notch", "order-4", "order-8"])
+    @pytest.mark.parametrize("n", [512, 2000])
+    def test_a_channel_does_not_depend_on_the_row_count(self, sos, n, rng):
+        """A last chunk of fewer rows gave the one-section notch other bits in
+        27 of the 64 row counts at n = 512."""
+        data = 40.0 * rng.standard_normal((64, n)) + np.linspace(5, -2, n)
+        whole = dsp.filtfilt_matrix(sos, data)
+        for rows in range(1, 65):
+            assert np.array_equal(dsp.filtfilt_matrix(sos, data[:rows]), whole[:rows]), rows
 
 
 class TestSplitEpochs:

@@ -212,7 +212,7 @@ class TestFoldProblem:
 
 
 def train_ovr_scalar(x, labels, params):
-    """One-vs-rest training, one smo_scalar call per class and grid point."""
+    """The one-point grid of params, one smo_scalar call per class."""
     classes = tuple(sorted(set(labels.tolist())))
     means, stds = svm.fit_standardizer(x)
     xs = svm.apply_standardizer(means, stds, x)
@@ -224,12 +224,12 @@ def train_ovr_scalar(x, labels, params):
         coefs.append(np.where(alphas > 1e-12, alphas * y, 0.0))
         biases.append(bias)
         converged.append(ok)
-    return svm.MulticlassSvmModel(classes, means, stds, params, xs, np.array(coefs),
-                                  np.array(biases), np.array(converged))
+    return svm.OvrGrid(classes, (params,), means, stds, xs, np.array([coefs]),
+                       np.array([biases]), np.array([converged]))
 
 
 def model_arrays(obj):
-    """Every numpy array reachable from a model through fields and tuples."""
+    """Every numpy array reachable from a grid through fields and tuples."""
     if isinstance(obj, np.ndarray):
         yield obj
     elif dataclasses.is_dataclass(obj):
@@ -247,7 +247,7 @@ def grid_search_per_point(x, labels, k2, grid, seed):
         accs = []
         for train_idx, val_idx in ev.fold_splits(labels, k2, seed):
             model = train_ovr_scalar(x[train_idx], labels[train_idx], params)
-            values = decision_values(model, x[val_idx])
+            [values] = decision_values(model, x[val_idx])
             preds = [model.classes[i] for i in np.argmax(values, axis=1)]
             accs.append(ev._accuracy(labels[val_idx].tolist(), preds))
         audit[params] = float(np.mean(accs))
@@ -285,17 +285,17 @@ class TestGridSearch:
     def test_grid_models_equal_single_point_models(self, rng):
         x, labels = cluster_features(rng, 3, 8, dim=5, spread=1.0)
         points = ev.GRID[::-1]
-        models = train_grid(x, labels, points)
-        assert set(models) == set(points)
+        many = train_grid(x, labels, points)
+        assert set(many.points) == set(points)
         for params in points:
-            one, many = train_one(x, labels, params), models[params]
+            one, p = train_one(x, labels, params), many.points.index(params)
             assert one.classes == many.classes
             assert np.array_equal(one.means, many.means)
             assert np.array_equal(one.stds, many.stds)
-            assert one.params == many.params == params
+            assert one.points == (params,)
             assert np.array_equal(one.train, many.train)
             for name in ("dual_coef", "bias", "converged"):
-                a, b = getattr(one, name), getattr(many, name)
+                [a], b = getattr(one, name), getattr(many, name)[p]
                 assert a.shape[0] == len(one.classes), name
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
 
@@ -305,26 +305,23 @@ class TestGridSearch:
         n_classes = 6
         x, labels = cluster_features(rng, n_classes, 5, dim=60, spread=3.0)
         n, d = x.shape
-        # one training matrix, the standardizer's means and stds, and the
-        # float coefficient, float bias and bool converged arrays
-        bound = x.nbytes + 2 * d * 8 + n_classes * (n * 8 + 8 + 1)
-        models = list(train_grid(x, labels, ev.GRID).values())
-        for model in models:
-            assert sum(a.nbytes for a in model_arrays(model)) <= bound
-        shared = models[0].train
-        assert shared.shape == x.shape
-        assert all(np.shares_memory(model.train, shared) for model in models)
+        # one training matrix, the standardizer's means and stds, and per
+        # point the float coefficient, float bias and bool converged arrays
+        bound = x.nbytes + 2 * d * 8 + len(ev.GRID) * n_classes * (n * 8 + 8 + 1)
+        models = train_grid(x, labels, ev.GRID)
+        assert sum(a.nbytes for a in model_arrays(models)) <= bound
+        assert models.train.shape == x.shape
 
     def test_one_distance_block_per_support_set_and_fold(self, rng, monkeypatch):
         # every inner fold's training block as their one run starts, then per
         # inner fold one validation block per distinct support-vector row set
-        # of the fold's 16 models
+        # of the fold's grid
         x, labels = cluster_features(rng, 4, 9, dim=6, spread=1.5)
         training, validation, folds = [], [], ev.fold_splits(labels, 3, 5)
         for train_idx, val_idx in folds:
-            models = train_grid(x[train_idx], labels[train_idx], ev.GRID).values()
-            sets = {sv.tobytes() for m in models for sv in m.dual_coef != 0.0}
-            assert len(sets) < sum(len(m.classes) for m in models)
+            models = train_grid(x[train_idx], labels[train_idx], ev.GRID)
+            sets = {sv.tobytes() for sv in models.dual_coef.reshape(-1, len(train_idx)) != 0.0}
+            assert len(sets) < models.bias.size
             training.append((len(train_idx), True))
             validation.extend([(len(val_idx), False)] * len(sets))
         want = training + validation
@@ -636,7 +633,7 @@ class TestExperiment:
         x_train, y_train = ev._features_cached(corpus, config, "resting")
         x_test, y_test = ev._features_cached(corpus, config, "task")
         params, audit = search_all_rows(x_train, y_train, k2=2, seed=4)
-        [preds] = svm.predict_batch([train_one(x_train, y_train, params)], x_test)
+        [preds] = svm.predict_batch(train_one(x_train, y_train, params), x_test)
         truth = y_test.tolist()
         acc = sum(t == p for t, p in zip(truth, preds)) / len(truth)
         class_order = sorted(set(y_train.tolist()))

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from eegid import cli, evaluation as ev, io_ingest
-from eegid.channels import COMMON_56, resolve_policy
+from eegid.channels import BCI2000_64, COMMON_56, resolve_policy
 from eegid.errors import MissingChannel, WindowOutOfRange
 from eegid.io_ingest import build_corpus, load_manifest, parse_edf
 
@@ -166,6 +166,32 @@ def _edf_corpus(root, n_recordings=12, seconds=10):
                                 "entries": entries}))
     return path
 
+
+
+@pytest.mark.parametrize("rate", [160, 1000])
+def test_a_channel_does_not_depend_on_the_channel_policy(tmp_path, rate):
+    """One 64-channel EDF built under bci2000_64, common_56 and ten_twenty_21
+    gives every channel two corpora share the same samples in both.  At 160
+    Hz a last filter chunk of fewer rows gave T8 other bits in the 21-channel
+    corpus; at 1000 Hz the resampler's long frames did too."""
+    rng = np.random.default_rng(19)
+    labels = [name.capitalize().ljust(4, ".") for name in BCI2000_64.names]
+    edf = tmp_path / "S000.edf"
+    edf.write_bytes(write_edf(labels, rng.integers(-2000, 2000, (64, rate * 2)), float(rate)))
+    rows = {}
+    for policy in ("bci2000_64", "common_56", "ten_twenty_21"):
+        manifest = tmp_path / f"{policy}.json"
+        manifest.write_text(json.dumps({
+            "target_rate_hz": 128.0, "channel_policy": policy,
+            "entries": [{"path": edf.name, "format": "edf", "subject_id": "S000",
+                         "dataset_id": "d", "window_s": [0.0, 2.0]}]}))
+        corpus = synth.preprocessed(build_corpus(load_manifest(manifest)))
+        rows[policy] = dict(zip(corpus.channels.tolist(), corpus.recording(0)))
+        corpus.close()
+    assert [len(rows[policy]) for policy in rows] == [64, 56, 21]
+    for policy in ("common_56", "ten_twenty_21"):
+        for name, row in rows[policy].items():
+            assert np.array_equal(row, rows["bci2000_64"][name]), (policy, name)
 
 def _traced_peak(fn):
     tracemalloc.start()

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -365,7 +364,7 @@ class TestOvr:
         x, labels = blobs(rng, [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)], per_class=12)
         model = train_one(x, labels, svm.SvmHyperparams(c=10.0, gamma=0.5))
         assert model.classes == ("a", "b", "c")
-        assert svm.predict_batch([model], x) == [list(labels)]
+        assert svm.predict_batch(model, x) == [list(labels)]
 
     def test_wide_problem_accepted(self, rng):
         # 109 classes x a handful of rows each is the scale ceiling; here a
@@ -373,10 +372,9 @@ class TestOvr:
         x = rng.standard_normal((30, 15))
         labels = np.repeat([f"s{i}" for i in range(10)], 3)
         model = train_one(x, labels, svm.SvmHyperparams(c=1.0, gamma=0.01))
-        assert model.dual_coef.shape == (10, 30)
-        assert model.bias.shape == model.converged.shape == (10,)
-        [values] = svm._decision_values([model], x)
-        assert values.shape == (30, 10)
+        assert model.dual_coef.shape == (1, 10, 30)
+        assert model.bias.shape == model.converged.shape == (1, 10)
+        assert svm._decision_values(model, x).shape == (1, 30, 10)
 
     def test_too_few_classes(self, rng):
         with pytest.raises(TooFewClasses):
@@ -393,8 +391,8 @@ class TestOvr:
     def test_predict_matches_batch(self, rng):
         x, labels = blobs(rng, [(0.0, 0.0), (3.0, 3.0)], per_class=10)
         model = train_one(x, labels, svm.SvmHyperparams(c=10.0, gamma=0.5))
-        [batch] = svm.predict_batch([model], x)
-        singles = [svm.predict_batch([model], row)[0][0] for row in x]
+        [batch] = svm.predict_batch(model, x)
+        singles = [svm.predict_batch(model, row)[0][0] for row in x]
         assert batch == singles
 
     @given(st.integers(0, 2**32 - 1))
@@ -403,14 +401,14 @@ class TestOvr:
         rng = np.random.default_rng(seed)
         x, labels = blobs(rng, [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0)], per_class=8)
         model = train_one(x, labels, svm.SvmHyperparams(c=10.0, gamma=0.5))
-        assert svm.predict_batch([model], x) == [list(labels)]
+        assert svm.predict_batch(model, x) == [list(labels)]
 
 
 def grid_models(x, labels):
-    """The models of one train_ovr fold over the default 16-point grid."""
+    """The grid of one train_ovr fold over the default 16-point grid."""
     grid = [svm.SvmHyperparams(c=c, gamma=g)
             for c in svm.DEFAULT_C_GRID for g in svm.DEFAULT_GAMMA_GRID]
-    return list(train_grid(x, labels, grid).values())
+    return train_grid(x, labels, grid)
 
 
 class TestLockstepRuns:
@@ -454,7 +452,7 @@ class TestLockstepRuns:
         seen = self.spy_smo(monkeypatch)
         models = train_grid(x, labels, grid)
         assert seen == [(2, 12), (1, 6)]
-        assert list(models) == [grid[i] for i in (0, 1, 3, 2, 4, 5)]
+        assert models.points == tuple(grid[i] for i in (0, 1, 3, 2, 4, 5))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=8, deadline=None)
@@ -472,10 +470,9 @@ class TestLockstepRuns:
                 mp.setattr(svm, "_LOCKSTEP_BLOCK", block)
                 results.append(train_grid(x, labels, grid))
         alone, merged = results
-        assert list(alone) == list(merged)
-        for a, b in zip(alone.values(), merged.values()):
-            for name in ("dual_coef", "bias", "converged"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert alone.points == merged.points
+        for name in ("dual_coef", "bias", "converged"):
+            assert np.array_equal(getattr(alone, name), getattr(merged, name)), name
 
 
 def nested_folds(rng, grid):
@@ -493,8 +490,8 @@ def nested_folds(rng, grid):
 
 
 class TestFoldRuns:
-    """One train_ovr call over many folds gives each fold the models of a
-    call that trains that fold alone."""
+    """One train_ovr call over many folds gives each fold the grid of a call
+    that trains that fold alone."""
 
     GRID = [svm.SvmHyperparams(c=c, gamma=g)
             for c in svm.DEFAULT_C_GRID for g in svm.DEFAULT_GAMMA_GRID]
@@ -524,16 +521,13 @@ class TestFoldRuns:
         flags = []
         for got, (rows, grid) in zip(merged, folds, strict=True):
             want = train_grid(x[rows], labels[rows], grid)
-            assert list(got) == list(want)
-            for a, b in zip(got.values(), want.values()):
-                assert np.array_equal(a.train, b.train)
-                for name in ("dual_coef", "bias", "converged"):
-                    assert np.array_equal(getattr(a, name), getattr(b, name)), name
-                flags.extend(a.converged)
+            assert got.points == want.points
+            for name in ("train", "dual_coef", "bias", "converged"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            flags.extend(got.converged.flat)
             probe = x[np.setdiff1d(np.arange(len(x)), rows)]
-            for a, b in zip(svm._decision_values(got.values(), probe),
-                            svm._decision_values(want.values(), probe), strict=True):
-                assert np.array_equal(a, b)
+            assert np.array_equal(svm._decision_values(got, probe),
+                                  svm._decision_values(want, probe))
         if max_iter is not None:
             assert any(flags) and not all(flags)
 
@@ -544,7 +538,7 @@ class TestFoldRuns:
         monkeypatch.setattr(svm, "_smo", lambda kernel, base, y, c:
                             events.append("run") or smo(kernel, base, y, c))
         for models in svm.train_ovr(x, labels, folds):
-            events.append(len(next(iter(models.values())).train))
+            events.append(len(models.train))
         assert events == ["run", 14, "run", 18, "run", 14, "run", 18, "run", 18, 18]
 
     def test_empty_grid_rejected(self, rng):
@@ -555,7 +549,7 @@ class TestFoldRuns:
 
 class TestFoldRows:
     """A run keeps each fold's distances, not its standardized rows; a fold's
-    rows are standardized again only when its models are yielded."""
+    rows are standardized again only when its grid is yielded."""
 
     @pytest.mark.parametrize("block", [None, 96 * 18, 0], ids=["merged", "split", "alone"])
     def test_models_equal_the_kept_rows_reference(self, rng, monkeypatch, block):
@@ -565,14 +559,10 @@ class TestFoldRows:
         merged = list(svm.train_ovr(x, labels, folds))
         for got, want in zip(merged, train_ovr_kept_rows(x, labels, folds),
                              strict=True):
-            assert list(got) == list(want)
-            first = next(iter(got.values()))
-            for params, (train, coef, bias, converged) in want.items():
-                model = got[params]
-                # one training matrix per fold, as predict_batch requires
-                assert model.train is first.train
-                for mine, ref in ((model.train, train), (model.dual_coef, coef),
-                                  (model.bias, bias), (model.converged, converged)):
+            assert list(got.points) == list(want)
+            for p, (train, coef, bias, converged) in enumerate(want.values()):
+                for mine, ref in ((got.train, train), (got.dual_coef[p], coef),
+                                  (got.bias[p], bias), (got.converged[p], converged)):
                     assert mine.dtype == ref.dtype and np.array_equal(mine, ref)
 
     def test_one_run_holds_one_fold_of_rows(self, monkeypatch):
@@ -598,7 +588,7 @@ class TestFoldRows:
         tracemalloc.start()
         try:
             for models in svm.train_ovr(x, labels, folds):
-                assert len(models) == len(grid)
+                assert len(models.points) == len(grid)
                 del models
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -607,23 +597,23 @@ class TestFoldRows:
         assert peak < 3 * rows + solver, (peak, rows, solver)
 
 
-def support_sets(models):
-    return {sv.tobytes() for model in models for sv in model.dual_coef != 0.0}
+def support_sets(dual_coef):
+    """The distinct support-vector row sets of a (..., rows) coefficient array."""
+    return {sv.tobytes() for sv in dual_coef.reshape(-1, dual_coef.shape[-1]) != 0.0}
 
 
 class TestSharedPrediction:
     """predict_batch shares kernels across a grid; each value keeps the bits
     of the per-class kernel in oracles.decision_values."""
 
-    def assert_matches_per_class(self, models, x):
-        values = svm._decision_values(models, x)
-        assert len(values) == len(models)
-        for model, got in zip(models, values):
-            want = decision_values(model, x)
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
-        assert svm.predict_batch(models, x) == [
-            [model.classes[i] for i in np.argmax(v, axis=1)] for model, v in zip(models, values)]
+    def assert_matches_per_class(self, grid, x):
+        values = svm._decision_values(grid, x)
+        want = decision_values(grid, x)
+        assert values.shape == want.shape == (
+            len(grid.points), len(np.atleast_2d(x)), len(grid.classes))
+        assert np.array_equal(values, want)
+        assert svm.predict_batch(grid, x) == [
+            [grid.classes[i] for i in np.argmax(v, axis=1)] for v in values]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=8, deadline=None)
@@ -632,58 +622,48 @@ class TestSharedPrediction:
         n_classes, dim = int(rng.integers(2, 6)), int(rng.integers(1, 30))
         x, labels = blobs(rng, list(rng.standard_normal((n_classes, dim))),
                           per_class=int(rng.integers(2, 7)), spread=float(rng.uniform(0.1, 2.0)))
-        models = grid_models(x, labels)
+        grid = grid_models(x, labels)
         probe = x.mean(axis=0) + rng.standard_normal((int(rng.integers(2, 40)), dim))
-        self.assert_matches_per_class(models, probe)
-        self.assert_matches_per_class(models, probe[:1])
-        self.assert_matches_per_class(models, probe[0])
+        self.assert_matches_per_class(grid, probe)
+        self.assert_matches_per_class(grid, probe[:1])
+        self.assert_matches_per_class(grid, probe[0])
 
     def test_classes_with_different_support_sets(self, rng):
         x, labels = blobs(rng, [(0.0, 0.0), (3.0, 0.0), (0.0, 3.0), (3.0, 3.0)],
                           per_class=9, spread=0.6)
-        models = grid_models(x, labels)
-        assert all(len(support_sets([m])) == len(m.classes) for m in models)
-        self.assert_matches_per_class(models, rng.uniform(-1.0, 4.0, (25, 2)))
+        grid = grid_models(x, labels)
+        assert all(len(support_sets(coef)) == len(grid.classes) for coef in grid.dual_coef)
+        self.assert_matches_per_class(grid, rng.uniform(-1.0, 4.0, (25, 2)))
 
     def test_class_with_empty_support_set(self, rng):
         x, labels = blobs(rng, [(0.0, 0.0), (3.0, 0.0), (0.0, 3.0)], per_class=6, spread=1.0)
-        models = grid_models(x, labels)
-        coef = models[5].dual_coef.copy()
-        coef[1] = 0.0
-        models[5] = dataclasses.replace(models[5], dual_coef=coef)
+        grid = grid_models(x, labels)
+        coef = grid.dual_coef.copy()
+        coef[5, 1] = 0.0
+        grid = grid._replace(dual_coef=coef)
         probe = rng.standard_normal((7, 2))
-        self.assert_matches_per_class(models, probe)
+        self.assert_matches_per_class(grid, probe)
         # an empty set leaves that class's bias alone
-        assert np.array_equal(svm._decision_values(models, probe)[5][:, 1],
-                              np.full(7, models[5].bias[1]))
+        assert np.array_equal(svm._decision_values(grid, probe)[5, :, 1],
+                              np.full(7, grid.bias[5, 1]))
 
     def test_single_model(self, rng):
         x, labels = blobs(rng, [(0.0, 0.0, 0.0), (2.0, 2.0, 0.0)], per_class=8, spread=1.0)
         model = train_one(x, labels, svm.SvmHyperparams(c=1.0, gamma=0.1))
-        self.assert_matches_per_class([model], x)
-        self.assert_matches_per_class([model], x[3])
+        self.assert_matches_per_class(model, x)
+        self.assert_matches_per_class(model, x[3])
 
     def test_one_distance_block_per_support_set(self, rng, monkeypatch):
         x, labels = blobs(rng, [(0.0,) * 4, (2.0,) * 4, (0.0, 4.0, 0.0, 0.0)],
                           per_class=6, spread=1.5)
-        models = grid_models(x, labels)
-        n_sets = len(support_sets(models))
-        assert n_sets < sum(len(m.classes) for m in models)
+        grid = grid_models(x, labels)
+        n_sets = len(support_sets(grid.dual_coef))
+        assert n_sets < grid.bias.size
         calls = []
         real = svm._sq_dist
         monkeypatch.setattr(svm, "_sq_dist", lambda a, b: calls.append(b.shape) or real(a, b))
-        svm.predict_batch(models, x[:5])
+        svm.predict_batch(grid, x[:5])
         assert len(calls) == n_sets
-
-    def test_models_of_two_grids_rejected(self, rng):
-        x, labels = blobs(rng, [(0.0, 0.0), (3.0, 3.0)], per_class=5)
-        params = svm.SvmHyperparams(c=1.0, gamma=0.1)
-        first, second = train_one(x, labels, params), train_one(x, labels, params)
-        with pytest.raises(ValueError, match="share"):
-            svm.predict_batch([first, second], x)
-        other = dataclasses.replace(first, means=second.means, stds=second.stds)
-        with pytest.raises(ValueError, match="share"):
-            svm.predict_batch([first, other], x)
 
 
 def test_default_grids():
