@@ -67,21 +67,15 @@ def _cached_corpus(manifest, cache_dir, filters, channel_policy=None):
     The file is keyed by the corpus hash, the filter settings `filters`
     (`ExperimentConfig.filters`) and `evaluation.CORPUS_LAYOUT`.  On a miss
     the corpus is built from the loaded `manifest`, and each recording is
-    preprocessed and written to the file before the next is read.  A file of
-    an earlier layout, named without the layout tag, is not read: it is
-    rebuilt once in this layout and then removed.
+    preprocessed and written to the file before the next is read.
     """
     manifest = _with_policy(manifest, channel_policy)
     digest = _corpus_hash(manifest)
-    stem = f"preprocessed-{digest}-{evaluation.filter_tag(**filters)}"
-    path = Path(cache_dir) / f"{stem}-{evaluation.CORPUS_LAYOUT}.npz"
-    old = path.with_name(f"{stem}.npz")
-    if old.exists() and not path.exists():
-        _log(f"rebuilding cache {old.name} of an earlier layout as {path.name}")
+    path = Path(cache_dir) / (f"preprocessed-{digest}-{evaluation.filter_tag(**filters)}-"
+                              f"{evaluation.CORPUS_LAYOUT}.npz")
     corpus, cached = evaluation.load_or_build(
         path, evaluation.PreprocessedCorpus,
         lambda fh: evaluation.write_preprocessed(fh, build_corpus(manifest), **filters))
-    old.unlink(missing_ok=True)
     if cached:
         _log(f"cache hit: {path.name} (no recompute)")
     return corpus, digest, cached
@@ -357,6 +351,7 @@ _REPORT_FIELDS = (
     ("config.epoch_length_s", is_finite_number, "a finite number"),
     ("config.train_condition", _is_string, "a string"),
     ("config.test_condition", _is_string, "a string"),
+    ("policy", _is_string, "a string"),
 )
 
 
@@ -371,22 +366,18 @@ def _not_a_report(doc):
             return f"no {key!r}"
         if not check(values[name]):
             return f"{key!r} is not {kind}"
-    # reports from before policies were recorded have none and count as default
-    if not _is_string(doc.get("policy", "default")):
-        return "'policy' is not a string"
     return None
 
 
 def _write_rollup(out_dir: Path, report_dicts):
     """Accuracy roll-up: one row per config and channel policy, one column per
-    band.  A report without a policy, from before reports recorded it, counts
-    as `default`."""
+    band."""
     bands = [b.name for b in dsp.ANALYSIS_BANDS] + ["broadband"]
     rows = {}
     for d in report_dicts:
         cfg = d["config"]
         key = (cfg["metric"], cfg["gb_metric"] or "-", f"{cfg['epoch_length_s']:g}",
-               cfg["train_condition"], cfg["test_condition"], d.get("policy", "default"))
+               cfg["train_condition"], cfg["test_condition"], d["policy"])
         cell = f"{100 * d['mean_accuracy']:.1f}+/-{100 * d['standard_error']:.1f}"
         rows.setdefault(key, {})[cfg["band"]] = cell
     with evaluation.atomic_open(out_dir / "rollup.csv", "w") as fh:

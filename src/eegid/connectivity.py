@@ -96,6 +96,16 @@ def connectivity_matrix(data: np.ndarray, metric: str) -> np.ndarray:
     return upper + upper.T
 
 
+# N -> the read-only (rows, cols) of np.triu_indices(N, k=1)
+_UPPER = {}
+
+
 def vectorize_upper(values: np.ndarray) -> np.ndarray:
-    """Row-major strict upper triangle of an N x N matrix: N(N-1)/2 values."""
-    return values[np.triu_indices(values.shape[0], k=1)]
+    """Row-major strict upper triangle of an N x N matrix: N(N-1)/2 values.
+    The indices of each N are built once."""
+    n = values.shape[0]
+    if (upper := _UPPER.get(n)) is None:
+        upper = _UPPER[n] = np.triu_indices(n, k=1)
+        for index in upper:
+            index.flags.writeable = False
+    return values[upper]

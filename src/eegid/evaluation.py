@@ -25,13 +25,6 @@ from . import connectivity, dsp, graph, svm
 from .errors import (DegenerateVariance, InsufficientEpochs, MissingCondition, NoConvergence,
                      TooFewClasses, UnknownLabel, ZeroGraph)
 
-GRID = tuple(
-    svm.SvmHyperparams(c=c, gamma=g)
-    for c in svm.DEFAULT_C_GRID
-    for g in svm.DEFAULT_GAMMA_GRID
-)
-
-
 # --- folds --------------------------------------------------------------------
 
 
@@ -122,40 +115,45 @@ def _accuracy(truth, predictions):
 
 
 def grid_search(x, labels, splits, k2, seed):
-    """Inner k2-fold selection of (C, gamma) over GRID on the training rows of
-    each outer (train_idx, test_idx) split of x; ties break toward smaller
-    values.
+    """Inner k2-fold selection of a (C, gamma) point of the `svm.C_GRID` x
+    `svm.GAMMA_GRID` product on the training rows of each outer (train_idx,
+    test_idx) split of x; ties break toward smaller C, then smaller gamma.
 
     Split `held` deals its training rows into inner folds with seed
     `seed + held + 1`.  One `svm.train_ovr` call trains the whole grid on
     every inner fold of every split, and each inner fold predicts with all
-    its grid in one `svm.predict_batch` call.  Returns one (best_params,
-    audit, converged) per split: audit maps each grid point to its mean
-    inner-validation accuracy, and converged lists the flags of the split's
-    binary SVMs.
+    its grid in one `svm.predict_batch` call.  Returns (best, audit,
+    converged): each split's chosen (C, gamma) pair of floats, the (splits,
+    gamma, C) array of mean inner-validation accuracies, and per split the
+    flags of its binary SVMs.
     """
-    folds, validation = [], []  # per inner fold: (rows, GRID) and (split, rows)
+    # gamma-major, the order of the (splits, gamma, C, inner fold) array
+    # below and train_ovr's solve order, so the lockstep runs are as before
+    points = [(c, g) for g in svm.GAMMA_GRID for c in svm.C_GRID]
+    folds, validation = [], []  # per inner fold: (rows, points) and (split, inner fold, rows)
     for held, (train_idx, _) in enumerate(splits):
-        for inner_train, inner_val in fold_splits(labels[train_idx], k2, seed + held + 1):
-            folds.append((train_idx[inner_train], GRID))
-            validation.append((held, train_idx[inner_val]))
-    accs = [{params: [] for params in GRID} for _ in splits]
+        for inner, (inner_train, inner_val) in enumerate(
+                fold_splits(labels[train_idx], k2, seed + held + 1)):
+            folds.append((train_idx[inner_train], points))
+            validation.append((held, inner, train_idx[inner_val]))
+    accs = np.empty((len(splits), len(svm.GAMMA_GRID), len(svm.C_GRID), k2))
     converged = [[] for _ in splits]
-    for (held, val_idx), models in zip(validation, svm.train_ovr(x, labels, folds)):
+    for (held, inner, val_idx), models in zip(validation, svm.train_ovr(x, labels, folds)):
         truth = labels[val_idx].tolist()
-        for params, preds in zip(models.points, svm.predict_batch(models, x[val_idx])):
-            accs[held][params].append(_accuracy(truth, preds))
+        accs[held, ..., inner] = np.reshape([_accuracy(truth, preds) for preds
+                                             in svm.predict_batch(models, x[val_idx])],
+                                            accs.shape[1:3])
         converged[held].extend(models.converged.flat)
         # the next fold's solve needs none of this fold's grid
         del models
-    searches = []
-    for split_accs, split_converged in zip(accs, converged):
-        audit = {params: float(np.mean(a)) for params, a in split_accs.items()}
-        # sorted() is stable: ordering by (-accuracy, C, gamma) implements the
-        # smaller-C-then-smaller-gamma tie break
-        best = sorted(audit, key=lambda p: (-audit[p], p.c, p.gamma))[0]
-        searches.append((best, audit, split_converged))
-    return searches
+    # over the last, contiguous axis each point's accuracies are summed as
+    # np.mean sums them alone, to the same bits
+    audit = accs.mean(axis=-1)
+    scores = audit.reshape(len(splits), -1)
+    c_of, gamma_of = (np.broadcast_to(v, scores.shape) for v in np.array(points).T)
+    # per split, the first point by -accuracy, then C, then gamma
+    best = [points[p] for p in np.lexsort((gamma_of, c_of, -scores))[:, 0].tolist()]
+    return best, audit, converged
 
 
 def _report_nonconverged(converged, where):
@@ -221,11 +219,11 @@ def _cross_validate(x, labels, splits, k2, seed) -> dict:
     class_order = sorted(set(labels.tolist()))
     fold_accs = []
     all_truth, all_pred = [], []
-    searches = grid_search(x, labels, splits, k2, seed)
-    fits = svm.train_ovr(x, labels, [(train_idx, (params,)) for (train_idx, _), (params, _, _)
-                                     in zip(splits, searches)])
-    for held, ((_, test_idx), (_, _, converged), fit) in enumerate(zip(splits, searches, fits)):
-        _report_nonconverged(converged, "grid search")
+    best, _, converged = grid_search(x, labels, splits, k2, seed)
+    fits = svm.train_ovr(x, labels, [(train_idx, [point])
+                                     for (train_idx, _), point in zip(splits, best)])
+    for held, ((_, test_idx), flags, fit) in enumerate(zip(splits, converged, fits)):
+        _report_nonconverged(flags, "grid search")
         _report_nonconverged(fit.converged[0], f"final fit, outer fold {held}")
         [preds] = svm.predict_batch(fit, x[test_idx])
         truth = labels[test_idx].tolist()
@@ -234,7 +232,7 @@ def _cross_validate(x, labels, splits, k2, seed) -> dict:
         all_pred.extend(preds)
     return {"fold_accuracies": fold_accs, "mean_accuracy": float(np.mean(fold_accs)),
             "standard_error": standard_error(fold_accs),
-            "chosen_params": [{"c": p.c, "gamma": p.gamma} for p, _, _ in searches],
+            "chosen_params": [{"c": c, "gamma": gamma} for c, gamma in best],
             "confusion": confusion_matrix(all_truth, all_pred, class_order).tolist(),
             "class_order": class_order, "seed": seed}
 

@@ -1,15 +1,17 @@
 """One-vs-rest RBF-kernel SVM trained by sequential minimal optimization.
 
 `train_ovr` is the one trainer: it takes training sets (folds), each a set
-of rows with its grid, and yields one `OvrGrid` per fold.  Each fold is
-standardized once and its squared-distance matrix built once; each (fold,
-gamma) then takes one full Gram matrix.  The (C, class) binary problems of
-consecutive (fold, gamma) groups of one training-set size are solved by one
-working-set SMO run in lockstep while the run's problems x rows stay within
-2^16 (a larger group runs alone): each step moves every unfinished
-problem's maximal KKT-violating pair analytically, reading that problem's
-own Gram matrix.  So a run spans training sets as well as gammas, and the
-nested CV of one config makes two runs on small data.  A run holds each of
+of rows with its grid, and yields one `OvrGrid` per fold.  A grid point is
+a plain (C, gamma) pair of floats; the inner grid search's grid is the
+product of `C_GRID` and `GAMMA_GRID`.  Each fold is standardized once and
+its squared-distance matrix built once; each (fold, gamma) then takes one
+full Gram matrix.  The (C, class) binary problems of consecutive (fold,
+gamma) groups of one training-set size are solved by one working-set SMO
+run in lockstep while the run's problems x rows stay within 2^16 (a larger
+group runs alone): each step moves every unfinished problem's maximal
+KKT-violating pair analytically, reading that problem's own Gram matrix.
+So a run spans training sets as well as gammas, and the nested CV of one
+config makes two runs on small data.  A run holds each of
 its folds' squared distances, means, stds and targets, not their
 standardized rows: a fold's rows are standardized again, to the same bits,
 only when its grid is yielded.  A grid holds the standardizer's column means
@@ -21,7 +23,6 @@ once per distinct support-vector set and gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,23 +31,14 @@ from .errors import DimensionMismatch, SingleClassInput, TooFewClasses, TooFewRo
 
 KKT_TOL = 1e-3
 MAX_SMO_ITER = 1_000_000
-DEFAULT_C_GRID = (0.1, 1.0, 10.0, 100.0)
-DEFAULT_GAMMA_GRID = (1.0, 0.1, 0.01, 0.001)
+# the values of the inner grid search's (C, gamma) product
+C_GRID = (0.1, 1.0, 10.0, 100.0)
+GAMMA_GRID = (1.0, 0.1, 0.01, 0.001)
 _STD_FLOOR = 1e-12
 # most (problems x training rows) of one lockstep SMO run over several
 # (training set, gamma) groups: 512 KiB per float64 state array.  Merging pays
 # below it, where per-step numpy overhead dominates, and costs above it.
 _LOCKSTEP_BLOCK = 1 << 16
-
-
-@dataclass(frozen=True)
-class SvmHyperparams:
-    c: float
-    gamma: float
-
-    def __post_init__(self):
-        if not self.c > 0 or not self.gamma > 0:
-            raise ValueError("c and gamma must be positive")
 
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -95,7 +87,7 @@ def apply_standardizer(means, stds, x: np.ndarray) -> np.ndarray:
 # --- binary SMO -------------------------------------------------------------
 
 
-def train_binary_smo(x, y, params: SvmHyperparams):
+def train_binary_smo(x, y, c, gamma):
     """Solve the binary soft-margin dual by SMO; returns (alphas, bias, converged).
 
     y must be -1/+1 with both classes present.  The decision function is
@@ -112,8 +104,8 @@ def train_binary_smo(x, y, params: SvmHyperparams):
         raise SingleClassInput("training labels contain a single class")
     if not np.all(np.abs(y) == 1):
         raise ValueError("y must be -1/+1")
-    y, c = y[None, :], np.array([params.c])
-    alphas, f, converged = _smo(_rbf_cross(x, x, params.gamma), np.zeros(1, int), y, c)
+    y, c = y[None, :], np.array([c])
+    alphas, f, converged = _smo(_rbf_cross(x, x, gamma), np.zeros(1, int), y, c)
     return alphas[0], float(_biases(y, alphas, f, c)[0]), bool(converged[0])
 
 
@@ -253,7 +245,7 @@ class OvrGrid(NamedTuple):
     at point p decides by sum_i dual_coef[p, k, i] k(train_i, .) + bias[p, k]."""
 
     classes: tuple         # sorted label order; also the tie-break order
-    points: tuple          # SvmHyperparams in solve order, grouped by gamma
+    points: tuple          # (C, gamma) pairs in solve order, grouped by gamma
     means: np.ndarray      # (d,) standardizer column means
     stds: np.ndarray       # (d,) standardizer column stds
     train: np.ndarray      # (n, d) standardized training rows
@@ -266,14 +258,15 @@ def train_ovr(x, labels, folds):
     """Yield one `OvrGrid` for each (rows, grid) fold, in order.
 
     A fold trains on its rows of x and labels, once for each distinct point of
-    its grid.  The (C, class) problems of consecutive (fold, gamma) groups of
-    one training-set size share one lockstep SMO run while the run's problems
-    x rows stay within _LOCKSTEP_BLOCK; a group above it runs alone.  A fold
-    is prepared when its first run starts (`_prepare_fold`), and each run
-    writes its grid's arrays in place.  The grid is yielded as soon as the
-    fold's last run ends, after which nothing here refers to it; only then
-    are its rows standardized again, to the same bits, into its training
-    matrix.
+    its grid, a sequence of (C, gamma) pairs; `OvrGrid.points` holds them
+    grouped by gamma, each group in order of first appearance.  The (C,
+    class) problems of consecutive (fold, gamma) groups of one training-set
+    size share one lockstep SMO run while the run's problems x rows stay
+    within _LOCKSTEP_BLOCK; a group above it runs alone.  A fold is prepared
+    when its first run starts (`_prepare_fold`), and each run writes its
+    grid's arrays in place.  The grid is yielded as soon as the fold's last
+    run ends, after which nothing here refers to it; only then are its rows
+    standardized again, to the same bits, into its training matrix.
     """
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels)
@@ -285,8 +278,8 @@ def train_ovr(x, labels, folds):
         if len(classes) < 2:
             raise TooFewClasses(f"need at least 2 classes, got {len(classes)}")
         by_gamma = {}
-        for p in dict.fromkeys(grid):
-            by_gamma.setdefault(p.gamma, []).append(p)
+        for c, gamma in dict.fromkeys(grid):
+            by_gamma.setdefault(gamma, []).append((c, gamma))
         if not by_gamma:
             raise ValueError(f"fold {fold} has an empty grid")
         plans.append((rows, classes, [p for group in by_gamma.values() for p in group]))
@@ -346,10 +339,10 @@ def _solve_run(run, prepared):
     for g, (fold, points) in enumerate(run):
         grid, sq, ys = prepared[fold]
         block = kernel[g * n:(g + 1) * n]
-        np.multiply(sq, -grid.points[points.start].gamma, out=block)
+        np.multiply(sq, -grid.points[points.start][1], out=block)
         np.exp(block, out=block)
         y.append(np.tile(ys, (points.stop - points.start, 1)))
-        c.append(np.repeat([p.c for p in grid.points[points]], len(grid.classes)))
+        c.append(np.repeat([point[0] for point in grid.points[points]], len(grid.classes)))
     base = np.repeat(np.arange(len(run)) * n, [len(part) for part in y])
     y, c = np.vstack(y), np.concatenate(c)
     alphas, f, converged = _smo(kernel, base, y, c)
@@ -388,10 +381,10 @@ def _decision_values(grid: OvrGrid, x) -> np.ndarray:
     values = np.empty((len(grid.points), xs.shape[0], len(grid.classes)))
     # support-vector mask bytes -> {gamma: [(point, class) indices]}
     by_set = {}
-    for p, params in enumerate(grid.points):
+    for p, (_, gamma) in enumerate(grid.points):
         for k, sv in enumerate(grid.dual_coef[p] != 0.0):
             by_gamma = by_set.setdefault(sv.tobytes(), {})
-            by_gamma.setdefault(params.gamma, []).append((p, k))
+            by_gamma.setdefault(gamma, []).append((p, k))
     for key, by_gamma in by_set.items():
         sv = np.frombuffer(key, dtype=bool)
         sq = _sq_dist(xs, grid.train[sv])

@@ -309,14 +309,14 @@ def decision_values(grid, x):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     xs = (x - grid.means) / grid.stds
     values = []
-    for params, coefs, biases in zip(grid.points, grid.dual_coef, grid.bias):
+    for (_, gamma), coefs, biases in zip(grid.points, grid.dual_coef, grid.bias):
         columns = []
         for coef, bias, sv in zip(coefs, biases, coefs != 0.0):
             t = grid.train[sv]
             sq = (np.sum(xs * xs, axis=1)[:, None] + np.sum(t * t, axis=1)[None, :]
                   - 2.0 * (xs @ t.T))
             np.clip(sq, 0.0, None, out=sq)
-            columns.append(np.exp(-params.gamma * sq) @ coef[sv] + bias)
+            columns.append(np.exp(-gamma * sq) @ coef[sv] + bias)
         values.append(np.column_stack(columns))
     return np.array(values)
 
@@ -448,7 +448,7 @@ def bias_scalar(y, alphas, f, c) -> float:
 
 
 def train_ovr_kept_rows(x, labels, folds):
-    """{params: (train, dual_coef, bias, converged)} per (rows, grid) fold,
+    """{(c, gamma): (train, dual_coef, bias, converged)} per (rows, grid) fold,
     as `svm.train_ovr` gave them when a fold kept its standardized rows from
     its preparation through its solves: the rows are standardized once and
     every point of the fold shares that array.  Each (fold, gamma) group is
@@ -462,19 +462,19 @@ def train_ovr_kept_rows(x, labels, folds):
         sq = svm._sq_dist(train, train)
         targets = np.array([np.where(fold_labels == cls, 1.0, -1.0) for cls in classes])
         by_gamma = {}
-        for params in dict.fromkeys(grid):
-            by_gamma.setdefault(params.gamma, []).append(params)
+        for c, gamma in dict.fromkeys(grid):
+            by_gamma.setdefault(gamma, []).append(c)
         models = {}
-        for gamma, group in by_gamma.items():
-            y = np.tile(targets, (len(group), 1))
-            c = np.repeat([params.c for params in group], len(classes))
-            alphas, f, converged = svm._smo(np.exp(sq * -gamma), np.zeros(len(y), int), y, c)
-            for k, params in enumerate(group):
+        for gamma, cs in by_gamma.items():
+            y = np.tile(targets, (len(cs), 1))
+            alphas, f, converged = svm._smo(np.exp(sq * -gamma), np.zeros(len(y), int), y,
+                                            np.repeat(cs, len(classes)))
+            for k, c in enumerate(cs):
                 own = slice(k * len(classes), (k + 1) * len(classes))
                 coef = np.where(alphas[own] > 1e-12, alphas[own] * y[own], 0.0)
-                bias = np.array([bias_scalar(*problem, params.c)
+                bias = np.array([bias_scalar(*problem, c)
                                  for problem in zip(y[own], alphas[own], f[own])])
-                models[params] = (train, coef, bias, converged[own])
+                models[(c, gamma)] = (train, coef, bias, converged[own])
         results.append(models)
     return results
 

@@ -108,10 +108,9 @@ def test_criterion_3_svm_kkt_and_ovr(capsys):
         x = rng.standard_normal((n, 4))
         y = np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
         y[0], y[1] = 1.0, -1.0
-        c = float(rng.choice(svm.DEFAULT_C_GRID))
-        gamma = float(rng.choice(svm.DEFAULT_GAMMA_GRID))
-        alphas, bias, converged = svm.train_binary_smo(
-            x, y, svm.SvmHyperparams(c=c, gamma=gamma))
+        c = float(rng.choice(svm.C_GRID))
+        gamma = float(rng.choice(svm.GAMMA_GRID))
+        alphas, bias, converged = svm.train_binary_smo(x, y, c, gamma)
         ok &= converged
         ok &= kkt_violations(x, y, alphas, bias, c, gamma) <= svm.KKT_TOL + 1e-9
     centers = [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0), (5.0, 5.0)]
@@ -120,7 +119,7 @@ def test_criterion_3_svm_kkt_and_ovr(capsys):
         x.append(np.array(center) + 0.2 * rng.standard_normal((12, 2)))
         labels.extend([f"c{k}"] * 12)
     x = np.vstack(x)
-    ovr = train_one(x, labels, svm.SvmHyperparams(c=10.0, gamma=0.5))
+    ovr = train_one(x, labels, (10.0, 0.5))
     ok &= svm.predict_batch(ovr, x) == [labels]
     elapsed = time.monotonic() - start
     ok &= elapsed < 120.0

@@ -64,15 +64,21 @@ def _manifest_doc(**changes):
             "entries": [_GOOD_ENTRY, {k: v for k, v in second.items() if v is not None}]}
 
 
-def _bench_inputs(name, seed, out_dir):
-    """The manifest path of the benchmark's inputs for one workload and seed,
-    written by bench/workloads.py."""
+def _bench_workloads():
+    """bench/workloads.py, loaded once."""
     workloads = sys.modules.get("bench_workloads")
     if workloads is None:
         path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
         spec = importlib.util.spec_from_file_location("bench_workloads", path)
         workloads = sys.modules["bench_workloads"] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _bench_inputs(name, seed, out_dir):
+    """The manifest path of the benchmark's inputs for one workload and seed,
+    written by bench/workloads.py."""
+    workloads = _bench_workloads()
     return workloads.write_inputs(workloads.WORKLOADS[name], seed, out_dir)["manifest"]
 
 
@@ -286,11 +292,11 @@ class TestIngest:
         assert "cache hit" in capsys.readouterr().err
         assert events == ["build", "featurize", "featurize"]
 
-    def test_cache_of_the_whole_array_layout_is_rebuilt_once(self, workspace, tmp_path,
-                                                             capsys, monkeypatch):
+    def test_cache_of_the_whole_array_layout_is_ignored(self, workspace, tmp_path,
+                                                        capsys, monkeypatch):
         """A file written before the layout tag (one (channels, samples)
-        array of every recording side by side) is rebuilt in the tagged
-        layout and removed."""
+        array of every recording side by side) is neither read nor removed:
+        the tagged file is built beside it, once."""
         root, manifest = workspace
         cache = tmp_path / "cache"
         clean = tmp_path / "clean.csv"
@@ -299,16 +305,21 @@ class TestIngest:
         new = self._corpus_file(cache, manifest)
         old = new.with_name(new.name.replace("-blocks.npz", ".npz"))
         np.savez(old, **oracles.preprocessed_whole(load_manifest(manifest)))
+        old_bytes = old.read_bytes()
         events = self._watch_build_and_featurize(monkeypatch)
+        opened, corpus = [], evaluation.PreprocessedCorpus
+        monkeypatch.setattr(evaluation, "PreprocessedCorpus",
+                            lambda path: opened.append(path.name) or corpus(path))
         capsys.readouterr()
         for out in ("f.csv", "g.csv"):
             assert self._features_csv(manifest, cache, tmp_path / out) == cli.EXIT_OK
             assert (tmp_path / out).read_bytes() == clean.read_bytes()
         err = capsys.readouterr().err
-        assert err.count(f"rebuilding cache {old.name} of an earlier layout") == 1
-        assert err.count("rebuilding") == 1 and err.count("cache hit") == 1
+        assert "rebuilding" not in err and err.count("cache hit") == 1
         assert events == ["build", "featurize", "featurize"]
-        assert sorted(cache.iterdir()) == [new]
+        assert opened == [new.name, new.name]
+        assert sorted(cache.iterdir()) == sorted([old, new])
+        assert old.read_bytes() == old_bytes
 
     @staticmethod
     def _features_csv(manifest, cache, out):
@@ -431,6 +442,23 @@ class TestIngest:
                    name, seed, tmp_path / f"{name}{seed}"))) for seed in range(5)]
                for name in want}
         assert got == want
+
+    def test_benchmark_run_configs_pass_and_share_the_grid(self, tmp_path):
+        """Every run config the benchmark writes runs as written (so a key it
+        sends, such as `"workers": 1`, stays accepted), and bench/check.py
+        checks chosen_params against the package's grid."""
+        workloads = _bench_workloads()
+        configs = []
+        for name, workload in workloads.WORKLOADS.items():
+            (tmp_path / name).mkdir()
+            for argv in workloads.pass_commands(workload, tmp_path / "manifest.json",
+                                                tmp_path / name):
+                if argv[0] == "evaluate":
+                    configs.append(cli._load_run_config(argv[argv.index("--config") + 1]))
+        assert len(configs) == 2
+        assert [cli._run_config_problem(doc) for doc in configs] == [None, None]
+        assert workloads.C_GRID == svm.C_GRID
+        assert workloads.GAMMA_GRID == svm.GAMMA_GRID
 
     def test_mixed_corpus_hashes_are_stable(self, tmp_path):
         # matrix entries with integer windows and rates, an entry without a
@@ -1302,18 +1330,24 @@ class TestEvaluate:
         assert cli.main(["report", "--out", str(out)]) == cli.EXIT_OK
         assert (out / "rollup.csv").read_bytes() == original
 
-    def test_report_without_policy_counts_as_default(self, workspace, run_config, tmp_path):
+    def test_report_without_policy_is_skipped(self, workspace, run_config, tmp_path,
+                                              capsys):
         out = tmp_path / "reports"
         assert cli.main(["evaluate", "--config", str(run_config),
                          "--out", str(out)]) == cli.EXIT_OK
-        original = (out / "rollup.csv").read_bytes()
         path = out / "default_plv_fc_gamma_2s_resting.json"
         report = json.loads(path.read_text())
         assert report.pop("policy") == "default"
-        path.write_text(json.dumps(report))
+        (out / "old.json").write_text(json.dumps(report))
+        original = (out / "rollup.csv").read_bytes()
         (out / "rollup.csv").unlink()
+        capsys.readouterr()
         assert cli.main(["report", "--out", str(out)]) == cli.EXIT_OK
         assert (out / "rollup.csv").read_bytes() == original
+        assert "skipping old.json: not a report (no 'policy')" in (
+            capsys.readouterr().err.splitlines())
+        path.unlink()
+        assert cli.main(["report", "--out", str(out)]) == cli.EXIT_USAGE
 
     def test_report_empty_dir_is_usage_error(self, tmp_path):
         assert cli.main(["report", "--out", str(tmp_path)]) == cli.EXIT_USAGE

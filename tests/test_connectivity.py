@@ -291,6 +291,20 @@ class TestVectorizeUpper:
         values = values + values.T
         np.testing.assert_array_equal(con.vectorize_upper(values), [0.1, 0.2, 0.3])
 
+    def test_indices_built_once_per_size(self, rng, monkeypatch):
+        built, triu_indices = [], np.triu_indices
+        monkeypatch.setattr(con, "_UPPER", {})
+        monkeypatch.setattr(np, "triu_indices",
+                            lambda n, k: built.append(n) or triu_indices(n, k))
+        for n in (5, 7, 5, 7, 5):
+            values = rng.standard_normal((n, n))
+            got = con.vectorize_upper(values)
+            assert np.array_equal(got, values[triu_indices(n, 1)])
+            # a copy the caller owns; the cached indices cannot be written
+            assert got.flags.writeable and not np.shares_memory(got, values)
+            assert not any(index.flags.writeable for index in con._UPPER[n])
+        assert built == [5, 7]
+
 
 def test_plv_dominates_pli_on_identical_inputs(rng):
     # with identical phase inputs the phasor mean has unit magnitude while

@@ -126,7 +126,8 @@ def _loop_error(train_counts, k1, k2, test_counts=None):
                                  test_condition="resting" if test_counts is None else "task")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ev, "fold_problem", lambda *args: None)
-        patch.setattr(ev, "GRID", (svm.SvmHyperparams(c=1.0, gamma=0.5),))
+        patch.setattr(svm, "C_GRID", (1.0,))
+        patch.setattr(svm, "GAMMA_GRID", (0.5,))
         patch.setattr(svm, "_smo", lambda kernel, base, y, c: (
             np.zeros(y.shape), np.zeros(y.shape), np.ones(len(y), bool)))
         patch.setattr(ev, "_features_cached", lambda corpus, config, condition, *args:
@@ -211,20 +212,20 @@ class TestFoldProblem:
             assert str(loop) == str(problem)
 
 
-def train_ovr_scalar(x, labels, params):
-    """The one-point grid of params, one smo_scalar call per class."""
+def train_ovr_scalar(x, labels, c, gamma):
+    """The one-point grid of (c, gamma), one smo_scalar call per class."""
     classes = tuple(sorted(set(labels.tolist())))
     means, stds = svm.fit_standardizer(x)
     xs = svm.apply_standardizer(means, stds, x)
-    kernel = svm._rbf_cross(xs, xs, params.gamma)
+    kernel = svm._rbf_cross(xs, xs, gamma)
     coefs, biases, converged = [], [], []
     for cls in classes:
         y = np.where(labels == cls, 1.0, -1.0)
-        alphas, _, bias, ok = smo_scalar(kernel, y, params.c)
+        alphas, _, bias, ok = smo_scalar(kernel, y, c)
         coefs.append(np.where(alphas > 1e-12, alphas * y, 0.0))
         biases.append(bias)
         converged.append(ok)
-    return svm.OvrGrid(classes, (params,), means, stds, xs, np.array([coefs]),
+    return svm.OvrGrid(classes, ((c, gamma),), means, stds, xs, np.array([coefs]),
                        np.array([biases]), np.array([converged]))
 
 
@@ -240,59 +241,71 @@ def model_arrays(obj):
             yield from model_arrays(item)
 
 
-def grid_search_per_point(x, labels, k2, grid, seed):
-    """The grid search as one scalar-trained model per point and fold."""
+def grid_search_per_point(x, labels, k2, seed):
+    """The grid search as one scalar-trained model per point and fold: each
+    point's inner accuracies in a list, averaged by np.mean."""
     audit = {}
-    for params in grid:
-        accs = []
-        for train_idx, val_idx in ev.fold_splits(labels, k2, seed):
-            model = train_ovr_scalar(x[train_idx], labels[train_idx], params)
-            [values] = decision_values(model, x[val_idx])
-            preds = [model.classes[i] for i in np.argmax(values, axis=1)]
-            accs.append(ev._accuracy(labels[val_idx].tolist(), preds))
-        audit[params] = float(np.mean(accs))
-    best = sorted(audit, key=lambda p: (-audit[p], p.c, p.gamma))[0]
+    for g in svm.GAMMA_GRID:
+        for c in svm.C_GRID:
+            accs = []
+            for train_idx, val_idx in ev.fold_splits(labels, k2, seed):
+                model = train_ovr_scalar(x[train_idx], labels[train_idx], c, g)
+                [values] = decision_values(model, x[val_idx])
+                preds = [model.classes[i] for i in np.argmax(values, axis=1)]
+                accs.append(ev._accuracy(labels[val_idx].tolist(), preds))
+            audit[(c, g)] = float(np.mean(accs))
+    best = sorted(audit, key=lambda p: (-audit[p], *p))[0]
     return best, audit
 
 
-def grid(cs, gammas):
-    return tuple(svm.SvmHyperparams(c=c, gamma=g) for c in cs for g in gammas)
+# the 16 (c, gamma) points, gamma-major as grid_search trains them
+POINTS = [(c, g) for g in svm.GAMMA_GRID for c in svm.C_GRID]
+
+
+def audit_view(accs):
+    """{(c, gamma): accuracy} of one split's (gamma, C) grid_search audit."""
+    return {(c, g): float(accs[i, j]) for i, g in enumerate(svm.GAMMA_GRID)
+            for j, c in enumerate(svm.C_GRID)}
 
 
 def search_all_rows(x, labels, k2, seed):
-    """(best, audit) of a grid search over every row of x, with inner seed `seed`."""
-    [(best, audit, _)] = ev.grid_search(x, labels, [(np.arange(len(labels)), None)], k2,
-                                        seed - 1)
-    return best, audit
+    """(best, audit view) of a grid search over every row of x, with inner seed `seed`."""
+    [best], [accs], _ = ev.grid_search(x, labels, [(np.arange(len(labels)), None)], k2,
+                                       seed - 1)
+    return best, audit_view(accs)
 
 
 class TestGridSearch:
-    @pytest.mark.parametrize("points", [
-        ev.GRID,
-        tuple(reversed(ev.GRID[::3])) + ev.GRID[1:4],           # unsorted
-        grid((10.0, 0.1, 1.0), (0.1, 0.1)) + grid((100.0,), (0.1, 1.0)),  # repeated gamma
-        grid((0.1, 1.0, 10.0, 100.0), (0.01,)),                  # a single gamma
-        grid((1.0,), (0.1,)),                                     # a single point
-    ], ids=["default", "unsorted", "repeated-gamma", "single-gamma", "one-point"])
-    def test_equals_per_point_scalar_loop(self, rng, monkeypatch, points):
-        x, labels = cluster_features(rng, 4, 9, dim=6, spread=1.5)
-        monkeypatch.setattr(ev, "GRID", points)
-        best, audit = search_all_rows(x, labels, k2=3, seed=5)
-        best_ref, audit_ref = grid_search_per_point(x, labels, 3, points, seed=5)
+    @pytest.mark.parametrize("cs, gammas, n_classes, k2", [
+        (svm.C_GRID, svm.GAMMA_GRID, 4, 3),
+        ((10.0, 0.1, 100.0), (0.01, 1.0, 0.001), 4, 3),  # unsorted
+        (svm.C_GRID, (0.01,), 4, 3),                      # a single gamma
+        ((1.0,), (0.1,), 4, 3),                           # a single point
+        # nine inner accuracies in thirds per point: numpy sums eight or more
+        # values of a contiguous row pairwise, so a mean over any other axis
+        # than the last misses np.mean's bits
+        (svm.C_GRID, svm.GAMMA_GRID, 3, 9),
+    ], ids=["default", "unsorted", "single-gamma", "one-point", "k2-9"])
+    def test_equals_per_point_scalar_loop(self, rng, monkeypatch, cs, gammas, n_classes, k2):
+        x, labels = cluster_features(rng, n_classes, 9, dim=6, spread=1.5)
+        monkeypatch.setattr(svm, "C_GRID", cs)
+        monkeypatch.setattr(svm, "GAMMA_GRID", gammas)
+        best, audit = search_all_rows(x, labels, k2=k2, seed=5)
+        best_ref, audit_ref = grid_search_per_point(x, labels, k2, seed=5)
         assert list(audit.items()) == list(audit_ref.items())
         assert best == best_ref
 
     def test_grid_models_equal_single_point_models(self, rng):
         x, labels = cluster_features(rng, 3, 8, dim=5, spread=1.0)
-        points = ev.GRID[::-1]
+        points = POINTS[::-1]
         many = train_grid(x, labels, points)
         assert set(many.points) == set(points)
-        for params in points:
-            one, p = train_one(x, labels, params), many.points.index(params)
+        for point in points:
+            one, p = train_one(x, labels, point), many.points.index(point)
             assert one.classes == many.classes
             assert np.array_equal(one.means, many.means)
             assert np.array_equal(one.stds, many.stds)
-            assert one.points == (params,)
+            assert one.points == (point,)
             assert np.array_equal(one.train, many.train)
             for name in ("dual_coef", "bias", "converged"):
                 [a], b = getattr(one, name), getattr(many, name)[p]
@@ -307,8 +320,8 @@ class TestGridSearch:
         n, d = x.shape
         # one training matrix, the standardizer's means and stds, and per
         # point the float coefficient, float bias and bool converged arrays
-        bound = x.nbytes + 2 * d * 8 + len(ev.GRID) * n_classes * (n * 8 + 8 + 1)
-        models = train_grid(x, labels, ev.GRID)
+        bound = x.nbytes + 2 * d * 8 + len(POINTS) * n_classes * (n * 8 + 8 + 1)
+        models = train_grid(x, labels, POINTS)
         assert sum(a.nbytes for a in model_arrays(models)) <= bound
         assert models.train.shape == x.shape
 
@@ -319,7 +332,7 @@ class TestGridSearch:
         x, labels = cluster_features(rng, 4, 9, dim=6, spread=1.5)
         training, validation, folds = [], [], ev.fold_splits(labels, 3, 5)
         for train_idx, val_idx in folds:
-            models = train_grid(x[train_idx], labels[train_idx], ev.GRID)
+            models = train_grid(x[train_idx], labels[train_idx], POINTS)
             sets = {sv.tobytes() for sv in models.dual_coef.reshape(-1, len(train_idx)) != 0.0}
             assert len(sets) < models.bias.size
             training.append((len(train_idx), True))
@@ -369,8 +382,8 @@ class TestGridSearch:
         best, audit = search_all_rows(x, labels, k2=3, seed=0)
         top = max(audit.values())
         winners = [p for p, a in audit.items() if a == top]
-        expected = sorted(winners, key=lambda p: (p.c, p.gamma))[0]
-        assert best == expected
+        # (c, gamma) pairs order by c, then gamma
+        assert best == min(winners)
 
     def test_known_optimum_recovered(self, rng):
         # gamma = 1000 makes every point its own island (train-only memory),
@@ -378,8 +391,9 @@ class TestGridSearch:
         # check the search never returns an off-grid value and scores sanely
         x, labels = cluster_features(rng, 4, 9, spread=0.2)
         best, audit = search_all_rows(x, labels, k2=3, seed=0)
-        assert best.c in svm.DEFAULT_C_GRID
-        assert best.gamma in svm.DEFAULT_GAMMA_GRID
+        c, gamma = best
+        assert c in svm.C_GRID
+        assert gamma in svm.GAMMA_GRID
         assert audit[best] >= 0.9
 
 
@@ -643,16 +657,16 @@ class TestExperiment:
         assert report["fold_accuracies"] == [acc]
         assert report["mean_accuracy"] == acc
         assert report["standard_error"] == 0.0
-        assert report["chosen_params"] == [{"c": params.c, "gamma": params.gamma}]
+        assert report["chosen_params"] == [{"c": params[0], "gamma": params[1]}]
         assert report["class_order"] == class_order
         assert report["confusion"] == ev.confusion_matrix(truth, preds, class_order).tolist()
         assert report["seed"] == 3
         # the search the run made on the training side, audit and all
         all_train = np.arange(len(y_train))
-        [(best, run_audit, _)] = ev.grid_search(np.vstack((x_train, x_test)),
+        [best], [run_audit], _ = ev.grid_search(np.vstack((x_train, x_test)),
                                                 np.concatenate((y_train, y_test)),
                                                 [(all_train, None)], 2, 3)
-        assert (best, run_audit) == (params, audit)
+        assert (best, audit_view(run_audit)) == (params, audit)
 
     def test_mismatched_missing_subjects_rejected(self):
         rest = synth.synthetic_corpus(n_subjects=2, n_channels=6,

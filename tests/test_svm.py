@@ -82,8 +82,7 @@ class TestBinarySmo:
     def test_separable_blobs_perfect(self, rng):
         x, labels = blobs(rng, [np.zeros(3), 3.0 * np.ones(3)], per_class=15)
         y = np.where(labels == "a", 1.0, -1.0)
-        alphas, bias, converged = svm.train_binary_smo(
-            x, y, svm.SvmHyperparams(c=10.0, gamma=0.1))
+        alphas, bias, converged = svm.train_binary_smo(x, y, 10.0, 0.1)
         assert converged
         preds = np.sign(binary_decision(x, y, alphas, bias, 0.1, x))
         np.testing.assert_array_equal(preds, y)
@@ -91,7 +90,7 @@ class TestBinarySmo:
     def test_single_class_rejected(self, rng):
         x = rng.standard_normal((10, 2))
         with pytest.raises(SingleClassInput):
-            svm.train_binary_smo(x, np.ones(10), svm.SvmHyperparams(c=1.0, gamma=1.0))
+            svm.train_binary_smo(x, np.ones(10), 1.0, 1.0)
 
     def test_kkt_satisfied_on_random_problems(self, rng):
         # the independent KKT audit from the oracle module, 50 problems
@@ -103,8 +102,7 @@ class TestBinarySmo:
                 y[0] = -y[0]
             c = float(rng.choice([0.1, 1.0, 10.0]))
             gamma = float(rng.choice([1.0, 0.1]))
-            alphas, bias, converged = svm.train_binary_smo(
-                x, y, svm.SvmHyperparams(c=c, gamma=gamma))
+            alphas, bias, converged = svm.train_binary_smo(x, y, c, gamma)
             assert converged
             worst = kkt_violations(x, y, alphas, bias, c, gamma)
             assert worst <= svm.KKT_TOL + 1e-9, f"trial {trial}: violation {worst}"
@@ -114,7 +112,7 @@ class TestBinarySmo:
         y = np.where(rng.uniform(size=30) < 0.5, 1.0, -1.0)
         y[0], y[1] = 1.0, -1.0
         c = 5.0
-        alphas, _, _ = svm.train_binary_smo(x, y, svm.SvmHyperparams(c=c, gamma=0.5))
+        alphas, _, _ = svm.train_binary_smo(x, y, c, 0.5)
         assert np.all(alphas >= -1e-12)
         assert np.all(alphas <= c + 1e-12)
         assert abs(np.dot(alphas, y)) < 1e-6
@@ -124,7 +122,7 @@ class TestBinarySmo:
         y = np.where(rng.uniform(size=20) < 0.5, 1.0, -1.0)
         y[0], y[1] = 1.0, -1.0
         c, gamma = 1.0, 0.5
-        alphas, _, _ = svm.train_binary_smo(x, y, svm.SvmHyperparams(c=c, gamma=gamma))
+        alphas, _, _ = svm.train_binary_smo(x, y, c, gamma)
         best = dual_objective(x, y, alphas, gamma)
         n_pos = int(np.sum(y > 0))
         n_neg = 20 - n_pos
@@ -147,18 +145,18 @@ class TestBinarySmo:
         x, labels = blobs(rng, [np.zeros(2), 4.0 * np.ones(2)], per_class=12,
                           spread=0.05)
         y = np.where(labels == "a", 1.0, -1.0)
-        params = svm.SvmHyperparams(c=10.0, gamma=0.5)
-        alphas, bias, _ = svm.train_binary_smo(x, y, params)
-        margins = y * binary_decision(x, y, alphas, bias, params.gamma, x)
+        c, gamma = 10.0, 0.5
+        alphas, bias, _ = svm.train_binary_smo(x, y, c, gamma)
+        margins = y * binary_decision(x, y, alphas, bias, gamma, x)
         non_sv = int(np.argmax(margins))
         assert alphas[non_sv] <= 1e-12
         x2 = np.vstack([x, x[non_sv]])
         y2 = np.append(y, y[non_sv])
-        alphas2, bias2, _ = svm.train_binary_smo(x2, y2, params)
+        alphas2, bias2, _ = svm.train_binary_smo(x2, y2, c, gamma)
         probe = rng.standard_normal((20, 2))
         np.testing.assert_allclose(
-            binary_decision(x2, y2, alphas2, bias2, params.gamma, probe),
-            binary_decision(x, y, alphas, bias, params.gamma, probe), atol=1e-6)
+            binary_decision(x2, y2, alphas2, bias2, gamma, probe),
+            binary_decision(x, y, alphas, bias, gamma, probe), atol=1e-6)
 
 
 def assert_matches_scalar(kernels, y, c, which=None):
@@ -345,15 +343,13 @@ class TestLockstepSmo:
                                           np.array([0.1, 1.0, 10.0, 100.0] * 2),
                                           [0, 1, 2, 3, 3, 2, 1, 0])
         assert not converged.any()
-        _, _, converged = svm.train_binary_smo(x, random_labels(rng, 1, 20)[0],
-                                               svm.SvmHyperparams(c=1.0, gamma=0.1))
+        _, _, converged = svm.train_binary_smo(x, random_labels(rng, 1, 20)[0], 1.0, 0.1)
         assert not converged
 
     def test_binary_smo_is_the_p1_case(self, rng):
         x = rng.standard_normal((25, 3))
         y = random_labels(rng, 1, 25)[0]
-        params = svm.SvmHyperparams(c=10.0, gamma=0.5)
-        alphas, bias, converged = svm.train_binary_smo(x, y, params)
+        alphas, bias, converged = svm.train_binary_smo(x, y, 10.0, 0.5)
         a_ref, _, bias_ref, conv_ref = smo_scalar(svm._rbf_cross(x, x, 0.5), y, 10.0)
         assert np.array_equal(alphas, a_ref)
         assert bias == bias_ref and converged == conv_ref
@@ -362,7 +358,7 @@ class TestLockstepSmo:
 class TestOvr:
     def test_three_clusters_perfect(self, rng):
         x, labels = blobs(rng, [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)], per_class=12)
-        model = train_one(x, labels, svm.SvmHyperparams(c=10.0, gamma=0.5))
+        model = train_one(x, labels, (10.0, 0.5))
         assert model.classes == ("a", "b", "c")
         assert svm.predict_batch(model, x) == [list(labels)]
 
@@ -371,7 +367,7 @@ class TestOvr:
         # thin sanity slice: many classes, few points, high dimension
         x = rng.standard_normal((30, 15))
         labels = np.repeat([f"s{i}" for i in range(10)], 3)
-        model = train_one(x, labels, svm.SvmHyperparams(c=1.0, gamma=0.01))
+        model = train_one(x, labels, (1.0, 0.01))
         assert model.dual_coef.shape == (1, 10, 30)
         assert model.bias.shape == model.converged.shape == (1, 10)
         assert svm._decision_values(model, x).shape == (1, 30, 10)
@@ -379,18 +375,18 @@ class TestOvr:
     def test_too_few_classes(self, rng):
         with pytest.raises(TooFewClasses):
             train_one(rng.standard_normal((6, 2)), ["a"] * 6,
-                      svm.SvmHyperparams(c=1.0, gamma=1.0))
+                      (1.0, 1.0))
 
     def test_argmax_tie_break_first_class(self, rng):
         x, labels = blobs(rng, [(0.0,), (4.0,), (8.0,)], per_class=8)
-        model = train_one(x, labels, svm.SvmHyperparams(c=1.0, gamma=0.1))
+        model = train_one(x, labels, (1.0, 0.1))
         values = np.array([[-0.2, 0.7, 0.7]])
         idx = int(np.argmax(values[0]))
         assert model.classes[idx] == "b"  # np.argmax returns the first max
 
     def test_predict_matches_batch(self, rng):
         x, labels = blobs(rng, [(0.0, 0.0), (3.0, 3.0)], per_class=10)
-        model = train_one(x, labels, svm.SvmHyperparams(c=10.0, gamma=0.5))
+        model = train_one(x, labels, (10.0, 0.5))
         [batch] = svm.predict_batch(model, x)
         singles = [svm.predict_batch(model, row)[0][0] for row in x]
         assert batch == singles
@@ -400,14 +396,13 @@ class TestOvr:
     def test_training_accuracy_on_separated_blobs(self, seed):
         rng = np.random.default_rng(seed)
         x, labels = blobs(rng, [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0)], per_class=8)
-        model = train_one(x, labels, svm.SvmHyperparams(c=10.0, gamma=0.5))
+        model = train_one(x, labels, (10.0, 0.5))
         assert svm.predict_batch(model, x) == [list(labels)]
 
 
 def grid_models(x, labels):
     """The grid of one train_ovr fold over the default 16-point grid."""
-    grid = [svm.SvmHyperparams(c=c, gamma=g)
-            for c in svm.DEFAULT_C_GRID for g in svm.DEFAULT_GAMMA_GRID]
+    grid = [(c, g) for c in svm.C_GRID for g in svm.GAMMA_GRID]
     return train_grid(x, labels, grid)
 
 
@@ -446,13 +441,24 @@ class TestLockstepRuns:
     def test_uneven_gamma_groups(self, rng, monkeypatch):
         # gammas with 3, 1 and 2 points: 30 rows x (9, 3, 6) problems
         x, labels = blobs(rng, [(0.0, 0.0), (3.0, 0.0), (0.0, 3.0)], per_class=10)
-        grid = [svm.SvmHyperparams(c=c, gamma=g) for c, g in
-                [(1.0, 0.1), (10.0, 0.1), (1.0, 0.5), (0.1, 0.1), (1.0, 2.0), (10.0, 2.0)]]
+        grid = [(1.0, 0.1), (10.0, 0.1), (1.0, 0.5), (0.1, 0.1), (1.0, 2.0), (10.0, 2.0)]
         monkeypatch.setattr(svm, "_LOCKSTEP_BLOCK", 12 * 30)
         seen = self.spy_smo(monkeypatch)
         models = train_grid(x, labels, grid)
         assert seen == [(2, 12), (1, 6)]
         assert models.points == tuple(grid[i] for i in (0, 1, 3, 2, 4, 5))
+
+    def test_repeated_points_solved_once(self, rng, monkeypatch):
+        # a gamma that comes back after another, and points given twice
+        x, labels = blobs(rng, [(0.0, 0.0), (3.0, 0.0), (0.0, 3.0)], per_class=10)
+        grid = [(10.0, 0.1), (0.1, 0.1), (10.0, 0.1), (100.0, 1.0), (1.0, 0.1), (0.1, 0.1)]
+        seen = self.spy_smo(monkeypatch)
+        models = train_grid(x, labels, grid)
+        assert seen == [(2, 12)]
+        assert models.points == ((10.0, 0.1), (0.1, 0.1), (1.0, 0.1), (100.0, 1.0))
+        want = train_grid(x, labels, models.points)
+        for name in ("dual_coef", "bias", "converged"):
+            assert np.array_equal(getattr(models, name), getattr(want, name)), name
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=8, deadline=None)
@@ -461,8 +467,7 @@ class TestLockstepRuns:
         n_classes, dim = int(rng.integers(2, 7)), int(rng.integers(1, 40))
         x, labels = blobs(rng, list(rng.standard_normal((n_classes, dim))),
                           per_class=int(rng.integers(2, 8)), spread=float(rng.uniform(0.1, 2.0)))
-        grid = [svm.SvmHyperparams(c=c, gamma=g)
-                for c in svm.DEFAULT_C_GRID for g in svm.DEFAULT_GAMMA_GRID]
+        grid = [(c, g) for c in svm.C_GRID for g in svm.GAMMA_GRID]
         grid = [grid[i] for i in rng.permutation(len(grid))]
         results = []
         for block in (0, 1 << 40):
@@ -493,8 +498,7 @@ class TestFoldRuns:
     """One train_ovr call over many folds gives each fold the grid of a call
     that trains that fold alone."""
 
-    GRID = [svm.SvmHyperparams(c=c, gamma=g)
-            for c in svm.DEFAULT_C_GRID for g in svm.DEFAULT_GAMMA_GRID]
+    GRID = [(c, g) for c in svm.C_GRID for g in svm.GAMMA_GRID]
 
     # the fixture seed deals inner folds of 14, 18, 14, 18, 18 and 18 rows;
     # a run is (problems, rows), and each fold has 4 gammas x 4 C x 4 classes
@@ -573,7 +577,7 @@ class TestFoldRows:
         n_folds, n, d = 24, 24, 2000
         labels = np.repeat(list("abcd"), 12)
         x = rng.standard_normal((len(labels), d)) + np.repeat(np.eye(4, d), 12, axis=0)
-        grid = [svm.SvmHyperparams(c=1.0, gamma=0.01), svm.SvmHyperparams(c=10.0, gamma=0.01)]
+        grid = [(1.0, 0.01), (10.0, 0.01)]
         folds = [(np.sort(rng.permutation(len(labels))[:n]), grid) for _ in range(n_folds)]
         runs, smo = [], svm._smo
         monkeypatch.setattr(svm, "_smo", lambda kernel, base, y, c:
@@ -649,7 +653,7 @@ class TestSharedPrediction:
 
     def test_single_model(self, rng):
         x, labels = blobs(rng, [(0.0, 0.0, 0.0), (2.0, 2.0, 0.0)], per_class=8, spread=1.0)
-        model = train_one(x, labels, svm.SvmHyperparams(c=1.0, gamma=0.1))
+        model = train_one(x, labels, (1.0, 0.1))
         self.assert_matches_per_class(model, x)
         self.assert_matches_per_class(model, x[3])
 
@@ -667,6 +671,6 @@ class TestSharedPrediction:
 
 
 def test_default_grids():
-    assert svm.DEFAULT_C_GRID == (0.1, 1.0, 10.0, 100.0)
-    assert svm.DEFAULT_GAMMA_GRID == (1.0, 0.1, 0.01, 0.001)
-    assert len(svm.DEFAULT_C_GRID) * len(svm.DEFAULT_GAMMA_GRID) == 16
+    assert svm.C_GRID == (0.1, 1.0, 10.0, 100.0)
+    assert svm.GAMMA_GRID == (1.0, 0.1, 0.01, 0.001)
+    assert len(svm.C_GRID) * len(svm.GAMMA_GRID) == 16
